@@ -10,6 +10,10 @@ several set-up probes, each in a fresh process, then checked passes for
 metrics from a traced run (see ``tracer.py``).  Every result is checked;
 a failed check or an unexpected error counts as a failed item.
 
+The end-to-end times are scaled by a reference load timed next to and
+inside each item, so that a drift in the speed of a shared CPU cancels (see
+``reference.py``); the report also gives them unscaled.
+
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``.  The line before it
 is the full report: every metric with its unit and sample count,
@@ -31,6 +35,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import reference
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -146,28 +152,41 @@ def _quantile(values: list, q: float) -> float:
 
 
 def end_to_end(args, deadline: float) -> tuple[dict, dict, dict]:
-    """Set-up probes, then the measured passes; returns (metrics, samples, raw)."""
+    """Set-up probes, then the measured passes; returns (metrics, samples, raw).
+
+    ``raw`` also carries the metrics before scaling by the reference load
+    (see ``reference.py``) under ``unscaled``.
+    """
     _child("import", args, deadline)
     probes = 1 if args.smoke else SETUP_PROBES
-    setups = [_child("setup", args, deadline)["setup_s"] for _ in range(probes)]
+    setups = [_child("setup", args, deadline) for _ in range(probes)]
     raw = _child("measure", args, deadline)
-    walls = [p["wall_s"] for p in raw["passes"]]
-    latencies_ms = [1e3 * t for p in raw["passes"] for t in p["latencies_s"]]
-    metrics = {
-        "setup_s": statistics.median(setups),
-        "wall_s": statistics.median(walls),
-        "item_p50_ms": _quantile(latencies_ms, 0.5),
-        "item_p90_ms": _quantile(latencies_ms, 0.9),
-        "peak_rss_mb": raw["peak_rss_mb"],
-    }
+    setup_raw = [probe["setup_s"] for probe in setups]
+    setup_s = [reference.scale_one(probe["setup_s"], probe["references_s"]) for probe in setups]
+    latencies_raw = [p["latencies_s"] for p in raw["passes"]]
+    latencies = [reference.scale(p["latencies_s"], p["references_s"]) for p in raw["passes"]]
+    raw["unscaled"] = _times(setup_raw, latencies_raw)
+    metrics = {**_times(setup_s, latencies), "peak_rss_mb": raw["peak_rss_mb"]}
+    n_items = sum(len(p) for p in latencies)
     samples = {
         "setup_s": len(setups),
-        "wall_s": len(walls),
-        "item_p50_ms": len(latencies_ms),
-        "item_p90_ms": len(latencies_ms),
+        "wall_s": len(latencies),
+        "item_p50_ms": n_items,
+        "item_p90_ms": n_items,
         "peak_rss_mb": 1,
     }
     return metrics, samples, raw
+
+
+def _times(setups: list, latencies: list) -> dict:
+    """Median set-up, median pass (sum of its items) and pooled item quantiles."""
+    pooled_ms = [1e3 * t for pass_latencies in latencies for t in pass_latencies]
+    return {
+        "setup_s": statistics.median(setups),
+        "wall_s": statistics.median(sum(p) for p in latencies),
+        "item_p50_ms": _quantile(pooled_ms, 0.5),
+        "item_p90_ms": _quantile(pooled_ms, 0.9),
+    }
 
 
 def main(argv=None) -> int:
@@ -216,6 +235,8 @@ def main(argv=None) -> int:
         },
         "failed_frac": {"value": failed / attempted, "unit": "fraction", "samples": attempted},
         "failures": raw["failures"],
+        "unscaled": raw.get("unscaled"),
+        "reference_s": reference.REFERENCE_S,
         "passes": raw["passes"],
         "spans": raw.get("spans"),
         "env": {**raw["env"], "git_sha": _git_sha(ROOT), "src_sha256": _src_digest(ROOT)},

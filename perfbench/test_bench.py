@@ -81,10 +81,7 @@ def test_smoke_run_prints_every_metric_with_its_unit(workload, trace):
         assert layers["integrate.steps"] > 0
     else:
         assert all(report["metrics"][name]["samples"] >= 1 for name in END_TO_END)
-    if workload != "two_node":
-        # two_node's alpha = 1 run can hit the defect in
-        # test_alpha1_blowup_surfaces_as_nonfinite_state_error.
-        assert result["correct"], report["failures"]
+    assert result["correct"], report["failures"]
 
 
 def test_gate_counts_a_wrong_reproduce_expectation(tmp_path):
@@ -102,11 +99,32 @@ def test_gate_counts_a_wrong_reproduce_expectation(tmp_path):
 def test_gate_counts_wrong_path_endpoints():
     fn = gs.entropy_theta_fn(gs.TsallisPotential(q=2.0))
     items = [
-        workloads.solve_item("right", fn, 0.3, 0.8, (0.3, 0.8)),
-        workloads.solve_item("wrong", fn, 0.3, 0.8, (0.3, 0.8 + 1e-8)),
+        workloads.pair_item("right", fn, 0.3, 0.8, (0.3, 0.8)),
+        workloads.pair_item("wrong", fn, 0.3, 0.8, (0.3, 0.8 + 1e-8)),
     ]
     result = run_pass(items)
     assert [f.split(":")[0] for f in result.failures] == ["wrong"]
+    assert "path endpoints off" in result.failures[0]
+
+
+def test_reference_scaling():
+    import time
+
+    import reference
+
+    def nap():
+        time.sleep(0.25)
+        return []
+
+    with reference.Reference() as ref:
+        result = run_pass([workloads.Item("a", lambda: []), workloads.Item("b", nap)], ref)
+    # Boundary loads around each item, and timer loads inside the long one.
+    assert len(result.references_s[0]) == 2 and len(result.references_s[1]) >= 3
+    assert result.references_s[0][-1] == result.references_s[1][0]
+    assert 0.2 < result.latencies_s[1] < 0.25 + reference.PERIOD_S
+    nominal = reference.REFERENCE_S
+    assert reference.scale([1.0, 1.0], [[nominal, 2 * nominal], [2 * nominal]]) == pytest.approx([2 / 3, 1 / 2])
+    assert reference.scale_one(0.5, [nominal, 2 * nominal, 2 * nominal]) == pytest.approx(0.25)
 
 
 def test_gate_counts_an_unexpected_error():
@@ -168,3 +186,22 @@ def test_alpha1_blowup_surfaces_as_nonfinite_state_error():
     spec = gs.IntegratorSpec(dt=1e-4, t_final=5.0, record_every=10)
     with pytest.raises(gs.NonFiniteStateError):
         gs.simulate_two_point(gs.MinPower(1.0), 1.0, gs.TwoPointState(0.54, 2.1), spec)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "RK4 at criterion 6's dt = 1e-3 drifts H by more than 1e-6 when two densities cross "
+    "the kink of min(a, b)**alpha; energy_sweep ranks S in the order of rho for that reason"
+))
+def test_kink_crossing_conserves_h_at_criterion_6_step():
+    # Criterion 6's third unranked state at n = 2 from seed 1010; its densities cross.
+    rng = np.random.default_rng(1010)
+    for _ in range(3):
+        rho = workloads.interior_density(rng, 2)
+        S = rng.uniform(-0.2, 0.2, 2)
+    spec = gs.IntegratorSpec(dt=1e-3, t_final=0.35, record_every=10)
+    traj = gs.simulate_second_order(
+        gs.complete_graph(2), gs.MinPower(2.0), gs.KuramotoQuadratic(1.0), gs.PhaseState(rho, S), spec,
+        stop_when=lambda s: float(s.rho.min()) < workloads.INTERIOR,
+    )
+    interior = traj.densities.min(axis=1) > workloads.INTERIOR
+    assert workloads.relative_drift(traj.diagnostics["hamiltonian"], interior) <= workloads.H_DRIFT_TOL

@@ -18,11 +18,13 @@ import statistics
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
-#: Each item's wall-time sample is the median over at least this many passes.
-MIN_PASSES = 3
+#: A measured run makes at least this many passes.
+MIN_PASSES = 2
+#: Reference loads timed after each set-up probe, besides those inside it.
+SETUP_REFERENCES = 9
 
 
 @dataclass
@@ -30,35 +32,52 @@ class PassResult:
     wall_s: float
     latencies_s: list
     failures: list
+    #: Per item, the reference loads timed around and inside it (``reference.py``).
+    references_s: list = field(default_factory=list)
 
 
-def run_pass(items) -> PassResult:
-    """Run every item once, in order; count each failed check or error."""
+def run_pass(items, reference=None) -> PassResult:
+    """Run every item once, in order; count each failed check or error.
+
+    With a ``reference.Reference`` the reference load is timed before the
+    first item, after each item and on its timer inside each item; the
+    time spent in it is taken out of the item's latency.
+    """
     latencies = []
     failures = []
+    references = []
     clock = time.perf_counter
-    t0 = clock()
+    if reference is not None:
+        reference.sample()
     for item in items:
+        if reference is not None:
+            first, stolen = len(reference.samples) - 1, reference.stolen_s
         start = clock()
         try:
             problems = item.run()
         except Exception as exc:  # the gate: any unexpected error fails the item
             problems = [f"{type(exc).__name__}: {exc}"]
-        latencies.append(clock() - start)
+        latency = clock() - start
+        if reference is not None:
+            latency -= reference.stolen_s - stolen
+            reference.sample()
+            references.append(reference.samples[first:])
+        latencies.append(latency)
         if problems:
             failures.append(f"{item.name}: " + "; ".join(problems))
-    return PassResult(clock() - t0, latencies, failures)
+    return PassResult(sum(latencies), latencies, failures, references)
 
 
-def _timed_pass(items) -> tuple:
-    result = run_pass(items)
-    return result.wall_s, result
+def _timed_pass(items, reference=None) -> tuple:
+    t0 = time.perf_counter()
+    result = run_pass(items, reference)
+    return time.perf_counter() - t0, result
 
 
 def _repeat(step, seconds: float, at_least: int = 1) -> list:
     """Call ``step`` ``at_least`` times, then again while the next call should end in time.
 
-    ``step`` returns ``(wall_s, PassResult)``; the list of those is returned.
+    ``step`` returns ``(elapsed_s, PassResult)``; the list of those is returned.
     """
     runs = []
     t0 = time.perf_counter()
@@ -72,7 +91,9 @@ def _repeat(step, seconds: float, at_least: int = 1) -> list:
 def _summary(runs: list) -> dict:
     passes = [result for _, result in runs]
     return {
-        "passes": [{"wall_s": p.wall_s, "latencies_s": p.latencies_s} for p in passes],
+        "passes": [
+            {"wall_s": p.wall_s, "latencies_s": p.latencies_s, "references_s": p.references_s} for p in passes
+        ],
         "attempted": sum(len(p.latencies_s) for p in passes),
         "failures": [f for p in passes for f in p.failures],
     }
@@ -95,8 +116,28 @@ def _environment() -> dict:
     }
 
 
+def setup_probe(build, t0: float) -> dict:
+    """Set-up time since ``t0`` (the imports) plus the build of the inputs.
+
+    The reference load samples the build on its timer, and its time there is
+    taken out; more loads follow the build.
+    """
+    from reference import Reference
+
+    with Reference() as reference:
+        build()
+        setup_s = time.perf_counter() - t0 - reference.stolen_s
+    for _ in range(SETUP_REFERENCES):
+        reference.sample()
+    return {"setup_s": setup_s, "references_s": reference.samples}
+
+
 def measure(items, seconds: float) -> dict:
-    out = _summary(_repeat(lambda: _timed_pass(items), seconds, at_least=MIN_PASSES))
+    from reference import Reference
+
+    with Reference() as reference:
+        runs = _repeat(lambda: _timed_pass(items, reference), seconds, at_least=MIN_PASSES)
+    out = _summary(runs)
     out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     return out
 
@@ -147,14 +188,12 @@ def main(argv: list) -> int:
         out = {}
     else:
         build = lambda: workloads.WORKLOADS[workload](seed, smoke, work_dir)
-        items = build()
-        setup_s = time.perf_counter() - t0
         if role == "setup":
-            out = {"setup_s": setup_s}
+            out = setup_probe(build, t0)
         elif role == "measure":
-            out = measure(items, seconds)
+            out = measure(build(), seconds)
         elif role == "trace":
-            out = trace(build, items, seconds, work_dir / f"spans-{workload}-seed{seed}.npz")
+            out = trace(build, build(), seconds, work_dir / f"spans-{workload}-seed{seed}.npz")
         else:
             raise SystemExit(f"unknown role {role!r}")
         out["env"] = _environment()
