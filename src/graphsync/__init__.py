@@ -35,8 +35,6 @@ from .weights import (
     MinPower,
     RuleValidationReport,
     rule_from_config,
-    theta,
-    theta_partials,
     validate_rule,
 )
 from .potentials import (
@@ -45,9 +43,6 @@ from .potentials import (
     ShannonPotential,
     TsallisPotential,
     potential_from_config,
-    potential_grad,
-    potential_hess,
-    potential_value,
 )
 from .integrate import IntegratorSpec, Trajectory, integrate, project_simplex_clip
 from .first_order import (

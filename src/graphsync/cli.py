@@ -21,9 +21,9 @@ from .experiments import (
 )
 from .potentials import RenyiPotential, ShannonPotential, TsallisPotential
 from .two_point import (
-    action,
+    _action_from_x,
+    _divergence_from_x,
     analytic_solution,
-    divergence,
     entropy_induced_theta,
     entropy_theta_fn,
     x_of_r_with_error,
@@ -137,9 +137,9 @@ def _cmd_two_point(args) -> int:
         q1 = x_of_r_with_error(theta_fn, args.r1)
         err = q0.error_estimate + q1.error_estimate
         if args.operation == "action":
-            value = action(theta_fn, args.r0, args.r1)
+            value = _action_from_x(q0.value, q1.value)
         elif args.operation == "divergence":
-            value = divergence(theta_fn, args.r0, args.r1)
+            value = _divergence_from_x(q0.value, q1.value)
         else:  # solve
             if args.t is None:
                 raise GraphSyncError("two-point solve needs --t")

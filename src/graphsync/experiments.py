@@ -26,7 +26,7 @@ from .first_order import classify_equilibrium, simulate_first_order
 from .graphs import Graph, graph_from_json, load_graph
 from .hopf_cole import HopfColeState, simulate_hopf_cole
 from .integrate import IntegratorSpec, Trajectory
-from .potentials import KuramotoQuadratic, potential_from_config
+from .potentials import potential_from_config, quadratic_kappa
 from .second_order import PhaseState, gradient_flow_init, simulate_second_order
 from .weights import rule_from_config
 
@@ -126,14 +126,13 @@ def run_dynamics(cfg: ExperimentConfig) -> tuple[Trajectory, dict]:
     graph = _resolve_graph(cfg.graph)
     rule = rule_from_config(cfg.theta)
     potential = potential_from_config(cfg.potential)
+    kappa = quadratic_kappa(potential)
     spec = _resolve_spec(cfg.integrator)
     rho0 = np.asarray(cfg.rho0, dtype=float)
     notes: dict = {}
 
     if cfg.dynamics == "first":
-        if not isinstance(potential, KuramotoQuadratic):
-            raise DomainError("first-order runs need the quadratic potential")
-        traj = simulate_first_order(graph, rule, potential.kappa, rho0, spec)
+        traj = simulate_first_order(graph, rule, kappa, rho0, spec)
     elif cfg.dynamics == "second":
         if cfg.s0 == "gradflow":
             state0 = gradient_flow_init(rho0, potential, sign=+1)

@@ -6,6 +6,9 @@ once per unordered pair with a single nonnegative weight, so weight symmetry
 holds by construction.  Sums over ordered vertex pairs are realised by
 iterating every unordered edge in both directions through the precomputed
 ``tail``/``head`` index arrays (0-based, aligned with density vectors).
+``diff`` and ``scatter`` own that ordered-edge convention: the flows take
+edge differences x_tail - x_head with one and sum edge values onto their
+tail vertices with the other.
 """
 from __future__ import annotations
 
@@ -69,13 +72,13 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def omega(self, i: int, j: int) -> float:
-        """Weight of the unordered edge {i, j}; 0.0 when not adjacent."""
-        key = (i, j) if i < j else (j, i)
-        for pair, w in zip(self.edges, self.weights):
-            if pair == key:
-                return w
-        return 0.0
+    def diff(self, x: np.ndarray) -> np.ndarray:
+        """x[tail] - x[head] along every ordered edge."""
+        return x[self.tail] - x[self.head]
+
+    def scatter(self, v: np.ndarray) -> np.ndarray:
+        """Sum of the ordered-edge values v onto their tail vertices."""
+        return np.bincount(self.tail, weights=v, minlength=self.n)
 
     def neighbors(self, j: int) -> tuple[int, ...]:
         """Sorted 1-based neighbour labels of vertex j."""

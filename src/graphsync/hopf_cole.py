@@ -18,9 +18,11 @@ from gradient-flow data (S = -grad F, hence xi = 0) keeps xi at exactly zero
 for all time, step by step, even in floating point.  That structural zero is
 the point of integrating in these variables.
 
-rho is carried alongside (xi, xi_star) because grad F is generally not
-invertible; for the quadratic potential the carried and recovered densities
-are asserted to agree as a consistency diagnostic.
+The graph flow accepts only the quadratic potential, so HessF = -kappa I is
+applied as -kappa * u, with no n x n matrix.  rho is carried alongside
+(xi, xi_star), and the carried density is asserted to agree with the one
+recovered from the variables, rho = -(xi + xi_star)/kappa, as a consistency
+diagnostic.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from .errors import ConsistencyError, DimensionError
 from .first_order import density_state
 from .graphs import Graph
 from .integrate import IntegratorSpec, Trajectory, integrate
-from .potentials import KuramotoQuadratic
+from .potentials import KuramotoQuadratic, quadratic_kappa
 from .second_order import PhaseState
 
 #: Consistency tolerances: defining relation, and carried-vs-recovered rho.
@@ -101,26 +103,22 @@ def from_hopf_cole(hc: HopfColeState, potential, tol: float = RELATION_TOL) -> P
 
 def hopf_cole_field(graph: Graph, rule, potential) -> Callable[[np.ndarray], np.ndarray]:
     """Prebuilt packed field y = (rho, xi, xi_star) -> derivatives."""
-    tail, head, w = graph.tail, graph.head, graph.pair_weight
-    n = graph.n
+    kappa = quadratic_kappa(potential)
+    tail, head, w, n = graph.tail, graph.head, graph.pair_weight, graph.n
+    diff, scatter = graph.diff, graph.scatter
 
     def field(y: np.ndarray) -> np.ndarray:
         rho, xi, xs = y[:n], y[n : 2 * n], y[2 * n :]
-        rt, rh = rho[tail], rho[head]
-        th = rule.theta(rt, rh)
-        S = xi - xs
-        drho = np.bincount(tail, weights=w * th * (S[tail] - S[head]), minlength=n)
-
-        hess = potential.hess(rho)
-        dth_tail, _ = rule.partials(rt, rh)
-        linear_xi = hess @ np.bincount(tail, weights=w * th * (xi[tail] - xi[head]), minlength=n)
-        linear_xs = hess @ np.bincount(tail, weights=w * th * (xs[tail] - xs[head]), minlength=n)
-        cross = np.bincount(
-            tail,
-            weights=w * (xs[head] - xs[tail]) * (xi[head] - xi[tail]) * dth_tail,
-            minlength=n,
-        )
-        return np.concatenate([drho, linear_xi + cross, -linear_xs - cross])
+        th, dth_tail = rule.theta_and_slope(rho[tail], rho[head])
+        wth = w * th
+        dxi, dxs = diff(xi), diff(xs)
+        drho = scatter(wth * diff(xi - xs))
+        cross = scatter(w * dxs * dxi * dth_tail)
+        return np.concatenate([
+            drho,
+            cross - kappa * scatter(wth * dxi),
+            kappa * scatter(wth * dxs) - cross,
+        ])
 
     return field
 
@@ -143,12 +141,13 @@ def simulate_hopf_cole(
 ) -> Trajectory:
     """Integrate in split variables, tracking max|xi| at record points.
 
-    For the quadratic potential the carried density is checked against the
-    recovered one (-(xi + xi_star)/kappa) at every record point; divergence
-    beyond CARRIED_RHO_TOL raises ConsistencyError.
+    The carried density is checked against the recovered one
+    (-(xi + xi_star)/kappa) at every record point; divergence beyond
+    CARRIED_RHO_TOL raises ConsistencyError.
     """
     if hc0.n != graph.n:
         raise DimensionError(f"state size {hc0.n} != vertex count {graph.n}")
+    field = hopf_cole_field(graph, rule, potential)
     density_state(hc0.rho)
     g0 = np.asarray(potential.grad(hc0.rho), dtype=float)
     defect0 = float(np.max(np.abs(hc0.xi + hc0.xi_star - g0)))
@@ -157,13 +156,8 @@ def simulate_hopf_cole(
             f"initial xi + xi_star differs from grad F(rho) by {defect0:.3e}"
         )
     n = graph.n
-    field = hopf_cole_field(graph, rule, potential)
-
-    recovers = isinstance(potential, KuramotoQuadratic)
 
     def check_consistency(y: np.ndarray) -> float:
-        if not recovers:
-            return 0.0
         recovered = -(y[n : 2 * n] + y[2 * n :]) / potential.kappa
         dev = float(np.max(np.abs(recovered - y[:n])))
         if dev > CARRIED_RHO_TOL:

@@ -2,10 +2,12 @@
 
 ``KuramotoQuadratic`` is the quadratic concentration potential
 ``F(rho) = -(kappa/2) * sum(rho_i^2)`` defined for any vertex count; it is the
-only potential with ambient gradient/Hessian and therefore the only one the
-graph dynamics accept.  The entropy potentials (Shannon, Renyi, Tsallis) are
-defined on two nodes only, parametrised by the mass ``r`` on node 1.  Each is
-nonnegative, symmetric about ``r = 1/2`` and vanishes exactly there.
+only potential with ambient gradient/Hessian, and the graph flows enforce it:
+``quadratic_kappa`` raises DomainError for any other potential and hands the
+flows kappa, so they apply HessF = -kappa I without building it.  The entropy
+potentials (Shannon, Renyi, Tsallis) are defined on two nodes only,
+parametrised by the mass ``r`` on node 1.  Each is nonnegative, symmetric
+about ``r = 1/2`` and vanishes exactly there.
 """
 from __future__ import annotations
 
@@ -214,19 +216,11 @@ class TsallisPotential(_TwoNodeEntropy):
 ENTROPY_KINDS = (ShannonPotential, RenyiPotential, TsallisPotential)
 
 
-def potential_value(potential, rho) -> float:
-    """F evaluated at a density vector (entropy kinds also accept scalar r)."""
-    return potential.value(rho)
-
-
-def potential_grad(potential, rho):
-    """Ambient gradient vector for the quadratic kind; dF/dr for entropy kinds."""
-    return potential.grad(rho)
-
-
-def potential_hess(potential, rho):
-    """Ambient Hessian matrix for the quadratic kind; d2F/dr2 for entropy kinds."""
-    return potential.hess(rho)
+def quadratic_kappa(potential) -> float:
+    """Coupling kappa of the quadratic potential; any other potential is refused."""
+    if not isinstance(potential, KuramotoQuadratic):
+        raise DomainError(f"graph flows need the quadratic potential, got {potential!r}")
+    return potential.kappa
 
 
 def potential_from_config(doc: dict):

@@ -13,6 +13,9 @@ namely d rho/dt = dH/dS and dS/dt = -dH/d rho:
                                   * d theta_jl / d rho_j
                  + sum_k HessF_jk * sum_{l ~ k} omega_kl * theta_kl * (g_k - g_l).
 
+Only the quadratic potential is accepted, so HessF = -kappa I and the last
+term is applied as -kappa * u, with no n x n matrix.
+
 H is a constant of motion while the state stays away from the boundary of
 the simplex (where the weight derivatives degenerate).  Initialising with
 S = -sign * grad F collapses the system onto the first-order flow of the
@@ -33,6 +36,7 @@ from .errors import (
 from .first_order import density_state
 from .graphs import Graph
 from .integrate import IntegratorSpec, Trajectory, integrate
+from .potentials import quadratic_kappa
 
 #: Hard simplex tolerance for second-order runs (no clipping is applied).
 SIMPLEX_HARD_TOL = 1e-6
@@ -70,25 +74,19 @@ class PhaseState:
 
 def second_order_field(graph: Graph, rule, potential) -> Callable[[np.ndarray], np.ndarray]:
     """Prebuilt packed field y = (rho, S) -> (d rho, d S)."""
-    tail, head, w = graph.tail, graph.head, graph.pair_weight
-    n = graph.n
+    kappa = quadratic_kappa(potential)
+    tail, head, w, n = graph.tail, graph.head, graph.pair_weight, graph.n
+    diff, scatter = graph.diff, graph.scatter
 
     def field(y: np.ndarray) -> np.ndarray:
         rho, S = y[:n], y[n:]
-        rt, rh = rho[tail], rho[head]
-        th = rule.theta(rt, rh)
-        dS_edge = S[tail] - S[head]
-        drho = np.bincount(tail, weights=w * th * dS_edge, minlength=n)
-
-        g = potential.grad(rho)
-        hess = potential.hess(rho)
-        dg_edge = g[tail] - g[head]
-        dth_tail, _ = rule.partials(rt, rh)
-        kinetic = 0.5 * np.bincount(
-            tail, weights=w * (dg_edge**2 - dS_edge**2) * dth_tail, minlength=n
-        )
-        u = np.bincount(tail, weights=w * th * dg_edge, minlength=n)
-        dS = kinetic + hess @ u
+        th, dth_tail = rule.theta_and_slope(rho[tail], rho[head])
+        wth = w * th
+        dS_edge = diff(S)
+        dg_edge = diff(potential.grad(rho))
+        drho = scatter(wth * dS_edge)
+        kinetic = 0.5 * scatter(w * (dg_edge**2 - dS_edge**2) * dth_tail)
+        dS = kinetic - kappa * scatter(wth * dg_edge)
         return np.concatenate([drho, dS])
 
     return field
@@ -98,8 +96,7 @@ def rhs_second_order(graph: Graph, rule, potential, state: PhaseState):
     """Time derivatives (d rho, d S); d rho components sum to zero."""
     if state.n != graph.n:
         raise DimensionError(f"state size {state.n} != vertex count {graph.n}")
-    rt, rh = state.rho[graph.tail], state.rho[graph.head]
-    dth, _ = rule.partials(rt, rh)
+    _, dth = rule.theta_and_slope(state.rho[graph.tail], state.rho[graph.head])
     if not np.all(np.isfinite(dth)):
         raise DegenerateDerivativeError(
             "weight derivative is infinite at a zero-density edge"
@@ -110,13 +107,11 @@ def rhs_second_order(graph: Graph, rule, potential, state: PhaseState):
 
 def hamiltonian(graph: Graph, rule, potential, state: PhaseState) -> float:
     """Conserved energy of the flow (ordered-pair sum with prefactor 1/4)."""
-    rho, S = state.rho, state.S
-    tail, head, w = graph.tail, graph.head, graph.pair_weight
-    th = rule.theta(rho[tail], rho[head])
-    g = potential.grad(rho)
-    dS = S[tail] - S[head]
-    dg = g[tail] - g[head]
-    return 0.25 * float(np.sum(w * th * (dS**2 - dg**2)))
+    rho = state.rho
+    th = rule.theta(rho[graph.tail], rho[graph.head])
+    dS = graph.diff(state.S)
+    dg = graph.diff(potential.grad(rho))
+    return 0.25 * float(np.sum(graph.pair_weight * th * (dS**2 - dg**2)))
 
 
 def gradient_flow_init(rho0, potential, sign: int = +1) -> PhaseState:
@@ -148,9 +143,9 @@ def simulate_second_order(
     """
     if state0.n != graph.n:
         raise DimensionError(f"state size {state0.n} != vertex count {graph.n}")
+    field = second_order_field(graph, rule, potential)
     density_state(state0.rho)
     n = graph.n
-    field = second_order_field(graph, rule, potential)
 
     def guard(y: np.ndarray) -> np.ndarray:
         rho = y[:n]

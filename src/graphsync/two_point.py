@@ -458,5 +458,8 @@ def divergence(theta_fn: Callable, r0: float, r1: float) -> float:
     values, so the identity holds to round-off when both sides reuse the
     same quadratures.
     """
-    x0, x1 = x_of_r(theta_fn, r0), x_of_r(theta_fn, r1)
+    return _divergence_from_x(x_of_r(theta_fn, r0), x_of_r(theta_fn, r1))
+
+
+def _divergence_from_x(x0: float, x1: float) -> float:
     return (x1 - x0) ** 2 / (2.0 * math.sinh(1.0))

@@ -12,8 +12,12 @@ derived from an entropy potential and is defined only on density pairs with
 The min-based derivative is set-valued on the tie set a = b; we use the
 symmetric half/half convention there, which preserves symmetry of the pair
 of partials under argument swap.  For alpha < 1 the derivative diverges as
-the smaller argument reaches zero; ``theta_partials`` reports that case with
-an ``inf`` sentinel rather than raising, so vectorised callers can mask it.
+the smaller argument reaches zero; ``partials`` reports that case with an
+``inf`` sentinel rather than raising, so vectorised callers can mask it.
+
+``theta_and_slope(a, b)`` is the coupling kernel of the graph flows: one pass
+giving theta and d theta/da under the same conventions as ``theta`` and
+``partials``.
 """
 from __future__ import annotations
 
@@ -36,23 +40,9 @@ def _maybe_scalar(x, scalar: bool):
     return float(x) if scalar else x
 
 
-def _min_power_deriv(m: np.ndarray, alpha: float) -> np.ndarray:
-    """d/dm of max(m, 0)**alpha with the 0**0 = 1 convention.
-
-    Returns +inf where alpha < 1 and m == 0 (the degenerate-derivative
-    sentinel); 0 where m < 0, matching the clipped extension of theta.
-    """
-    out = np.zeros_like(m)
-    pos = m > 0.0
-    with np.errstate(divide="ignore"):
-        out[pos] = alpha * np.power(m[pos], alpha - 1.0)
-    zero = m == 0.0
-    if np.any(zero):
-        if alpha == 1.0:
-            out[zero] = 1.0
-        elif alpha < 1.0:
-            out[zero] = np.inf
-    return out
+def _tie_share(d: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Part of the min-slope d owed to a: all where a < b, half on ties, none where a > b."""
+    return np.where(a < b, d, np.where(a > b, 0.0, 0.5 * d))
 
 
 @dataclass(frozen=True)
@@ -70,26 +60,42 @@ class MinPower:
         """False for alpha < 1, where the slope blows up at zero density."""
         return self.alpha >= 1.0
 
+    def _value(self, m):
+        if self.alpha == 1.0:
+            return np.maximum(m, 0.0)
+        return np.where(m > 0.0, np.power(np.maximum(m, 0.0), self.alpha), 0.0)
+
+    def _slope(self, m):
+        """d/dm of max(m, 0)**alpha with the 0**0 = 1 convention.
+
+        Returns +inf where alpha < 1 and m == 0 (the degenerate-derivative
+        sentinel); 0 where m < 0, matching the clipped extension of theta.
+        """
+        with np.errstate(divide="ignore"):
+            d = self.alpha * np.power(np.maximum(m, 0.0), self.alpha - 1.0)
+        return np.where(m >= 0.0, d, 0.0)
+
     def theta(self, a, b):
         a, b = _pair(a, b)
-        m = np.minimum(a, b)
-        if self.alpha == 1.0:
-            out = np.maximum(m, 0.0)
-        else:
-            out = np.where(m > 0.0, np.power(np.maximum(m, 0.0), self.alpha), 0.0)
+        out = self._value(np.minimum(a, b))
         return _maybe_scalar(out, out.ndim == 0)
 
     def partials(self, a, b):
         a, b = _pair(a, b)
-        scalar = a.ndim == 0 and b.ndim == 0
-        a, b = np.atleast_1d(a), np.atleast_1d(b)
-        a, b = np.broadcast_arrays(a, b)
-        d = _min_power_deriv(np.minimum(a, b), self.alpha)
-        da = np.where(a < b, d, np.where(a > b, 0.0, 0.5 * d))
-        db = np.where(b < a, d, np.where(b > a, 0.0, 0.5 * d))
-        if scalar:
-            return float(da[0]), float(db[0])
+        d = self._slope(np.minimum(a, b))
+        da, db = _tie_share(d, a, b), _tie_share(d, b, a)
+        if da.ndim == 0:
+            return float(da), float(db)
         return da, db
+
+    def theta_and_slope(self, a, b):
+        """(theta(a, b), d theta/da) from a single min pass."""
+        a, b = _pair(a, b)
+        m = np.minimum(a, b)
+        th, da = self._value(m), _tie_share(self._slope(m), a, b)
+        if th.ndim == 0:
+            return float(th), float(da)
+        return th, da
 
     # Two-node reduction: theta as a function of r with b = 1 - r.
     def theta_r(self, r):
@@ -119,6 +125,10 @@ class ArithmeticMean:
         if scalar:
             return 0.5, 0.5
         return half, half.copy()
+
+    def theta_and_slope(self, a, b):
+        th = self.theta(a, b)
+        return th, (0.5 if np.ndim(th) == 0 else np.full(th.shape, 0.5))
 
     def theta_r(self, r):
         out = np.full_like(np.asarray(r, dtype=float), 0.5)
@@ -152,6 +162,9 @@ class EntropyInduced:
             "use dtheta_r for the reduced derivative"
         )
 
+    def theta_and_slope(self, a, b):
+        return self.partials(a, b)
+
     def theta_r(self, r):
         from .two_point import entropy_induced_theta
 
@@ -161,16 +174,6 @@ class EntropyInduced:
         from .two_point import entropy_induced_theta_prime
 
         return entropy_induced_theta_prime(self.potential, r)
-
-
-def theta(rule, a, b):
-    """Evaluate the rule's weight at a density pair (elementwise on arrays)."""
-    return rule.theta(a, b)
-
-
-def theta_partials(rule, a, b):
-    """Partial derivatives (d theta/da, d theta/db) at a density pair."""
-    return rule.partials(a, b)
 
 
 @dataclass(frozen=True)

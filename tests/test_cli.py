@@ -3,6 +3,7 @@ import json
 import pytest
 
 import graphsync as gs
+from graphsync import two_point
 from graphsync.cli import main
 from graphsync.two_point import entropy_theta_fn
 
@@ -59,6 +60,27 @@ def test_two_point_action_json(capsys):
     want = gs.action(entropy_theta_fn(gs.ShannonPotential()), 0.3, 0.8)
     assert doc["value"] == pytest.approx(want, rel=1e-12)
     assert doc["quadrature_error_estimate"] < 1e-9
+
+
+@pytest.mark.parametrize("operation, library", [("action", gs.action), ("divergence", gs.divergence)])
+def test_two_point_quadratures_run_once_and_match_library(operation, library, capsys, monkeypatch):
+    calls = []
+    simpson = two_point.adaptive_simpson
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return simpson(*args, **kwargs)
+
+    monkeypatch.setattr(two_point, "adaptive_simpson", counted)
+    rc = main(["two-point", operation, "--potential", "tsallis:3.0", "--r0", "0.3", "--r1", "0.8"])
+    assert rc == 0
+    assert len(calls) == 2  # one x(r) quadrature per endpoint
+    monkeypatch.undo()
+    doc = json.loads(capsys.readouterr().out)
+    theta_fn = entropy_theta_fn(gs.TsallisPotential(q=3.0))
+    assert doc["value"] == library(theta_fn, 0.3, 0.8)
+    q0, q1 = two_point.x_of_r_with_error(theta_fn, 0.3), two_point.x_of_r_with_error(theta_fn, 0.8)
+    assert doc["quadrature_error_estimate"] == q0.error_estimate + q1.error_estimate
 
 
 def test_two_point_theta_and_solve(capsys):

@@ -1,0 +1,120 @@
+"""The three graph vector fields against their reference formulas.
+
+The oracles below spell out each flow edge by edge, with the dense Hessian
+HessF = potential.hess(rho) and the rule's full partials, independently of
+the coupling kernel and the Graph gather/scatter helpers the fields use.
+"""
+import json
+
+import numpy as np
+import pytest
+
+import graphsync as gs
+from graphsync.errors import DomainError, GraphSyncError
+from graphsync.first_order import first_order_field
+from graphsync.hopf_cole import hopf_cole_field
+from graphsync.second_order import second_order_field
+from conftest import random_interior_density
+
+KAPPA = 1.5
+RULES = [gs.MinPower(0.5), gs.MinPower(1.0), gs.MinPower(2.0), gs.MinPower(3.0), gs.ArithmeticMean()]
+WEIGHTED = gs.graph_from_json(json.dumps({
+    "n": 5,
+    "edges": [[1, 2, 0.5], [2, 3, 2.0], [3, 4, 1.25], [4, 5, 0.3], [1, 5, 1.7], [2, 4, 0.9]],
+}))
+
+
+def oracle_first(graph, rule, kappa, rho):
+    tail, head, w = graph.tail, graph.head, graph.pair_weight
+    rt, rh = rho[tail], rho[head]
+    flux = w * rule.theta(rt, rh) * (rt - rh)
+    return kappa * np.bincount(tail, weights=flux, minlength=graph.n)
+
+
+def oracle_second(graph, rule, potential, y):
+    tail, head, w, n = graph.tail, graph.head, graph.pair_weight, graph.n
+    rho, S = y[:n], y[n:]
+    rt, rh = rho[tail], rho[head]
+    th = rule.theta(rt, rh)
+    dS_edge = S[tail] - S[head]
+    drho = np.bincount(tail, weights=w * th * dS_edge, minlength=n)
+    g = potential.grad(rho)
+    dg_edge = g[tail] - g[head]
+    dth_tail, _ = rule.partials(rt, rh)
+    kinetic = 0.5 * np.bincount(tail, weights=w * (dg_edge**2 - dS_edge**2) * dth_tail, minlength=n)
+    u = np.bincount(tail, weights=w * th * dg_edge, minlength=n)
+    return np.concatenate([drho, kinetic + potential.hess(rho) @ u])
+
+
+def oracle_hopf_cole(graph, rule, potential, y):
+    tail, head, w, n = graph.tail, graph.head, graph.pair_weight, graph.n
+    rho, xi, xs = y[:n], y[n : 2 * n], y[2 * n :]
+    rt, rh = rho[tail], rho[head]
+    th = rule.theta(rt, rh)
+    S = xi - xs
+    drho = np.bincount(tail, weights=w * th * (S[tail] - S[head]), minlength=n)
+    hess = potential.hess(rho)
+    dth_tail, _ = rule.partials(rt, rh)
+    linear_xi = hess @ np.bincount(tail, weights=w * th * (xi[tail] - xi[head]), minlength=n)
+    linear_xs = hess @ np.bincount(tail, weights=w * th * (xs[tail] - xs[head]), minlength=n)
+    cross = np.bincount(
+        tail, weights=w * (xs[head] - xs[tail]) * (xi[head] - xi[tail]) * dth_tail, minlength=n
+    )
+    return np.concatenate([drho, linear_xi + cross, -linear_xs - cross])
+
+
+def _densities(n: int, seed: int):
+    """A random interior density, and one with tied entries and a zero entry."""
+    tied = np.full(n, 1.0 / (n - 1))
+    tied[0], tied[1], tied[-1] = tied[0] + 0.05, tied[1] - 0.05, 0.0
+    return [random_interior_density(np.random.default_rng(seed), n), tied]
+
+
+def _check_fields(graph, rule, assert_match):
+    pot = gs.KuramotoQuadratic(kappa=KAPPA)
+    rng = np.random.default_rng(7)
+    f1 = first_order_field(graph, rule, KAPPA)
+    f2 = second_order_field(graph, rule, pot)
+    f3 = hopf_cole_field(graph, rule, pot)
+    for rho in _densities(graph.n, seed=graph.n):
+        S = rng.normal(size=graph.n)
+        xi = rng.normal(size=graph.n)
+        y2 = np.concatenate([rho, S])
+        y3 = np.concatenate([rho, xi, pot.grad(rho) - xi])
+        with np.errstate(invalid="ignore"):
+            assert_match(f1(rho), oracle_first(graph, rule, KAPPA, rho))
+            assert_match(f2(y2), oracle_second(graph, rule, pot, y2))
+            assert_match(f3(y3), oracle_hopf_cole(graph, rule, pot, y3))
+
+
+@pytest.mark.parametrize("rule", RULES, ids=repr)
+@pytest.mark.parametrize("name", ["complete(6)", "cycle6"])
+def test_fields_match_reference_exactly_on_unit_weights(name, rule):
+    _check_fields(gs.named_graph(name), rule, np.testing.assert_array_equal)
+
+
+@pytest.mark.parametrize("rule", RULES, ids=repr)
+def test_fields_match_reference_on_weighted_graph(rule):
+    _check_fields(
+        WEIGHTED, rule,
+        lambda got, want: np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14),
+    )
+
+
+def test_graph_flows_refuse_non_quadratic_potentials(tmp_path):
+    g, rule, pot = gs.complete_graph(2), gs.MinPower(2.0), gs.ShannonPotential()
+    spec = gs.IntegratorSpec(dt=0.01, t_final=0.1)
+    assert issubclass(DomainError, GraphSyncError)
+    with pytest.raises(DomainError):
+        gs.simulate_second_order(g, rule, pot, gs.PhaseState([0.6, 0.4], [0.1, -0.1]), spec)
+    g0 = pot.grad([0.6, 0.4])
+    with pytest.raises(DomainError):
+        gs.simulate_hopf_cole(g, rule, pot, gs.HopfColeState([0.6, 0.4], [0.0, 0.0], [g0, g0]), spec)
+    for dynamics in ("first", "second", "hopf_cole"):
+        cfg = gs.ExperimentConfig(
+            name=f"shannon-{dynamics}", dynamics=dynamics, graph="complete(2)",
+            theta={"kind": "min_power", "alpha": 2.0}, potential={"kind": "shannon"},
+            rho0=(0.6, 0.4), s0="gradflow", integrator={"dt": 0.01, "t_final": 0.1},
+        )
+        with pytest.raises(DomainError):
+            gs.run_experiment(cfg, tmp_path)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import graphsync as gs
@@ -28,7 +29,7 @@ def test_build_square_graph_matches_named():
 def test_edge_order_within_pair_is_free():
     g = gs.build_graph(3, [(2, 1, 0.5), (3, 1, 2.0)])
     assert g.edges == ((1, 2), (1, 3))
-    assert g.omega(1, 2) == g.omega(2, 1) == 0.5
+    assert g.weights == (0.5, 2.0)
 
 
 @pytest.mark.parametrize(
@@ -90,6 +91,13 @@ def test_ordered_pair_arrays_cover_both_directions():
     pairs = set(zip(g.tail.tolist(), g.head.tolist()))
     assert len(pairs) == 2 * g.edge_count
     assert all((b, a) in pairs for a, b in pairs)
+
+
+def test_diff_and_scatter_follow_ordered_edges():
+    g = gs.build_graph(3, [(1, 2, 0.5), (2, 3, 2.0)])
+    x = np.array([1.0, 4.0, 9.0])
+    np.testing.assert_array_equal(g.diff(x), [-3.0, -5.0, 3.0, 5.0])
+    np.testing.assert_array_equal(g.scatter(g.pair_weight * g.diff(x)), [-1.5, -8.5, 10.0])
 
 
 def test_json_round_trip(tmp_path):

@@ -17,14 +17,12 @@ ENTROPY_POTENTIALS = [
 
 def test_kuramoto_values():
     pot = gs.KuramotoQuadratic(kappa=1.0)
-    assert gs.potential_value(pot, [1.0, 0.0, 0.0]) == pytest.approx(-0.5)
+    assert pot.value([1.0, 0.0, 0.0]) == pytest.approx(-0.5)
     np.testing.assert_allclose(
-        gs.potential_grad(gs.KuramotoQuadratic(2.0), [0.5, 0.3, 0.2]),
+        gs.KuramotoQuadratic(2.0).grad([0.5, 0.3, 0.2]),
         [-1.0, -0.6, -0.4],
     )
-    np.testing.assert_allclose(
-        gs.potential_hess(pot, [0.2, 0.3, 0.5]), -np.eye(3)
-    )
+    np.testing.assert_allclose(pot.hess([0.2, 0.3, 0.5]), -np.eye(3))
 
 
 def test_kuramoto_reduction_consistency():
@@ -38,10 +36,10 @@ def test_kuramoto_reduction_consistency():
 
 def test_shannon_values():
     sh = gs.ShannonPotential()
-    assert gs.potential_value(sh, 0.5) == pytest.approx(0.0, abs=1e-15)
-    assert gs.potential_grad(sh, 0.5) == pytest.approx(0.0, abs=1e-15)
-    assert gs.potential_grad(sh, 0.75) == pytest.approx(math.log(3.0))
-    assert gs.potential_hess(sh, 0.5) == pytest.approx(4.0)
+    assert sh.value(0.5) == pytest.approx(0.0, abs=1e-15)
+    assert sh.grad(0.5) == pytest.approx(0.0, abs=1e-15)
+    assert sh.grad(0.75) == pytest.approx(math.log(3.0))
+    assert sh.hess(0.5) == pytest.approx(4.0)
     # 0 log 0 = 0 at the corners
     assert sh.value_r(0.0) == pytest.approx(math.log(2.0))
     assert sh.value_r(1.0) == pytest.approx(math.log(2.0))
@@ -102,9 +100,9 @@ def test_boundary_gradients_raise():
 
 def test_entropy_needs_two_nodes():
     with pytest.raises(DimensionError):
-        gs.potential_value(gs.ShannonPotential(), [0.5, 0.3, 0.2])
+        gs.ShannonPotential().value([0.5, 0.3, 0.2])
     with pytest.raises(DomainError):
-        gs.potential_value(gs.ShannonPotential(), [0.7, 0.7])
+        gs.ShannonPotential().value([0.7, 0.7])
 
 
 def test_bad_parameters_rejected():

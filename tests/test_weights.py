@@ -18,7 +18,7 @@ unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
     ],
 )
 def test_min_power_values(alpha, a, b, want):
-    assert gs.theta(gs.MinPower(alpha), a, b) == pytest.approx(want, abs=1e-15)
+    assert gs.MinPower(alpha).theta(a, b) == pytest.approx(want, abs=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -30,13 +30,13 @@ def test_min_power_values(alpha, a, b, want):
     ],
 )
 def test_min_power_partials(alpha, a, b, want):
-    da, db = gs.theta_partials(gs.MinPower(alpha), a, b)
+    da, db = gs.MinPower(alpha).partials(a, b)
     assert da == pytest.approx(want[0], abs=1e-15)
     assert db == pytest.approx(want[1], abs=1e-15)
 
 
 def test_degenerate_derivative_sentinel():
-    da, db = gs.theta_partials(gs.MinPower(0.5), 0.0, 0.3)
+    da, db = gs.MinPower(0.5).partials(0.0, 0.3)
     assert np.isinf(da) and db == 0.0
 
 
@@ -53,14 +53,14 @@ def test_lipschitz_flag():
 @given(a=unit, b=unit)
 def test_theta_symmetry_exact(a, b):
     rule = gs.MinPower(2.0)
-    assert gs.theta(rule, a, b) == gs.theta(rule, b, a)
+    assert rule.theta(a, b) == rule.theta(b, a)
 
 
 @given(a=unit, b=unit, c=unit, d=unit)
 def test_monotone_in_min(a, b, c, d):
     rule = gs.MinPower(1.5)
     if min(a, b) >= min(c, d):
-        assert gs.theta(rule, a, b) >= gs.theta(rule, c, d)
+        assert rule.theta(a, b) >= rule.theta(c, d)
 
 
 @settings(max_examples=50)
@@ -74,7 +74,7 @@ def test_partials_match_one_sided_differences(a, b, alpha):
         return
     rule = gs.MinPower(alpha)
     h = 1e-7 * max(a, 1.0)
-    da, db = gs.theta_partials(rule, a, b)
+    da, db = rule.partials(a, b)
     fd_a = (rule.theta(a + h, b) - rule.theta(a - h, b)) / (2 * h)
     fd_b = (rule.theta(a, b + h) - rule.theta(a, b - h)) / (2 * h)
     assert da == pytest.approx(fd_a, rel=1e-6, abs=1e-9)
@@ -127,6 +127,8 @@ def test_entropy_induced_rule():
         rule.theta(0.6, 0.6)
     with pytest.raises(DomainError):
         rule.partials(0.6, 0.4)
+    with pytest.raises(DomainError):
+        rule.theta_and_slope(0.6, 0.4)
 
 
 def test_rule_from_config():
@@ -139,3 +141,37 @@ def test_rule_from_config():
     assert ent.theta_r(0.6) == pytest.approx(0.25)
     with pytest.raises(DomainError):
         gs.rule_from_config({"kind": "geometric_mean"})
+
+
+KERNEL_RULES = [gs.MinPower(0.5), gs.MinPower(1.0), gs.MinPower(2.0), gs.MinPower(3.0), gs.ArithmeticMean()]
+# Densities as the kernel meets them: interior values, exact zeros, and the
+# small negatives that round-off leaves before a simplex repair.
+kernel_value = st.one_of(
+    unit,
+    st.just(0.0),
+    st.floats(min_value=-1e-9, max_value=0.0),
+)
+kernel_pair = st.tuples(kernel_value, kernel_value, st.booleans()).map(
+    lambda p: (p[0], p[0]) if p[2] else (p[0], p[1])
+)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("rule", KERNEL_RULES, ids=repr)
+@settings(max_examples=60)
+@given(pairs=st.lists(kernel_pair, min_size=1, max_size=8))
+def test_theta_and_slope_matches_theta_and_partials_bitwise(rule, pairs):
+    a = np.array([p[0] for p in pairs])
+    b = np.array([p[1] for p in pairs])
+    th, slope = rule.theta_and_slope(a, b)
+    assert _bits(th) == _bits(rule.theta(a, b))
+    assert _bits(slope) == _bits(rule.partials(a, b)[0])
+
+    th0, slope0 = rule.theta_and_slope(a[0], b[0])
+    assert isinstance(th0, float) and isinstance(slope0, float)
+    assert _bits(th0) == _bits(rule.theta(a[0], b[0]))
+    assert _bits(slope0) == _bits(rule.partials(a[0], b[0])[0])
+
