@@ -159,15 +159,8 @@ def edge_dichotomy_report(graph: Graph, rho, tol: float = 1e-6) -> tuple[EdgeVer
     reported for edges carrying real mass.
     """
     rho = np.asarray(rho, dtype=float)
-    out = []
-    for (i, j) in graph.edges:
-        a, b = float(rho[i - 1]), float(rho[j - 1])
-        mn, diff = min(a, b), abs(a - b)
-        if mn < tol:
-            verdict = "MinVanishes"
-        elif diff < tol:
-            verdict = "ValuesEqual"
-        else:
-            verdict = "Violation"
-        out.append(EdgeVerdict(i=i, j=j, verdict=verdict, min_value=mn, abs_diff=diff))
-    return tuple(out)
+    a, b = rho[graph.edges[:, 0] - 1], rho[graph.edges[:, 1] - 1]
+    mn, diff = np.where(b < a, b, a), np.abs(a - b)  # min(a, b) exactly, signed zeros too
+    verdict = np.where(mn < tol, "MinVanishes", np.where(diff < tol, "ValuesEqual", "Violation"))
+    columns = (*graph.edges.T.tolist(), verdict.tolist(), mn.tolist(), diff.tolist())
+    return tuple(map(EdgeVerdict, *columns))

@@ -11,7 +11,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from .errors import GraphSyncError
+from .errors import DomainError, GraphSyncError
 from .experiments import (
     ExperimentConfig,
     REPRODUCE_TARGETS,
@@ -19,7 +19,7 @@ from .experiments import (
     run_experiment,
     write_trajectory_csv,
 )
-from .potentials import RenyiPotential, ShannonPotential, TsallisPotential
+from .potentials import potential_from_config
 from .two_point import (
     _action_from_x,
     _divergence_from_x,
@@ -32,7 +32,10 @@ from .weights import MinPower, rule_from_config, validate_rule
 
 
 def _csv_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise DomainError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _add_integrator_args(p: argparse.ArgumentParser) -> None:
@@ -112,15 +115,21 @@ def _cmd_simulate_hopf_cole(args) -> int:
     return _simulate(cfg, args.out)
 
 
+# Two-node entropy potentials by CLI name, with the name of their parameter.
+_ENTROPY_PARAMS = {"shannon": None, "renyi": "alpha", "tsallis": "q"}
+
+
 def _parse_entropy_potential(text: str):
+    """``kind[:param]`` as an entropy potential, through potential_from_config."""
     kind, _, param = text.partition(":")
-    if kind == "shannon":
-        return ShannonPotential()
-    if kind == "renyi":
-        return RenyiPotential(alpha=float(param))
-    if kind == "tsallis":
-        return TsallisPotential(q=float(param))
-    raise GraphSyncError(f"unknown two-point potential {text!r}")
+    if kind not in _ENTROPY_PARAMS:
+        raise DomainError(
+            f"unknown two-point potential {text!r}; expected shannon, renyi:a or tsallis:q"
+        )
+    doc = {"kind": kind}
+    if param and _ENTROPY_PARAMS[kind]:
+        doc[_ENTROPY_PARAMS[kind]] = param
+    return potential_from_config(doc)
 
 
 def _cmd_two_point(args) -> int:

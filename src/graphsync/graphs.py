@@ -2,13 +2,13 @@
 
 Vertices are labelled 1..n.  The six-vertex benchmark topologies use the
 letters A..F, which map to 1..6 in order.  Each undirected edge is stored
-once per unordered pair with a single nonnegative weight, so weight symmetry
-holds by construction.  Sums over ordered vertex pairs are realised by
-iterating every unordered edge in both directions through the precomputed
-``tail``/``head`` index arrays (0-based, aligned with density vectors).
-``diff`` and ``scatter`` own that ordered-edge convention: the flows take
-edge differences x_tail - x_head with one and sum edge values onto their
-tail vertices with the other.
+once, as a row i < j of the read-only ``edges`` array with one nonnegative
+weight in ``weights``, so weight symmetry holds by construction.  Sums over
+ordered vertex pairs are realised by iterating every unordered edge in both
+directions through the precomputed ``tail``/``head`` index arrays (0-based,
+aligned with density vectors).  ``diff`` and ``scatter`` own that
+ordered-edge convention: the flows take edge differences x_tail - x_head with
+one and sum edge values onto their tail vertices with the other.
 """
 from __future__ import annotations
 
@@ -31,42 +31,78 @@ from .errors import (
 _COMPLETE_RE = re.compile(r"^complete\((\d+)\)$")
 
 
-@dataclass(frozen=True)
+def _array(values, width=None) -> np.ndarray:
+    """``values`` as an (m, width) float array, or (m,) without a width."""
+    try:
+        a = np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise GraphConstructionError(f"malformed edge data: {exc}") from exc
+    row = () if width is None else (width,)
+    a = a.reshape((0, *row)) if a.size == 0 else a
+    if a.ndim == 0 or a.shape[1:] != row:
+        raise GraphConstructionError(f"edge data must have shape {('m', *row)}, got {a.shape}")
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected weighted graph on vertices 1..n, no self-loops or multi-edges."""
+    """Undirected weighted graph on vertices 1..n, no self-loops or multi-edges.
+
+    Graphs compare by n, edges and weights and are not hashable.
+    """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
-    weights: tuple[float, ...]
+    edges: np.ndarray
+    weights: np.ndarray
 
-    tail: np.ndarray = field(init=False, repr=False, compare=False)
-    head: np.ndarray = field(init=False, repr=False, compare=False)
-    pair_weight: np.ndarray = field(init=False, repr=False, compare=False)
+    tail: np.ndarray = field(init=False, repr=False)
+    head: np.ndarray = field(init=False, repr=False)
+    pair_weight: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 2:
             raise GraphConstructionError(f"need at least 2 vertices, got n={self.n}")
-        if len(self.edges) != len(self.weights):
+        pairs, w = _array(self.edges, 2), _array(self.weights)
+        if len(pairs) != len(w):
             raise GraphConstructionError("edge and weight counts differ")
-        seen = set()
-        for (i, j), w in zip(self.edges, self.weights):
-            if not (1 <= i <= self.n) or not (1 <= j <= self.n):
-                raise VertexIndexError(f"edge ({i}, {j}) outside vertex range 1..{self.n}")
-            if i == j:
-                raise SelfLoopError(f"self-loop at vertex {i}")
-            if i > j:
-                raise GraphConstructionError(f"edge ({i}, {j}) not stored with i < j")
-            if (i, j) in seen:
-                raise DuplicateEdgeError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
-            if w < 0:
-                raise NegativeWeightError(f"edge ({i}, {j}) has negative weight {w}")
-        src = np.array([i - 1 for i, _ in self.edges], dtype=np.intp)
-        dst = np.array([j - 1 for _, j in self.edges], dtype=np.intp)
-        w = np.array(self.weights, dtype=float)
+        # Out-of-range labels land on 0 or n + 1, so in-range pairs keep distinct,
+        # exact keys; a bad pair sharing a key fails its own, earlier check first.
+        e = np.clip(pairs, 0, self.n + 1)
+        i, j = e.T
+        key = i * (self.n + 2) + j
+        order = np.argsort(key, kind="stable")
+        repeat = np.zeros(len(key), dtype=bool)
+        repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+        checks = (  # in the order they apply to each edge
+            (GraphConstructionError, "non-integer label", np.any(e != np.round(e), axis=1)),
+            (VertexIndexError, f"outside 1..{self.n}", np.any((e < 1) | (e > self.n), axis=1)),
+            (SelfLoopError, "self-loop", i == j),
+            (GraphConstructionError, "not stored with i < j", i > j),
+            (DuplicateEdgeError, "duplicate edge", repeat),
+            (NegativeWeightError, "negative weight", w < 0),
+            (GraphConstructionError, "non-finite weight", ~np.isfinite(w)),
+        )
+        # The input is refused for the first failing check on the first edge that fails any.
+        failed = np.flatnonzero(np.column_stack([mask for _, _, mask in checks]))
+        if failed.size:
+            k, c = divmod(int(failed[0]), len(checks))
+            error, reason, _ = checks[c]
+            raise error(f"edge ({pairs[k, 0]:g}, {pairs[k, 1]:g}) with weight {w[k]:g}: {reason}")
+        edges = e.astype(np.intp)
+        edges.flags.writeable = w.flags.writeable = False
+        src, dst = edges.T - 1
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "weights", w)
         object.__setattr__(self, "tail", np.concatenate([src, dst]))
         object.__setattr__(self, "head", np.concatenate([dst, src]))
         object.__setattr__(self, "pair_weight", np.concatenate([w, w]))
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and all(
+            map(np.array_equal, (self.edges, self.weights), (other.edges, other.weights))
+        )
 
     @property
     def edge_count(self) -> int:
@@ -84,49 +120,40 @@ class Graph:
         """Sorted 1-based neighbour labels of vertex j."""
         if not (1 <= j <= self.n):
             raise VertexIndexError(f"vertex {j} outside 1..{self.n}")
-        out = [b for a, b in self.edges if a == j] + [a for a, b in self.edges if b == j]
-        return tuple(sorted(out))
+        lo, hi = self.edges[:, 0], self.edges[:, 1]
+        return tuple(np.sort(np.concatenate([hi[lo == j], lo[hi == j]])).tolist())
 
     def degree(self, j: int) -> int:
         return len(self.neighbors(j))
 
     def to_json(self) -> str:
-        doc = {"n": self.n, "edges": [[i, j, w] for (i, j), w in zip(self.edges, self.weights)]}
-        return json.dumps(doc)
+        rows = np.column_stack([self.edges.astype(object), self.weights.astype(object)])
+        return json.dumps({"n": self.n, "edges": rows.tolist()})
 
 
 def build_graph(n: int, weighted_edges) -> Graph:
-    """Validate and build a graph from 1-based unordered edges with weights.
+    """Build a graph from 1-based unordered edges with weights.
 
     ``weighted_edges`` is either a mapping ``{(i, j): omega}`` or an iterable
-    of ``(i, j, omega)`` triples.  Endpoint order within a pair is free.
+    of ``(i, j, omega)`` triples.  Endpoint order within a pair is free: the
+    pairs are normalised and sorted here, and ``Graph`` checks them.
     """
     if isinstance(weighted_edges, Mapping):
-        items = [(i, j, w) for (i, j), w in weighted_edges.items()]
+        pairs, weights = _array(list(weighted_edges), 2), _array(list(weighted_edges.values()))
     else:
-        items = [(i, j, w) for i, j, w in weighted_edges]
-    pairs = []
-    weights = []
-    for i, j, w in items:
-        i, j = int(i), int(j)
-        if i == j:
-            raise SelfLoopError(f"self-loop at vertex {i}")
-        pairs.append((i, j) if i < j else (j, i))
-        weights.append(float(w))
-    order = sorted(range(len(pairs)), key=lambda k: pairs[k])
-    return Graph(
-        n=int(n),
-        edges=tuple(pairs[k] for k in order),
-        weights=tuple(weights[k] for k in order),
-    )
+        table = _array(list(weighted_edges), 3)
+        pairs, weights = table[:, :2], table[:, 2]
+    pairs = np.sort(pairs, axis=1)
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    return Graph(n=int(n), edges=pairs[order], weights=weights[order])
 
 
 def complete_graph(n: int) -> Graph:
     """All n(n-1)/2 unordered pairs with unit weight."""
     if n < 2:
         raise GraphConstructionError(f"complete graph needs n >= 2, got {n}")
-    edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    return Graph(n=n, edges=tuple(edges), weights=tuple(1.0 for _ in edges))
+    i, j = np.triu_indices(n, k=1)
+    return Graph(n=n, edges=np.column_stack([i + 1, j + 1]), weights=np.ones(len(i)))
 
 
 _NAMED_EDGES = {
@@ -153,25 +180,25 @@ def named_graph(name: str) -> Graph:
             f"unknown graph {name!r}; expected one of "
             f"{sorted(_NAMED_EDGES)} or 'complete(n)'"
         ) from None
-    return build_graph(n, [(i, j, 1.0) for i, j in edges])
+    return build_graph(n, dict.fromkeys(edges, 1.0))
 
 
 def graph_from_json(text: str) -> Graph:
     """Parse ``{"n": int, "edges": [[i, j, omega], ...]}`` with 1-based indices."""
-    doc = json.loads(text)
     try:
-        n = doc["n"]
-        edges = doc["edges"]
-    except (KeyError, TypeError) as exc:
+        doc = json.loads(text)
+        n, edges = doc["n"], doc["edges"]
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise GraphConstructionError(f"malformed graph document: {exc}") from exc
-    return build_graph(n, [(e[0], e[1], e[2]) for e in edges])
+    return build_graph(n, edges)
 
 
 def load_graph(spec: str) -> Graph:
     """Resolve a graph from a registry name or a JSON file path."""
-    m = _COMPLETE_RE.match(spec.strip())
-    if m or spec in _NAMED_EDGES:
+    try:
         return named_graph(spec)
+    except UnknownGraphNameError:
+        pass
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             return graph_from_json(fh.read())

@@ -35,7 +35,7 @@ from .errors import ConsistencyError, DimensionError
 from .first_order import density_state
 from .graphs import Graph
 from .integrate import IntegratorSpec, Trajectory, integrate
-from .potentials import KuramotoQuadratic, quadratic_kappa
+from .potentials import quadratic_kappa
 from .second_order import PhaseState
 
 #: Consistency tolerances: defining relation, and carried-vs-recovered rho.
@@ -72,8 +72,8 @@ class HopfColeState:
 
 
 def to_hopf_cole(state: PhaseState, potential) -> HopfColeState:
-    """Split (rho, S) into (rho, xi, xi_star)."""
-    g = np.asarray(potential.grad(state.rho), dtype=float)
+    """Split (rho, S) into (rho, xi, xi_star); F must be the quadratic potential."""
+    g = -quadratic_kappa(potential) * state.rho
     return HopfColeState(
         rho=state.rho,
         xi=0.5 * (g + state.S),
@@ -84,21 +84,16 @@ def to_hopf_cole(state: PhaseState, potential) -> HopfColeState:
 def from_hopf_cole(hc: HopfColeState, potential, tol: float = RELATION_TOL) -> PhaseState:
     """Invert the split; raises if xi + xi_star has drifted off grad F(rho).
 
-    For the quadratic potential the density is recovered from the variables
-    themselves (rho = -(xi + xi_star)/kappa); otherwise the carried density
-    is returned.
+    F must be the quadratic potential; the density is recovered from the
+    variables themselves (rho = -(xi + xi_star)/kappa).
     """
-    g_carried = np.asarray(potential.grad(hc.rho), dtype=float)
-    defect = float(np.max(np.abs(hc.xi + hc.xi_star - g_carried)))
+    kappa = quadratic_kappa(potential)
+    defect = float(np.max(np.abs(hc.xi + hc.xi_star - (-kappa * hc.rho))))
     if defect > tol:
         raise ConsistencyError(
             f"xi + xi_star differs from grad F(rho) by {defect:.3e} (tol {tol:g})"
         )
-    if isinstance(potential, KuramotoQuadratic):
-        rho = -(hc.xi + hc.xi_star) / potential.kappa
-    else:
-        rho = hc.rho
-    return PhaseState(rho=rho, S=hc.xi - hc.xi_star)
+    return PhaseState(rho=-(hc.xi + hc.xi_star) / kappa, S=hc.xi - hc.xi_star)
 
 
 def hopf_cole_field(graph: Graph, rule, potential) -> Callable[[np.ndarray], np.ndarray]:

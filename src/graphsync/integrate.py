@@ -32,8 +32,10 @@ class IntegratorSpec:
     def __post_init__(self):
         if self.scheme not in ("euler", "rk4"):
             raise DomainError(f"scheme must be 'euler' or 'rk4', got {self.scheme!r}")
-        if self.dt <= 0 or self.t_final <= 0:
-            raise DomainError("dt and t_final must be positive")
+        if not (0 < self.dt < math.inf and 0 < self.t_final < math.inf):
+            raise DomainError(
+                f"dt and t_final must be positive and finite, got {self.dt}, {self.t_final}"
+            )
         if self.dt > self.t_final:
             raise DomainError(f"dt={self.dt} exceeds t_final={self.t_final}")
         if self.record_every < 1:

@@ -40,8 +40,8 @@ class KuramotoQuadratic:
     kappa: float = 1.0
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise DomainError(f"kappa must be positive, got {self.kappa}")
+        if not 0 < self.kappa < math.inf:
+            raise DomainError(f"kappa must be positive and finite, got {self.kappa}")
 
     def value(self, rho) -> float:
         rho = np.asarray(rho, dtype=float)
@@ -137,8 +137,8 @@ class RenyiPotential(_TwoNodeEntropy):
     alpha: float
 
     def __post_init__(self):
-        if self.alpha < 0 or self.alpha == 1.0:
-            raise DomainError(f"alpha must be >= 0 and != 1, got {self.alpha}")
+        if not 0 <= self.alpha < math.inf or self.alpha == 1.0:
+            raise DomainError(f"alpha must be finite, >= 0 and != 1, got {self.alpha}")
         grid = np.linspace(0.0, 1.0, 201)
         vals = self.value_r(grid)
         if np.min(vals) < -1e-12:
@@ -185,8 +185,8 @@ class TsallisPotential(_TwoNodeEntropy):
     q: float
 
     def __post_init__(self):
-        if self.q <= 1.0:
-            raise DomainError(f"q must exceed 1, got {self.q}")
+        if not 1.0 < self.q < math.inf:
+            raise DomainError(f"q must be finite and exceed 1, got {self.q}")
 
     def value_r(self, r):
         _check_unit_interval(r)
@@ -223,15 +223,25 @@ def quadratic_kappa(potential) -> float:
     return potential.kappa
 
 
+def _number(doc: dict, key: str, default=None) -> float:
+    value = doc.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise DomainError(
+            f"potential {doc.get('kind')!r} needs a number {key!r}, got {value!r}"
+        ) from None
+
+
 def potential_from_config(doc: dict):
     """Build a potential from ``{"kind": ..., ...}`` configuration."""
     kind = doc.get("kind")
     if kind == "kuramoto":
-        return KuramotoQuadratic(kappa=float(doc.get("kappa", 1.0)))
+        return KuramotoQuadratic(kappa=_number(doc, "kappa", 1.0))
     if kind == "shannon":
         return ShannonPotential()
     if kind == "renyi":
-        return RenyiPotential(alpha=float(doc["alpha"]))
+        return RenyiPotential(alpha=_number(doc, "alpha"))
     if kind == "tsallis":
-        return TsallisPotential(q=float(doc["q"]))
+        return TsallisPotential(q=_number(doc, "q"))
     raise DomainError(f"unknown potential kind {kind!r}")

@@ -118,12 +118,14 @@ def gradient_flow_init(rho0, potential, sign: int = +1) -> PhaseState:
     """Initial phase state S = -sign * grad F(rho0) selecting a first-order branch.
 
     sign=+1 reduces the flow to the concentration dynamics of F itself;
-    sign=-1 to the flow of -F.
+    sign=-1 to the flow of -F.  F must be the quadratic potential, whose
+    gradient is -kappa * rho0.
     """
+    kappa = quadratic_kappa(potential)
     if sign not in (+1, -1):
         raise DimensionError(f"sign must be +1 or -1, got {sign}")
     rho0 = density_state(rho0)
-    return PhaseState(rho=rho0, S=-sign * np.asarray(potential.grad(rho0), dtype=float))
+    return PhaseState(rho=rho0, S=sign * kappa * rho0)
 
 
 def simulate_second_order(

@@ -52,8 +52,8 @@ class MinPower:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < np.inf:
+            raise DomainError(f"alpha must be positive and finite, got {self.alpha}")
 
     @property
     def is_lipschitz(self) -> bool:

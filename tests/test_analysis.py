@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import graphsync as gs
 from graphsync.analysis import (
+    EdgeVerdict,
     PowerFit,
     detect_limit,
     edge_dichotomy_report,
@@ -101,3 +104,31 @@ def test_edge_dichotomy_verdicts():
     cyc = edge_dichotomy_report(gs.named_graph("cycle6"),
                                 [0.74, 0.0, 0.0, 0.26, 0.0, 0.0], tol=1e-3)
     assert all(v.verdict == "MinVanishes" for v in cyc)
+
+
+def per_edge_dichotomy(graph, rho, tol):
+    """The former edge-by-edge dichotomy report, kept as the reference."""
+    out = []
+    for i, j in graph.edges.tolist():
+        a, b = float(rho[i - 1]), float(rho[j - 1])
+        mn, diff = min(a, b), abs(a - b)
+        if mn < tol:
+            verdict = "MinVanishes"
+        elif diff < tol:
+            verdict = "ValuesEqual"
+        else:
+            verdict = "Violation"
+        out.append(EdgeVerdict(i=i, j=j, verdict=verdict, min_value=mn, abs_diff=diff))
+    return tuple(out)
+
+
+DENSITY_VALUES = st.sampled_from([0.0, -0.0, 1e-7, 1e-6, 0.25, 0.5, 0.5 + 1e-7])
+
+
+@given(rho=st.lists(DENSITY_VALUES, min_size=4, max_size=4))
+def test_edge_dichotomy_matches_per_edge_reference(rho):
+    """Same verdicts, values, signed zeros and Python types as the per-edge loop."""
+    g = gs.complete_graph(4)
+    got = edge_dichotomy_report(g, rho)
+    assert repr(got) == repr(per_edge_dichotomy(g, np.asarray(rho), 1e-6))
+    assert all(type(v.i) is int and type(v.min_value) is float for v in got)

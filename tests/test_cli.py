@@ -127,3 +127,20 @@ def test_reproduce_check_and_determinism(tmp_path, capsys):
 def test_reproduce_unknown_target(capsys):
     assert main(["reproduce", "fig99"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["two-point", "theta", "--potential", "renyi", "--r0", "0.3"],
+        ["two-point", "theta", "--potential", "tsallis:two", "--r0", "0.3"],
+        ["two-point", "theta", "--potential", "kuramoto:1", "--r0", "0.3"],
+        ["simulate-first", "--graph", "cycle6", "--rho0", "a,b", "--out", "unused.csv"],
+        ["simulate-first", "--graph", "missing.json", "--rho0", "0.5,0.5", "--out", "unused.csv"],
+    ],
+    ids=["renyi-no-alpha", "tsallis-bad-q", "non-entropy", "rho0-not-numbers", "no-graph"],
+)
+def test_bad_arguments_exit_2_with_one_error_line(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

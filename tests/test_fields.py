@@ -101,6 +101,20 @@ def test_fields_match_reference_on_weighted_graph(rule):
     )
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda pot: gs.gradient_flow_init([0.6, 0.4], pot),
+        lambda pot: gs.to_hopf_cole(gs.PhaseState([0.6, 0.4], [0.1, -0.1]), pot),
+        lambda pot: gs.from_hopf_cole(gs.HopfColeState([0.6, 0.4], [0.0, 0.0], [0.1, 0.1]), pot),
+    ],
+    ids=["gradient_flow_init", "to_hopf_cole", "from_hopf_cole"],
+)
+def test_flow_starts_refuse_non_quadratic_potentials(entry):
+    with pytest.raises(DomainError):
+        entry(gs.ShannonPotential())
+
+
 def test_graph_flows_refuse_non_quadratic_potentials(tmp_path):
     g, rule, pot = gs.complete_graph(2), gs.MinPower(2.0), gs.ShannonPotential()
     spec = gs.IntegratorSpec(dt=0.01, t_final=0.1)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,9 @@ def test_non_finite_state_carries_partial_trajectory():
         {"dt": -0.1},
         {"dt": 2.0, "t_final": 1.0},
         {"record_every": 0},
+        {"dt": math.nan},
+        {"t_final": math.nan},
+        {"t_final": math.inf},
     ],
 )
 def test_spec_validation(kwargs):

@@ -114,8 +114,12 @@ def test_bad_parameters_rejected():
         gs.RenyiPotential(alpha=0.0)  # degenerate: vanishes everywhere
     with pytest.raises(DomainError):
         gs.TsallisPotential(q=1.0)
-    with pytest.raises(DomainError):
-        gs.KuramotoQuadratic(kappa=0.0)
+    for kappa in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            gs.KuramotoQuadratic(kappa=kappa)
+    for bad in (gs.RenyiPotential, gs.TsallisPotential):
+        with pytest.raises(DomainError):
+            bad(math.nan)
 
 
 def test_potential_from_config():
@@ -123,5 +127,11 @@ def test_potential_from_config():
     assert gs.potential_from_config({"kind": "shannon"}) == gs.ShannonPotential()
     assert gs.potential_from_config({"kind": "renyi", "alpha": 2.0}) == gs.RenyiPotential(2.0)
     assert gs.potential_from_config({"kind": "tsallis", "q": 2.0}) == gs.TsallisPotential(2.0)
-    with pytest.raises(DomainError):
-        gs.potential_from_config({"kind": "gibbs"})
+    for doc in (
+        {"kind": "gibbs"},
+        {"kind": "renyi"},
+        {"kind": "tsallis", "q": "two"},
+        {"kind": "kuramoto", "kappa": None},
+    ):
+        with pytest.raises(DomainError):
+            gs.potential_from_config(doc)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,8 +43,9 @@ def test_degenerate_derivative_sentinel():
 
 
 def test_alpha_must_be_positive():
-    with pytest.raises(DomainError):
-        gs.MinPower(alpha=0.0)
+    for alpha in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            gs.MinPower(alpha=alpha)
 
 
 def test_lipschitz_flag():
