@@ -33,9 +33,10 @@ def density_state(rho, tol: float = 1e-9) -> np.ndarray:
     rho = np.asarray(rho, dtype=float)
     if rho.ndim != 1 or rho.size < 2:
         raise DimensionError(f"density must be a vector of length >= 2, got shape {rho.shape}")
-    if abs(float(rho.sum()) - 1.0) > tol:
+    # Negated comparisons, so that NaN and inf entries fail them.
+    if not abs(float(rho.sum()) - 1.0) <= tol:
         raise SimplexViolationError(f"density sums to {float(rho.sum())!r}, not 1")
-    if np.any(rho < -tol):
+    if not np.all(rho >= -tol):
         raise SimplexViolationError(f"negative density component {float(rho.min())!r}")
     return rho
 

@@ -13,6 +13,7 @@ one and sum edge values onto their tail vertices with the other.
 from __future__ import annotations
 
 import json
+import numbers
 import re
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -60,6 +61,9 @@ class Graph:
     pair_weight: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not (isinstance(self.n, numbers.Real) and float(self.n).is_integer()):
+            raise GraphConstructionError(f"vertex count must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         if self.n < 2:
             raise GraphConstructionError(f"need at least 2 vertices, got n={self.n}")
         pairs, w = _array(self.edges, 2), _array(self.weights)
@@ -145,7 +149,7 @@ def build_graph(n: int, weighted_edges) -> Graph:
         pairs, weights = table[:, :2], table[:, 2]
     pairs = np.sort(pairs, axis=1)
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    return Graph(n=int(n), edges=pairs[order], weights=weights[order])
+    return Graph(n=n, edges=pairs[order], weights=weights[order])
 
 
 def complete_graph(n: int) -> Graph:

@@ -11,6 +11,7 @@ about ``r = 1/2`` and vanishes exactly there.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,16 +22,31 @@ from .errors import BoundarySingularityError, DimensionError, DomainError
 _SIMPLEX_TOL = 1e-9
 
 
-def _xlogx(x):
-    x = np.asarray(x, dtype=float)
-    out = np.where(x > 0.0, x * np.log(np.where(x > 0.0, x, 1.0)), 0.0)
-    return out if out.ndim else float(out)
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    return np.where(x > 0.0, x * np.log(np.where(x > 0.0, x, 1.0)), 0.0)
 
 
-def _check_unit_interval(r) -> None:
-    r = np.asarray(r, dtype=float)
-    if np.any(r < -_SIMPLEX_TOL) or np.any(r > 1.0 + _SIMPLEX_TOL):
-        raise DomainError(f"r must lie in [0, 1], got {r!r}")
+def _reduced(singular: str = ""):
+    """Guard for a two-node method of r: r in [0, 1], passed on as an array.
+
+    A method singular at r in {0, 1} names that in ``singular`` and refuses
+    those r with BoundarySingularityError.  A scalar r gives a float.
+    """
+
+    def guard(method):
+        @functools.wraps(method)
+        def guarded(self, r):
+            r = np.asarray(r, dtype=float)
+            if not np.all((r >= -_SIMPLEX_TOL) & (r <= 1.0 + _SIMPLEX_TOL)):
+                raise DomainError(f"r must lie in [0, 1], got {r!r}")
+            if singular and not np.all((r > 0.0) & (r < 1.0)):
+                raise BoundarySingularityError(singular)
+            out = method(self, r)
+            return out if np.ndim(out) else float(out)
+
+        return guarded
+
+    return guard
 
 
 @dataclass(frozen=True)
@@ -83,46 +99,34 @@ class _TwoNodeEntropy:
 
 
 def _two_node_r(rho) -> float:
+    # The range of r is checked by the method it is passed to.
     rho = np.asarray(rho, dtype=float)
     if rho.ndim == 0:
-        r = float(rho)
-    else:
-        if rho.shape != (2,):
-            raise DimensionError(
-                f"entropy potentials are two-node only, got shape {rho.shape}"
-            )
-        if abs(float(rho.sum()) - 1.0) > _SIMPLEX_TOL:
-            raise DomainError(f"two-node density must sum to 1, got {rho!r}")
-        r = float(rho[0])
-    _check_unit_interval(r)
-    return r
+        return float(rho)
+    if rho.shape != (2,):
+        raise DimensionError(
+            f"entropy potentials are two-node only, got shape {rho.shape}"
+        )
+    if abs(float(rho.sum()) - 1.0) > _SIMPLEX_TOL:
+        raise DomainError(f"two-node density must sum to 1, got {rho!r}")
+    return float(rho[0])
 
 
 @dataclass(frozen=True)
 class ShannonPotential(_TwoNodeEntropy):
     """log 2 + r log r + (1-r) log(1-r), with 0 log 0 = 0."""
 
+    @_reduced()
     def value_r(self, r):
-        _check_unit_interval(r)
-        r = np.asarray(r, dtype=float)
-        out = math.log(2.0) + _xlogx(r) + _xlogx(1.0 - r)
-        return out if np.ndim(out) else float(out)
+        return math.log(2.0) + _xlogx(r) + _xlogx(1.0 - r)
 
+    @_reduced("d/dr log-entropy diverges at r in {0, 1}")
     def grad_r(self, r):
-        _check_unit_interval(r)
-        r = np.asarray(r, dtype=float)
-        if np.any(r <= 0.0) or np.any(r >= 1.0):
-            raise BoundarySingularityError("d/dr log-entropy diverges at r in {0, 1}")
-        out = np.log(r) - np.log(1.0 - r)
-        return out if out.ndim else float(out)
+        return np.log(r) - np.log(1.0 - r)
 
+    @_reduced("curvature diverges at r in {0, 1}")
     def hess_r(self, r):
-        _check_unit_interval(r)
-        r = np.asarray(r, dtype=float)
-        if np.any(r <= 0.0) or np.any(r >= 1.0):
-            raise BoundarySingularityError("curvature diverges at r in {0, 1}")
-        out = 1.0 / r + 1.0 / (1.0 - r)
-        return out if out.ndim else float(out)
+        return 1.0 / r + 1.0 / (1.0 - r)
 
 
 @dataclass(frozen=True)
@@ -149,33 +153,23 @@ class RenyiPotential(_TwoNodeEntropy):
     def _g(self, r):
         return np.power(r, self.alpha) + np.power(1.0 - r, self.alpha)
 
+    @_reduced()
     def value_r(self, r):
-        _check_unit_interval(r)
-        r = np.asarray(r, dtype=float)
-        out = math.log(2.0) - np.log(self._g(r)) / (1.0 - self.alpha)
-        return out if out.ndim else float(out)
+        return math.log(2.0) - np.log(self._g(r)) / (1.0 - self.alpha)
 
+    @_reduced("Renyi gradient not evaluated at r in {0, 1}")
     def grad_r(self, r):
-        _check_unit_interval(r)
-        r = np.asarray(r, dtype=float)
-        if np.any(r <= 0.0) or np.any(r >= 1.0):
-            raise BoundarySingularityError("Renyi gradient not evaluated at r in {0, 1}")
         a = self.alpha
         gp = a * (np.power(r, a - 1.0) - np.power(1.0 - r, a - 1.0))
-        out = -gp / ((1.0 - a) * self._g(r))
-        return out if out.ndim else float(out)
+        return -gp / ((1.0 - a) * self._g(r))
 
+    @_reduced("Renyi curvature not evaluated at r in {0, 1}")
     def hess_r(self, r):
-        _check_unit_interval(r)
-        r = np.asarray(r, dtype=float)
-        if np.any(r <= 0.0) or np.any(r >= 1.0):
-            raise BoundarySingularityError("Renyi curvature not evaluated at r in {0, 1}")
         a = self.alpha
         g = self._g(r)
         gp = a * (np.power(r, a - 1.0) - np.power(1.0 - r, a - 1.0))
         gpp = a * (a - 1.0) * (np.power(r, a - 2.0) + np.power(1.0 - r, a - 2.0))
-        out = -(gpp * g - gp**2) / ((1.0 - a) * g**2)
-        return out if out.ndim else float(out)
+        return -(gpp * g - gp**2) / ((1.0 - a) * g**2)
 
 
 @dataclass(frozen=True)
@@ -188,29 +182,22 @@ class TsallisPotential(_TwoNodeEntropy):
         if not 1.0 < self.q < math.inf:
             raise DomainError(f"q must be finite and exceed 1, got {self.q}")
 
+    @_reduced()
     def value_r(self, r):
-        _check_unit_interval(r)
-        r = np.asarray(r, dtype=float)
         q = self.q
-        out = (np.power(r, q) + np.power(1.0 - r, q) - 2.0 ** (1.0 - q)) / (q - 1.0)
-        return out if out.ndim else float(out)
+        return (np.power(r, q) + np.power(1.0 - r, q) - 2.0 ** (1.0 - q)) / (q - 1.0)
 
+    @_reduced()
     def grad_r(self, r):
-        _check_unit_interval(r)
-        r = np.asarray(r, dtype=float)
         q = self.q
-        out = q * (np.power(r, q - 1.0) - np.power(1.0 - r, q - 1.0)) / (q - 1.0)
-        return out if out.ndim else float(out)
+        return q * (np.power(r, q - 1.0) - np.power(1.0 - r, q - 1.0)) / (q - 1.0)
 
+    @_reduced()
     def hess_r(self, r):
-        _check_unit_interval(r)
-        r = np.asarray(r, dtype=float)
         q = self.q
-        with np.errstate(divide="ignore"):
-            out = q * (np.power(r, q - 2.0) + np.power(1.0 - r, q - 2.0))
-        if not np.all(np.isfinite(out)):
+        if q < 2.0 and not np.all((r > 0.0) & (r < 1.0)):
             raise BoundarySingularityError(f"Tsallis curvature diverges at the boundary for q={q}")
-        return out if out.ndim else float(out)
+        return q * (np.power(r, q - 2.0) + np.power(1.0 - r, q - 2.0))
 
 
 ENTROPY_KINDS = (ShannonPotential, RenyiPotential, TsallisPotential)

@@ -21,10 +21,12 @@ time-1 path between r0 and r1 is then
 its action has the closed form implemented in :func:`action`, and the
 induced squared-distance divergence is (x(r1) - x(r0))^2 / (2 sinh 1).
 
-Numerics: x is computed by adaptive Simpson quadrature split at 1/2 and
-clipped 1e-8 away from the density boundary; inversion of x uses bracketed
-bisection-safeguarded Newton with the analytic slope 1/sqrt(theta), seeded
-from a cached cubic-Hermite table of quadrature values.
+Numerics: one array integrand, 1/sqrt(theta), serves every use of x.  x(r)
+is adaptive Simpson quadrature from 1/2, with r clipped 1e-8 away from the
+density boundary.  The boundary-value path caches x on 1025 nodes around 1/2
+from one quadrature call over all node-to-node panels, interpolates between
+nodes by cubic Hermite and inverts by bisection-safeguarded Newton, both
+with the integrand as slope.
 """
 from __future__ import annotations
 
@@ -214,6 +216,31 @@ def _series_coefficients(potential) -> tuple[float, float]:
     return c2, c4
 
 
+def _induced(pot, r, derivative: bool):
+    """theta (or d theta/dr, with ``derivative``) of the induced weight on (0, 1).
+
+    Within |r - 1/2| <= 1e-4 the quotients of F and its derivatives lose
+    their digits to the removable singularity; the Taylor series stands in.
+    """
+    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+    if np.any(r_arr <= 0.0) or np.any(r_arr >= 1.0):
+        raise DomainError("entropy-induced weights are defined on open (0, 1)")
+    out = np.empty_like(r_arr)
+    d = r_arr - 0.5
+    near = np.abs(d) <= _SERIES_WINDOW
+    far = ~near
+    if np.any(far):
+        rf = r_arr[far]
+        F, Fp = pot.value_r(rf), pot.grad_r(rf)
+        out[far] = 2.0 / Fp - 4.0 * F * pot.hess_r(rf) / Fp**3 if derivative else 2.0 * F / Fp**2
+    if np.any(near):
+        c2, c4 = _series_coefficients(pot)
+        dn = d[near]
+        out[near] = (-3.0 * (c4 / c2**2) * dn if derivative
+                     else (1.0 - 3.0 * (c4 / c2) * dn**2) / (2.0 * c2))
+    return float(out[0]) if np.ndim(r) == 0 else out
+
+
 def entropy_induced_theta(potential, r):
     """Two-node weight theta(r) = 2 F(r) / F'(r)^2 for an entropy potential.
 
@@ -221,48 +248,12 @@ def entropy_induced_theta(potential, r):
     small window around it the removable singularity is evaluated from the
     Taylor expansion of F, giving theta(1/2) = 1 / F''(1/2).
     """
-    r_arr = np.asarray(r, dtype=float)
-    scalar = r_arr.ndim == 0
-    r_arr = np.atleast_1d(r_arr)
-    if np.any(r_arr <= 0.0) or np.any(r_arr >= 1.0):
-        raise DomainError("entropy-induced weights are defined on open (0, 1)")
-    out = np.empty_like(r_arr)
-    d = r_arr - 0.5
-    near = np.abs(d) <= _SERIES_WINDOW
-    far = ~near
-    if np.any(far):
-        rf = r_arr[far]
-        F = np.asarray(potential.value_r(rf), dtype=float)
-        Fp = np.asarray(potential.grad_r(rf), dtype=float)
-        out[far] = 2.0 * F / Fp**2
-    if np.any(near):
-        c2, c4 = _series_coefficients(potential)
-        gamma = c4 / c2
-        out[near] = (1.0 - 3.0 * gamma * d[near] ** 2) / (2.0 * c2)
-    return float(out[0]) if scalar else out
+    return _induced(potential, r, derivative=False)
 
 
 def entropy_induced_theta_prime(potential, r):
     """d theta/dr for the induced weight: 2/F' - 4 F F'' / F'^3 away from 1/2."""
-    r_arr = np.asarray(r, dtype=float)
-    scalar = r_arr.ndim == 0
-    r_arr = np.atleast_1d(r_arr)
-    if np.any(r_arr <= 0.0) or np.any(r_arr >= 1.0):
-        raise DomainError("entropy-induced weights are defined on open (0, 1)")
-    out = np.empty_like(r_arr)
-    d = r_arr - 0.5
-    near = np.abs(d) <= _SERIES_WINDOW
-    far = ~near
-    if np.any(far):
-        rf = r_arr[far]
-        F = np.asarray(potential.value_r(rf), dtype=float)
-        Fp = np.asarray(potential.grad_r(rf), dtype=float)
-        Fpp = np.asarray(potential.hess_r(rf), dtype=float)
-        out[far] = 2.0 / Fp - 4.0 * F * Fpp / Fp**3
-    if np.any(near):
-        c2, c4 = _series_coefficients(potential)
-        out[near] = -3.0 * (c4 / c2**2) * d[near]
-    return float(out[0]) if scalar else out
+    return _induced(potential, r, derivative=True)
 
 
 def entropy_theta_fn(potential) -> Callable:
@@ -274,22 +265,23 @@ def entropy_theta_fn(potential) -> Callable:
 # Stretched coordinate, boundary-value path, action, divergence.
 # ---------------------------------------------------------------------------
 
-def _theta_vec(theta_fn: Callable, r: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(theta_fn(r), dtype=float)
-        if out.shape != np.shape(r):
-            raise TypeError
-        return out
-    except TypeError:
-        return np.array([float(theta_fn(float(s))) for s in np.atleast_1d(r)])
+def _inv_sqrt_theta(theta_fn: Callable) -> Callable[[np.ndarray], np.ndarray]:
+    """The integrand 1/sqrt(theta) of the stretched coordinate, on arrays.
 
+    A constant theta may return a scalar; one that takes only scalars is
+    applied point by point.
+    """
 
-def _inv_sqrt_theta(theta_fn: Callable) -> Callable[[float], float]:
-    def f(s: float) -> float:
-        th = float(theta_fn(s))
-        if not (th > 0.0) or not math.isfinite(th):
-            raise QuadratureError(f"theta({s!r}) = {th!r} is not positive")
-        return 1.0 / math.sqrt(th)
+    def f(r: np.ndarray) -> np.ndarray:
+        try:
+            th = np.broadcast_to(np.asarray(theta_fn(r), dtype=float), r.shape)
+        except (TypeError, ValueError):
+            th = np.array([float(theta_fn(float(s))) for s in r])
+        ok = (th > 0.0) & np.isfinite(th)
+        if not ok.all():
+            k = np.argmin(ok)  # the first bad point
+            raise QuadratureError(f"theta({float(r[k])!r}) = {float(th[k])!r} is not positive")
+        return 1.0 / np.sqrt(th)
 
     return f
 
@@ -299,8 +291,6 @@ def x_of_r_with_error(theta_fn: Callable, r: float, tol: float = X_QUAD_TOL) -> 
     if not (0.0 <= r <= 1.0):
         raise DomainError(f"r must lie in [0, 1], got {r}")
     r_eff = min(max(r, BOUNDARY_CLIP), 1.0 - BOUNDARY_CLIP)
-    if r_eff == 0.5:
-        return QuadratureResult(0.0, 0.0)
     return adaptive_simpson(_inv_sqrt_theta(theta_fn), 0.5, r_eff, tol=tol)
 
 
@@ -311,37 +301,24 @@ def x_of_r(theta_fn: Callable, r: float, tol: float = X_QUAD_TOL) -> float:
 
 
 class _StretchMap:
-    """Cached monotone map r -> x on a bracket, with fast inversion.
+    """Cached monotone map r -> x on a bracket around 1/2, with fast inversion.
 
-    Node values are adaptive-quadrature cumulative integrals anchored at
-    x(1/2) = 0; between nodes the map is evaluated by cubic Hermite with the
-    analytic slope 1/sqrt(theta), accurate far beyond the inversion
-    tolerance at the node spacing used.
+    Node values are cumulative sums of one adaptive quadrature over all
+    node-to-node panels, anchored at x(1/2) = 0 (1/2 is itself a node);
+    between nodes the map is evaluated by cubic Hermite with the analytic
+    slope 1/sqrt(theta), accurate far beyond the inversion tolerance at the
+    node spacing used.
     """
 
     def __init__(self, theta_fn: Callable, lo: float, hi: float, n_nodes: int = 1025):
-        lo = max(lo, BOUNDARY_CLIP)
-        hi = min(hi, 1.0 - BOUNDARY_CLIP)
-        if not lo < hi:
-            raise DomainError(f"empty bracket [{lo}, {hi}]")
-        nodes = np.linspace(lo, hi, n_nodes)
-        if lo < 0.5 < hi:
-            nodes = np.unique(np.concatenate([nodes, [0.5]]))
-        self.theta_fn = theta_fn
-        self.nodes = nodes
-        self.slope = 1.0 / np.sqrt(_theta_vec(theta_fn, nodes))
-        if not np.all(np.isfinite(self.slope)):
-            raise QuadratureError("theta not positive on the map bracket")
-        segs = np.array([
-            adaptive_simpson(_inv_sqrt_theta(theta_fn), a, b, tol=1e-13).value
-            for a, b in zip(nodes[:-1], nodes[1:])
-        ])
+        if not lo < 0.5 < hi:
+            raise DomainError(f"bracket [{lo}, {hi}] must hold 1/2 strictly inside")
+        nodes = np.unique(np.concatenate([np.linspace(lo, hi, n_nodes), [0.5]]))
+        self.nodes, self.inv_sqrt_theta = nodes, _inv_sqrt_theta(theta_fn)
+        self.slope = self.inv_sqrt_theta(nodes)
+        segs = adaptive_simpson(self.inv_sqrt_theta, nodes[:-1], nodes[1:], tol=1e-13).value
         cum = np.concatenate([[0.0], np.cumsum(segs)])
-        if lo <= 0.5 <= hi:
-            anchor = float(np.interp(0.5, nodes, cum))
-        else:
-            anchor = cum[0] - x_of_r(theta_fn, lo)
-        self.x = cum - anchor
+        self.x = cum - cum[np.searchsorted(nodes, 0.5)]
 
     def x_at(self, r) -> np.ndarray:
         r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -378,8 +355,7 @@ class _StretchMap:
             lo = np.where(too_high, lo, r)
             if np.all(np.abs(g) <= 1e-13 * scale):
                 break
-            slope = 1.0 / np.sqrt(_theta_vec(self.theta_fn, r))
-            step = g / slope
+            step = g / self.inv_sqrt_theta(r)
             r_new = r - step
             outside = (r_new <= lo) | (r_new >= hi)
             r = np.where(outside, 0.5 * (lo + hi), r_new)
@@ -421,8 +397,7 @@ def analytic_solution(theta_fn: Callable, r0: float, r1: float, t):
         return float(out[0]) if scalar else out
     lo, hi = _path_bracket(r0, r1)
     grid = _StretchMap(theta_fn, lo, hi)
-    x0 = float(grid.x_at(min(max(r0, lo), hi))[0])
-    x1 = float(grid.x_at(min(max(r1, lo), hi))[0])
+    x0, x1 = grid.x_at(np.clip([r0, r1], lo, hi))
     s1 = math.sinh(1.0)
     xt = (np.sinh(1.0 - t_arr) * x0 + np.sinh(t_arr) * x1) / s1
     out = grid.invert(xt)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -139,5 +141,8 @@ def test_density_validation():
         gs.density_state([0.5, 0.6])
     with pytest.raises(SimplexViolationError):
         gs.density_state([1.5, -0.5])
+    for bad in ([math.nan, 0.5], [math.nan, 1.0], [math.inf, 0.5], [0.5, -math.inf]):
+        with pytest.raises(SimplexViolationError):
+            gs.density_state(bad)
     with pytest.raises(DimensionError):
         gs.rhs_first_order(gs.complete_graph(3), gs.MinPower(1.0), 1.0, [0.5, 0.5])

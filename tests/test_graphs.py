@@ -23,6 +23,8 @@ def test_build_two_point_graph():
     assert g.n == 2
     assert g.edges.tolist() == [[1, 2]]
     assert g.weights.tolist() == [1.0]
+    same = gs.graph_from_json('{"n": 2.0, "edges": [[1, 2, 1.0]]}')
+    assert same == g and type(same.n) is int
 
 
 def test_build_square_graph_matches_named():
@@ -49,6 +51,8 @@ def test_edge_order_within_pair_is_free():
         ([(1.7, 2, 1.0)], GraphConstructionError),
         ('{"n": 3, "edges": [[1, 2]]}', GraphConstructionError),
         ('{"n": 3, "edges": [[1, 2, 1.0]', GraphConstructionError),
+        ('{"n": 3.7, "edges": [[1, 2, 1.0]]}', GraphConstructionError),
+        ('{"n": null, "edges": []}', GraphConstructionError),
     ],
 )
 def test_invalid_edges_rejected(edges, err):

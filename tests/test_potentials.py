@@ -98,6 +98,23 @@ def test_boundary_gradients_raise():
         gs.TsallisPotential(q=1.5).hess_r(0.0)
 
 
+@pytest.mark.parametrize("pot", ENTROPY_POTENTIALS, ids=repr)
+@pytest.mark.parametrize("method", ["value_r", "grad_r", "hess_r"])
+def test_reduced_methods_share_one_guard(pot, method):
+    fn = getattr(pot, method)
+    grid = np.linspace(0.05, 0.95, 7)
+    out = fn(grid)
+    assert isinstance(out, np.ndarray) and out.shape == grid.shape
+    scalars = [fn(float(r)) for r in grid]
+    assert all(type(v) is float for v in scalars)
+    assert out.tolist() == scalars
+    for bad in (-0.1, 1.2, math.nan):
+        with pytest.raises(DomainError):
+            fn(bad)
+        with pytest.raises(DomainError):
+            fn(np.array([0.5, bad]))
+
+
 def test_entropy_needs_two_nodes():
     with pytest.raises(DimensionError):
         gs.ShannonPotential().value([0.5, 0.3, 0.2])
