@@ -9,17 +9,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from pathlib import Path
 
 from .errors import DomainError, GraphSyncError
 from .experiments import (
+    _INITIAL_KEYWORDS,
     ExperimentConfig,
     REPRODUCE_TARGETS,
     run_dynamics,
     run_experiment,
     write_trajectory_csv,
 )
-from .potentials import potential_from_config
+from .graphs import load_graph
+from .integrate import IntegratorSpec
+from .potentials import _KINDS, ENTROPY_KINDS, potential_from_config
 from .two_point import (
     _action_from_x,
     _divergence_from_x,
@@ -28,39 +32,39 @@ from .two_point import (
     entropy_theta_fn,
     x_of_r_with_error,
 )
-from .weights import MinPower, rule_from_config, validate_rule
+from .weights import rule_from_config, validate_rule
+
+#: The simulate-* subcommands: dynamics, help, and the initial-data flags
+#: beyond --rho0, each mapped to whether it is required; an optional one
+#: defaults to its keyword in ``_INITIAL_KEYWORDS``.
+_SIMULATE = (
+    ("first", "first-order concentration flow", {}),
+    ("second", "second-order Hamiltonian flow", {"s0": True}),
+    ("hopf_cole", "flow in split (xi, xi*) variables", {"xi0": False, "xistar0": False}),
+)
 
 
-def _csv_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise DomainError(f"expected comma-separated numbers, got {text!r}") from None
+def _vector(text: str, keyword=None):
+    """A comma-separated vector as a list of strings, or the keyword itself."""
+    return text if text == keyword else text.split(",")
 
 
-def _add_integrator_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scheme", choices=["euler", "rk4"], default="rk4")
-    p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--t-final", type=float, default=10.0)
-    p.add_argument("--record-every", type=int, default=1)
-
-
-def _integrator_doc(args) -> dict:
-    return {
-        "scheme": args.scheme,
-        "dt": args.dt,
-        "t_final": args.t_final,
-        "record_every": args.record_every,
-    }
-
-
-def _simulate(cfg: ExperimentConfig, out_path: str) -> int:
-    traj, notes = run_dynamics(cfg)
-    from pathlib import Path
-
-    write_trajectory_csv(Path(out_path), cfg, traj)
+def _cmd_simulate(args) -> int:
+    initial = {key: _vector(getattr(args, key), _INITIAL_KEYWORDS[key]) for key in args.initial}
+    cfg = ExperimentConfig(
+        name=args.command,
+        dynamics=args.dynamics,
+        graph=args.graph,
+        theta={"kind": "min_power", "alpha": args.alpha},
+        potential={"kind": "kuramoto", "kappa": args.kappa},
+        rho0=_vector(args.rho0),
+        integrator={f.name: getattr(args, f.name) for f in fields(IntegratorSpec)},
+        **initial,
+    )
+    traj, notes = run_dynamics(cfg, load_graph(cfg.graph))
+    write_trajectory_csv(Path(args.out), cfg, traj)
     brief = {
-        "out": out_path,
+        "out": args.out,
         "records": int(len(traj.times)),
         "final_time": traj.final_time,
         "stop_reason": traj.stop_reason,
@@ -70,65 +74,17 @@ def _simulate(cfg: ExperimentConfig, out_path: str) -> int:
     return 0
 
 
-def _cmd_simulate_first(args) -> int:
-    cfg = ExperimentConfig(
-        name="simulate-first",
-        dynamics="first",
-        graph=args.graph,
-        theta={"kind": "min_power", "alpha": args.alpha},
-        potential={"kind": "kuramoto", "kappa": args.kappa},
-        rho0=_csv_floats(args.rho0),
-        integrator=_integrator_doc(args),
-    )
-    return _simulate(cfg, args.out)
-
-
-def _cmd_simulate_second(args) -> int:
-    s0 = "gradflow" if args.s0 == "gradflow" else _csv_floats(args.s0)
-    cfg = ExperimentConfig(
-        name="simulate-second",
-        dynamics="second",
-        graph=args.graph,
-        theta={"kind": "min_power", "alpha": args.alpha},
-        potential={"kind": "kuramoto", "kappa": args.kappa},
-        rho0=_csv_floats(args.rho0),
-        s0=s0,
-        integrator=_integrator_doc(args),
-    )
-    return _simulate(cfg, args.out)
-
-
-def _cmd_simulate_hopf_cole(args) -> int:
-    xi0 = "zero" if args.xi0 == "zero" else _csv_floats(args.xi0)
-    xistar0 = "from-rho" if args.xistar0 == "from-rho" else _csv_floats(args.xistar0)
-    cfg = ExperimentConfig(
-        name="simulate-hopf-cole",
-        dynamics="hopf_cole",
-        graph=args.graph,
-        theta={"kind": "min_power", "alpha": args.alpha},
-        potential={"kind": "kuramoto", "kappa": args.kappa},
-        rho0=_csv_floats(args.rho0),
-        xi0=xi0,
-        xistar0=xistar0,
-        integrator=_integrator_doc(args),
-    )
-    return _simulate(cfg, args.out)
-
-
-# Two-node entropy potentials by CLI name, with the name of their parameter.
-_ENTROPY_PARAMS = {"shannon": None, "renyi": "alpha", "tsallis": "q"}
-
-
 def _parse_entropy_potential(text: str):
     """``kind[:param]`` as an entropy potential, through potential_from_config."""
     kind, _, param = text.partition(":")
-    if kind not in _ENTROPY_PARAMS:
+    cls, key = _KINDS.get(kind, (None, None))
+    if cls not in ENTROPY_KINDS:
         raise DomainError(
             f"unknown two-point potential {text!r}; expected shannon, renyi:a or tsallis:q"
         )
     doc = {"kind": kind}
-    if param and _ENTROPY_PARAMS[kind]:
-        doc[_ENTROPY_PARAMS[kind]] = param
+    if param and key:
+        doc[key] = param
     return potential_from_config(doc)
 
 
@@ -184,10 +140,7 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_validate_rule(args) -> int:
-    if args.kind == "min_power":
-        rule = MinPower(alpha=args.alpha)
-    else:
-        rule = rule_from_config({"kind": args.kind})
+    rule = rule_from_config({"kind": args.kind, "alpha": args.alpha})
     report = validate_rule(rule, grid_resolution=args.resolution)
     print(json.dumps(asdict(report), sort_keys=True))
     return 0 if report.passed else 1
@@ -200,35 +153,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate-first", help="first-order concentration flow")
-    p.add_argument("--graph", required=True, help="named topology or JSON file")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--kappa", type=float, default=1.0)
-    p.add_argument("--rho0", required=True, help="comma-separated densities")
-    _add_integrator_args(p)
-    p.add_argument("--out", required=True, help="trajectory CSV path")
-    p.set_defaults(fn=_cmd_simulate_first)
-
-    p = sub.add_parser("simulate-second", help="second-order Hamiltonian flow")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--kappa", type=float, default=1.0)
-    p.add_argument("--rho0", required=True)
-    p.add_argument("--s0", required=True, help="comma-separated S or 'gradflow'")
-    _add_integrator_args(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_simulate_second)
-
-    p = sub.add_parser("simulate-hopf-cole", help="flow in split (xi, xi*) variables")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--kappa", type=float, default=1.0)
-    p.add_argument("--rho0", required=True)
-    p.add_argument("--xi0", default="zero", help="'zero' or comma-separated values")
-    p.add_argument("--xistar0", default="from-rho", help="'from-rho' or comma-separated")
-    _add_integrator_args(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_simulate_hopf_cole)
+    spec = IntegratorSpec()
+    for dynamics, help_text, initial in _SIMULATE:
+        p = sub.add_parser("simulate-" + dynamics.replace("_", "-"), help=help_text)
+        p.add_argument("--graph", required=True, help="named topology or JSON file")
+        p.add_argument("--alpha", type=float, default=1.0)
+        p.add_argument("--kappa", type=float, default=1.0)
+        p.add_argument("--rho0", required=True, help="comma-separated densities")
+        for key, required in initial.items():
+            keyword = _INITIAL_KEYWORDS[key]
+            p.add_argument(f"--{key}", required=required, default=keyword,
+                           help=f"comma-separated values or {keyword!r}")
+        p.add_argument("--scheme", choices=["euler", "rk4"], default=spec.scheme)
+        p.add_argument("--dt", type=float, default=spec.dt)
+        p.add_argument("--t-final", type=float, default=spec.t_final)
+        p.add_argument("--record-every", type=int, default=spec.record_every)
+        p.add_argument("--out", required=True, help="trajectory CSV path")
+        p.set_defaults(fn=_cmd_simulate, dynamics=dynamics, initial=tuple(initial))
 
     p = sub.add_parser("two-point", help="closed-form two-node analytics")
     p.add_argument("operation", choices=["solve", "action", "divergence", "theta"])

@@ -14,7 +14,7 @@ each with its expected outcome attached for --check mode.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -23,7 +23,7 @@ import numpy as np
 from .analysis import detect_limit, edge_dichotomy_report, fit_power, fit_rate
 from .errors import DomainError, NonFiniteStateError
 from .first_order import classify_equilibrium, simulate_first_order
-from .graphs import Graph, graph_from_json, load_graph
+from .graphs import Graph, load_graph
 from .hopf_cole import HopfColeState, simulate_hopf_cole
 from .integrate import IntegratorSpec, Trajectory
 from .potentials import potential_from_config, quadratic_kappa
@@ -37,9 +37,17 @@ SYNC_HI = 0.99
 SYNC_LO = 0.01
 
 
+#: The keyword each optional initial-data field takes in place of a vector.
+_INITIAL_KEYWORDS = {"s0": "gradflow", "xi0": "zero", "xistar0": "from-rho"}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative description of one run, mirroring the JSON layout."""
+    """Declarative description of one run, mirroring the JSON layout.
+
+    Initial data become tuples of floats (an initial-data field may instead
+    hold its keyword from ``_INITIAL_KEYWORDS``); anything else is a DomainError.
+    """
 
     name: str
     dynamics: str                      # "first" | "second" | "hopf_cole"
@@ -57,62 +65,42 @@ class ExperimentConfig:
     dichotomy_tol: Optional[float] = None
     expect: Optional[dict] = None
 
+    def __post_init__(self):
+        for key in ("rho0", *_INITIAL_KEYWORDS):
+            value, keyword = getattr(self, key), _INITIAL_KEYWORDS.get(key)
+            # None and the keyword stand for an optional field's default.
+            if (value is None and keyword) or (isinstance(value, str) and value == keyword):
+                continue
+            try:
+                object.__setattr__(self, key, tuple(float(v) for v in value))
+            except (TypeError, ValueError):
+                allowed = "numbers" if keyword is None else f"numbers or {keyword!r}"
+                raise DomainError(f"{key} must be {allowed}, got {value!r}") from None
+        object.__setattr__(self, "fits", tuple(self.fits))
+
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
-        doc = dict(doc)
-        for key in ("rho0", "s0", "xi0", "xistar0"):
-            if isinstance(doc.get(key), list):
-                doc[key] = tuple(float(v) for v in doc[key])
-        if isinstance(doc.get("fits"), list):
-            doc["fits"] = tuple(doc["fits"])
         return cls(**doc)
 
     def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "dynamics": self.dynamics,
-            "graph": self.graph,
-            "theta": self.theta,
-            "potential": self.potential,
-            "rho0": [float(v) for v in self.rho0],
-            "integrator": dict(self.integrator),
-        }
-        for key in ("s0", "xi0", "xistar0"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = list(val) if not isinstance(val, str) else val
-        if self.stop_on_sync:
-            out["stop_on_sync"] = True
-        if self.fits:
-            out["fits"] = list(self.fits)
-        if self.power_fit:
-            out["power_fit"] = True
-        if self.dichotomy_tol is not None:
-            out["dichotomy_tol"] = self.dichotomy_tol
-        if self.expect is not None:
-            out["expect"] = self.expect
+        """The required fields, and each optional field that differs from its default."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            default = f.default if f.default_factory is MISSING else f.default_factory()
+            if default is MISSING or value != default:
+                out[f.name] = list(value) if isinstance(value, tuple) else value
         return out
 
 
-def _resolve_graph(spec) -> Graph:
-    if isinstance(spec, Graph):
-        return spec
-    if isinstance(spec, dict):
-        return graph_from_json(json.dumps(spec))
-    return load_graph(spec)
-
-
 def _resolve_spec(doc: dict) -> IntegratorSpec:
-    return IntegratorSpec(
-        scheme=doc.get("scheme", "rk4"),
-        dt=float(doc.get("dt", 0.01)),
-        t_final=float(doc.get("t_final", 10.0)),
-        record_every=int(doc.get("record_every", 1)),
-    )
+    unknown = set(doc) - {f.name for f in fields(IntegratorSpec)}
+    if unknown:
+        raise DomainError(f"unknown integrator keys: {sorted(unknown)}")
+    return IntegratorSpec(**doc)
 
 
 def is_synchronised(rho: np.ndarray) -> bool:
@@ -121,9 +109,8 @@ def is_synchronised(rho: np.ndarray) -> bool:
     return top > SYNC_HI and rest < SYNC_LO
 
 
-def run_dynamics(cfg: ExperimentConfig) -> tuple[Trajectory, dict]:
-    """Execute the configured run; returns the trajectory and run notes."""
-    graph = _resolve_graph(cfg.graph)
+def run_dynamics(cfg: ExperimentConfig, graph: Graph) -> tuple[Trajectory, dict]:
+    """Execute the configured run on its resolved graph; returns the trajectory and run notes."""
     rule = rule_from_config(cfg.theta)
     potential = potential_from_config(cfg.potential)
     kappa = quadratic_kappa(potential)
@@ -147,13 +134,12 @@ def run_dynamics(cfg: ExperimentConfig) -> tuple[Trajectory, dict]:
             traj = exc.trajectory
             notes["error"] = str(exc)
     elif cfg.dynamics == "hopf_cole":
-        g0 = np.asarray(potential.grad(rho0), dtype=float)
         if cfg.xi0 in (None, "zero"):
             xi0 = np.zeros_like(rho0)
         else:
             xi0 = np.asarray(cfg.xi0, dtype=float)
         if cfg.xistar0 in (None, "from-rho"):
-            xistar0 = g0 - xi0
+            xistar0 = potential.grad(rho0) - xi0
         else:
             xistar0 = np.asarray(cfg.xistar0, dtype=float)
         traj = simulate_hopf_cole(graph, rule, potential, HopfColeState(rho0, xi0, xistar0), spec)
@@ -162,29 +148,21 @@ def run_dynamics(cfg: ExperimentConfig) -> tuple[Trajectory, dict]:
     return traj, notes
 
 
+#: CSV layout by dynamics: the state blocks, one column per vertex each, then
+#: the (diagnostic, column) pairs.
+_CSV_LAYOUT = {
+    "first": (("rho",), (("sum_sq", "sum_sq"), ("max_gap", "max_gap"))),
+    "second": (("rho", "S"), (("hamiltonian", "H"),)),
+    "hopf_cole": (("rho", "xi", "xistar"), (("max_abs_xi", "max_abs_xi"),)),
+}
+
+
 def _csv_columns(cfg: ExperimentConfig, traj: Trajectory) -> tuple[list[str], np.ndarray]:
-    n = traj.n_density
-    dim = traj.states.shape[1]
-    cols = [f"rho_{j}" for j in range(1, n + 1)]
-    if cfg.dynamics == "second":
-        cols += [f"S_{j}" for j in range(1, n + 1)]
-    elif cfg.dynamics == "hopf_cole":
-        cols += [f"xi_{j}" for j in range(1, n + 1)]
-        cols += [f"xistar_{j}" for j in range(1, n + 1)]
-    else:
-        cols += [f"state_{j}" for j in range(n + 1, dim + 1)]
-    blocks = [traj.states]
-    if cfg.dynamics == "first":
-        cols += ["sum_sq", "max_gap"]
-        blocks += [traj.diagnostics["sum_sq"][:, None], traj.diagnostics["max_gap"][:, None]]
-    elif cfg.dynamics == "second":
-        cols += ["H"]
-        blocks += [traj.diagnostics["hamiltonian"][:, None]]
-    elif cfg.dynamics == "hopf_cole":
-        cols += ["max_abs_xi"]
-        blocks += [traj.diagnostics["max_abs_xi"][:, None]]
-    data = np.hstack([traj.times[:, None]] + blocks)
-    return ["t"] + cols, data
+    blocks, diagnostics = _CSV_LAYOUT[cfg.dynamics]
+    vertices = range(1, traj.n_density + 1)
+    cols = ["t"] + [f"{b}_{j}" for b in blocks for j in vertices] + [c for _, c in diagnostics]
+    series = [traj.diagnostics[name] for name, _ in diagnostics]
+    return cols, np.column_stack([traj.times, traj.states, *series])
 
 
 def write_trajectory_csv(path: Path, cfg: ExperimentConfig, traj: Trajectory) -> None:
@@ -195,8 +173,14 @@ def write_trajectory_csv(path: Path, cfg: ExperimentConfig, traj: Trajectory) ->
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def summarise(cfg: ExperimentConfig, traj: Trajectory, notes: dict) -> dict:
-    graph = _resolve_graph(cfg.graph)
+def _record(result, *skip: str) -> dict:
+    """A result dataclass as a JSON object, less the ``skip`` fields; tuples become lists."""
+    values = {f.name: getattr(result, f.name) for f in fields(result) if f.name not in skip}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
+
+
+def summarise(cfg: ExperimentConfig, traj: Trajectory, notes: dict, graph: Graph) -> dict:
+    """Summary of a run of ``cfg`` on its resolved graph."""
     summary: dict = {
         "schema": SUMMARY_SCHEMA,
         "name": cfg.name,
@@ -210,52 +194,24 @@ def summarise(cfg: ExperimentConfig, traj: Trajectory, notes: dict) -> dict:
     limit = detect_limit(traj)
     summary["limit"] = None if limit is None else [float(v) for v in limit]
     if limit is not None:
-        eq = classify_equilibrium(limit, tol=1e-3)
-        summary["equilibrium"] = {
-            "m": eq.m,
-            "support": list(eq.support),
-            "value": eq.value,
-            "is_member": eq.is_member,
-        }
-
-    fits = {}
-    for transform in cfg.fits:
-        fit = fit_rate(traj, transform)
-        fits[transform] = {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "r_squared": fit.r_squared,
-            "window": list(fit.window),
-            "truncated": fit.truncated,
-        }
-    if fits:
-        summary["rate_fits"] = fits
+        summary["equilibrium"] = _record(classify_equilibrium(limit, tol=1e-3))
+    if cfg.fits:
+        summary["rate_fits"] = {t: _record(fit_rate(traj, t), "transform") for t in cfg.fits}
     if cfg.power_fit:
-        pf = fit_power(traj)
-        summary["power_fit"] = {
-            "power": pf.power,
-            "r_squared": pf.r_squared,
-            "window": list(pf.window),
-        }
+        summary["power_fit"] = _record(fit_power(traj))
 
-    if cfg.dynamics in ("second",) and "hamiltonian" in traj.diagnostics:
+    if cfg.dynamics == "second":
         h = traj.diagnostics["hamiltonian"]
         summary["hamiltonian"] = {
             "initial": float(h[0]),
             "max_drift": float(np.max(np.abs(h - h[0]))),
         }
-    if cfg.dynamics == "second":
-        rho_final = traj.densities[-1]
-        summary["synchronised"] = bool(is_synchronised(rho_final))
+        summary["synchronised"] = bool(is_synchronised(traj.densities[-1]))
 
     if cfg.dichotomy_tol is not None:
         verdicts = edge_dichotomy_report(graph, traj.densities[-1], tol=cfg.dichotomy_tol)
         summary["dichotomy"] = {
-            "edges": [
-                {"i": v.i, "j": v.j, "verdict": v.verdict,
-                 "min_value": v.min_value, "abs_diff": v.abs_diff}
-                for v in verdicts
-            ],
+            "edges": [_record(v) for v in verdicts],
             "violations": sum(1 for v in verdicts if v.verdict == "Violation"),
         }
     return summary
@@ -307,11 +263,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir, check: bool = False) -> dict:
     In check mode any unmet expectation raises DomainError after the
     artifacts are written, so the CLI exits nonzero with the summary on disk.
     """
-    traj, notes = run_dynamics(cfg)
+    graph = load_graph(cfg.graph)
+    traj, notes = run_dynamics(cfg, graph)
     out = Path(out_dir) / cfg.name
     out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(out / "trajectory.csv", cfg, traj)
-    summary = summarise(cfg, traj, notes)
+    summary = summarise(cfg, traj, notes, graph)
     failures = check_expectations(cfg, summary)
     summary["check_failures"] = failures
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
@@ -322,15 +279,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir, check: bool = False) -> dict:
     return summary
 
 
-def _rate_figure(name: str, alpha: float, transform: str, slope_sign: int) -> ExperimentConfig:
+def _target(name, dynamics, graph, alpha, rho0, t_final, **extra) -> ExperimentConfig:
+    """A stock run: min-power weights, kappa = 1, RK4 at dt = 0.01, every 10th step recorded."""
     return ExperimentConfig(
         name=name,
-        dynamics="first",
-        graph="complete(4)",
+        dynamics=dynamics,
+        graph=graph,
         theta={"kind": "min_power", "alpha": alpha},
         potential={"kind": "kuramoto", "kappa": 1.0},
-        rho0=(0.5, 0.3, 0.15, 0.05),
-        integrator={"scheme": "rk4", "dt": 0.01, "t_final": 200.0, "record_every": 10},
+        rho0=rho0,
+        integrator={"scheme": "rk4", "dt": 0.01, "t_final": t_final, "record_every": 10},
+        **extra,
+    )
+
+
+def _rate_figure(name: str, alpha: float, transform: str, slope_sign: int) -> ExperimentConfig:
+    return _target(
+        name, "first", "complete(4)", alpha, (0.5, 0.3, 0.15, 0.05), 200.0,
         fits=(transform,),
         expect={"fit": {"transform": transform, "min_r_squared": 0.999,
                         "slope_sign": slope_sign}},
@@ -338,14 +303,8 @@ def _rate_figure(name: str, alpha: float, transform: str, slope_sign: int) -> Ex
 
 
 def _limit_example(name: str, graph: str, limit: tuple[float, ...]) -> ExperimentConfig:
-    return ExperimentConfig(
-        name=name,
-        dynamics="first",
-        graph=graph,
-        theta={"kind": "min_power", "alpha": 1.0},
-        potential={"kind": "kuramoto", "kappa": 1.0},
-        rho0=(0.3, 0.2, 0.1, 0.1, 0.1, 0.2),
-        integrator={"scheme": "rk4", "dt": 0.01, "t_final": 500.0, "record_every": 10},
+    return _target(
+        name, "first", graph, 1.0, (0.3, 0.2, 0.1, 0.1, 0.1, 0.2), 500.0,
         dichotomy_tol=1e-3,
         expect={"limit": list(limit), "limit_tol": 1e-3,
                 "max_dichotomy_violations": 0},
@@ -356,17 +315,9 @@ def _sync_figure(name: str, rho0, s0) -> ExperimentConfig:
     # The published 4-decimal densities need not sum to exactly one
     # (fig8's sum to 1.0001); renormalise onto the simplex.
     mass = sum(rho0)
-    return ExperimentConfig(
-        name=name,
-        dynamics="second",
-        graph="complete(6)",
-        theta={"kind": "min_power", "alpha": 2.0},
-        potential={"kind": "kuramoto", "kappa": 1.0},
-        rho0=tuple(v / mass for v in rho0),
-        s0=s0,
-        integrator={"scheme": "rk4", "dt": 0.01, "t_final": 200.0, "record_every": 10},
-        stop_on_sync=True,
-        expect={"synchronised": True},
+    return _target(
+        name, "second", "complete(6)", 2.0, tuple(v / mass for v in rho0), 200.0,
+        s0=s0, stop_on_sync=True, expect={"synchronised": True},
     )
 
 

@@ -45,6 +45,15 @@ def _array(values, width=None) -> np.ndarray:
     return a
 
 
+def _vertex_count(n) -> int:
+    """``n`` as an int of at least 2; an integral float such as 3.0 is accepted."""
+    if not (isinstance(n, numbers.Real) and float(n).is_integer()):
+        raise GraphConstructionError(f"vertex count must be an integer, got {n!r}")
+    if n < 2:
+        raise GraphConstructionError(f"need at least 2 vertices, got n={int(n)}")
+    return int(n)
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected weighted graph on vertices 1..n, no self-loops or multi-edges.
@@ -61,11 +70,7 @@ class Graph:
     pair_weight: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (isinstance(self.n, numbers.Real) and float(self.n).is_integer()):
-            raise GraphConstructionError(f"vertex count must be an integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
-        if self.n < 2:
-            raise GraphConstructionError(f"need at least 2 vertices, got n={self.n}")
+        object.__setattr__(self, "n", _vertex_count(self.n))
         pairs, w = _array(self.edges, 2), _array(self.weights)
         if len(pairs) != len(w):
             raise GraphConstructionError("edge and weight counts differ")
@@ -154,8 +159,7 @@ def build_graph(n: int, weighted_edges) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     """All n(n-1)/2 unordered pairs with unit weight."""
-    if n < 2:
-        raise GraphConstructionError(f"complete graph needs n >= 2, got {n}")
+    n = _vertex_count(n)
     i, j = np.triu_indices(n, k=1)
     return Graph(n=n, edges=np.column_stack([i + 1, j + 1]), weights=np.ones(len(i)))
 
@@ -187,18 +191,23 @@ def named_graph(name: str) -> Graph:
     return build_graph(n, dict.fromkeys(edges, 1.0))
 
 
-def graph_from_json(text: str) -> Graph:
-    """Parse ``{"n": int, "edges": [[i, j, omega], ...]}`` with 1-based indices."""
+def graph_from_json(text) -> Graph:
+    """Parse ``{"n": int, "edges": [[i, j, omega], ...]}`` with 1-based indices.
+
+    ``text`` is JSON text or the document it parses to (a dict).
+    """
     try:
-        doc = json.loads(text)
+        doc = text if isinstance(text, Mapping) else json.loads(text)
         n, edges = doc["n"], doc["edges"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise GraphConstructionError(f"malformed graph document: {exc}") from exc
     return build_graph(n, edges)
 
 
-def load_graph(spec: str) -> Graph:
-    """Resolve a graph from a registry name or a JSON file path."""
+def load_graph(spec) -> Graph:
+    """Resolve a graph from a graph document (a dict), a registry name or a JSON file path."""
+    if isinstance(spec, Mapping):
+        return graph_from_json(spec)
     try:
         return named_graph(spec)
     except UnknownGraphNameError:

@@ -1,15 +1,17 @@
 """Fixed-step explicit time integration with trajectory recording.
 
 The integrator is deliberately plain: Euler or classical fourth-order
-Runge-Kutta at a constant step, with states recorded every
-``record_every`` steps plus the final state.  Observers are scalar
-functions of the state evaluated at each record point and stored as named
-diagnostic series.  Identical inputs produce bit-identical trajectories;
-there is no adaptivity and no randomness.
+Runge-Kutta at a constant step, the last one shortened when need be so the
+run ends at t_final, with states recorded every ``record_every`` steps plus
+the final state.  Observers are scalar functions of the state evaluated at
+each record point and stored as named diagnostic series.  Identical inputs
+produce bit-identical trajectories; there is no adaptivity and no
+randomness.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
@@ -32,18 +34,36 @@ class IntegratorSpec:
     def __post_init__(self):
         if self.scheme not in ("euler", "rk4"):
             raise DomainError(f"scheme must be 'euler' or 'rk4', got {self.scheme!r}")
+        values = (self.dt, self.t_final, self.record_every)
+        if not all(isinstance(v, numbers.Real) for v in values):
+            raise DomainError(f"dt, t_final and record_every must be numbers, got {values!r}")
         if not (0 < self.dt < math.inf and 0 < self.t_final < math.inf):
             raise DomainError(
                 f"dt and t_final must be positive and finite, got {self.dt}, {self.t_final}"
             )
         if self.dt > self.t_final:
             raise DomainError(f"dt={self.dt} exceeds t_final={self.t_final}")
-        if self.record_every < 1:
-            raise DomainError(f"record_every must be >= 1, got {self.record_every}")
+        if not (float(self.record_every).is_integer() and self.record_every >= 1):
+            raise DomainError(f"record_every must be an integer >= 1, got {self.record_every}")
+        object.__setattr__(self, "dt", float(self.dt))
+        object.__setattr__(self, "t_final", float(self.t_final))
+        object.__setattr__(self, "record_every", int(self.record_every))
 
     @property
     def n_steps(self) -> int:
         return int(math.ceil(self.t_final / self.dt - 1e-12))
+
+    @property
+    def final_step(self) -> tuple[float, float]:
+        """Size and end time of the last step.
+
+        A full dt ending at n_steps * dt when t_final / dt is within 1e-12 of
+        an integer; otherwise the shorter remainder, which ends at t_final.
+        """
+        n = self.n_steps
+        if n - self.t_final / self.dt <= 1e-12:
+            return self.dt, n * self.dt
+        return self.t_final - (n - 1) * self.dt, self.t_final
 
 
 @dataclass
@@ -141,17 +161,18 @@ def integrate(
     if stop_when is not None and stop_when(y):
         return package("stop_condition")
 
-    n_steps = spec.n_steps
+    n_steps, last = spec.n_steps, spec.final_step
     for k in range(1, n_steps + 1):
-        y = step(rhs, y, spec.dt)
+        dt, t = (spec.dt, k * spec.dt) if k < n_steps else last
+        y = step(rhs, y, dt)
         if not np.all(np.isfinite(y)):
             raise NonFiniteStateError(
-                f"non-finite state at t={k * spec.dt:.6g}", trajectory=package("nonfinite")
+                f"non-finite state at t={t:.6g}", trajectory=package("nonfinite")
             )
         if post_step is not None:
             y = post_step(y)
         if k % spec.record_every == 0 or k == n_steps:
-            record(k * spec.dt, y)
+            record(t, y)
             if stop_when is not None and stop_when(y):
                 return package("stop_condition")
     return package("t_final")

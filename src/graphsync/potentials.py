@@ -29,8 +29,10 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
 def _reduced(singular: str = ""):
     """Guard for a two-node method of r: r in [0, 1], passed on as an array.
 
-    A method singular at r in {0, 1} names that in ``singular`` and refuses
-    those r with BoundarySingularityError.  A scalar r gives a float.
+    r within the simplex tolerance of [0, 1] is clipped into it, so every
+    family gives its boundary value there.  A method singular at r in {0, 1}
+    names that in ``singular`` and refuses those r with
+    BoundarySingularityError.  A scalar r gives a float.
     """
 
     def guard(method):
@@ -39,6 +41,7 @@ def _reduced(singular: str = ""):
             r = np.asarray(r, dtype=float)
             if not np.all((r >= -_SIMPLEX_TOL) & (r <= 1.0 + _SIMPLEX_TOL)):
                 raise DomainError(f"r must lie in [0, 1], got {r!r}")
+            r = np.clip(r, 0.0, 1.0)
             if singular and not np.all((r > 0.0) & (r < 1.0)):
                 raise BoundarySingularityError(singular)
             out = method(self, r)
@@ -210,25 +213,33 @@ def quadratic_kappa(potential) -> float:
     return potential.kappa
 
 
-def _number(doc: dict, key: str, default=None) -> float:
+def _number(doc: dict, key: str, default=None, owner: str = "potential") -> float:
+    """``doc[key]`` (or ``default``) as a float; anything else is a DomainError."""
     value = doc.get(key, default)
     try:
         return float(value)
     except (TypeError, ValueError):
         raise DomainError(
-            f"potential {doc.get('kind')!r} needs a number {key!r}, got {value!r}"
+            f"{owner} {doc.get('kind')!r} needs a number {key!r}, got {value!r}"
         ) from None
 
 
+#: Potentials by config kind, with the name of their one numeric parameter (or None).
+_KINDS = {
+    "kuramoto": (KuramotoQuadratic, "kappa"),
+    "shannon": (ShannonPotential, None),
+    "renyi": (RenyiPotential, "alpha"),
+    "tsallis": (TsallisPotential, "q"),
+}
+
+
 def potential_from_config(doc: dict):
-    """Build a potential from ``{"kind": ..., ...}`` configuration."""
+    """Build a potential from ``{"kind": ..., <parameter>: ...}`` configuration."""
     kind = doc.get("kind")
-    if kind == "kuramoto":
-        return KuramotoQuadratic(kappa=_number(doc, "kappa", 1.0))
-    if kind == "shannon":
-        return ShannonPotential()
-    if kind == "renyi":
-        return RenyiPotential(alpha=_number(doc, "alpha"))
-    if kind == "tsallis":
-        return TsallisPotential(q=_number(doc, "q"))
-    raise DomainError(f"unknown potential kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise DomainError(f"unknown potential kind {kind!r}")
+    cls, param = _KINDS[kind]
+    if param is None:
+        return cls()
+    # A parameter with a dataclass default (kappa) is optional; the others are required.
+    return cls(**{param: _number(doc, param, getattr(cls, param, None))})

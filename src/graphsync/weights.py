@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .potentials import _number, potential_from_config
 
 _PAIR_SUM_TOL = 1e-9
 
@@ -251,11 +252,12 @@ def rule_from_config(doc: dict):
     """Build a weight rule from ``{"kind": ..., ...}`` configuration."""
     kind = doc.get("kind")
     if kind == "min_power":
-        return MinPower(alpha=float(doc.get("alpha", 1.0)))
+        return MinPower(alpha=_number(doc, "alpha", MinPower.alpha, owner="weight rule"))
     if kind == "arithmetic_mean":
         return ArithmeticMean()
     if kind == "entropy_induced":
-        from .potentials import potential_from_config
-
-        return EntropyInduced(potential=potential_from_config(doc["potential"]))
+        potential = doc.get("potential")
+        if not isinstance(potential, dict):
+            raise DomainError(f"weight rule {kind!r} needs a potential config, got {potential!r}")
+        return EntropyInduced(potential=potential_from_config(potential))
     raise DomainError(f"unknown weight-rule kind {kind!r}")

@@ -4,7 +4,7 @@ import pytest
 
 import graphsync as gs
 from graphsync import two_point
-from graphsync.cli import main
+from graphsync.cli import build_parser, main
 from graphsync.two_point import entropy_theta_fn
 
 
@@ -23,6 +23,18 @@ def test_simulate_first_writes_csv(tmp_path, capsys):
     assert len(lines) == 102
     first_row = [float(v) for v in lines[1].split(",")]
     assert first_row[:4] == [0.0, 0.5, 0.3, 0.2]
+
+
+def test_simulate_ends_at_t_final(tmp_path, capsys):
+    # 0.3 does not divide 1.0; the last step is shortened to land on it.
+    out = tmp_path / "x.csv"
+    rc = main([
+        "simulate-first", "--graph", "complete(3)", "--rho0", "0.5,0.3,0.2",
+        "--dt", "0.3", "--t-final", "1.0", "--out", str(out),
+    ])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["final_time"] == 1.0
+    assert out.read_text().splitlines()[-1].startswith("1,")
 
 
 def test_simulate_second_gradflow(tmp_path):
@@ -137,10 +149,47 @@ def test_reproduce_unknown_target(capsys):
         ["two-point", "theta", "--potential", "kuramoto:1", "--r0", "0.3"],
         ["simulate-first", "--graph", "cycle6", "--rho0", "a,b", "--out", "unused.csv"],
         ["simulate-first", "--graph", "missing.json", "--rho0", "0.5,0.5", "--out", "unused.csv"],
+        ["validate-rule", "--kind", "entropy_induced"],
     ],
-    ids=["renyi-no-alpha", "tsallis-bad-q", "non-entropy", "rho0-not-numbers", "no-graph"],
+    ids=["renyi-no-alpha", "tsallis-bad-q", "non-entropy", "rho0-not-numbers", "no-graph",
+         "entropy-rule-no-potential"],
 )
 def test_bad_arguments_exit_2_with_one_error_line(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate-second", "--graph", "cycle6", "--rho0", "0.5,0.5", "--s0", "zero"],
+        ["simulate-hopf-cole", "--graph", "cycle6", "--rho0", "0.5,0.5", "--xi0", "from-rho"],
+        ["simulate-hopf-cole", "--graph", "cycle6", "--rho0", "0.5,0.5", "--xistar0", "x,y"],
+    ],
+    ids=["s0-other-keyword", "xi0-other-keyword", "xistar0-not-numbers"],
+)
+def test_initial_data_flag_takes_only_its_own_keyword(argv, capsys):
+    assert main(argv + ["--out", "unused.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_simulate_commands_share_their_flags():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    flags = {
+        name: {opt for a in p._actions for opt in a.option_strings}
+        for name, p in sub.choices.items() if name.startswith("simulate-")
+    }
+    shared = {"-h", "--help", "--graph", "--alpha", "--kappa", "--rho0",
+              "--scheme", "--dt", "--t-final", "--record-every", "--out"}
+    assert flags == {
+        "simulate-first": shared,
+        "simulate-second": shared | {"--s0"},
+        "simulate-hopf-cole": shared | {"--xi0", "--xistar0"},
+    }
+    spec = gs.IntegratorSpec()
+    args = parser.parse_args(["simulate-first", "--graph", "g", "--rho0", "1", "--out", "o"])
+    assert (args.scheme, args.dt, args.t_final, args.record_every) == (
+        spec.scheme, spec.dt, spec.t_final, spec.record_every)

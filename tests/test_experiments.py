@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from graphsync.errors import DomainError
+import graphsync.experiments as experiments
+from graphsync.errors import DomainError, GraphConstructionError
 from graphsync.experiments import (
     ExperimentConfig,
     REPRODUCE_TARGETS,
+    _resolve_spec,
     check_expectations,
     is_synchronised,
     run_experiment,
@@ -77,3 +79,71 @@ def test_check_expectations_reports_fit_problems():
     cfg = REPRODUCE_TARGETS["fig1"]
     failures = check_expectations(cfg, {"rate_fits": {"log_gap": {"slope": 2.0, "r_squared": 0.5}}})
     assert len(failures) == 2
+
+
+def _config(**kwargs) -> ExperimentConfig:
+    doc = dict(name="x", dynamics="first", graph="complete(3)",
+               theta={"kind": "min_power", "alpha": 1.0},
+               potential={"kind": "kuramoto", "kappa": 1.0}, rho0=[0.5, 0.3, 0.2])
+    doc.update(kwargs)
+    return ExperimentConfig(**doc)
+
+
+def test_config_normalises_initial_data():
+    cfg = _config(rho0=["0.5", 0.3, np.float64(0.2)], s0="gradflow",
+                  xi0=np.zeros(3), xistar0=[1, 2, 3], fits=["log_gap"])
+    assert cfg.rho0 == (0.5, 0.3, 0.2) and all(type(v) is float for v in cfg.rho0)
+    assert cfg.s0 == "gradflow"
+    assert cfg.xi0 == (0.0, 0.0, 0.0) and cfg.xistar0 == (1.0, 2.0, 3.0)
+    assert cfg.fits == ("log_gap",)
+    assert _config(xi0="zero", xistar0="from-rho").xistar0 == "from-rho"
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"rho0": ["a", "b"]}, {"rho0": 0.5}, {"rho0": None}, {"rho0": "gradflow"}, {"s0": "zero"},
+     {"xi0": [0.1, None]}, {"xistar0": "gradflow"}],
+)
+def test_config_refuses_bad_initial_data(kwargs):
+    with pytest.raises(DomainError):
+        _config(**kwargs)
+
+
+def test_to_dict_writes_required_and_non_default_fields():
+    assert _config().to_dict() == {
+        "name": "x", "dynamics": "first", "graph": "complete(3)",
+        "theta": {"kind": "min_power", "alpha": 1.0},
+        "potential": {"kind": "kuramoto", "kappa": 1.0}, "rho0": [0.5, 0.3, 0.2],
+    }
+    doc = _config(s0=(0.1, 0.2, 0.3), integrator={"dt": 0.1}, stop_on_sync=True,
+                  fits=("log_gap",), power_fit=True, dichotomy_tol=1e-3, expect={}).to_dict()
+    assert doc["s0"] == [0.1, 0.2, 0.3] and doc["fits"] == ["log_gap"]
+    assert doc["integrator"] == {"dt": 0.1} and doc["expect"] == {}
+    assert doc["stop_on_sync"] is doc["power_fit"] is True and doc["dichotomy_tol"] == 1e-3
+    assert ExperimentConfig.from_dict(doc) == _config(**doc)
+
+
+def test_resolve_spec_leaves_checks_to_the_spec():
+    spec = _resolve_spec({"dt": 0.1, "t_final": 2, "record_every": 3.0})
+    assert spec == experiments.IntegratorSpec(dt=0.1, t_final=2.0, record_every=3)
+    assert _resolve_spec({}) == experiments.IntegratorSpec()
+    for bad in ({"record_every": 2.7}, {"dt": "0.1"}, {"dt_max": 0.1}):
+        with pytest.raises(DomainError):
+            _resolve_spec(bad)
+
+
+def test_run_resolves_its_graph_once(tmp_path, monkeypatch):
+    doc = {"n": 3, "edges": [[1, 2, 1.0], [2, 3, 1.0], [1, 3, 1.0]]}
+    calls = []
+    load = experiments.load_graph
+    monkeypatch.setattr(experiments, "load_graph", lambda spec: calls.append(spec) or load(spec))
+    kwargs = dict(integrator={"dt": 0.01, "t_final": 1.0, "record_every": 10}, dichotomy_tol=1e-3)
+    from_doc = run_experiment(_config(name="doc", graph=doc, **kwargs), tmp_path)
+    named = run_experiment(_config(name="named", graph="complete(3)", **kwargs), tmp_path)
+    assert calls == [doc, "complete(3)"]
+    assert {k: v for k, v in from_doc.items() if k not in ("name", "config")} == {
+        k: v for k, v in named.items() if k not in ("name", "config")}
+    assert (tmp_path / "doc" / "trajectory.csv").read_bytes() == (
+        tmp_path / "named" / "trajectory.csv").read_bytes()
+    with pytest.raises(GraphConstructionError):
+        run_experiment(_config(graph={"n": 3}), tmp_path)

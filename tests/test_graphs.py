@@ -74,6 +74,10 @@ def test_complete_graph_edge_counts(n, m):
 def test_complete_graph_needs_two_vertices():
     with pytest.raises(GraphConstructionError):
         gs.complete_graph(1)
+    for bad in (None, 2.5, "3", math.nan):
+        with pytest.raises(GraphConstructionError):
+            gs.complete_graph(bad)
+    assert gs.complete_graph(3.0) == gs.complete_graph(3)
 
 
 def test_named_graphs_topology():

@@ -59,8 +59,9 @@ def test_integrate_deterministic_bit_identical():
 def test_record_points_and_final_state():
     spec = gs.IntegratorSpec(dt=0.1, t_final=1.05, record_every=3)
     traj = gs.integrate(lambda y: np.zeros_like(y), [1.0], spec)
-    # ceil(1.05/0.1) = 11 steps; records at 0, 3, 6, 9 steps plus the final 11th
-    np.testing.assert_allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.1])
+    # ceil(1.05/0.1) = 11 steps, the 11th shortened to end at t_final;
+    # records at 0, 3, 6, 9 steps plus the final 11th
+    np.testing.assert_allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.05])
     assert np.all(np.diff(traj.times) > 0)
 
 
@@ -101,11 +102,44 @@ def test_non_finite_state_carries_partial_trajectory():
         {"dt": math.nan},
         {"t_final": math.nan},
         {"t_final": math.inf},
+        {"record_every": 2.5},
+        {"record_every": math.inf},
+        {"record_every": "2"},
+        {"dt": "0.1"},
+        {"t_final": None},
     ],
 )
 def test_spec_validation(kwargs):
     with pytest.raises(DomainError):
         gs.IntegratorSpec(**kwargs)
+
+
+def test_spec_takes_integral_numbers():
+    spec = gs.IntegratorSpec(dt=1, t_final=np.float64(4.0), record_every=3.0)
+    values = (spec.dt, spec.t_final, spec.record_every)
+    assert values == (1.0, 4.0, 3)
+    assert [type(v) for v in values] == [float, float, int]
+
+
+def test_run_ends_exactly_at_t_final():
+    # 0.3 does not divide 1.0: three full steps and a last one of 0.1.
+    spec = gs.IntegratorSpec(scheme="euler", dt=0.3, t_final=1.0)
+    traj = gs.integrate(lambda y: np.ones_like(y), [0.0], spec)
+    assert traj.times.tolist() == [0.0, 0.3, 0.6, 0.8999999999999999, 1.0]
+    assert traj.final_time == 1.0
+    assert traj.final_state[0] == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("dt, t_final", [(0.01, 1.0), (1e-3, 0.35), (0.1, 0.3), (5e-3, 7.5)])
+def test_whole_step_horizons_keep_their_steps(dt, t_final):
+    # t_final / dt within 1e-12 of an integer: every step is dt and record k lands at k * dt.
+    spec = gs.IntegratorSpec(scheme="euler", dt=dt, t_final=t_final)
+    steps = []
+    gs.integrate(lambda y: steps.append(None) or np.ones_like(y), [0.0], spec)
+    traj = gs.integrate(lambda y: np.ones_like(y), [0.0], spec)
+    assert len(steps) == spec.n_steps
+    assert traj.times.tolist() == [k * dt for k in range(spec.n_steps + 1)]
+    assert spec.final_step == (dt, spec.n_steps * dt)
 
 
 def test_project_simplex_clip():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,28 @@ def test_reduced_methods_share_one_guard(pot, method):
             fn(np.array([0.5, bad]))
 
 
+@pytest.mark.parametrize(
+    "pot", ENTROPY_POTENTIALS + [gs.RenyiPotential(alpha=2.5), gs.TsallisPotential(q=2.5)], ids=repr
+)
+@pytest.mark.parametrize("method", ["value_r", "grad_r", "hess_r"])
+def test_tolerance_band_gives_the_boundary_value(pot, method):
+    # r just outside [0, 1], inside the guard's tolerance, is the boundary
+    # itself: the same value, or the same singularity, and no warning.
+    fn = getattr(pot, method)
+    band = np.array([-1e-10, 1.0 + 1e-10])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ends = fn(np.array([0.0, 1.0]))
+        except BoundarySingularityError:
+            for r in (band, band[0], band[1]):
+                with pytest.raises(BoundarySingularityError):
+                    fn(r)
+            return
+        np.testing.assert_array_equal(fn(band), ends)
+        assert [fn(band[0]), fn(band[1])] == ends.tolist()
+
+
 def test_entropy_needs_two_nodes():
     with pytest.raises(DimensionError):
         gs.ShannonPotential().value([0.5, 0.3, 0.2])
@@ -149,6 +172,8 @@ def test_potential_from_config():
         {"kind": "renyi"},
         {"kind": "tsallis", "q": "two"},
         {"kind": "kuramoto", "kappa": None},
+        {"kind": ["kuramoto"]},
     ):
         with pytest.raises(DomainError):
             gs.potential_from_config(doc)
+    assert gs.potential_from_config({"kind": "kuramoto"}) == gs.KuramotoQuadratic(1.0)

@@ -144,6 +144,14 @@ def test_rule_from_config():
     assert ent.theta_r(0.6) == pytest.approx(0.25)
     with pytest.raises(DomainError):
         gs.rule_from_config({"kind": "geometric_mean"})
+    for bad in (
+        {"kind": "min_power", "alpha": "x"},
+        {"kind": "min_power", "alpha": None},
+        {"kind": "entropy_induced"},
+        {"kind": "entropy_induced", "potential": "tsallis"},
+    ):
+        with pytest.raises(DomainError):
+            gs.rule_from_config(bad)
 
 
 KERNEL_RULES = [gs.MinPower(0.5), gs.MinPower(1.0), gs.MinPower(2.0), gs.MinPower(3.0), gs.ArithmeticMean()]
