@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -79,10 +79,16 @@ class ExperimentConfig:
         object.__setattr__(self, "fits", tuple(self.fits))
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentConfig":
+    def from_dict(cls, doc: Mapping) -> "ExperimentConfig":
+        if not isinstance(doc, Mapping):
+            raise DomainError(f"a config must be a mapping, got {doc!r}")
         unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
+        missing = [f.name for f in fields(cls)
+                   if f.default is MISSING and f.default_factory is MISSING and f.name not in doc]
+        if missing:
+            raise DomainError(f"missing config keys: {missing}")
         return cls(**doc)
 
     def to_dict(self) -> dict:

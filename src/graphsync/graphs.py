@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import os
 import re
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -208,10 +209,13 @@ def load_graph(spec) -> Graph:
     """Resolve a graph from a graph document (a dict), a registry name or a JSON file path."""
     if isinstance(spec, Mapping):
         return graph_from_json(spec)
-    try:
-        return named_graph(spec)
-    except UnknownGraphNameError:
-        pass
+    if isinstance(spec, str):
+        try:
+            return named_graph(spec)
+        except UnknownGraphNameError:
+            pass
+    elif not isinstance(spec, os.PathLike):
+        raise UnknownGraphNameError(f"a graph is a document, a name or a file path, got {spec!r}")
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             return graph_from_json(fh.read())

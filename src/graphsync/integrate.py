@@ -165,7 +165,7 @@ def integrate(
     for k in range(1, n_steps + 1):
         dt, t = (spec.dt, k * spec.dt) if k < n_steps else last
         y = step(rhs, y, dt)
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise NonFiniteStateError(
                 f"non-finite state at t={t:.6g}", trajectory=package("nonfinite")
             )

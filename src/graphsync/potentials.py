@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -213,6 +214,13 @@ def quadratic_kappa(potential) -> float:
     return potential.kappa
 
 
+def _config_kind(doc: Mapping, owner: str):
+    """The ``kind`` of a config document; a document that is no mapping is a DomainError."""
+    if not isinstance(doc, Mapping):
+        raise DomainError(f"a {owner} config must be a mapping, got {doc!r}")
+    return doc.get("kind")
+
+
 def _number(doc: dict, key: str, default=None, owner: str = "potential") -> float:
     """``doc[key]`` (or ``default``) as a float; anything else is a DomainError."""
     value = doc.get(key, default)
@@ -235,7 +243,7 @@ _KINDS = {
 
 def potential_from_config(doc: dict):
     """Build a potential from ``{"kind": ..., <parameter>: ...}`` configuration."""
-    kind = doc.get("kind")
+    kind = _config_kind(doc, "potential")
     if not isinstance(kind, str) or kind not in _KINDS:
         raise DomainError(f"unknown potential kind {kind!r}")
     cls, param = _KINDS[kind]

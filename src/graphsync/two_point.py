@@ -21,7 +21,14 @@ time-1 path between r0 and r1 is then
 its action has the closed form implemented in :func:`action`, and the
 induced squared-distance divergence is (x(r1) - x(r0))^2 / (2 sinh 1).
 
-Numerics: one array integrand, 1/sqrt(theta), serves every use of x.  x(r)
+Numerics: the reduced flow runs on Python floats.  Each run builds one
+kernel (r, S) -> (dr, dS) from the rule's float reduction theta_r, dtheta_r
+and a coupling kappa checked once; the integrator's field unpacks its state
+once per stage.  Squares are products (S * S), which overflow to inf where
+S ** 2 would raise, so blow-ups surface as NonFiniteStateError; an RK4 stage
+whose r is NaN gets a NaN slope for the same reason.
+
+One array integrand, 1/sqrt(theta), serves every use of x.  x(r)
 is adaptive Simpson quadrature from 1/2, with r clipped 1e-8 away from the
 density boundary.  The boundary-value path caches x on 1025 nodes around 1/2
 from one quadrature call over all node-to-node panels, interpolates between
@@ -31,6 +38,7 @@ with the integrand as slope.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -84,10 +92,24 @@ class RateClass:
             raise DomainError("power must be positive")
 
 
-def _reduced_potential(kappa_or_potential):
-    if isinstance(kappa_or_potential, (int, float)):
-        return KuramotoQuadratic(kappa=float(kappa_or_potential))
-    return kappa_or_potential
+def _quadratic_rhs(rule, kappa: float) -> Callable[[float, float], tuple[float, float]]:
+    """The float kernel (r, S) -> (dr, dS) for coupling kappa.
+
+    kappa is checked once, here, by the quadratic potential; F'(r) is then
+    -kappa (2r - 1) and F'' is -2 kappa.
+    """
+    kappa = KuramotoQuadratic(kappa=float(kappa)).kappa
+    fpp = -2.0 * kappa
+    theta_r, dtheta_r = rule.theta_r, rule.dtheta_r
+
+    def rhs(r: float, S: float) -> tuple[float, float]:
+        th, thp = theta_r(r), dtheta_r(r)
+        if not math.isfinite(thp):
+            raise DegenerateDerivativeError(f"d theta/dr infinite at r={r}")
+        fp = -kappa * (2.0 * r - 1.0)
+        return S * th, th * fp * fpp + 0.5 * thp * (fp * fp - S * S)
+
+    return rhs
 
 
 def rhs_two_point(rule, kappa: float, state: TwoPointState) -> tuple[float, float]:
@@ -96,24 +118,16 @@ def rhs_two_point(rule, kappa: float, state: TwoPointState) -> tuple[float, floa
     Matches the full two-vertex graph dynamics exactly, and keeps
     H = (theta/2)(S^2 - kappa^2 (2r - 1)^2) constant along solutions.
     """
-    pot = KuramotoQuadratic(kappa=float(kappa))
-    th = float(rule.theta_r(state.r))
-    thp = float(rule.dtheta_r(state.r))
-    if not math.isfinite(thp):
-        raise DegenerateDerivativeError(f"d theta/dr infinite at r={state.r}")
-    fp = pot.grad_r(state.r)
-    fpp = pot.hess_r(state.r)
-    dr = state.S * th
-    dS = th * fp * fpp + 0.5 * thp * (fp * fp - state.S * state.S)
-    return dr, dS
+    return _quadratic_rhs(rule, kappa)(state.r, state.S)
 
 
 def hamiltonian_two_point(rule, kappa_or_potential, state: TwoPointState) -> float:
-    """H = (theta/2) (S^2 - F'(r)^2); a float is read as the coupling kappa."""
-    pot = _reduced_potential(kappa_or_potential)
-    th = float(rule.theta_r(state.r))
-    fp = float(pot.grad_r(state.r))
-    return 0.5 * th * (state.S**2 - fp**2)
+    """H = (theta/2) (S^2 - F'(r)^2); a number is read as the coupling kappa."""
+    if isinstance(kappa_or_potential, numbers.Real):
+        fp = -KuramotoQuadratic(kappa=float(kappa_or_potential)).kappa * (2.0 * state.r - 1.0)
+    else:
+        fp = kappa_or_potential.grad_r(state.r)
+    return 0.5 * rule.theta_r(state.r) * (state.S * state.S - fp * fp)
 
 
 def simulate_two_point(
@@ -129,28 +143,29 @@ def simulate_two_point(
     used by the rate-fitting helpers is 1 - r.  Runs that push S to
     infinity in finite time surface as NonFiniteStateError.
     """
+    rhs = _quadratic_rhs(rule, kappa)
 
     def field(y: np.ndarray) -> np.ndarray:
-        # Blow-up regimes overflow on purpose; the integrator reports them
-        # as NonFiniteStateError, so the noise is suppressed here.
-        with np.errstate(over="ignore", invalid="ignore"):
-            dr, dS = rhs_two_point(rule, kappa, TwoPointState(r=_clip01(y[0]), S=y[1]))
-        return np.array([dr, dS])
+        r, S = y.tolist()
+        if math.isnan(r):
+            # An RK4 stage past a blow-up: a non-finite slope makes integrate
+            # stop with NonFiniteStateError and the partial trajectory.
+            return np.full(2, math.nan)
+        return np.array(rhs(_clip01(r), S))
 
     def hit_boundary(y: np.ndarray) -> bool:
         return min(y[0], 1.0 - y[0]) <= boundary_tol
 
-    observers = {
-        "hamiltonian": lambda y: hamiltonian_two_point(
-            rule, kappa, TwoPointState(r=_clip01(y[0]), S=y[1])
-        )
-    }
-    return integrate(field, [state0.r, state0.S], spec, observers,
+    def energy(y: np.ndarray) -> float:
+        r, S = y.tolist()
+        return hamiltonian_two_point(rule, kappa, TwoPointState(_clip01(r), S))
+
+    return integrate(field, [state0.r, state0.S], spec, {"hamiltonian": energy},
                      stop_when=hit_boundary, n_density=1)
 
 
 def _clip01(r: float) -> float:
-    return min(max(float(r), 0.0), 1.0)
+    return min(max(r, 0.0), 1.0)
 
 
 def rate_class(alpha: float, H0: float) -> RateClass:

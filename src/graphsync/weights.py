@@ -21,12 +21,13 @@ giving theta and d theta/da under the same conventions as ``theta`` and
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .potentials import _number, potential_from_config
+from .potentials import _config_kind, _number, potential_from_config
 
 _PAIR_SUM_TOL = 1e-9
 
@@ -39,6 +40,16 @@ def _pair(a, b):
 
 def _maybe_scalar(x, scalar: bool):
     return float(x) if scalar else x
+
+
+def _power(m: float, e: float) -> float:
+    """m**e on floats; at e = 2 and 1/2 the correctly rounded m * m and sqrt(m)
+    that numpy's power gives, where libm's pow can be 1 ulp off."""
+    if e == 2.0:
+        return m * m
+    if e == 0.5:
+        return math.sqrt(m)
+    return m**e
 
 
 def _tie_share(d: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -82,12 +93,7 @@ class MinPower:
         return _maybe_scalar(out, out.ndim == 0)
 
     def partials(self, a, b):
-        a, b = _pair(a, b)
-        d = self._slope(np.minimum(a, b))
-        da, db = _tie_share(d, a, b), _tie_share(d, b, a)
-        if da.ndim == 0:
-            return float(da), float(db)
-        return da, db
+        return self.theta_and_slope(a, b)[1], self.theta_and_slope(b, a)[1]
 
     def theta_and_slope(self, a, b):
         """(theta(a, b), d theta/da) from a single min pass."""
@@ -98,15 +104,26 @@ class MinPower:
             return float(th), float(da)
         return th, da
 
-    # Two-node reduction: theta as a function of r with b = 1 - r.
-    def theta_r(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.theta(r, 1.0 - r)
+    # Two-node reduction, b = 1 - r, on Python floats: the scalar flow calls
+    # these once per stage, where numpy's per-call overhead would dominate.
+    def theta_r(self, r: float) -> float:
+        m = min(r, 1.0 - r)
+        return _power(m, self.alpha) if m > 0.0 else 0.0
 
-    def dtheta_r(self, r):
-        da, db = self.partials(r, 1.0 - np.asarray(r, dtype=float))
-        out = np.asarray(da) - np.asarray(db)
-        return _maybe_scalar(out, np.ndim(r) == 0)
+    def dtheta_r(self, r: float) -> float:
+        """theta'(r): the slope of min(r, 1 - r)**alpha, 0 on the tie r = 1/2.
+
+        For alpha < 1 it is +inf at r = 0 and -inf at r = 1, as ``partials`` gives.
+        """
+        b = 1.0 - r
+        if r == b:
+            return 0.0
+        m = min(r, b)
+        try:
+            d = self.alpha * _power(m, self.alpha - 1.0) if m >= 0.0 else 0.0
+        except (ZeroDivisionError, OverflowError):  # 0.0 ** -x, or a tiny m for a small alpha
+            d = math.inf
+        return d if r < b else 0.0 - d  # not -d: +0.0 at r = 1, as da - db gives
 
 
 @dataclass(frozen=True)
@@ -119,25 +136,18 @@ class ArithmeticMean:
         return _maybe_scalar(out, out.ndim == 0)
 
     def partials(self, a, b):
-        a, b = _pair(a, b)
-        scalar = a.ndim == 0 and b.ndim == 0
-        a, b = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b))
-        half = np.full(a.shape, 0.5)
-        if scalar:
-            return 0.5, 0.5
-        return half, half.copy()
+        th, d = self.theta_and_slope(a, b)
+        return d, (d if np.ndim(th) == 0 else d.copy())
 
     def theta_and_slope(self, a, b):
         th = self.theta(a, b)
         return th, (0.5 if np.ndim(th) == 0 else np.full(th.shape, 0.5))
 
-    def theta_r(self, r):
-        out = np.full_like(np.asarray(r, dtype=float), 0.5)
-        return _maybe_scalar(out, np.ndim(r) == 0)
+    def theta_r(self, r: float) -> float:
+        return 0.5
 
-    def dtheta_r(self, r):
-        out = np.zeros_like(np.asarray(r, dtype=float))
-        return _maybe_scalar(out, np.ndim(r) == 0)
+    def dtheta_r(self, r: float) -> float:
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -250,7 +260,7 @@ def validate_rule(rule, grid_resolution: int = 100) -> RuleValidationReport:
 
 def rule_from_config(doc: dict):
     """Build a weight rule from ``{"kind": ..., ...}`` configuration."""
-    kind = doc.get("kind")
+    kind = _config_kind(doc, "weight rule")
     if kind == "min_power":
         return MinPower(alpha=_number(doc, "alpha", MinPower.alpha, owner="weight rule"))
     if kind == "arithmetic_mean":

@@ -33,6 +33,10 @@ def test_unknown_config_keys_rejected():
         ExperimentConfig.from_dict({"name": "x", "dynamics": "first", "graph": "cycle6",
                                     "theta": {}, "potential": {}, "rho0": [0.5, 0.5],
                                     "surprise": 1})
+    # Missing required keys, and documents that are no mapping.
+    for doc in ({"name": "x"}, None, [], "ex4.2"):
+        with pytest.raises(DomainError):
+            ExperimentConfig.from_dict(doc)
 
 
 def test_is_synchronised():

@@ -130,12 +130,16 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(g.to_json())
     assert gs.load_graph(str(path)) == g
+    assert gs.load_graph(path) == g
 
 
 def test_load_graph_by_name_and_bad_spec():
     assert gs.load_graph("cycle6") == gs.named_graph("cycle6")
     with pytest.raises(UnknownGraphNameError):
         gs.load_graph("no-such-thing")
+    for bad in (5, None, 2.5, ["cycle6"]):
+        with pytest.raises(UnknownGraphNameError):
+            gs.load_graph(bad)
 
 
 def test_graph_is_immutable():

@@ -173,6 +173,8 @@ def test_potential_from_config():
         {"kind": "tsallis", "q": "two"},
         {"kind": "kuramoto", "kappa": None},
         {"kind": ["kuramoto"]},
+        None,
+        "kuramoto",
     ):
         with pytest.raises(DomainError):
             gs.potential_from_config(doc)

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphsync as gs
 from graphsync.errors import (
+    DegenerateDerivativeError,
     DomainError,
     InversionRangeError,
     NonFiniteStateError,
@@ -50,6 +53,10 @@ def test_hamiltonian_two_point_values():
     assert gs.hamiltonian_two_point(
         gs.MinPower(1.0), 1.0, gs.TwoPointState(0.7, 1.0)
     ) == pytest.approx(0.126)
+    # any real number is a coupling, numpy's included
+    assert gs.hamiltonian_two_point(
+        gs.MinPower(1.0), np.int64(1), gs.TwoPointState(0.7, 1.0)
+    ) == pytest.approx(0.126)
     # the zero-energy branch: S = kappa (2r - 1)
     for r in [0.3, 0.6, 0.9]:
         st = gs.TwoPointState(r, 1.0 * (2 * r - 1))
@@ -59,6 +66,83 @@ def test_hamiltonian_two_point_values():
     st = gs.TwoPointState(0.6, 0.5)
     want = 0.5 * gs.MinPower(1.0).theta_r(0.6) * (0.25 - pot.grad_r(0.6) ** 2)
     assert gs.hamiltonian_two_point(gs.MinPower(1.0), pot, st) == pytest.approx(want)
+    # S * S overflows to inf on floats, where S ** 2 would raise OverflowError.
+    assert gs.hamiltonian_two_point(gs.MinPower(1.0), 1.0, gs.TwoPointState(0.9, 1e300)) == math.inf
+
+
+def _seed_two_point(rule, kappa, r, S):
+    """dr, dS and H by the numpy formulas the two-node flow first used, with
+    the scale each is rounded against.  Kept as the reference."""
+    pot = gs.KuramotoQuadratic(kappa)
+    a = np.array(r)
+    th = float(rule.theta(a, 1.0 - a))
+    da, db = rule.partials(a, 1.0 - a)
+    thp = float(da - db)
+    fp, fpp, S = pot.grad_r(r), pot.hess_r(r), np.float64(S)
+    with np.errstate(invalid="ignore"):  # dS is inf * 0 where theta' is infinite
+        values = (S * th, th * fp * fpp + 0.5 * thp * (fp * fp - S * S), 0.5 * th * (S**2 - fp**2))
+    scales = (abs(S * th), abs(th * fp * fpp) + abs(thp) * (fp * fp + S * S), th * (S * S + fp * fp))
+    return [float(v) for v in values], thp, scales
+
+
+TWO_NODE_RULES = [gs.MinPower(a) for a in (0.5, 1.0, 1.5, 2.0, 3.0)] + [gs.ArithmeticMean()]
+
+
+@pytest.mark.parametrize("rule", TWO_NODE_RULES, ids=repr)
+@settings(max_examples=100)
+@given(
+    r=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0])),
+    S=st.floats(-5.0, 5.0),
+    kappa=st.floats(0.1, 10.0),
+)
+def test_rhs_and_hamiltonian_match_the_seed_formulas(rule, r, S, kappa):
+    want, thp, scales = _seed_two_point(rule, kappa, r, S)
+    state = gs.TwoPointState(r, S)
+    H = gs.hamiltonian_two_point(rule, kappa, state)
+    if math.isfinite(thp):
+        got = [*gs.rhs_two_point(rule, kappa, state), H]
+        if isinstance(rule, gs.ArithmeticMean) or rule.alpha == 1.0:
+            assert got[:2] == want[:2]
+    else:
+        with pytest.raises(DegenerateDerivativeError):
+            gs.rhs_two_point(rule, kappa, state)
+        got, want, scales = [H], want[2:], scales[2:]
+    # theta and theta' agree within 1 ulp, so each result lies within a few
+    # ulps of its scale; alpha = 1 and the arithmetic mean use no power.
+    for g, w, scale in zip(got, want, scales):
+        assert abs(g - w) <= 4 * np.finfo(float).eps * scale, (g, w)
+
+
+class _CountingRule:
+    def __init__(self, rule):
+        self.rule, self.calls = rule, 0
+
+    def theta_r(self, r):
+        self.calls += 1
+        return self.rule.theta_r(r)
+
+    def dtheta_r(self, r):
+        self.calls += 1
+        return self.rule.dtheta_r(r)
+
+
+@pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan])
+def test_bad_coupling_refused_before_any_step(kappa):
+    rule = _CountingRule(gs.MinPower(2.0))
+    state = gs.TwoPointState(0.55, 2.0)
+    with pytest.raises(DomainError):
+        gs.simulate_two_point(rule, kappa, state, gs.IntegratorSpec(dt=0.1, t_final=1.0))
+    for fn in (gs.rhs_two_point, gs.hamiltonian_two_point):
+        with pytest.raises(DomainError):
+            fn(rule, kappa, state)
+    assert rule.calls == 0
+
+
+@pytest.mark.parametrize("alpha, r", [(0.5, 0.0), (0.5, 1.0), (1e-3, 5e-324), (1e-3, 1.0)])
+def test_shallow_weight_slope_at_zero_mass_is_degenerate(alpha, r):
+    # 0.0 ** -0.5 and 5e-324 ** -0.999 raise on floats; the slope reads inf.
+    with pytest.raises(DegenerateDerivativeError):
+        gs.rhs_two_point(gs.MinPower(alpha), 1.0, gs.TwoPointState(r, 1.0))
 
 
 def test_rate_class_branches():
@@ -124,6 +208,7 @@ def test_fitted_families_flip_at_zero_energy():
     assert -fit.slope == pytest.approx(gs.rate_class(2.0, H0).rate, rel=0.05)
 
 
+@pytest.mark.filterwarnings("error")
 def test_blow_up_for_shallow_weight_with_positive_energy():
     spec = gs.IntegratorSpec(dt=1e-4, t_final=50.0, record_every=100)
     try:
@@ -132,6 +217,52 @@ def test_blow_up_for_shallow_weight_with_positive_energy():
         assert traj.final_time < 50.0
     except NonFiniteStateError as exc:
         assert exc.trajectory.final_time < 50.0
+
+
+class _NanCarryingSlope:
+    """MinPower(1.0) whose slope at r = NaN is NaN, as numpy arithmetic would give."""
+
+    rule = gs.MinPower(1.0)
+
+    def theta_r(self, r):
+        return self.rule.theta_r(r)
+
+    def dtheta_r(self, r):
+        return self.rule.dtheta_r(r) + 0.0 * r
+
+
+@pytest.mark.parametrize("rule", [gs.MinPower(1.0), _NanCarryingSlope()], ids=type)
+def test_alpha1_blow_up_stops_with_the_partial_trajectory(rule):
+    # An RK4 stage of this run turns r into NaN; the field answers with a
+    # non-finite slope before any rule sees it, so integrate stops and
+    # keeps what it recorded.
+    spec = gs.IntegratorSpec(dt=1e-3, t_final=5.0, record_every=10)
+    state = gs.TwoPointState(0.551123195510678, 1.9480270656605552)
+    with pytest.raises(NonFiniteStateError) as info:
+        gs.simulate_two_point(rule, 1.0, state, spec)
+    traj = info.value.trajectory
+    assert traj.stop_reason == "nonfinite"
+    assert 0.5 < traj.final_time < 5.0
+    assert np.all(np.isfinite(traj.states)) and np.all(np.isfinite(traj.diagnostics["hamiltonian"]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dt", [1e-3, 1e-4])
+def test_alpha1_blow_ups_end_at_the_boundary_or_as_nonfinite_states(dt):
+    # Starts around criterion 12's (0.55, 2.0): each run either reaches the
+    # boundary or blows up, and neither way warns.
+    rng = np.random.default_rng(5)
+    spec = gs.IntegratorSpec(dt=dt, t_final=5.0, record_every=10)
+    for _ in range(30):
+        state = gs.TwoPointState(rng.uniform(0.54, 0.56), rng.uniform(1.9, 2.1))
+        try:
+            traj = gs.simulate_two_point(gs.MinPower(1.0), 1.0, state, spec)
+        except NonFiniteStateError as exc:
+            traj = exc.trajectory
+            assert traj.stop_reason == "nonfinite"
+        else:
+            assert traj.stop_reason == "stop_condition"
+        assert traj.final_time < 5.0
 
 
 # ---------------------------------------------------------------------------
