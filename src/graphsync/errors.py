@@ -2,7 +2,13 @@
 
 
 class GraphSyncError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    An error raised inside ``integrate``'s loop carries the trajectory
+    recorded up to the failure in ``trajectory``; elsewhere it is ``None``.
+    """
+
+    trajectory = None
 
 
 class GraphConstructionError(GraphSyncError, ValueError):
@@ -50,11 +56,7 @@ class SimplexViolationError(GraphSyncError, ValueError):
 
 
 class NonFiniteStateError(GraphSyncError, ArithmeticError):
-    """NaN or infinity produced during time integration.
-
-    Carries the trajectory recorded up to the failing step in
-    ``trajectory`` (may be ``None`` for direct evaluations).
-    """
+    """NaN or infinity produced during time integration."""
 
     def __init__(self, message, trajectory=None):
         super().__init__(message)

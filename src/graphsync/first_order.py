@@ -42,13 +42,11 @@ def density_state(rho, tol: float = 1e-9) -> np.ndarray:
 
 
 def first_order_field(graph: Graph, rule, kappa: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Prebuilt vector field rho -> d rho/dt for repeated evaluation."""
-    tail, head, w, scatter = graph.tail, graph.head, graph.pair_weight, graph.scatter
+    """Prebuilt vector field rho -> d rho/dt; the edge terms come from ``Graph``."""
+    coupling, diff, scatter = graph.coupling, graph.diff, graph.scatter
 
     def field(rho: np.ndarray) -> np.ndarray:
-        # One gather serves both theta and the edge difference.
-        rt, rh = rho[tail], rho[head]
-        return kappa * scatter(w * rule.theta(rt, rh) * (rt - rh))
+        return kappa * scatter(coupling(rule, rho) * diff(rho))
 
     return field
 

@@ -6,9 +6,12 @@ once, as a row i < j of the read-only ``edges`` array with one nonnegative
 weight in ``weights``, so weight symmetry holds by construction.  Sums over
 ordered vertex pairs are realised by iterating every unordered edge in both
 directions through the precomputed ``tail``/``head`` index arrays (0-based,
-aligned with density vectors).  ``diff`` and ``scatter`` own that
-ordered-edge convention: the flows take edge differences x_tail - x_head with
-one and sum edge values onto their tail vertices with the other.
+aligned with density vectors) and the doubled weights ``pair_weight``.  Four
+methods are the only readers of those arrays, so the flows and H never see
+how edges are stored: ``coupling(rule, x)`` gives omega * theta(x_tail, x_head)
+per ordered edge, ``coupling_and_slope(rule, x)`` adds omega * d theta/d x_tail
+from the same gather and one ``rule.theta_and_slope`` call, ``diff(x)`` gives
+x_tail - x_head and ``scatter(v)`` sums edge values onto their tail vertices.
 """
 from __future__ import annotations
 
@@ -69,6 +72,7 @@ class Graph:
     tail: np.ndarray = field(init=False, repr=False)
     head: np.ndarray = field(init=False, repr=False)
     pair_weight: np.ndarray = field(init=False, repr=False)
+    _unit_weights: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", _vertex_count(self.n))
@@ -106,6 +110,7 @@ class Graph:
         object.__setattr__(self, "tail", np.concatenate([src, dst]))
         object.__setattr__(self, "head", np.concatenate([dst, src]))
         object.__setattr__(self, "pair_weight", np.concatenate([w, w]))
+        object.__setattr__(self, "_unit_weights", bool(np.all(w == 1.0)))
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -117,6 +122,20 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
+
+    # On unit weights both methods return the rule's arrays as they are: the
+    # product by 1 is exact, and skipping it keeps the fields' cost unchanged.
+    def coupling(self, rule, x: np.ndarray) -> np.ndarray:
+        """omega * theta(x[tail], x[head]) along every ordered edge."""
+        th = rule.theta(x[self.tail], x[self.head])
+        return th if self._unit_weights else self.pair_weight * th
+
+    def coupling_and_slope(self, rule, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """omega * theta and omega * d theta/d x_tail along every ordered edge."""
+        th, slope = rule.theta_and_slope(x[self.tail], x[self.head])
+        if self._unit_weights:
+            return th, slope
+        return self.pair_weight * th, self.pair_weight * slope
 
     def diff(self, x: np.ndarray) -> np.ndarray:
         """x[tail] - x[head] along every ordered edge."""

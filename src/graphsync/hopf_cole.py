@@ -31,12 +31,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConsistencyError, DimensionError
+from .errors import ConsistencyError, DimensionError, DomainError
 from .first_order import density_state
 from .graphs import Graph
 from .integrate import IntegratorSpec, Trajectory, integrate
 from .potentials import quadratic_kappa
-from .second_order import PhaseState
+from .second_order import PhaseState, require_finite_slope
 
 #: Consistency tolerances: defining relation, and carried-vs-recovered rho.
 RELATION_TOL = 1e-6
@@ -57,6 +57,8 @@ class HopfColeState:
         object.__setattr__(self, "xi_star", np.asarray(self.xi_star, dtype=float))
         if not (self.rho.shape == self.xi.shape == self.xi_star.shape):
             raise DimensionError("rho, xi, xi_star must share one shape")
+        if not np.isfinite(self.as_vector()).all():
+            raise DomainError("rho, xi and xi_star must be finite")
 
     @property
     def n(self) -> int:
@@ -97,18 +99,16 @@ def from_hopf_cole(hc: HopfColeState, potential, tol: float = RELATION_TOL) -> P
 
 
 def hopf_cole_field(graph: Graph, rule, potential) -> Callable[[np.ndarray], np.ndarray]:
-    """Prebuilt packed field y = (rho, xi, xi_star) -> derivatives."""
+    """Prebuilt packed field y = (rho, xi, xi_star) -> derivatives, edge terms from ``Graph``."""
     kappa = quadratic_kappa(potential)
-    tail, head, w, n = graph.tail, graph.head, graph.pair_weight, graph.n
-    diff, scatter = graph.diff, graph.scatter
+    n, diff, scatter = graph.n, graph.diff, graph.scatter
 
     def field(y: np.ndarray) -> np.ndarray:
         rho, xi, xs = y[:n], y[n : 2 * n], y[2 * n :]
-        th, dth_tail = rule.theta_and_slope(rho[tail], rho[head])
-        wth = w * th
+        wth, wdth = graph.coupling_and_slope(rule, rho)
         dxi, dxs = diff(xi), diff(xs)
         drho = scatter(wth * diff(xi - xs))
-        cross = scatter(w * dxs * dxi * dth_tail)
+        cross = scatter(dxs * dxi * wdth)
         return np.concatenate([
             drho,
             cross - kappa * scatter(wth * dxi),
@@ -122,6 +122,7 @@ def rhs_hopf_cole(graph: Graph, rule, potential, hc: HopfColeState):
     """Time derivatives (d rho, d xi, d xi_star)."""
     if hc.n != graph.n:
         raise DimensionError(f"state size {hc.n} != vertex count {graph.n}")
+    require_finite_slope(graph, rule, hc.rho)
     dy = hopf_cole_field(graph, rule, potential)(hc.as_vector())
     n = graph.n
     return dy[:n], dy[n : 2 * n], dy[2 * n :]

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteStateError, SimplexViolationError
+from .errors import DomainError, GraphSyncError, NonFiniteStateError, SimplexViolationError
 
 Rhs = Callable[[np.ndarray], np.ndarray]
 
@@ -129,7 +129,10 @@ def integrate(
     clipping in the first-order flow).  ``stop_when`` is checked at record
     points; when it fires, recording stops and the trajectory is marked with
     ``stop_reason='stop_condition'``.  A NaN or infinity in the state raises
-    NonFiniteStateError carrying the partial trajectory.
+    NonFiniteStateError.  A GraphSyncError raised in the loop (by the step,
+    ``post_step``, an observer or ``stop_when``) carries the trajectory so
+    far; its stop_reason is ``'nonfinite'`` for a NonFiniteStateError and
+    the error's class name otherwise.
     """
     observers = dict(observers or {})
     step = _STEPPERS[spec.scheme]
@@ -143,38 +146,44 @@ def integrate(
     diag: dict[str, list[float]] = {name: [] for name in observers}
 
     def record(t: float, state: np.ndarray) -> None:
+        # Observers run first, so a failing one leaves no half-written record.
+        values = [float(fn(state)) for fn in observers.values()]
         times.append(t)
         states.append(state.copy())
-        for name, fn in observers.items():
-            diag[name].append(float(fn(state)))
+        for series, value in zip(diag.values(), values):
+            series.append(value)
 
     def package(reason: str) -> Trajectory:
         return Trajectory(
             times=np.array(times),
-            states=np.array(states),
+            states=np.array(states).reshape(len(states), dim),
             diagnostics={k: np.array(v) for k, v in diag.items()},
             n_density=n_density,
             stop_reason=reason,
         )
 
-    record(0.0, y)
-    if stop_when is not None and stop_when(y):
-        return package("stop_condition")
+    try:
+        record(0.0, y)
+        if stop_when is not None and stop_when(y):
+            return package("stop_condition")
 
-    n_steps, last = spec.n_steps, spec.final_step
-    for k in range(1, n_steps + 1):
-        dt, t = (spec.dt, k * spec.dt) if k < n_steps else last
-        y = step(rhs, y, dt)
-        if not np.isfinite(y).all():
-            raise NonFiniteStateError(
-                f"non-finite state at t={t:.6g}", trajectory=package("nonfinite")
-            )
-        if post_step is not None:
-            y = post_step(y)
-        if k % spec.record_every == 0 or k == n_steps:
-            record(t, y)
-            if stop_when is not None and stop_when(y):
-                return package("stop_condition")
+        n_steps, last = spec.n_steps, spec.final_step
+        for k in range(1, n_steps + 1):
+            dt, t = (spec.dt, k * spec.dt) if k < n_steps else last
+            y = step(rhs, y, dt)
+            if not np.isfinite(y).all():
+                raise NonFiniteStateError(f"non-finite state at t={t:.6g}")
+            if post_step is not None:
+                y = post_step(y)
+            if k % spec.record_every == 0 or k == n_steps:
+                record(t, y)
+                if stop_when is not None and stop_when(y):
+                    return package("stop_condition")
+    except GraphSyncError as exc:
+        if exc.trajectory is None:
+            nonfinite = isinstance(exc, NonFiniteStateError)
+            exc.trajectory = package("nonfinite" if nonfinite else type(exc).__name__)
+        raise
     return package("t_final")
 
 

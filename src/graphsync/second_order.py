@@ -56,8 +56,8 @@ class PhaseState:
             raise DimensionError(
                 f"rho and S shapes differ: {self.rho.shape} vs {self.S.shape}"
             )
-        if not np.all(np.isfinite(self.S)):
-            raise DimensionError("S must be finite")
+        if not (np.isfinite(self.rho).all() and np.isfinite(self.S).all()):
+            raise DimensionError("rho and S must be finite")
 
     @property
     def n(self) -> int:
@@ -73,19 +73,17 @@ class PhaseState:
 
 
 def second_order_field(graph: Graph, rule, potential) -> Callable[[np.ndarray], np.ndarray]:
-    """Prebuilt packed field y = (rho, S) -> (d rho, d S)."""
+    """Prebuilt packed field y = (rho, S) -> (d rho, d S); the edge terms come from ``Graph``."""
     kappa = quadratic_kappa(potential)
-    tail, head, w, n = graph.tail, graph.head, graph.pair_weight, graph.n
-    diff, scatter = graph.diff, graph.scatter
+    n, diff, scatter = graph.n, graph.diff, graph.scatter
 
     def field(y: np.ndarray) -> np.ndarray:
         rho, S = y[:n], y[n:]
-        th, dth_tail = rule.theta_and_slope(rho[tail], rho[head])
-        wth = w * th
+        wth, wdth = graph.coupling_and_slope(rule, rho)
         dS_edge = diff(S)
         dg_edge = diff(potential.grad(rho))
         drho = scatter(wth * dS_edge)
-        kinetic = 0.5 * scatter(w * (dg_edge**2 - dS_edge**2) * dth_tail)
+        kinetic = 0.5 * scatter((dg_edge**2 - dS_edge**2) * wdth)
         dS = kinetic - kappa * scatter(wth * dg_edge)
         return np.concatenate([drho, dS])
 
@@ -96,22 +94,26 @@ def rhs_second_order(graph: Graph, rule, potential, state: PhaseState):
     """Time derivatives (d rho, d S); d rho components sum to zero."""
     if state.n != graph.n:
         raise DimensionError(f"state size {state.n} != vertex count {graph.n}")
-    _, dth = rule.theta_and_slope(state.rho[graph.tail], state.rho[graph.head])
-    if not np.all(np.isfinite(dth)):
-        raise DegenerateDerivativeError(
-            "weight derivative is infinite at a zero-density edge"
-        )
+    require_finite_slope(graph, rule, state.rho)
     dy = second_order_field(graph, rule, potential)(state.as_vector())
     return dy[: graph.n], dy[graph.n :]
 
 
+def require_finite_slope(graph: Graph, rule, rho) -> None:
+    """Refuse a density at which an edge's weight slope is infinite, as min**alpha's
+    is for alpha < 1 on an edge with a zero-density end."""
+    if not np.isfinite(graph.coupling_and_slope(rule, rho)[1]).all():
+        raise DegenerateDerivativeError(
+            "weight derivative is infinite at a zero-density edge"
+        )
+
+
 def hamiltonian(graph: Graph, rule, potential, state: PhaseState) -> float:
     """Conserved energy of the flow (ordered-pair sum with prefactor 1/4)."""
-    rho = state.rho
-    th = rule.theta(rho[graph.tail], rho[graph.head])
+    wth = graph.coupling(rule, state.rho)
     dS = graph.diff(state.S)
-    dg = graph.diff(potential.grad(rho))
-    return 0.25 * float(np.sum(graph.pair_weight * th * (dS**2 - dg**2)))
+    dg = graph.diff(potential.grad(state.rho))
+    return 0.25 * float(np.sum(wth * (dS**2 - dg**2)))
 
 
 def gradient_flow_init(rho0, potential, sign: int = +1) -> PhaseState:

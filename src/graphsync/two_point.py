@@ -73,6 +73,8 @@ class TwoPointState:
     def __post_init__(self):
         if not (0.0 <= self.r <= 1.0):
             raise DomainError(f"r must lie in [0, 1], got {self.r}")
+        if not math.isfinite(self.S):
+            raise DomainError(f"S must be finite, got {self.S}")
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,16 @@ def test_diff_and_scatter_follow_ordered_edges():
     np.testing.assert_array_equal(g.scatter(g.pair_weight * g.diff(x)), [-1.5, -8.5, 10.0])
 
 
+def test_coupling_methods_follow_ordered_edges():
+    g = gs.build_graph(3, [(1, 2, 0.5), (2, 3, 2.0)])
+    x = np.array([0.25, 0.5, 0.25])
+    # min(x_tail, x_head)**2 times the weight; the slope 2 min goes to the smaller end.
+    np.testing.assert_array_equal(g.coupling(gs.MinPower(2.0), x), [0.03125, 0.125, 0.03125, 0.125])
+    wth, wslope = g.coupling_and_slope(gs.MinPower(2.0), x)
+    np.testing.assert_array_equal(wth, [0.03125, 0.125, 0.03125, 0.125])
+    np.testing.assert_array_equal(wslope, [0.25, 0.0, 0.0, 1.0])
+
+
 def test_json_round_trip(tmp_path):
     g = gs.build_graph(3, [(1, 2, 0.5), (2, 3, 2.0)])
     doc = json.loads(g.to_json())

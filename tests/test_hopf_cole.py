@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import graphsync as gs
-from graphsync.errors import ConsistencyError
+from graphsync.errors import ConsistencyError, DomainError
 from conftest import random_interior_density
 
 
@@ -112,3 +112,12 @@ def test_initial_relation_enforced(kuramoto, min1):
     spec = gs.IntegratorSpec(dt=0.01, t_final=1.0)
     with pytest.raises(ConsistencyError):
         gs.simulate_hopf_cole(g, min1, kuramoto, bad, spec)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["rho", "xi", "xi_star"])
+def test_non_finite_entries_refused(field, bad):
+    parts = {"rho": [0.6, 0.4], "xi": [0.0, 0.0], "xi_star": [-0.6, -0.4]}
+    parts[field] = [parts[field][0], bad]
+    with pytest.raises(DomainError):
+        gs.HopfColeState(**parts)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import graphsync as gs
-from graphsync.errors import DomainError, NonFiniteStateError, SimplexViolationError
+from graphsync.errors import (
+    ConsistencyError,
+    DomainError,
+    GraphSyncError,
+    NonFiniteStateError,
+    SimplexViolationError,
+)
 
 
 def test_zero_field_constant_trajectory():
@@ -90,6 +96,63 @@ def test_non_finite_state_carries_partial_trajectory():
     partial = info.value.trajectory
     assert partial is not None and len(partial.times) >= 1
     assert partial.stop_reason == "nonfinite"
+
+
+def _fail_after(t_fail, error):
+    """A hook that raises ``error`` once the state (here, the time) passes t_fail."""
+
+    def hook(y):
+        if y[0] > t_fail:
+            raise error("failed in the loop")
+        return y
+
+    return hook
+
+
+# y = t, so each hook first fails on the state at t = 0.4: the step from it, or
+# before it is recorded (post_step, observer), or once it is (stop_when).
+@pytest.mark.parametrize(
+    "place, records", [("step", 5), ("post_step", 4), ("observer", 4), ("stop_when", 5)]
+)
+@pytest.mark.parametrize("error", [SimplexViolationError, ConsistencyError, NonFiniteStateError])
+def test_every_in_loop_error_carries_the_partial_trajectory(place, records, error):
+    hook = _fail_after(0.35, error)
+    kwargs = {
+        "step": {},
+        "post_step": {"post_step": hook},
+        "observer": {"observers": {"t": lambda y: float(hook(y)[0])}},
+        "stop_when": {"stop_when": lambda y: hook(y) is None},
+    }[place]
+    rhs = (lambda y: hook(y) * 0.0 + 1.0) if place == "step" else (lambda y: np.ones_like(y))
+    spec = gs.IntegratorSpec(scheme="euler", dt=0.1, t_final=1.0)
+    with pytest.raises(error) as info:
+        gs.integrate(rhs, [0.0], spec, **kwargs)
+    partial = info.value.trajectory
+    want = "nonfinite" if error is NonFiniteStateError else error.__name__
+    assert partial.stop_reason == want
+    np.testing.assert_allclose(partial.times, 0.1 * np.arange(records))
+    assert partial.states.shape == (records, 1)
+    assert all(len(v) == records for v in partial.diagnostics.values())
+
+
+def test_failure_at_the_first_record_leaves_an_empty_trajectory():
+    def observer(y):
+        raise ConsistencyError("bad start")
+
+    spec = gs.IntegratorSpec(dt=0.1, t_final=1.0)
+    with pytest.raises(ConsistencyError) as info:
+        gs.integrate(lambda y: y, [1.0, 2.0], spec, {"check": observer})
+    partial = info.value.trajectory
+    assert partial.states.shape == (0, 2) and len(partial.diagnostics["check"]) == 0
+
+
+def test_errors_carry_no_trajectory_outside_the_loop():
+    assert GraphSyncError("x").trajectory is None
+    assert NonFiniteStateError("x").trajectory is None
+    assert NonFiniteStateError("x", trajectory="t").trajectory == "t"
+    with pytest.raises(ZeroDivisionError) as info:  # not a package error: passed on untouched
+        gs.integrate(lambda y: 1 // 0, [1.0], gs.IntegratorSpec(dt=0.1, t_final=1.0))
+    assert not hasattr(info.value, "trajectory")
 
 
 @pytest.mark.parametrize(

@@ -112,6 +112,18 @@ def test_simplex_breach_raises(kuramoto, min1):
         gs.simulate_second_order(g, min1, kuramoto, st, spec)
 
 
+def test_simplex_breach_carries_the_partial_trajectory(kuramoto):
+    g, rule = gs.complete_graph(3), gs.MinPower(0.5)
+    st = gs.PhaseState(rho=[0.98, 0.01, 0.01], S=[5.0, -5.0, 0.0])
+    spec = gs.IntegratorSpec(dt=0.05, t_final=5.0)
+    with pytest.raises(SimplexViolationError) as info:
+        gs.simulate_second_order(g, rule, kuramoto, st, spec)
+    partial = info.value.trajectory
+    assert partial.stop_reason == "SimplexViolationError"
+    np.testing.assert_array_equal(partial.states, [st.as_vector()])
+    assert partial.diagnostics["hamiltonian"].tolist() == [gs.hamiltonian(g, rule, kuramoto, st)]
+
+
 def test_synchronisation_from_energetic_start(kuramoto, min2):
     g = gs.complete_graph(6)
     rho0 = np.array([0.3224, 0.2108, 0.1071, 0.0713, 0.2518, 0.0366])
@@ -129,3 +141,12 @@ def test_synchronisation_from_energetic_start(kuramoto, min2):
 def test_state_shape_validation():
     with pytest.raises(DimensionError):
         gs.PhaseState(rho=[0.5, 0.5], S=[1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["rho", "S"])
+def test_non_finite_entries_refused(field, bad):
+    parts = {"rho": [0.5, 0.5], "S": [0.1, -0.1]}
+    parts[field] = [parts[field][0], bad]
+    with pytest.raises(DimensionError):
+        gs.PhaseState(**parts)

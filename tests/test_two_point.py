@@ -452,3 +452,9 @@ def test_divergence_identity_and_symmetry():
 def test_two_point_state_validation():
     with pytest.raises(DomainError):
         gs.TwoPointState(1.2, 0.0)
+
+
+@pytest.mark.parametrize("r, S", [(math.nan, 0.0), (0.5, math.nan), (0.5, math.inf), (0.5, -math.inf)])
+def test_two_point_state_refuses_non_finite_entries(r, S):
+    with pytest.raises(DomainError):
+        gs.TwoPointState(r, S)
