@@ -13,6 +13,7 @@ each with its expected outcome attached for --check mode.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -21,7 +22,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .analysis import detect_limit, edge_dichotomy_report, fit_power, fit_rate
-from .errors import DomainError, NonFiniteStateError
+from .errors import DomainError, GraphSyncError, NonFiniteStateError
 from .first_order import classify_equilibrium, simulate_first_order
 from .graphs import Graph, load_graph
 from .hopf_cole import HopfColeState, simulate_hopf_cole
@@ -266,22 +267,37 @@ def check_expectations(cfg: ExperimentConfig, summary: dict) -> list[str]:
 def run_experiment(cfg: ExperimentConfig, out_dir, check: bool = False) -> dict:
     """Run, write artifacts under ``out_dir/<name>/``, return the summary.
 
+    A GraphSyncError that carries a partial trajectory (one raised inside the
+    integration loop) is re-raised after that run is written, with its stop
+    reason and the error under ``"error"``; a summary the partial run cannot
+    support, such as a rate fit over fewer than three records, is left out.
     In check mode any unmet expectation raises DomainError after the
     artifacts are written, so the CLI exits nonzero with the summary on disk.
     """
     graph = load_graph(cfg.graph)
-    traj, notes = run_dynamics(cfg, graph)
     out = Path(out_dir) / cfg.name
+    try:
+        traj, notes = run_dynamics(cfg, graph)
+    except GraphSyncError as exc:
+        if exc.trajectory is not None:
+            with contextlib.suppress(GraphSyncError):  # the run's own error is the one raised
+                _write_run(out, cfg, exc.trajectory, {"error": str(exc)}, graph)
+        raise
+    summary = _write_run(out, cfg, traj, notes, graph)
+    if check and summary["check_failures"]:
+        raise DomainError(f"{cfg.name}: " + "; ".join(summary["check_failures"]))
+    return summary
+
+
+def _write_run(out: Path, cfg: ExperimentConfig, traj: Trajectory, notes: dict, graph: Graph) -> dict:
+    """Write ``trajectory.csv`` and ``summary.json`` into ``out``; returns the summary."""
     out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(out / "trajectory.csv", cfg, traj)
     summary = summarise(cfg, traj, notes, graph)
-    failures = check_expectations(cfg, summary)
-    summary["check_failures"] = failures
+    summary["check_failures"] = check_expectations(cfg, summary)
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if check and failures:
-        raise DomainError(f"{cfg.name}: " + "; ".join(failures))
     return summary
 
 

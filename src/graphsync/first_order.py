@@ -42,11 +42,11 @@ def density_state(rho, tol: float = 1e-9) -> np.ndarray:
 
 
 def first_order_field(graph: Graph, rule, kappa: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Prebuilt vector field rho -> d rho/dt; the edge terms come from ``Graph``."""
-    coupling, diff, scatter = graph.coupling, graph.diff, graph.scatter
+    """Prebuilt vector field rho -> d rho/dt = kappa * Graph.flux(rule, rho, rho)."""
+    flux = graph.flux
 
     def field(rho: np.ndarray) -> np.ndarray:
-        return kappa * scatter(coupling(rule, rho) * diff(rho))
+        return kappa * flux(rule, rho, rho)
 
     return field
 

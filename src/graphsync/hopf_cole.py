@@ -99,21 +99,15 @@ def from_hopf_cole(hc: HopfColeState, potential, tol: float = RELATION_TOL) -> P
 
 
 def hopf_cole_field(graph: Graph, rule, potential) -> Callable[[np.ndarray], np.ndarray]:
-    """Prebuilt packed field y = (rho, xi, xi_star) -> derivatives, edge terms from ``Graph``."""
+    """Prebuilt packed field y = (rho, xi, xi_star) -> derivatives; the sums come
+    from ``Graph.hopf_cole_terms``."""
     kappa = quadratic_kappa(potential)
-    n, diff, scatter = graph.n, graph.diff, graph.scatter
+    n, terms = graph.n, graph.hopf_cole_terms
 
     def field(y: np.ndarray) -> np.ndarray:
         rho, xi, xs = y[:n], y[n : 2 * n], y[2 * n :]
-        wth, wdth = graph.coupling_and_slope(rule, rho)
-        dxi, dxs = diff(xi), diff(xs)
-        drho = scatter(wth * diff(xi - xs))
-        cross = scatter(dxs * dxi * wdth)
-        return np.concatenate([
-            drho,
-            cross - kappa * scatter(wth * dxi),
-            kappa * scatter(wth * dxs) - cross,
-        ])
+        drho, cross, xi_flux, xs_flux = terms(rule, rho, xi, xs)
+        return np.concatenate([drho, cross - kappa * xi_flux, kappa * xs_flux - cross])
 
     return field
 

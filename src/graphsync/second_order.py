@@ -73,19 +73,15 @@ class PhaseState:
 
 
 def second_order_field(graph: Graph, rule, potential) -> Callable[[np.ndarray], np.ndarray]:
-    """Prebuilt packed field y = (rho, S) -> (d rho, d S); the edge terms come from ``Graph``."""
+    """Prebuilt packed field y = (rho, S) -> (d rho, d S); the sums come from
+    ``Graph.second_order_terms``."""
     kappa = quadratic_kappa(potential)
-    n, diff, scatter = graph.n, graph.diff, graph.scatter
+    n, terms = graph.n, graph.second_order_terms
 
     def field(y: np.ndarray) -> np.ndarray:
         rho, S = y[:n], y[n:]
-        wth, wdth = graph.coupling_and_slope(rule, rho)
-        dS_edge = diff(S)
-        dg_edge = diff(potential.grad(rho))
-        drho = scatter(wth * dS_edge)
-        kinetic = 0.5 * scatter((dg_edge**2 - dS_edge**2) * wdth)
-        dS = kinetic - kappa * scatter(wth * dg_edge)
-        return np.concatenate([drho, dS])
+        drho, kinetic, g_flux = terms(rule, rho, S, potential.grad(rho))
+        return np.concatenate([drho, 0.5 * kinetic - kappa * g_flux])
 
     return field
 
@@ -102,7 +98,7 @@ def rhs_second_order(graph: Graph, rule, potential, state: PhaseState):
 def require_finite_slope(graph: Graph, rule, rho) -> None:
     """Refuse a density at which an edge's weight slope is infinite, as min**alpha's
     is for alpha < 1 on an edge with a zero-density end."""
-    if not np.isfinite(graph.coupling_and_slope(rule, rho)[1]).all():
+    if not graph.slope_is_finite(rule, rho):
         raise DegenerateDerivativeError(
             "weight derivative is infinite at a zero-density edge"
         )
@@ -110,10 +106,7 @@ def require_finite_slope(graph: Graph, rule, rho) -> None:
 
 def hamiltonian(graph: Graph, rule, potential, state: PhaseState) -> float:
     """Conserved energy of the flow (ordered-pair sum with prefactor 1/4)."""
-    wth = graph.coupling(rule, state.rho)
-    dS = graph.diff(state.S)
-    dg = graph.diff(potential.grad(state.rho))
-    return 0.25 * float(np.sum(wth * (dS**2 - dg**2)))
+    return 0.25 * float(graph.pair_energy(rule, state.rho, state.S, potential.grad(state.rho)))
 
 
 def gradient_flow_init(rho0, potential, sign: int = +1) -> PhaseState:

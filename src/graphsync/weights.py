@@ -72,12 +72,15 @@ class MinPower:
         """False for alpha < 1, where the slope blows up at zero density."""
         return self.alpha >= 1.0
 
-    def _value(self, m):
+    # theta(a, b) = phi(min(a, b)): the sorted complete-graph operators in
+    # graphs.py evaluate phi and dphi once per vertex instead of per edge.
+    def phi(self, m):
+        """max(m, 0)**alpha."""
         if self.alpha == 1.0:
             return np.maximum(m, 0.0)
         return np.where(m > 0.0, np.power(np.maximum(m, 0.0), self.alpha), 0.0)
 
-    def _slope(self, m):
+    def dphi(self, m):
         """d/dm of max(m, 0)**alpha with the 0**0 = 1 convention.
 
         Returns +inf where alpha < 1 and m == 0 (the degenerate-derivative
@@ -89,7 +92,7 @@ class MinPower:
 
     def theta(self, a, b):
         a, b = _pair(a, b)
-        out = self._value(np.minimum(a, b))
+        out = self.phi(np.minimum(a, b))
         return _maybe_scalar(out, out.ndim == 0)
 
     def partials(self, a, b):
@@ -99,7 +102,7 @@ class MinPower:
         """(theta(a, b), d theta/da) from a single min pass."""
         a, b = _pair(a, b)
         m = np.minimum(a, b)
-        th, da = self._value(m), _tie_share(self._slope(m), a, b)
+        th, da = self.phi(m), _tie_share(self.dphi(m), a, b)
         if th.ndim == 0:
             return float(th), float(da)
         return th, da

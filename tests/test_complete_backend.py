@@ -1,0 +1,209 @@
+"""The sorted complete-graph operators against the edge list, and the implicit
+complete graph's Graph contract.
+
+``CompleteGraph(n, omega)`` is built directly here, so its sorted operators
+run at every n, below ``SORTED_MIN_N`` too; the reference is the explicit
+``Graph`` on all pairs with the same weight, whose operators are the per-edge
+expressions.
+"""
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import graphsync as gs
+from graphsync.analysis import edge_dichotomy_report
+from graphsync.errors import DegenerateDerivativeError, GraphConstructionError, NonFiniteStateError
+from graphsync.graphs import SORTED_MIN_N, CompleteGraph, Graph
+
+#: Agreement asked of the sorted operators, as a fraction of each evaluation's scale.
+REL_TOL = 1e-12
+
+
+def edge_list(n: int, omega: float = 1.0) -> Graph:
+    i, j = np.triu_indices(n, k=1)
+    return Graph(n=n, edges=np.column_stack([i + 1, j + 1]), weights=np.full(len(i), omega))
+
+
+def all_pairs(n: int, omega: float = 1.0) -> list:
+    return [(i, j, omega) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+
+@st.composite
+def complete_cases(draw):
+    """n in 2..80, a MinPower rule, a unit or other common weight, a density-like
+    x with ties, exact zeros and entries down to -1e-9, and three vectors with ties."""
+    n = draw(st.integers(2, 80))
+    alpha = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    omega = draw(st.sampled_from([1.0]) | st.floats(0.01, 10.0))
+    entry = st.sampled_from([0.0, -1e-9, -1e-10, 0.1, 0.25, 0.5]) | st.floats(-1e-9, 1.0)
+    x = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+    value = st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-3.0, 3.0)
+    S, g, xi = (np.array(draw(st.lists(value, min_size=n, max_size=n))) for _ in range(3))
+    return n, gs.MinPower(alpha), omega, x, S, g, xi
+
+
+def assert_agree(got, want, scale):
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+    finite = np.isfinite(want)
+    np.testing.assert_allclose(got[finite], want[finite], rtol=0.0, atol=REL_TOL * scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=complete_cases())
+def test_sorted_operators_match_the_edge_list(case):
+    n, rule, omega, x, S, g, xi = case
+    fast, ref = CompleteGraph(n, omega), edge_list(n, omega)
+    big = lambda *v: max(float(np.max(np.abs(u))) for u in v) or 1.0
+    dphi = rule.dphi(x)
+    # Scale: the number of terms in a sum times the largest weight and the
+    # largest factors; E sums over n^2 ordered pairs.
+    theta = n * omega * max(float(np.max(rule.phi(x))), 1e-300)
+    slope = n * omega * max(float(np.max(dphi[np.isfinite(dphi)], initial=0.0)), 1e-300)
+    with np.errstate(invalid="ignore"):
+        assert_agree(fast.flux(rule, x, S), ref.flux(rule, x, S), theta * big(S))
+        for got, want, scale in zip(
+            fast.second_order_terms(rule, x, S, g), ref.second_order_terms(rule, x, S, g),
+            (theta * big(S), slope * 4 * big(S, g) ** 2, theta * big(g)),
+        ):
+            assert_agree(got, want, scale)
+        for got, want, scale in zip(
+            fast.hopf_cole_terms(rule, x, xi, g), ref.hopf_cole_terms(rule, x, xi, g),
+            (theta * big(xi, g) * 2, slope * big(xi) * big(g), theta * big(xi), theta * big(g)),
+        ):
+            assert_agree(got, want, scale)
+        assert_agree(fast.pair_energy(rule, x, S, g), ref.pair_energy(rule, x, S, g),
+                     n * theta * 4 * big(S, g) ** 2)
+    assert fast.slope_is_finite(rule, x) == ref.slope_is_finite(rule, x)
+
+
+def test_a_large_common_offset_costs_no_accuracy():
+    # The operators see differences only; an offset of 1e8 must not widen the
+    # agreement beyond the scale of the spread.
+    n, rule = 60, gs.MinPower(2.0)
+    rng = np.random.default_rng(11)
+    x = rng.dirichlet(np.full(n, 5.0))
+    S, g = 1e8 + rng.normal(size=n), -1e8 + rng.normal(size=n)
+    fast, ref = CompleteGraph(n), edge_list(n)
+    spread = n * float(np.max(rule.phi(x))) * 8.0
+    assert_agree(fast.flux(rule, x, S), ref.flux(rule, x, S), spread)
+    for got, want in zip(fast.second_order_terms(rule, x, S, g), ref.second_order_terms(rule, x, S, g)):
+        assert_agree(got, want, spread * n * 64.0)
+    assert_agree(fast.pair_energy(rule, x, S, g), ref.pair_energy(rule, x, S, g), spread * n * 64.0)
+
+
+def test_other_rules_use_the_edge_list():
+    n, rule = 9, gs.ArithmeticMean()
+    x = np.linspace(0.0, 0.2, n)
+    S = np.cos(np.arange(n))
+    fast, ref = CompleteGraph(n, 2.0), edge_list(n, 2.0)
+    np.testing.assert_array_equal(fast.flux(rule, x, S), ref.flux(rule, x, S))
+    for got, want in zip(fast.second_order_terms(rule, x, S, -x), ref.second_order_terms(rule, x, S, -x)):
+        np.testing.assert_array_equal(got, want)
+    assert fast.pair_energy(rule, x, S, -x) == ref.pair_energy(rule, x, S, -x)
+
+
+def test_xi_zero_stays_exactly_zero_on_the_sorted_path():
+    n, pot = SORTED_MIN_N, gs.KuramotoQuadratic(1.0)
+    rho = np.random.default_rng(4).dirichlet(np.full(n, 5.0))
+    hc0 = gs.HopfColeState(rho, np.zeros(n), pot.grad(rho))
+    traj = gs.simulate_hopf_cole(gs.complete_graph(n), gs.MinPower(2.0), pot, hc0,
+                                 gs.IntegratorSpec(dt=0.01, t_final=0.2))
+    assert np.all(traj.states[:, n : 2 * n] == 0.0)
+
+
+def test_degenerate_slope_refused_on_the_sorted_path():
+    rule, pot = gs.MinPower(0.5), gs.KuramotoQuadratic(1.0)
+    for g in (CompleteGraph(12), gs.complete_graph(SORTED_MIN_N)):
+        rho = np.full(g.n, 1.0 / (g.n - 1))
+        rho[3] = 0.0
+        state = gs.PhaseState(rho, np.linspace(-1.0, 1.0, g.n))
+        with pytest.raises(DegenerateDerivativeError):
+            gs.rhs_second_order(g, rule, pot, state)
+        with pytest.raises(DegenerateDerivativeError):
+            gs.rhs_hopf_cole(g, rule, pot, gs.to_hopf_cole(state, pot))
+    # A zero that is the strict maximum of x reaches no vertex: no refusal.
+    assert CompleteGraph(3).slope_is_finite(rule, np.array([-1e-10, 0.0, -1e-10]))
+
+
+def test_nonfinite_state_on_the_sorted_path_keeps_its_partial_trajectory():
+    # MinPower(0.5) has an infinite slope at the zero vertex, so the first
+    # second-order step is not finite; the start is the one record.
+    n, rule, pot = 10, gs.MinPower(0.5), gs.KuramotoQuadratic(1.0)
+    rho = np.full(n, 1.0 / (n - 1))
+    rho[0] = 0.0
+    state = gs.PhaseState(rho, np.linspace(-1.0, 1.0, n))
+    spec = gs.IntegratorSpec(dt=0.01, t_final=0.1)
+    trajectories = []
+    for g in (CompleteGraph(n), edge_list(n)):
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteStateError) as info:
+            gs.simulate_second_order(g, rule, pot, state, spec)
+        traj = info.value.trajectory
+        assert traj.stop_reason == "nonfinite"
+        assert traj.times.tolist() == [0.0]
+        trajectories.append(traj)
+    np.testing.assert_array_equal(trajectories[0].states, trajectories[1].states)
+
+
+# ---------------------------------------------------------------------------
+# The implicit complete graph keeps the Graph contract.
+# ---------------------------------------------------------------------------
+
+
+def test_complete_graph_picks_the_sorted_backend_from_the_crossover_up():
+    assert type(gs.complete_graph(SORTED_MIN_N - 1)) is Graph
+    assert type(gs.complete_graph(SORTED_MIN_N)) is CompleteGraph
+    for n in (SORTED_MIN_N - 1, SORTED_MIN_N):
+        assert gs.complete_graph(n) == gs.build_graph(n, all_pairs(n))
+
+
+def test_build_graph_recognises_a_uniform_complete_graph():
+    n = SORTED_MIN_N
+    g = gs.build_graph(n, all_pairs(n, 2.5))
+    assert type(g) is CompleteGraph and g.omega == 2.5
+    assert g == edge_list(n, 2.5)
+    uneven = all_pairs(n, 2.5)
+    uneven[0] = (1, 2, 1.0)
+    assert type(gs.build_graph(n, uneven)) is Graph
+    assert type(gs.build_graph(n, all_pairs(n)[1:])) is Graph
+
+
+def test_edge_arrays_are_built_on_first_read():
+    n = SORTED_MIN_N
+    g, ref = gs.complete_graph(n), edge_list(n)
+    assert g.edge_count == n * (n - 1) // 2
+    assert repr(g) == f"CompleteGraph(n={n}, omega=1.0)"
+    assert "tail" not in vars(g)
+    assert len(g.tail) == 2 * g.edge_count
+    for name in ("edges", "weights", "tail", "head", "pair_weight"):
+        np.testing.assert_array_equal(getattr(g, name), getattr(ref, name))
+    with pytest.raises(ValueError):
+        g.edges[0, 0] = 2
+    assert g.neighbors(3) == tuple(j for j in range(1, n + 1) if j != 3)
+    assert g.degree(1) == n - 1
+    assert gs.graph_from_json(g.to_json()) == g
+    rho = np.zeros(n)
+    rho[0] = 1.0
+    verdicts = edge_dichotomy_report(g, rho)
+    assert len(verdicts) == g.edge_count and all(v.verdict == "MinVanishes" for v in verdicts)
+
+
+def test_large_complete_graph_allocates_no_edges():
+    tracemalloc.start()
+    try:
+        g = gs.complete_graph(4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert g.edge_count == 4096 * 4095 // 2
+    assert not {"edges", "weights", "tail", "head", "pair_weight"} & set(vars(g))
+
+
+@pytest.mark.parametrize("n, omega", [(1, 1.0), (2.5, 1.0), (4, -1.0), (4, float("inf")), (4, float("nan"))])
+def test_complete_graph_refuses_bad_input(n, omega):
+    with pytest.raises(GraphConstructionError):
+        CompleteGraph(n, omega)

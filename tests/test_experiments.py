@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import graphsync.experiments as experiments
-from graphsync.errors import DomainError, GraphConstructionError
+from graphsync.errors import DomainError, GraphConstructionError, SimplexViolationError
 from graphsync.experiments import (
     ExperimentConfig,
     REPRODUCE_TARGETS,
@@ -151,3 +151,27 @@ def test_run_resolves_its_graph_once(tmp_path, monkeypatch):
         tmp_path / "named" / "trajectory.csv").read_bytes()
     with pytest.raises(GraphConstructionError):
         run_experiment(_config(graph={"n": 3}), tmp_path)
+
+
+def test_run_failing_in_the_loop_writes_its_partial_run(tmp_path):
+    # The first step of this second-order run leaves the simplex beyond the hard tolerance.
+    cfg = ExperimentConfig(
+        name="leaves", dynamics="second", graph="complete(3)",
+        theta={"kind": "min_power", "alpha": 0.5}, potential={"kind": "kuramoto", "kappa": 1.0},
+        rho0=(0.98, 0.01, 0.01), s0=(5.0, -5.0, 0.0), integrator={"dt": 0.05, "t_final": 5.0},
+    )
+    with pytest.raises(SimplexViolationError) as info:
+        run_experiment(cfg, tmp_path)
+    summary = json.loads((tmp_path / "leaves" / "summary.json").read_text())
+    assert summary["stop_reason"] == "SimplexViolationError"
+    assert summary["error"] == str(info.value)
+    assert summary["final_time"] == 0.0 and summary["final_density"] == [0.98, 0.01, 0.01]
+    rows = (tmp_path / "leaves" / "trajectory.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[0].startswith("t,rho_1")
+    # A one-record run cannot support fig1's rate fit: the trajectory is still
+    # written, and the run's own error is the one raised.
+    fig1 = experiments.REPRODUCE_TARGETS["fig1"]
+    cfg = ExperimentConfig.from_dict({**fig1.to_dict(), "integrator": {"dt": 50.0, "t_final": 100.0}})
+    with pytest.raises(SimplexViolationError):
+        run_experiment(cfg, tmp_path)
+    assert len((tmp_path / "fig1" / "trajectory.csv").read_text().splitlines()) == 2
