@@ -17,7 +17,7 @@ from .experiments import (
     _INITIAL_KEYWORDS,
     ExperimentConfig,
     REPRODUCE_TARGETS,
-    run_dynamics,
+    run_and_write,
     run_experiment,
     write_trajectory_csv,
 )
@@ -61,15 +61,14 @@ def _cmd_simulate(args) -> int:
         integrator={f.name: getattr(args, f.name) for f in fields(IntegratorSpec)},
         **initial,
     )
-    traj, notes = run_dynamics(cfg, load_graph(cfg.graph))
-    write_trajectory_csv(Path(args.out), cfg, traj)
+    write = lambda traj, error: write_trajectory_csv(Path(args.out), cfg, traj)
+    traj, _ = run_and_write(cfg, load_graph(cfg.graph), write)
     brief = {
         "out": args.out,
         "records": int(len(traj.times)),
         "final_time": traj.final_time,
         "stop_reason": traj.stop_reason,
     }
-    brief.update(notes)
     print(json.dumps(brief, sort_keys=True))
     return 0
 

@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import contextlib
 import json
+import numbers
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .analysis import detect_limit, edge_dichotomy_report, fit_power, fit_rate
-from .errors import DomainError, GraphSyncError, NonFiniteStateError
+from .analysis import _TRANSFORMS, detect_limit, edge_dichotomy_report, fit_power, fit_rate
+from .errors import DomainError, GraphSyncError
 from .first_order import classify_equilibrium, simulate_first_order
 from .graphs import Graph, load_graph
 from .hopf_cole import HopfColeState, simulate_hopf_cole
@@ -41,13 +42,20 @@ SYNC_LO = 0.01
 #: The keyword each optional initial-data field takes in place of a vector.
 _INITIAL_KEYWORDS = {"s0": "gradflow", "xi0": "zero", "xistar0": "from-rho"}
 
+#: The rate-fit transforms, and the keys ``check_expectations`` reads.
+_FITS = tuple(sorted(_TRANSFORMS))
+_EXPECT_KEYS = {"limit", "limit_tol", "fit", "synchronised", "max_dichotomy_violations"}
+_FIT_KEYS = {"transform", "min_r_squared", "slope_sign"}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one run, mirroring the JSON layout.
 
     Initial data become tuples of floats (an initial-data field may instead
-    hold its keyword from ``_INITIAL_KEYWORDS``); anything else is a DomainError.
+    hold its keyword from ``_INITIAL_KEYWORDS``); anything else is a DomainError,
+    and so are ``fits``, ``dichotomy_tol`` and ``expect`` that the summary and
+    its checks could not read.
     """
 
     name: str
@@ -77,7 +85,13 @@ class ExperimentConfig:
             except (TypeError, ValueError):
                 allowed = "numbers" if keyword is None else f"numbers or {keyword!r}"
                 raise DomainError(f"{key} must be {allowed}, got {value!r}") from None
-        object.__setattr__(self, "fits", tuple(self.fits))
+        fits, tol = self.fits, self.dichotomy_tol
+        _check(isinstance(fits, (list, tuple)) and all(t in _FITS for t in fits),
+               f"fits must be a list of {list(_FITS)}", fits)
+        object.__setattr__(self, "fits", tuple(fits))
+        _check(tol is None or isinstance(tol, numbers.Real), "dichotomy_tol must be a number", tol)
+        if self.expect is not None:
+            _check_expect(self.expect, len(self.rho0))
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "ExperimentConfig":
@@ -103,6 +117,30 @@ class ExperimentConfig:
         return out
 
 
+def _check(ok: bool, what: str, value) -> None:
+    if not ok:
+        raise DomainError(f"{what}, got {value!r}")
+
+
+def _check_expect(exp, n: int) -> None:
+    """Refuse an ``expect`` block that ``check_expectations`` could not read."""
+    _check(isinstance(exp, Mapping) and set(exp) <= _EXPECT_KEYS,
+           f"expect must be a mapping with keys from {sorted(_EXPECT_KEYS)}", exp)
+    limit = exp.get("limit", [0.0] * n)
+    _check(isinstance(limit, (list, tuple)) and len(limit) == n
+           and all(isinstance(v, numbers.Real) for v in limit),
+           f"expect limit must be {n} numbers", limit)
+    for key in ("limit_tol", "max_dichotomy_violations"):
+        value = exp.get(key, 0)
+        _check(isinstance(value, numbers.Real), f"expect {key} must be a number", value)
+    fit = exp.get("fit", {"transform": _FITS[0]})
+    _check(isinstance(fit, Mapping) and set(fit) <= _FIT_KEYS and fit.get("transform") in _FITS
+           and isinstance(fit.get("min_r_squared", 0), numbers.Real)
+           and isinstance(fit.get("slope_sign", 0) or 0, numbers.Real),
+           f"expect fit must name a transform from {list(_FITS)}, with numbers for "
+           f"{sorted(_FIT_KEYS - {'transform'})}", fit)
+
+
 def _resolve_spec(doc: dict) -> IntegratorSpec:
     unknown = set(doc) - {f.name for f in fields(IntegratorSpec)}
     if unknown:
@@ -116,18 +154,17 @@ def is_synchronised(rho: np.ndarray) -> bool:
     return top > SYNC_HI and rest < SYNC_LO
 
 
-def run_dynamics(cfg: ExperimentConfig, graph: Graph) -> tuple[Trajectory, dict]:
-    """Execute the configured run on its resolved graph; returns the trajectory and run notes."""
+def run_dynamics(cfg: ExperimentConfig, graph: Graph) -> Trajectory:
+    """Execute the configured run on its resolved graph; in-loop errors propagate."""
     rule = rule_from_config(cfg.theta)
     potential = potential_from_config(cfg.potential)
     kappa = quadratic_kappa(potential)
     spec = _resolve_spec(cfg.integrator)
     rho0 = np.asarray(cfg.rho0, dtype=float)
-    notes: dict = {}
 
     if cfg.dynamics == "first":
-        traj = simulate_first_order(graph, rule, kappa, rho0, spec)
-    elif cfg.dynamics == "second":
+        return simulate_first_order(graph, rule, kappa, rho0, spec)
+    if cfg.dynamics == "second":
         if cfg.s0 == "gradflow":
             state0 = gradient_flow_init(rho0, potential, sign=+1)
         elif cfg.s0 is None:
@@ -135,12 +172,8 @@ def run_dynamics(cfg: ExperimentConfig, graph: Graph) -> tuple[Trajectory, dict]
         else:
             state0 = PhaseState(rho=rho0, S=np.asarray(cfg.s0, dtype=float))
         stop = (lambda st: is_synchronised(st.rho)) if cfg.stop_on_sync else None
-        try:
-            traj = simulate_second_order(graph, rule, potential, state0, spec, stop_when=stop)
-        except NonFiniteStateError as exc:
-            traj = exc.trajectory
-            notes["error"] = str(exc)
-    elif cfg.dynamics == "hopf_cole":
+        return simulate_second_order(graph, rule, potential, state0, spec, stop_when=stop)
+    if cfg.dynamics == "hopf_cole":
         if cfg.xi0 in (None, "zero"):
             xi0 = np.zeros_like(rho0)
         else:
@@ -149,10 +182,22 @@ def run_dynamics(cfg: ExperimentConfig, graph: Graph) -> tuple[Trajectory, dict]
             xistar0 = potential.grad(rho0) - xi0
         else:
             xistar0 = np.asarray(cfg.xistar0, dtype=float)
-        traj = simulate_hopf_cole(graph, rule, potential, HopfColeState(rho0, xi0, xistar0), spec)
-    else:
-        raise DomainError(f"unknown dynamics {cfg.dynamics!r}")
-    return traj, notes
+        return simulate_hopf_cole(graph, rule, potential, HopfColeState(rho0, xi0, xistar0), spec)
+    raise DomainError(f"unknown dynamics {cfg.dynamics!r}")
+
+
+def run_and_write(cfg: ExperimentConfig, graph: Graph, write: Callable) -> tuple:
+    """The run's trajectory and ``write(trajectory, None)``.  The failure path of every
+    front end: an in-loop error's partial run goes to ``write(partial, str(error))``,
+    as far as the writer can take it, and then the run's own error is raised."""
+    try:
+        traj = run_dynamics(cfg, graph)
+    except GraphSyncError as exc:
+        if exc.trajectory is not None:
+            with contextlib.suppress(GraphSyncError):
+                write(exc.trajectory, str(exc))
+        raise
+    return traj, write(traj, None)
 
 
 #: CSV layout by dynamics: the state blocks, one column per vertex each, then
@@ -186,8 +231,9 @@ def _record(result, *skip: str) -> dict:
     return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
 
-def summarise(cfg: ExperimentConfig, traj: Trajectory, notes: dict, graph: Graph) -> dict:
-    """Summary of a run of ``cfg`` on its resolved graph."""
+def summarise(cfg: ExperimentConfig, traj: Trajectory, error: Optional[str], graph: Graph) -> dict:
+    """Summary of a run of ``cfg`` on its resolved graph, with a failed run's ``error``."""
+    limit = detect_limit(traj)  # first: it refuses a trajectory with no records
     summary: dict = {
         "schema": SUMMARY_SCHEMA,
         "name": cfg.name,
@@ -196,9 +242,8 @@ def summarise(cfg: ExperimentConfig, traj: Trajectory, notes: dict, graph: Graph
         "final_time": float(traj.final_time),
         "final_density": [float(v) for v in traj.densities[-1]],
     }
-    summary.update(notes)
-
-    limit = detect_limit(traj)
+    if error is not None:
+        summary["error"] = error
     summary["limit"] = None if limit is None else [float(v) for v in limit]
     if limit is not None:
         summary["equilibrium"] = _record(classify_equilibrium(limit, tol=1e-3))
@@ -267,33 +312,28 @@ def check_expectations(cfg: ExperimentConfig, summary: dict) -> list[str]:
 def run_experiment(cfg: ExperimentConfig, out_dir, check: bool = False) -> dict:
     """Run, write artifacts under ``out_dir/<name>/``, return the summary.
 
-    A GraphSyncError that carries a partial trajectory (one raised inside the
-    integration loop) is re-raised after that run is written, with its stop
-    reason and the error under ``"error"``; a summary the partial run cannot
-    support, such as a rate fit over fewer than three records, is left out.
-    In check mode any unmet expectation raises DomainError after the
-    artifacts are written, so the CLI exits nonzero with the summary on disk.
+    A run that fails inside the integration loop is written by
+    ``run_and_write``: ``trajectory.csv`` holds its partial trajectory and,
+    when there is at least one record, ``summary.json`` its stop reason and
+    the error under ``"error"``; then the run's own error is raised.  In
+    check mode any unmet expectation raises DomainError after the artifacts
+    are written, so the CLI exits nonzero with the summary on disk.
     """
     graph = load_graph(cfg.graph)
     out = Path(out_dir) / cfg.name
-    try:
-        traj, notes = run_dynamics(cfg, graph)
-    except GraphSyncError as exc:
-        if exc.trajectory is not None:
-            with contextlib.suppress(GraphSyncError):  # the run's own error is the one raised
-                _write_run(out, cfg, exc.trajectory, {"error": str(exc)}, graph)
-        raise
-    summary = _write_run(out, cfg, traj, notes, graph)
+    write = lambda traj, error: _write_run(out, cfg, traj, error, graph)
+    _, summary = run_and_write(cfg, graph, write)
     if check and summary["check_failures"]:
         raise DomainError(f"{cfg.name}: " + "; ".join(summary["check_failures"]))
     return summary
 
 
-def _write_run(out: Path, cfg: ExperimentConfig, traj: Trajectory, notes: dict, graph: Graph) -> dict:
+def _write_run(out: Path, cfg: ExperimentConfig, traj: Trajectory, error: Optional[str],
+               graph: Graph) -> dict:
     """Write ``trajectory.csv`` and ``summary.json`` into ``out``; returns the summary."""
     out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(out / "trajectory.csv", cfg, traj)
-    summary = summarise(cfg, traj, notes, graph)
+    summary = summarise(cfg, traj, error, graph)
     summary["check_failures"] = check_expectations(cfg, summary)
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -106,6 +106,7 @@ def require_finite_slope(graph: Graph, rule, rho) -> None:
 
 def hamiltonian(graph: Graph, rule, potential, state: PhaseState) -> float:
     """Conserved energy of the flow (ordered-pair sum with prefactor 1/4)."""
+    quadratic_kappa(potential)
     return 0.25 * float(graph.pair_energy(rule, state.rho, state.S, potential.grad(state.rho)))
 
 

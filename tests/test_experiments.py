@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import graphsync.experiments as experiments
-from graphsync.errors import DomainError, GraphConstructionError, SimplexViolationError
+from graphsync.cli import main
+from graphsync.errors import (
+    ConsistencyError,
+    DomainError,
+    GraphConstructionError,
+    NonFiniteStateError,
+    SimplexViolationError,
+)
 from graphsync.experiments import (
     ExperimentConfig,
     REPRODUCE_TARGETS,
@@ -175,3 +182,93 @@ def test_run_failing_in_the_loop_writes_its_partial_run(tmp_path):
     with pytest.raises(SimplexViolationError):
         run_experiment(cfg, tmp_path)
     assert len((tmp_path / "fig1" / "trajectory.csv").read_text().splitlines()) == 2
+
+
+def _failing(dynamics, alpha, rho0, dt, t_final, graph="complete(3)", **initial) -> ExperimentConfig:
+    return _config(name="fails", dynamics=dynamics, graph=graph,
+                   theta={"kind": "min_power", "alpha": alpha}, rho0=rho0,
+                   integrator={"dt": dt, "t_final": t_final}, **initial)
+
+
+#: Runs that fail inside the integration loop: the config, the error it
+#: raises, and the records in its partial trajectory.
+FAILING_RUNS = {
+    "second-nonfinite": (
+        _failing("second", 0.5, (0.5, 0.5, 0.0), 0.01, 1.0, s0=(0.1, -0.1, 0.0)),
+        NonFiniteStateError, 1),
+    "hopf-cole-nonfinite": (
+        _failing("hopf_cole", 0.5, (0.5, 0.5, 0.0), 0.01, 1.0, xi0=(0.1, -0.1, 0.0)),
+        NonFiniteStateError, 1),
+    # Passes the 1e-6 entry check of xi + xi*, fails the 1e-8 check at the first record.
+    "hopf-cole-first-record": (
+        _failing("hopf_cole", 2.0, (0.5, 0.3, 0.2), 0.01, 1.0, xi0="zero",
+                 xistar0=tuple(1e-7 - v for v in (0.5, 0.3, 0.2))),
+        ConsistencyError, 0),
+    "second-leaves-simplex": (
+        _failing("second", 0.5, (0.98, 0.01, 0.01), 0.05, 5.0, s0=(5.0, -5.0, 0.0)),
+        SimplexViolationError, 1),
+    "first-leaves-simplex": (
+        _failing("first", 1.0, (0.5, 0.3, 0.15, 0.05), 50.0, 100.0, graph="complete(4)"),
+        SimplexViolationError, 1),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("cfg, error, records", FAILING_RUNS.values(), ids=FAILING_RUNS)
+def test_every_failing_run_raises_its_own_error_after_writing_the_partial_run(
+        tmp_path, cfg, error, records):
+    with pytest.raises(error) as info:
+        run_experiment(cfg, tmp_path)
+    assert type(info.value) is error and len(info.value.trajectory.times) == records
+    rows = (tmp_path / "fails" / "trajectory.csv").read_text().splitlines()
+    assert len(rows) == 1 + records and rows[0].startswith("t,rho_1,")
+    summary_path = tmp_path / "fails" / "summary.json"
+    assert summary_path.exists() == (records > 0)
+    if records:
+        summary = json.loads(summary_path.read_text())
+        assert summary["stop_reason"] == info.value.trajectory.stop_reason
+        assert summary["error"] == str(info.value)
+
+
+def _simulate_argv(cfg: ExperimentConfig, out) -> list[str]:
+    """The simulate-* command line of ``cfg``; floats travel as their repr."""
+    vector = lambda values: ",".join(map(repr, values))
+    argv = ["simulate-" + cfg.dynamics.replace("_", "-"), "--graph", cfg.graph,
+            f"--alpha={cfg.theta['alpha']!r}", f"--rho0={vector(cfg.rho0)}",
+            f"--dt={cfg.integrator['dt']!r}", f"--t-final={cfg.integrator['t_final']!r}",
+            "--out", str(out)]
+    for key in ("s0", "xi0", "xistar0"):
+        if isinstance(getattr(cfg, key), tuple):
+            argv.append(f"--{key}={vector(getattr(cfg, key))}")
+    return argv
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("cfg, error, records", FAILING_RUNS.values(), ids=FAILING_RUNS)
+def test_every_failing_simulate_exits_2_after_writing_the_partial_csv(
+        tmp_path, capsys, cfg, error, records):
+    with pytest.raises(error) as info:
+        run_experiment(cfg, tmp_path)
+    capsys.readouterr()
+    assert main(_simulate_argv(cfg, tmp_path / "run.csv")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {info.value}\n"
+    assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "fails" / "trajectory.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"expect": {"fit": {}}}, {"expect": {"limit": "abc"}},
+     {"expect": {"limit": [0.5, 0.3, 0.2], "limit_tol": "a"}}, {"expect": [1, 2]},
+     {"dichotomy_tol": "x"}, {"dichotomy_tol": 1e-3, "expect": {"max_dichotomy_violations": "a"}},
+     {"fits": "log_gap"}, {"fits": ["log"]}, {"expect": {"limit": [1.0, 0.0]}},
+     {"expect": {"fit": {"transform": "log_gap", "min_r_squared": "high"}}},
+     {"expect": {"limits": [0.5, 0.3, 0.2]}}],
+    ids=["fit-empty", "limit-text", "limit-tol-text", "expect-list", "dichotomy-tol-text",
+         "violations-text", "fits-text", "fits-unknown", "limit-length", "r-squared-text",
+         "expect-unknown-key"],
+)
+def test_config_refuses_malformed_checks(kwargs):
+    # Refused where the field enters, before anything runs.
+    with pytest.raises(DomainError):
+        ExperimentConfig.from_dict({**_config().to_dict(), **kwargs})

@@ -217,8 +217,10 @@ def test_both_rhs_helpers_share_the_degenerate_slope_check(alpha, degenerate):
         lambda pot: gs.gradient_flow_init([0.6, 0.4], pot),
         lambda pot: gs.to_hopf_cole(gs.PhaseState([0.6, 0.4], [0.1, -0.1]), pot),
         lambda pot: gs.from_hopf_cole(gs.HopfColeState([0.6, 0.4], [0.0, 0.0], [0.1, 0.1]), pot),
+        lambda pot: gs.hamiltonian(gs.complete_graph(2), gs.MinPower(2.0), pot,
+                                   gs.PhaseState([0.6, 0.4], [0.1, -0.1])),
     ],
-    ids=["gradient_flow_init", "to_hopf_cole", "from_hopf_cole"],
+    ids=["gradient_flow_init", "to_hopf_cole", "from_hopf_cole", "hamiltonian"],
 )
 def test_flow_starts_refuse_non_quadratic_potentials(entry):
     with pytest.raises(DomainError):
