@@ -55,7 +55,8 @@ class ExperimentConfig:
     Initial data become tuples of floats (an initial-data field may instead
     hold its keyword from ``_INITIAL_KEYWORDS``); anything else is a DomainError,
     and so are ``fits``, ``dichotomy_tol`` and ``expect`` that the summary and
-    its checks could not read.
+    its checks could not read, a ``name`` that is not one path component (the
+    run's directory under ``out_dir``) and flags that are not bools.
     """
 
     name: str
@@ -75,6 +76,12 @@ class ExperimentConfig:
     expect: Optional[dict] = None
 
     def __post_init__(self):
+        name = self.name  # the run's directory under out_dir
+        _check(isinstance(name, str) and name not in ("", ".", "..")
+               and not set(name) & set("/\\\0"),
+               "name must be one path component, not . or .., without / or \\ or NUL", name)
+        for flag, value in (("stop_on_sync", self.stop_on_sync), ("power_fit", self.power_fit)):
+            _check(isinstance(value, bool), f"{flag} must be a bool", value)
         for key in ("rho0", *_INITIAL_KEYWORDS):
             value, keyword = getattr(self, key), _INITIAL_KEYWORDS.get(key)
             # None and the keyword stand for an optional field's default.

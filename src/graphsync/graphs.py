@@ -153,19 +153,19 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    # Edge level.  On unit weights both coupling methods return the rule's
-    # arrays as they are: the product by 1 is exact, and skipping it saves a pass.
+    # Edge level.  On unit weights the coupling arrays are the rule's arrays as
+    # they are: the product by 1 is exact, and skipping it saves a pass.
+    def _weighted(self, values: np.ndarray) -> np.ndarray:
+        return values if self._unit_weights else self.pair_weight * values
+
     def coupling(self, rule, x: np.ndarray) -> np.ndarray:
         """omega * theta(x[tail], x[head]) along every ordered edge."""
-        th = rule.theta(x[self.tail], x[self.head])
-        return th if self._unit_weights else self.pair_weight * th
+        return self._weighted(rule.theta(x[self.tail], x[self.head]))
 
     def coupling_and_slope(self, rule, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """omega * theta and omega * d theta/d x_tail along every ordered edge."""
         th, slope = rule.theta_and_slope(x[self.tail], x[self.head])
-        if self._unit_weights:
-            return th, slope
-        return self.pair_weight * th, self.pair_weight * slope
+        return self._weighted(th), self._weighted(slope)
 
     def diff(self, x: np.ndarray) -> np.ndarray:
         """x[tail] - x[head] along every ordered edge."""
@@ -177,11 +177,12 @@ class Graph:
 
     # Vertex level: the operators of the module docstring, on the edge list.
     # Each is its flow's per-edge formula, operation for operation, so it
-    # gives that formula's bits; the composite ones gather each vector once
-    # for all their sums.
+    # gives that formula's bits; each vector is gathered once for all the sums.
     def flux(self, rule, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """F(u)_i = sum_j omega_ij theta(x_i, x_j) (u_i - u_j)."""
-        return self.scatter(self.coupling(rule, x) * self.diff(u))
+        xt, xh = x[self.tail], x[self.head]
+        du = xt - xh if u is x else self.diff(u)
+        return self.scatter(self._weighted(rule.theta(xt, xh)) * du)
 
     def second_order_terms(self, rule, x, S, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """F(S), K(g - S, g + S) and F(g); K's pair factor is (g_i - g_j)^2 - (S_i - S_j)^2."""

@@ -107,7 +107,8 @@ def _rk4_step(rhs: Rhs, y: np.ndarray, dt: float) -> np.ndarray:
     k2 = rhs(y + (0.5 * dt) * k1)
     k3 = rhs(y + (0.5 * dt) * k2)
     k4 = rhs(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # k + k is 2.0 * k to the bit, without a Python float to convert.
+    return y + (dt / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
 
 
 _STEPPERS = {"euler": _euler_step, "rk4": _rk4_step}
@@ -162,23 +163,25 @@ def integrate(
             stop_reason=reason,
         )
 
+    # A blow-up is reported by NonFiniteStateError, not by numpy's warnings on the way.
     try:
-        record(0.0, y)
-        if stop_when is not None and stop_when(y):
-            return package("stop_condition")
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            record(0.0, y)
+            if stop_when is not None and stop_when(y):
+                return package("stop_condition")
 
-        n_steps, last = spec.n_steps, spec.final_step
-        for k in range(1, n_steps + 1):
-            dt, t = (spec.dt, k * spec.dt) if k < n_steps else last
-            y = step(rhs, y, dt)
-            if not np.isfinite(y).all():
-                raise NonFiniteStateError(f"non-finite state at t={t:.6g}")
-            if post_step is not None:
-                y = post_step(y)
-            if k % spec.record_every == 0 or k == n_steps:
-                record(t, y)
-                if stop_when is not None and stop_when(y):
-                    return package("stop_condition")
+            n_steps, last = spec.n_steps, spec.final_step
+            for k in range(1, n_steps + 1):
+                dt, t = (spec.dt, k * spec.dt) if k < n_steps else last
+                y = step(rhs, y, dt)
+                if not np.isfinite(y).all():
+                    raise NonFiniteStateError(f"non-finite state at t={t:.6g}")
+                if post_step is not None:
+                    y = post_step(y)
+                if k % spec.record_every == 0 or k == n_steps:
+                    record(t, y)
+                    if stop_when is not None and stop_when(y):
+                        return package("stop_condition")
     except GraphSyncError as exc:
         if exc.trajectory is None:
             nonfinite = isinstance(exc, NonFiniteStateError)
@@ -194,17 +197,17 @@ def project_simplex_clip(rho, tol: float = 1e-9) -> np.ndarray:
     real violation and raise rather than being silently repaired.
     """
     rho = np.asarray(rho, dtype=float)
-    s = float(rho.sum())
+    # fmin skips NaN, so `low < -tol` is `any(rho < -tol)`; the message keeps rho.min().
+    s, low = float(np.add.reduce(rho)), float(np.fmin.reduce(rho))
     if abs(s - 1.0) > tol:
         raise SimplexViolationError(f"density mass {s!r} differs from 1 beyond tol={tol}")
-    if np.any(rho < -tol):
+    if low < -tol:
         raise SimplexViolationError(
             f"density component {float(rho.min())!r} below -tol={-tol}"
         )
-    negative = rho < 0.0
-    if np.any(negative):
-        rho = np.where(negative, 0.0, rho)
-        s = float(rho.sum())
+    if low < 0.0:
+        rho = np.where(rho < 0.0, 0.0, rho)
+        s = float(np.add.reduce(rho))
     if abs(s - 1.0) > 1e-15:
         rho = rho / s
     return rho

@@ -54,7 +54,10 @@ def _power(m: float, e: float) -> float:
 
 def _tie_share(d: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Part of the min-slope d owed to a: all where a < b, half on ties, none where a > b."""
-    return np.where(a < b, d, np.where(a > b, 0.0, 0.5 * d))
+    share = np.asarray(0.5 * d)
+    np.copyto(share, d, where=a < b)
+    np.copyto(share, 0.0, where=a > b)
+    return share
 
 
 @dataclass(frozen=True)
@@ -74,26 +77,33 @@ class MinPower:
 
     # theta(a, b) = phi(min(a, b)): the sorted complete-graph operators in
     # graphs.py evaluate phi and dphi once per vertex instead of per edge.
+    # Both clamp with abs(fmax(m, 0)): fmax sends NaN to 0 but may keep a -0.0,
+    # which power passes on at odd integer and 1/2 exponents; abs makes it +0.0.
     def phi(self, m):
-        """max(m, 0)**alpha."""
+        """max(m, 0)**alpha; 0 at NaN, except for alpha = 1, which passes NaN on."""
         if self.alpha == 1.0:
             return np.maximum(m, 0.0)
-        return np.where(m > 0.0, np.power(np.maximum(m, 0.0), self.alpha), 0.0)
+        return np.power(np.abs(np.fmax(m, 0.0)), self.alpha)
 
     def dphi(self, m):
         """d/dm of max(m, 0)**alpha with the 0**0 = 1 convention.
 
         Returns +inf where alpha < 1 and m == 0 (the degenerate-derivative
-        sentinel); 0 where m < 0, matching the clipped extension of theta.
+        sentinel); 0 where m < 0 or m is NaN, matching the clipped extension
+        of theta.
         """
-        with np.errstate(divide="ignore"):
-            d = self.alpha * np.power(np.maximum(m, 0.0), self.alpha - 1.0)
+        a = self.alpha
+        if a > 1.0:  # 0**(a - 1) = 0 is already the slope off the domain
+            return a * np.power(np.abs(np.fmax(m, 0.0)), a - 1.0)
+        if a == 1.0:
+            return np.where(m >= 0.0, 1.0, 0.0)
+        with np.errstate(divide="ignore"):  # 0**(a - 1) = inf
+            d = a * np.power(np.maximum(m, 0.0), a - 1.0)
         return np.where(m >= 0.0, d, 0.0)
 
     def theta(self, a, b):
-        a, b = _pair(a, b)
-        out = self.phi(np.minimum(a, b))
-        return _maybe_scalar(out, out.ndim == 0)
+        out = self.phi(np.minimum(a, b))  # phi's ufuncs turn ints and bools into floats
+        return float(out) if out.ndim == 0 else out
 
     def partials(self, a, b):
         return self.theta_and_slope(a, b)[1], self.theta_and_slope(b, a)[1]

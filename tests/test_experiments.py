@@ -120,6 +120,25 @@ def test_config_refuses_bad_initial_data(kwargs):
         _config(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "name", [1, None, "", ".", "..", "a/b", "../escape", "a\\b", "a\0b", ["x"]],
+    ids=["int", "none", "empty", "dot", "dotdot", "slash", "parent-path", "backslash", "nul",
+         "list"],
+)
+def test_config_refuses_a_name_that_is_not_one_path_component(name):
+    # Refused at from_dict, before run_experiment could join it onto out_dir.
+    with pytest.raises(DomainError, match="name must be one path component"):
+        ExperimentConfig.from_dict({**_config().to_dict(), "name": name})
+
+
+@pytest.mark.parametrize("flag", ["stop_on_sync", "power_fit"])
+@pytest.mark.parametrize("value", ["no", 0, 1, None, np.bool_(True)])
+def test_config_flags_must_be_bools(flag, value):
+    with pytest.raises(DomainError, match=f"{flag} must be a bool"):
+        ExperimentConfig.from_dict({**_config().to_dict(), flag: value})
+    assert getattr(_config(**{flag: True}), flag) is True
+
+
 def test_to_dict_writes_required_and_non_default_fields():
     assert _config().to_dict() == {
         "name": "x", "dynamics": "first", "graph": "complete(3)",
@@ -213,7 +232,7 @@ FAILING_RUNS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("cfg, error, records", FAILING_RUNS.values(), ids=FAILING_RUNS)
 def test_every_failing_run_raises_its_own_error_after_writing_the_partial_run(
         tmp_path, cfg, error, records):
@@ -243,7 +262,7 @@ def _simulate_argv(cfg: ExperimentConfig, out) -> list[str]:
     return argv
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("cfg, error, records", FAILING_RUNS.values(), ids=FAILING_RUNS)
 def test_every_failing_simulate_exits_2_after_writing_the_partial_csv(
         tmp_path, capsys, cfg, error, records):
