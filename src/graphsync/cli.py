@@ -14,13 +14,13 @@ from pathlib import Path
 
 from .errors import DomainError, GraphSyncError
 from .experiments import (
-    _INITIAL_KEYWORDS,
     ExperimentConfig,
     REPRODUCE_TARGETS,
     run_and_write,
     run_experiment,
     write_trajectory_csv,
 )
+from .flows import FLOWS
 from .graphs import load_graph
 from .integrate import IntegratorSpec
 from .potentials import _KINDS, ENTROPY_KINDS, potential_from_config
@@ -34,23 +34,12 @@ from .two_point import (
 )
 from .weights import rule_from_config, validate_rule
 
-#: The simulate-* subcommands: dynamics, help, and the initial-data flags
-#: beyond --rho0, each mapped to whether it is required; an optional one
-#: defaults to its keyword in ``_INITIAL_KEYWORDS``.
-_SIMULATE = (
-    ("first", "first-order concentration flow", {}),
-    ("second", "second-order Hamiltonian flow", {"s0": True}),
-    ("hopf_cole", "flow in split (xi, xi*) variables", {"xi0": False, "xistar0": False}),
-)
-
-
 def _vector(text: str, keyword=None):
     """A comma-separated vector as a list of strings, or the keyword itself."""
     return text if text == keyword else text.split(",")
 
 
 def _cmd_simulate(args) -> int:
-    initial = {key: _vector(getattr(args, key), _INITIAL_KEYWORDS[key]) for key in args.initial}
     cfg = ExperimentConfig(
         name=args.command,
         dynamics=args.dynamics,
@@ -59,7 +48,8 @@ def _cmd_simulate(args) -> int:
         potential={"kind": "kuramoto", "kappa": args.kappa},
         rho0=_vector(args.rho0),
         integrator={f.name: getattr(args, f.name) for f in fields(IntegratorSpec)},
-        **initial,
+        **{key: _vector(getattr(args, key), block.keyword)
+           for key, block in FLOWS[args.dynamics].initial.items()},
     )
     write = lambda traj, error: write_trajectory_csv(Path(args.out), cfg, traj)
     traj, _ = run_and_write(cfg, load_graph(cfg.graph), write)
@@ -153,22 +143,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     spec = IntegratorSpec()
-    for dynamics, help_text, initial in _SIMULATE:
-        p = sub.add_parser("simulate-" + dynamics.replace("_", "-"), help=help_text)
+    for dynamics, flow in FLOWS.items():  # one simulate-* command per graph flow
+        p = sub.add_parser("simulate-" + dynamics.replace("_", "-"), help=flow.help)
         p.add_argument("--graph", required=True, help="named topology or JSON file")
         p.add_argument("--alpha", type=float, default=1.0)
         p.add_argument("--kappa", type=float, default=1.0)
         p.add_argument("--rho0", required=True, help="comma-separated densities")
-        for key, required in initial.items():
-            keyword = _INITIAL_KEYWORDS[key]
-            p.add_argument(f"--{key}", required=required, default=keyword,
-                           help=f"comma-separated values or {keyword!r}")
+        for key, block in flow.initial.items():
+            p.add_argument(f"--{key}", required=block.required, default=block.keyword,
+                           help=f"comma-separated values or {block.keyword!r}")
         p.add_argument("--scheme", choices=["euler", "rk4"], default=spec.scheme)
         p.add_argument("--dt", type=float, default=spec.dt)
         p.add_argument("--t-final", type=float, default=spec.t_final)
         p.add_argument("--record-every", type=int, default=spec.record_every)
         p.add_argument("--out", required=True, help="trajectory CSV path")
-        p.set_defaults(fn=_cmd_simulate, dynamics=dynamics, initial=tuple(initial))
+        p.set_defaults(fn=_cmd_simulate, dynamics=dynamics)
 
     p = sub.add_parser("two-point", help="closed-form two-node analytics")
     p.add_argument("operation", choices=["solve", "action", "divergence", "theta"])

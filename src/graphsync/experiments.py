@@ -24,23 +24,14 @@ import numpy as np
 
 from .analysis import _TRANSFORMS, detect_limit, edge_dichotomy_report, fit_power, fit_rate
 from .errors import DomainError, GraphSyncError
-from .first_order import classify_equilibrium, simulate_first_order
+from .first_order import classify_equilibrium
+from .flows import FLOWS, is_synchronised  # is_synchronised: re-exported
 from .graphs import Graph, load_graph
-from .hopf_cole import HopfColeState, simulate_hopf_cole
 from .integrate import IntegratorSpec, Trajectory
 from .potentials import potential_from_config, quadratic_kappa
-from .second_order import PhaseState, gradient_flow_init, simulate_second_order
 from .weights import rule_from_config
 
 SUMMARY_SCHEMA = 1
-
-#: Thresholds defining "synchronised": one dominant density, rest negligible.
-SYNC_HI = 0.99
-SYNC_LO = 0.01
-
-
-#: The keyword each optional initial-data field takes in place of a vector.
-_INITIAL_KEYWORDS = {"s0": "gradflow", "xi0": "zero", "xistar0": "from-rho"}
 
 #: The rate-fit transforms, and the keys ``check_expectations`` reads.
 _FITS = tuple(sorted(_TRANSFORMS))
@@ -52,15 +43,15 @@ _FIT_KEYS = {"transform", "min_r_squared", "slope_sign"}
 class ExperimentConfig:
     """Declarative description of one run, mirroring the JSON layout.
 
-    Initial data become tuples of floats (an initial-data field may instead
-    hold its keyword from ``_INITIAL_KEYWORDS``); anything else is a DomainError,
-    and so are ``fits``, ``dichotomy_tol`` and ``expect`` that the summary and
-    its checks could not read, a ``name`` that is not one path component (the
-    run's directory under ``out_dir``) and flags that are not bools.
+    Initial data become tuples of floats (or keep their block's keyword from
+    ``flows.FLOWS``); anything else is a DomainError, and so are initial data and a
+    ``stop_on_sync`` that the flow does not read, ``fits``, ``dichotomy_tol`` and
+    ``expect`` that the summary and its checks could not read, a ``name`` that is not
+    one path component (the run's directory under ``out_dir``) and non-bool flags.
     """
 
     name: str
-    dynamics: str                      # "first" | "second" | "hopf_cole"
+    dynamics: str                      # a key of flows.FLOWS
     graph: str | dict
     theta: dict
     potential: dict
@@ -82,10 +73,18 @@ class ExperimentConfig:
                "name must be one path component, not . or .., without / or \\ or NUL", name)
         for flag, value in (("stop_on_sync", self.stop_on_sync), ("power_fit", self.power_fit)):
             _check(isinstance(value, bool), f"{flag} must be a bool", value)
-        for key in ("rho0", *_INITIAL_KEYWORDS):
-            value, keyword = getattr(self, key), _INITIAL_KEYWORDS.get(key)
-            # None and the keyword stand for an optional field's default.
-            if (value is None and keyword) or (isinstance(value, str) and value == keyword):
+        flow = FLOWS.get(self.dynamics) if isinstance(self.dynamics, str) else None
+        _check(flow is not None, f"dynamics must be one of {sorted(FLOWS)}", self.dynamics)
+        _check(flow.stop_on_sync or not self.stop_on_sync,
+               f"stop_on_sync is not read by {self.dynamics} runs", self.stop_on_sync)
+        for key in [k for other in FLOWS.values() for k in other.initial]:
+            _check(key in flow.initial or getattr(self, key) is None,
+                   f"{key} is not read by {self.dynamics} runs", getattr(self, key))
+        for key, block in (("rho0", None), *flow.initial.items()):
+            value, keyword = getattr(self, key), block and block.keyword
+            # None stands for an optional block's keyword, its default.
+            if (value is None and block and not block.required) or (
+                    isinstance(value, str) and value == keyword):
                 continue
             try:
                 object.__setattr__(self, key, tuple(float(v) for v in value))
@@ -155,42 +154,19 @@ def _resolve_spec(doc: dict) -> IntegratorSpec:
     return IntegratorSpec(**doc)
 
 
-def is_synchronised(rho: np.ndarray) -> bool:
-    top = float(np.max(rho))
-    rest = float(np.partition(rho, rho.size - 2)[-2])
-    return top > SYNC_HI and rest < SYNC_LO
-
-
 def run_dynamics(cfg: ExperimentConfig, graph: Graph) -> Trajectory:
     """Execute the configured run on its resolved graph; in-loop errors propagate."""
     rule = rule_from_config(cfg.theta)
     potential = potential_from_config(cfg.potential)
-    kappa = quadratic_kappa(potential)
+    quadratic_kappa(potential)  # refuse any other potential before anything is resolved
     spec = _resolve_spec(cfg.integrator)
-    rho0 = np.asarray(cfg.rho0, dtype=float)
-
-    if cfg.dynamics == "first":
-        return simulate_first_order(graph, rule, kappa, rho0, spec)
-    if cfg.dynamics == "second":
-        if cfg.s0 == "gradflow":
-            state0 = gradient_flow_init(rho0, potential, sign=+1)
-        elif cfg.s0 is None:
-            raise DomainError("second-order runs need s0 (vector or 'gradflow')")
-        else:
-            state0 = PhaseState(rho=rho0, S=np.asarray(cfg.s0, dtype=float))
-        stop = (lambda st: is_synchronised(st.rho)) if cfg.stop_on_sync else None
-        return simulate_second_order(graph, rule, potential, state0, spec, stop_when=stop)
-    if cfg.dynamics == "hopf_cole":
-        if cfg.xi0 in (None, "zero"):
-            xi0 = np.zeros_like(rho0)
-        else:
-            xi0 = np.asarray(cfg.xi0, dtype=float)
-        if cfg.xistar0 in (None, "from-rho"):
-            xistar0 = potential.grad(rho0) - xi0
-        else:
-            xistar0 = np.asarray(cfg.xistar0, dtype=float)
-        return simulate_hopf_cole(graph, rule, potential, HopfColeState(rho0, xi0, xistar0), spec)
-    raise DomainError(f"unknown dynamics {cfg.dynamics!r}")
+    flow = FLOWS[cfg.dynamics]
+    blocks = [np.asarray(cfg.rho0, dtype=float)]
+    for key, block in flow.initial.items():
+        value = getattr(cfg, key)
+        blocks.append(block.resolve(potential, *blocks) if value in (None, block.keyword)
+                      else np.asarray(value, dtype=float))
+    return flow.simulate(graph, rule, potential, blocks, spec, cfg.stop_on_sync)
 
 
 def run_and_write(cfg: ExperimentConfig, graph: Graph, write: Callable) -> tuple:
@@ -207,25 +183,14 @@ def run_and_write(cfg: ExperimentConfig, graph: Graph, write: Callable) -> tuple
     return traj, write(traj, None)
 
 
-#: CSV layout by dynamics: the state blocks, one column per vertex each, then
-#: the (diagnostic, column) pairs.
-_CSV_LAYOUT = {
-    "first": (("rho",), (("sum_sq", "sum_sq"), ("max_gap", "max_gap"))),
-    "second": (("rho", "S"), (("hamiltonian", "H"),)),
-    "hopf_cole": (("rho", "xi", "xistar"), (("max_abs_xi", "max_abs_xi"),)),
-}
-
-
-def _csv_columns(cfg: ExperimentConfig, traj: Trajectory) -> tuple[list[str], np.ndarray]:
-    blocks, diagnostics = _CSV_LAYOUT[cfg.dynamics]
-    vertices = range(1, traj.n_density + 1)
-    cols = ["t"] + [f"{b}_{j}" for b in blocks for j in vertices] + [c for _, c in diagnostics]
-    series = [traj.diagnostics[name] for name, _ in diagnostics]
-    return cols, np.column_stack([traj.times, traj.states, *series])
-
-
 def write_trajectory_csv(path: Path, cfg: ExperimentConfig, traj: Trajectory) -> None:
-    cols, data = _csv_columns(cfg, traj)
+    """Time, the flow's state blocks (one column per vertex each), then its observers' columns."""
+    flow = FLOWS[cfg.dynamics]
+    vertices = range(1, traj.n_density + 1)
+    written = [(name, column) for name, column, _ in flow.observers if column]
+    cols = ["t"] + [f"{b}_{j}" for b in flow.blocks for j in vertices] + [c for _, c in written]
+    series = [traj.diagnostics[name] for name, _ in written]
+    data = np.column_stack([traj.times, traj.states, *series])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
         for row in data:
@@ -258,15 +223,7 @@ def summarise(cfg: ExperimentConfig, traj: Trajectory, error: Optional[str], gra
         summary["rate_fits"] = {t: _record(fit_rate(traj, t), "transform") for t in cfg.fits}
     if cfg.power_fit:
         summary["power_fit"] = _record(fit_power(traj))
-
-    if cfg.dynamics == "second":
-        h = traj.diagnostics["hamiltonian"]
-        summary["hamiltonian"] = {
-            "initial": float(h[0]),
-            "max_drift": float(np.max(np.abs(h - h[0]))),
-        }
-        summary["synchronised"] = bool(is_synchronised(traj.densities[-1]))
-
+    summary.update(FLOWS[cfg.dynamics].summary(traj))
     if cfg.dichotomy_tol is not None:
         verdicts = edge_dichotomy_report(graph, traj.densities[-1], tol=cfg.dichotomy_tol)
         summary["dichotomy"] = {

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionError, SimplexViolationError
 from .graphs import Graph
-from .integrate import IntegratorSpec, Trajectory, integrate, project_simplex_clip
+from .integrate import IntegratorSpec, Trajectory, integrate  # noqa: F401 (kept importable)
 
 #: Sup-norm of the vector field below which a trajectory counts as converged.
 #: Must sit far enough below detect_limit's stall tolerance that the state
@@ -35,9 +35,9 @@ def density_state(rho, tol: float = 1e-9) -> np.ndarray:
         raise DimensionError(f"density must be a vector of length >= 2, got shape {rho.shape}")
     # Negated comparisons, so that NaN and inf entries fail them.
     if not abs(float(rho.sum()) - 1.0) <= tol:
-        raise SimplexViolationError(f"density sums to {float(rho.sum())!r}, not 1")
-    if not np.all(rho >= -tol):
-        raise SimplexViolationError(f"negative density component {float(rho.min())!r}")
+        raise SimplexViolationError(f"density sums to {float(rho.sum())!r}, not 1 (tol {tol:g})")
+    if not (rho >= -tol).all():
+        raise SimplexViolationError(f"density component {float(rho.min())!r} below -{tol:g}")
     return rho
 
 
@@ -76,29 +76,9 @@ def simulate_first_order(
     the vector field falls below CONVERGENCE_TOL at a record point, after
     which the state cannot move appreciably.
     """
-    rho0 = density_state(rho0, tol=clip_tol)
-    if rho0.size != graph.n:
-        raise DimensionError(f"density length {rho0.size} != vertex count {graph.n}")
-    field = first_order_field(graph, rule, kappa)
-    observers = {
-        "sum_sq": lambda y: float(np.dot(y, y)),
-        "max_gap": lambda y: max_gap(y),
-    }
-    stop = None
-    if stop_on_convergence:
-        stop = lambda y: float(np.max(np.abs(field(y)))) < CONVERGENCE_TOL
-    traj = integrate(
-        field,
-        rho0,
-        spec,
-        observers,
-        post_step=lambda y: project_simplex_clip(y, tol=clip_tol),
-        stop_when=stop,
-        n_density=graph.n,
-    )
-    if traj.stop_reason == "stop_condition":
-        traj.stop_reason = "converged"
-    return traj
+    from .flows import simulate  # the flow table, which imports this module
+    return simulate("first", graph, rule, kappa, (rho0,), spec, tol=clip_tol,
+                    stop=True if stop_on_convergence else None)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,147 @@
+"""The graph flows, one record each, read by the simulate functions, the
+experiment runner, the CSV writer, the summary, the config and the CLI: a new
+graph flow is one more record.  A flow's state is its ``blocks``, one vector
+over the vertices each, the density ``rho`` first.  A block's name is its CSV
+column prefix, and in lower case with a ``0`` the config key and CLI flag of
+its initial data (``S`` -> ``s0``).  The records call the flow modules'
+functions through module attributes at call time, so that replacing such an
+attribute reaches every run.
+"""
+from __future__ import annotations
+
+from collections import namedtuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Optional
+
+import numpy as np
+
+from . import first_order as fo, hopf_cole as hc, second_order as so
+from .errors import ConsistencyError, DimensionError
+from .integrate import IntegratorSpec, Trajectory, integrate, project_simplex_clip
+from .potentials import quadratic_kappa
+
+#: Thresholds defining "synchronised": one dominant density, rest negligible.
+SYNC_HI = 0.99
+SYNC_LO = 0.01
+
+
+def is_synchronised(rho: np.ndarray) -> bool:
+    top = float(np.max(rho))
+    rest = float(np.partition(rho, rho.size - 2)[-2])
+    return top > SYNC_HI and rest < SYNC_LO
+
+
+#: The initial data of a block after the density: ``keyword`` stands in for a
+#: vector (and is the default unless ``required``), namely for
+#: ``resolve(potential, rho0, *the blocks before it)``.
+Block = namedtuple("Block", "keyword required resolve")
+
+#: What a flow's hooks see of one run: ``model`` is kappa for the first-order flow and the
+#: potential for the others, ``tol`` the simplex tolerance, ``stop`` the caller's stop option.
+Run = namedtuple("Run", "graph rule model n field tol stop")
+
+
+@dataclass(frozen=True)
+class Flow:
+    """One graph dynamics.  The hooks take the ``Run`` and the packed state y."""
+
+    help: str                   # the simulate-* command's help
+    blocks: dict                # name -> Block of its initial data (None for rho)
+    field: Callable             # (graph, rule, model) -> the vector field of y
+    observers: tuple            # (diagnostic, CSV column or None, hook) at each record
+    simulate: Callable          # the public simulate function on (graph, rule, potential,
+                                # initial blocks, spec, the config's stop_on_sync)
+    post_step: Optional[Callable] = None    # maps y after each step
+    stop: Optional[Callable] = None         # ends the run, given a stop option, ...
+    stop_reason: str = "stop_condition"     # ... with this reason
+    stop_on_sync: bool = False              # whether a config's stop_on_sync applies
+    summary: Callable = lambda traj: {}     # the entries it adds to a run's summary
+
+    @property
+    def initial(self) -> dict:
+        """The config key of each block's initial data after rho0, with its Block."""
+        return {name.lower() + "0": block for name, block in self.blocks.items() if block}
+
+
+def _inside_simplex(run, y):
+    fo.density_state(y[: run.n], tol=so.SIMPLEX_HARD_TOL)
+    return y
+
+
+def _carried_rho_deviation(run, y):
+    n = run.n
+    dev = float(np.max(np.abs(-(y[n : 2 * n] + y[2 * n :]) / run.model.kappa - y[:n])))
+    if dev > hc.CARRIED_RHO_TOL:
+        raise ConsistencyError(f"carried and recovered densities diverged by {dev:.3e}")
+    return dev
+
+
+def _energy_summary(traj):
+    h = traj.diagnostics["hamiltonian"]
+    return {"hamiltonian": {"initial": float(h[0]), "max_drift": float(np.max(np.abs(h - h[0])))},
+            "synchronised": bool(is_synchronised(traj.densities[-1]))}
+
+
+FLOWS = {
+    "first": Flow(
+        help="first-order concentration flow",
+        blocks={"rho": None},
+        field=lambda graph, rule, kappa: fo.first_order_field(graph, rule, kappa),
+        observers=(("sum_sq", "sum_sq", lambda run, y: float(np.dot(y, y))),
+                   ("max_gap", "max_gap", lambda run, y: fo.max_gap(y))),
+        simulate=lambda graph, rule, potential, blocks, spec, sync: fo.simulate_first_order(
+            graph, rule, quadratic_kappa(potential), *blocks, spec),
+        post_step=lambda run, y: project_simplex_clip(y, tol=run.tol),
+        stop=lambda run, y: float(np.max(np.abs(run.field(y)))) < fo.CONVERGENCE_TOL,
+        stop_reason="converged",
+    ),
+    "second": Flow(
+        help="second-order Hamiltonian flow",
+        blocks={"rho": None, "S": Block(
+            "gradflow", True, lambda potential, rho0: so.gradient_flow_init(rho0, potential).S)},
+        field=lambda graph, rule, potential: so.second_order_field(graph, rule, potential),
+        observers=(("hamiltonian", "H", lambda run, y: so.hamiltonian(
+                        run.graph, run.rule, run.model, so.PhaseState.from_vector(y))),
+                   ("sum_sq", None, lambda run, y: float(np.dot(y[: run.n], y[: run.n])))),
+        simulate=lambda graph, rule, potential, blocks, spec, sync: so.simulate_second_order(
+            graph, rule, potential, so.PhaseState(*blocks), spec,
+            stop_when=(lambda st: is_synchronised(st.rho)) if sync else None),
+        post_step=_inside_simplex,
+        stop=lambda run, y: bool(run.stop(so.PhaseState.from_vector(y))),
+        stop_on_sync=True,
+        summary=_energy_summary,
+    ),
+    "hopf_cole": Flow(
+        help="flow in split (xi, xi*) variables",
+        blocks={"rho": None,
+                "xi": Block("zero", False, lambda potential, rho0: np.zeros_like(rho0)),
+                "xistar": Block("from-rho", False,
+                                lambda potential, rho0, xi0: potential.grad(rho0) - xi0)},
+        field=lambda graph, rule, potential: hc.hopf_cole_field(graph, rule, potential),
+        observers=(("max_abs_xi", "max_abs_xi",
+                    lambda run, y: float(np.max(np.abs(y[run.n : 2 * run.n])))),
+                   ("rho_consistency", None, _carried_rho_deviation)),
+        simulate=lambda graph, rule, potential, blocks, spec, sync: hc.simulate_hopf_cole(
+            graph, rule, potential, hc.HopfColeState(*blocks), spec),
+    ),
+}
+
+
+def simulate(dynamics: str, graph, rule, model, blocks, spec: IntegratorSpec, *,
+             tol: float = 1e-9, stop=None) -> Trajectory:
+    """The run of every simulate function, from initial ``blocks`` whose density has one entry
+    per vertex and lies on the simplex within ``tol``; ``stop`` is None for no stop."""
+    flow, n = FLOWS[dynamics], graph.n
+    rho = np.asarray(blocks[0], dtype=float)
+    if rho.size != n:
+        raise DimensionError(f"density length {rho.size} != vertex count {n}")
+    run = Run(graph, rule, model, n, flow.field(graph, rule, model), tol, stop)
+    y0 = np.concatenate([fo.density_state(rho, tol=tol), *blocks[1:]])
+    bind = lambda hook: None if hook is None else partial(hook, run)
+    traj = integrate(run.field, y0, spec, {name: bind(hook) for name, _, hook in flow.observers},
+                     post_step=bind(flow.post_step), n_density=n,
+                     stop_when=bind(None if stop is None else flow.stop))
+    if traj.stop_reason == "stop_condition":
+        traj.stop_reason = flow.stop_reason
+    return traj

@@ -31,12 +31,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConsistencyError, DimensionError, DomainError
-from .first_order import density_state
+from .errors import ConsistencyError, DomainError
 from .graphs import Graph
-from .integrate import IntegratorSpec, Trajectory, integrate
+from .integrate import IntegratorSpec, Trajectory, integrate  # noqa: F401 (kept importable)
 from .potentials import quadratic_kappa
-from .second_order import PhaseState, require_finite_slope
+from .second_order import PhaseState, VertexBlocks, block_rhs
 
 #: Consistency tolerances: defining relation, and carried-vs-recovered rho.
 RELATION_TOL = 1e-6
@@ -44,33 +43,14 @@ CARRIED_RHO_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class HopfColeState:
+class HopfColeState(VertexBlocks):
     """Carried density plus the split pair (xi, xi_star)."""
+
+    _nonfinite = DomainError
 
     rho: np.ndarray
     xi: np.ndarray
     xi_star: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "rho", np.asarray(self.rho, dtype=float))
-        object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
-        object.__setattr__(self, "xi_star", np.asarray(self.xi_star, dtype=float))
-        if not (self.rho.shape == self.xi.shape == self.xi_star.shape):
-            raise DimensionError("rho, xi, xi_star must share one shape")
-        if not np.isfinite(self.as_vector()).all():
-            raise DomainError("rho, xi and xi_star must be finite")
-
-    @property
-    def n(self) -> int:
-        return self.rho.size
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.rho, self.xi, self.xi_star])
-
-    @classmethod
-    def from_vector(cls, y: np.ndarray) -> "HopfColeState":
-        n = y.size // 3
-        return cls(rho=y[:n], xi=y[n : 2 * n], xi_star=y[2 * n :])
 
 
 def to_hopf_cole(state: PhaseState, potential) -> HopfColeState:
@@ -114,12 +94,7 @@ def hopf_cole_field(graph: Graph, rule, potential) -> Callable[[np.ndarray], np.
 
 def rhs_hopf_cole(graph: Graph, rule, potential, hc: HopfColeState):
     """Time derivatives (d rho, d xi, d xi_star)."""
-    if hc.n != graph.n:
-        raise DimensionError(f"state size {hc.n} != vertex count {graph.n}")
-    require_finite_slope(graph, rule, hc.rho)
-    dy = hopf_cole_field(graph, rule, potential)(hc.as_vector())
-    n = graph.n
-    return dy[:n], dy[n : 2 * n], dy[2 * n :]
+    return block_rhs(hopf_cole_field, graph, rule, potential, hc)
 
 
 def simulate_hopf_cole(
@@ -131,33 +106,11 @@ def simulate_hopf_cole(
 ) -> Trajectory:
     """Integrate in split variables, tracking max|xi| at record points.
 
-    The carried density is checked against the recovered one
-    (-(xi + xi_star)/kappa) at every record point; divergence beyond
-    CARRIED_RHO_TOL raises ConsistencyError.
+    The initial state must satisfy the split's defining relation (see
+    ``from_hopf_cole``), and the carried density is checked against the
+    recovered one (-(xi + xi_star)/kappa) at every record point; divergence
+    beyond CARRIED_RHO_TOL raises ConsistencyError.
     """
-    if hc0.n != graph.n:
-        raise DimensionError(f"state size {hc0.n} != vertex count {graph.n}")
-    field = hopf_cole_field(graph, rule, potential)
-    density_state(hc0.rho)
-    g0 = np.asarray(potential.grad(hc0.rho), dtype=float)
-    defect0 = float(np.max(np.abs(hc0.xi + hc0.xi_star - g0)))
-    if defect0 > RELATION_TOL:
-        raise ConsistencyError(
-            f"initial xi + xi_star differs from grad F(rho) by {defect0:.3e}"
-        )
-    n = graph.n
-
-    def check_consistency(y: np.ndarray) -> float:
-        recovered = -(y[n : 2 * n] + y[2 * n :]) / potential.kappa
-        dev = float(np.max(np.abs(recovered - y[:n])))
-        if dev > CARRIED_RHO_TOL:
-            raise ConsistencyError(
-                f"carried and recovered densities diverged by {dev:.3e}"
-            )
-        return dev
-
-    observers = {
-        "max_abs_xi": lambda y: float(np.max(np.abs(y[n : 2 * n]))),
-        "rho_consistency": check_consistency,
-    }
-    return integrate(field, hc0.as_vector(), spec, observers, n_density=n)
+    from .flows import simulate  # the flow table, which imports this module
+    from_hopf_cole(hc0, potential)
+    return simulate("hopf_cole", graph, rule, potential, (hc0.rho, hc0.xi, hc0.xi_star), spec)

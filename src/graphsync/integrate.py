@@ -193,13 +193,13 @@ def integrate(
 def project_simplex_clip(rho, tol: float = 1e-9) -> np.ndarray:
     """Zero out components in [-tol, 0) and renormalise the sum to one.
 
-    Components below -tol, or a total mass off by more than tol, indicate a
-    real violation and raise rather than being silently repaired.
+    Components below -tol, or a total mass off by more than tol (or not
+    finite), indicate a real violation and raise rather than being repaired.
     """
     rho = np.asarray(rho, dtype=float)
     # fmin skips NaN, so `low < -tol` is `any(rho < -tol)`; the message keeps rho.min().
     s, low = float(np.add.reduce(rho)), float(np.fmin.reduce(rho))
-    if abs(s - 1.0) > tol:
+    if not abs(s - 1.0) <= tol:  # negated, so that a NaN mass fails it
         raise SimplexViolationError(f"density mass {s!r} differs from 1 beyond tol={tol}")
     if low < -tol:
         raise SimplexViolationError(

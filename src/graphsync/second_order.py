@@ -28,14 +28,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    DegenerateDerivativeError,
-    DimensionError,
-    SimplexViolationError,
-)
+from .errors import DegenerateDerivativeError, DimensionError
 from .first_order import density_state
 from .graphs import Graph
-from .integrate import IntegratorSpec, Trajectory, integrate
+from .integrate import IntegratorSpec, Trajectory, integrate  # noqa: F401 (kept importable)
 from .potentials import quadratic_kappa
 
 #: Hard simplex tolerance for second-order runs (no clipping is applied).
@@ -43,33 +39,41 @@ SIMPLEX_HARD_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class PhaseState:
-    """Density vector paired with a per-vertex potential vector."""
+class VertexBlocks:
+    """A flow's state blocks: finite float vectors over the vertices, of one
+    shape, the density ``rho`` first.  A non-finite entry raises ``_nonfinite``."""
 
-    rho: np.ndarray
-    S: np.ndarray
+    _nonfinite = DimensionError
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", np.asarray(self.rho, dtype=float))
-        object.__setattr__(self, "S", np.asarray(self.S, dtype=float))
-        if self.rho.shape != self.S.shape:
-            raise DimensionError(
-                f"rho and S shapes differ: {self.rho.shape} vs {self.S.shape}"
-            )
-        if not (np.isfinite(self.rho).all() and np.isfinite(self.S).all()):
-            raise DimensionError("rho and S must be finite")
+        names = tuple(self.__dataclass_fields__)
+        blocks = [np.asarray(getattr(self, name), dtype=float) for name in names]
+        for name, block in zip(names, blocks):
+            object.__setattr__(self, name, block)
+        shapes = [block.shape for block in blocks]
+        if shapes.count(shapes[0]) != len(shapes):
+            raise DimensionError(f"{', '.join(names)} must share one shape, got {shapes}")
+        if not all(np.isfinite(block).all() for block in blocks):
+            raise self._nonfinite(f"{', '.join(names)} must be finite")
 
     @property
     def n(self) -> int:
         return self.rho.size
 
     def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.rho, self.S])
+        return np.concatenate([getattr(self, name) for name in self.__dataclass_fields__])
 
     @classmethod
-    def from_vector(cls, y: np.ndarray) -> "PhaseState":
-        n = y.size // 2
-        return cls(rho=y[:n], S=y[n:])
+    def from_vector(cls, y: np.ndarray):
+        return cls(*np.array_split(y, len(cls.__dataclass_fields__)))
+
+
+@dataclass(frozen=True)
+class PhaseState(VertexBlocks):
+    """Density vector paired with a per-vertex potential vector."""
+
+    rho: np.ndarray
+    S: np.ndarray
 
 
 def second_order_field(graph: Graph, rule, potential) -> Callable[[np.ndarray], np.ndarray]:
@@ -88,20 +92,19 @@ def second_order_field(graph: Graph, rule, potential) -> Callable[[np.ndarray], 
 
 def rhs_second_order(graph: Graph, rule, potential, state: PhaseState):
     """Time derivatives (d rho, d S); d rho components sum to zero."""
+    return block_rhs(second_order_field, graph, rule, potential, state)
+
+
+def block_rhs(factory, graph: Graph, rule, potential, state: VertexBlocks) -> tuple:
+    """The time derivative of each of ``state``'s blocks under the field ``factory``
+    builds.  A density at which an edge's weight slope is infinite, as min**alpha's
+    is for alpha < 1 on an edge with a zero-density end, is refused."""
     if state.n != graph.n:
         raise DimensionError(f"state size {state.n} != vertex count {graph.n}")
-    require_finite_slope(graph, rule, state.rho)
-    dy = second_order_field(graph, rule, potential)(state.as_vector())
-    return dy[: graph.n], dy[graph.n :]
-
-
-def require_finite_slope(graph: Graph, rule, rho) -> None:
-    """Refuse a density at which an edge's weight slope is infinite, as min**alpha's
-    is for alpha < 1 on an edge with a zero-density end."""
-    if not graph.slope_is_finite(rule, rho):
-        raise DegenerateDerivativeError(
-            "weight derivative is infinite at a zero-density edge"
-        )
+    if not graph.slope_is_finite(rule, state.rho):
+        raise DegenerateDerivativeError("weight derivative is infinite at a zero-density edge")
+    dy = factory(graph, rule, potential)(state.as_vector())
+    return tuple(np.split(dy, len(state.__dataclass_fields__)))
 
 
 def hamiltonian(graph: Graph, rule, potential, state: PhaseState) -> float:
@@ -139,36 +142,5 @@ def simulate_second_order(
     conservation, so any density excursion beyond SIMPLEX_HARD_TOL raises
     SimplexViolationError instead.
     """
-    if state0.n != graph.n:
-        raise DimensionError(f"state size {state0.n} != vertex count {graph.n}")
-    field = second_order_field(graph, rule, potential)
-    density_state(state0.rho)
-    n = graph.n
-
-    def guard(y: np.ndarray) -> np.ndarray:
-        rho = y[:n]
-        if float(rho.min()) < -SIMPLEX_HARD_TOL or abs(float(rho.sum()) - 1.0) > SIMPLEX_HARD_TOL:
-            raise SimplexViolationError(
-                f"density left the simplex beyond {SIMPLEX_HARD_TOL} "
-                f"(min={float(rho.min())!r}, mass={float(rho.sum())!r})"
-            )
-        return y
-
-    observers = {
-        "hamiltonian": lambda y: hamiltonian(
-            graph, rule, potential, PhaseState.from_vector(y)
-        ),
-        "sum_sq": lambda y: float(np.dot(y[:n], y[:n])),
-    }
-    stop = None
-    if stop_when is not None:
-        stop = lambda y: bool(stop_when(PhaseState.from_vector(y)))
-    return integrate(
-        field,
-        state0.as_vector(),
-        spec,
-        observers,
-        post_step=guard,
-        stop_when=stop,
-        n_density=n,
-    )
+    from .flows import simulate  # the flow table, which imports this module
+    return simulate("second", graph, rule, potential, (state0.rho, state0.S), spec, stop=stop_when)

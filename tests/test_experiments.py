@@ -101,19 +101,28 @@ def _config(**kwargs) -> ExperimentConfig:
 
 
 def test_config_normalises_initial_data():
-    cfg = _config(rho0=["0.5", 0.3, np.float64(0.2)], s0="gradflow",
-                  xi0=np.zeros(3), xistar0=[1, 2, 3], fits=["log_gap"])
+    # Each initial-data field on the flow that reads it.
+    cfg = _config(rho0=["0.5", 0.3, np.float64(0.2)], fits=["log_gap"])
     assert cfg.rho0 == (0.5, 0.3, 0.2) and all(type(v) is float for v in cfg.rho0)
-    assert cfg.s0 == "gradflow"
-    assert cfg.xi0 == (0.0, 0.0, 0.0) and cfg.xistar0 == (1.0, 2.0, 3.0)
+    assert _config(dynamics="second", s0="gradflow").s0 == "gradflow"
+    hc = _config(dynamics="hopf_cole", xi0=np.zeros(3), xistar0=[1, 2, 3])
+    assert hc.xi0 == (0.0, 0.0, 0.0) and hc.xistar0 == (1.0, 2.0, 3.0)
     assert cfg.fits == ("log_gap",)
-    assert _config(xi0="zero", xistar0="from-rho").xistar0 == "from-rho"
+    assert _config(dynamics="hopf_cole", xi0="zero", xistar0="from-rho").xistar0 == "from-rho"
 
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"rho0": ["a", "b"]}, {"rho0": 0.5}, {"rho0": None}, {"rho0": "gradflow"}, {"s0": "zero"},
-     {"xi0": [0.1, None]}, {"xistar0": "gradflow"}],
+    [{"rho0": ["a", "b"]}, {"rho0": 0.5}, {"rho0": None}, {"rho0": "gradflow"},
+     {"dynamics": "second", "s0": "zero"}, {"dynamics": "hopf_cole", "xi0": [0.1, None]},
+     {"dynamics": "hopf_cole", "xistar0": "gradflow"},
+     # A dynamics with no flow, a flow's required data missing, and data or a
+     # stop_on_sync that the named flow does not read.
+     {"dynamics": "fourth"}, {"dynamics": None}, {"dynamics": ["first"]}, {"dynamics": "second"},
+     {"dynamics": "second", "s0": None}, {"s0": (1, 2, 3)}, {"s0": "gradflow"}, {"xi0": "zero"},
+     {"xistar0": [0.0, 0.0, 0.0]}, {"dynamics": "second", "s0": "gradflow", "xi0": "zero"},
+     {"dynamics": "hopf_cole", "s0": (0.1, 0.2, 0.3)}, {"stop_on_sync": True},
+     {"dynamics": "hopf_cole", "stop_on_sync": True}],
 )
 def test_config_refuses_bad_initial_data(kwargs):
     with pytest.raises(DomainError):
@@ -134,9 +143,11 @@ def test_config_refuses_a_name_that_is_not_one_path_component(name):
 @pytest.mark.parametrize("flag", ["stop_on_sync", "power_fit"])
 @pytest.mark.parametrize("value", ["no", 0, 1, None, np.bool_(True)])
 def test_config_flags_must_be_bools(flag, value):
+    # stop_on_sync on the flow that reads it.
+    base = {"dynamics": "second", "s0": "gradflow"} if flag == "stop_on_sync" else {}
     with pytest.raises(DomainError, match=f"{flag} must be a bool"):
-        ExperimentConfig.from_dict({**_config().to_dict(), flag: value})
-    assert getattr(_config(**{flag: True}), flag) is True
+        ExperimentConfig.from_dict({**_config(**base).to_dict(), flag: value})
+    assert getattr(_config(**base, **{flag: True}), flag) is True
 
 
 def test_to_dict_writes_required_and_non_default_fields():
@@ -145,7 +156,7 @@ def test_to_dict_writes_required_and_non_default_fields():
         "theta": {"kind": "min_power", "alpha": 1.0},
         "potential": {"kind": "kuramoto", "kappa": 1.0}, "rho0": [0.5, 0.3, 0.2],
     }
-    doc = _config(s0=(0.1, 0.2, 0.3), integrator={"dt": 0.1}, stop_on_sync=True,
+    doc = _config(dynamics="second", s0=(0.1, 0.2, 0.3), integrator={"dt": 0.1}, stop_on_sync=True,
                   fits=("log_gap",), power_fit=True, dichotomy_tol=1e-3, expect={}).to_dict()
     assert doc["s0"] == [0.1, 0.2, 0.3] and doc["fits"] == ["log_gap"]
     assert doc["integrator"] == {"dt": 0.1} and doc["expect"] == {}

@@ -236,11 +236,11 @@ def test_graph_flows_refuse_non_quadratic_potentials(tmp_path):
     g0 = pot.grad([0.6, 0.4])
     with pytest.raises(DomainError):
         gs.simulate_hopf_cole(g, rule, pot, gs.HopfColeState([0.6, 0.4], [0.0, 0.0], [g0, g0]), spec)
-    for dynamics in ("first", "second", "hopf_cole"):
+    for dynamics, initial in (("first", {}), ("second", {"s0": "gradflow"}), ("hopf_cole", {})):
         cfg = gs.ExperimentConfig(
             name=f"shannon-{dynamics}", dynamics=dynamics, graph="complete(2)",
             theta={"kind": "min_power", "alpha": 2.0}, potential={"kind": "shannon"},
-            rho0=(0.6, 0.4), s0="gradflow", integrator={"dt": 0.01, "t_final": 0.1},
+            rho0=(0.6, 0.4), integrator={"dt": 0.01, "t_final": 0.1}, **initial,
         )
         with pytest.raises(DomainError):
             gs.run_experiment(cfg, tmp_path)

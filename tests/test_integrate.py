@@ -216,3 +216,9 @@ def test_project_simplex_clip():
         gs.project_simplex_clip(np.array([0.5, 0.6]), tol=1e-9)
     with pytest.raises(SimplexViolationError):
         gs.project_simplex_clip(np.array([0.5, 0.5 + 1e-8, -1e-8]), tol=1e-9)
+    # Entries that are not finite make a mass that is not finite, which is refused.
+    # (inf + -inf warns in the sum; integrate's stepping loop silences that.)
+    for bad in ([np.nan, 0.5, 0.5], [0.5, 0.5, np.nan], [np.inf, -np.inf, 1.0],
+                [np.inf, 0.0, 0.0], [1.0, 0.0, -np.inf]):
+        with pytest.raises(SimplexViolationError, match="density mass"), np.errstate(invalid="ignore"):
+            gs.project_simplex_clip(np.array(bad))

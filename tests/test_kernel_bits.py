@@ -105,7 +105,8 @@ def rk4_step_ref(rhs, y, dt):
 def clip_ref(rho, tol=1e-9):
     rho = np.asarray(rho, dtype=float)
     s = float(rho.sum())
-    if abs(s - 1.0) > tol:
+    # The old clip's `abs(s - 1.0) > tol` let a NaN mass through; the clip now refuses it.
+    if not abs(s - 1.0) <= tol:
         raise SimplexViolationError(f"density mass {s!r} differs from 1 beyond tol={tol}")
     if np.any(rho < -tol):
         raise SimplexViolationError(
