@@ -20,6 +20,9 @@ from .graphs import Graph
 from .integrate import Trajectory
 
 GAP_FLOOR = 1e-14
+#: detect_limit's tolerance (sup-norm) and trailing window (time units).
+LIMIT_TOL = 1e-8
+STALL_WINDOW = 10.0
 
 _TRANSFORMS = {
     "log_gap": np.log,
@@ -36,22 +39,16 @@ def trajectory_gap(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     return traj.times, gap
 
 
-def detect_limit(
-    traj: Trajectory, tol: float = 1e-8, stall_window: float = 10.0
-) -> Optional[np.ndarray]:
-    """Final density if the trajectory stalled over its trailing window.
-
-    The trajectory counts as converged when every recorded density within
-    ``stall_window`` time units of the end is within ``tol`` (sup-norm) of
-    the final one.  Returns None otherwise.
-    """
+def detect_limit(traj: Trajectory) -> Optional[np.ndarray]:
+    """Final density if every density over the trailing STALL_WINDOW is within
+    LIMIT_TOL (sup-norm) of it; None otherwise."""
     if len(traj.times) == 0:
         raise DomainError("empty trajectory")
     rho = traj.densities
     t_end = traj.times[-1]
-    in_window = traj.times >= t_end - stall_window
+    in_window = traj.times >= t_end - STALL_WINDOW
     dev = np.max(np.abs(rho[in_window] - rho[-1]))
-    if dev < tol:
+    if dev < LIMIT_TOL:
         return rho[-1].copy()
     return None
 

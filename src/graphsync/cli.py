@@ -25,6 +25,7 @@ from .graphs import load_graph
 from .integrate import IntegratorSpec
 from .potentials import _KINDS, ENTROPY_KINDS, potential_from_config
 from .two_point import (
+    BOUNDARY_CLIP,
     _action_from_x,
     _divergence_from_x,
     analytic_solution,
@@ -81,7 +82,7 @@ def _cmd_two_point(args) -> int:
     potential = _parse_entropy_potential(args.potential)
     theta_fn = entropy_theta_fn(potential)
     r1 = args.r1 if args.r1 is not None else args.r0
-    clipped = not (1e-8 <= min(args.r0, r1) and max(args.r0, r1) <= 1 - 1e-8)
+    clipped = not (BOUNDARY_CLIP <= min(args.r0, r1) and max(args.r0, r1) <= 1 - BOUNDARY_CLIP)
     if args.operation == "theta":
         value, err = entropy_induced_theta(potential, args.r0), 0.0
     else:

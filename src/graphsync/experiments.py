@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import numbers
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -43,11 +44,12 @@ _FIT_KEYS = {"transform", "min_r_squared", "slope_sign"}
 class ExperimentConfig:
     """Declarative description of one run, mirroring the JSON layout.
 
-    Initial data become tuples of floats (or keep their block's keyword from
+    Initial data become tuples of finite floats (or keep their block's keyword from
     ``flows.FLOWS``); anything else is a DomainError, and so are initial data and a
     ``stop_on_sync`` that the flow does not read, ``fits``, ``dichotomy_tol`` and
     ``expect`` that the summary and its checks could not read, a ``name`` that is not
     one path component (the run's directory under ``out_dir``) and non-bool flags.
+    Its integrator, theta and potential documents are built here, as a run builds them.
     """
 
     name: str
@@ -91,6 +93,10 @@ class ExperimentConfig:
             except (TypeError, ValueError):
                 allowed = "numbers" if keyword is None else f"numbers or {keyword!r}"
                 raise DomainError(f"{key} must be {allowed}, got {value!r}") from None
+            _check(all(map(math.isfinite, getattr(self, key))), f"{key} must be finite", value)
+        _resolve_spec(self.integrator)
+        rule_from_config(self.theta)
+        potential_from_config(self.potential)
         fits, tol = self.fits, self.dichotomy_tol
         _check(isinstance(fits, (list, tuple)) and all(t in _FITS for t in fits),
                f"fits must be a list of {list(_FITS)}", fits)
@@ -148,6 +154,7 @@ def _check_expect(exp, n: int) -> None:
 
 
 def _resolve_spec(doc: dict) -> IntegratorSpec:
+    _check(isinstance(doc, Mapping), "an integrator config must be a mapping", doc)
     unknown = set(doc) - {f.name for f in fields(IntegratorSpec)}
     if unknown:
         raise DomainError(f"unknown integrator keys: {sorted(unknown)}")

@@ -17,28 +17,15 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, SimplexViolationError
+from .errors import DimensionError
 from .graphs import Graph
-from .integrate import IntegratorSpec, Trajectory, integrate  # noqa: F401 (kept importable)
+from .integrate import IntegratorSpec, Trajectory, density_state, integrate  # noqa: F401
 
 #: Sup-norm of the vector field below which a trajectory counts as converged.
 #: Must sit far enough below detect_limit's stall tolerance that the state
 #: cannot move appreciably over a trailing window after the stop fires; for
 #: decay rates up to ~1 per time unit, 1e-13 leaves two orders of margin.
 CONVERGENCE_TOL = 1e-13
-
-
-def density_state(rho, tol: float = 1e-9) -> np.ndarray:
-    """Validate a density vector: nonnegative entries summing to one."""
-    rho = np.asarray(rho, dtype=float)
-    if rho.ndim != 1 or rho.size < 2:
-        raise DimensionError(f"density must be a vector of length >= 2, got shape {rho.shape}")
-    # Negated comparisons, so that NaN and inf entries fail them.
-    if not abs(float(rho.sum()) - 1.0) <= tol:
-        raise SimplexViolationError(f"density sums to {float(rho.sum())!r}, not 1 (tol {tol:g})")
-    if not (rho >= -tol).all():
-        raise SimplexViolationError(f"density component {float(rho.min())!r} below -{tol:g}")
-    return rho
 
 
 def first_order_field(graph: Graph, rule, kappa: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -66,7 +53,6 @@ def simulate_first_order(
     rho0,
     spec: IntegratorSpec,
     *,
-    clip_tol: float = 1e-9,
     stop_on_convergence: bool = True,
 ) -> Trajectory:
     """Integrate the concentration flow with per-step simplex clipping.
@@ -77,7 +63,7 @@ def simulate_first_order(
     which the state cannot move appreciably.
     """
     from .flows import simulate  # the flow table, which imports this module
-    return simulate("first", graph, rule, kappa, (rho0,), spec, tol=clip_tol,
+    return simulate("first", graph, rule, kappa, (rho0,), spec,
                     stop=True if stop_on_convergence else None)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import first_order as fo, hopf_cole as hc, second_order as so
 from .errors import ConsistencyError, DimensionError
-from .integrate import IntegratorSpec, Trajectory, integrate, project_simplex_clip
+from .integrate import IntegratorSpec, Trajectory, density_state, integrate, project_simplex_clip
 from .potentials import quadratic_kappa
 
 #: Thresholds defining "synchronised": one dominant density, rest negligible.
@@ -38,8 +38,8 @@ def is_synchronised(rho: np.ndarray) -> bool:
 Block = namedtuple("Block", "keyword required resolve")
 
 #: What a flow's hooks see of one run: ``model`` is kappa for the first-order flow and the
-#: potential for the others, ``tol`` the simplex tolerance, ``stop`` the caller's stop option.
-Run = namedtuple("Run", "graph rule model n field tol stop")
+#: potential for the others, ``stop`` the caller's stop option.
+Run = namedtuple("Run", "graph rule model n field stop")
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class Flow:
 
 
 def _inside_simplex(run, y):
-    fo.density_state(y[: run.n], tol=so.SIMPLEX_HARD_TOL)
+    density_state(y[: run.n], so.SIMPLEX_HARD_TOL)
     return y
 
 
@@ -92,7 +92,7 @@ FLOWS = {
                    ("max_gap", "max_gap", lambda run, y: fo.max_gap(y))),
         simulate=lambda graph, rule, potential, blocks, spec, sync: fo.simulate_first_order(
             graph, rule, quadratic_kappa(potential), *blocks, spec),
-        post_step=lambda run, y: project_simplex_clip(y, tol=run.tol),
+        post_step=lambda run, y: project_simplex_clip(y),
         stop=lambda run, y: float(np.max(np.abs(run.field(y)))) < fo.CONVERGENCE_TOL,
         stop_reason="converged",
     ),
@@ -129,15 +129,15 @@ FLOWS = {
 
 
 def simulate(dynamics: str, graph, rule, model, blocks, spec: IntegratorSpec, *,
-             tol: float = 1e-9, stop=None) -> Trajectory:
+             stop=None) -> Trajectory:
     """The run of every simulate function, from initial ``blocks`` whose density has one entry
-    per vertex and lies on the simplex within ``tol``; ``stop`` is None for no stop."""
+    per vertex and lies on the simplex; ``stop`` is None for no stop."""
     flow, n = FLOWS[dynamics], graph.n
     rho = np.asarray(blocks[0], dtype=float)
     if rho.size != n:
         raise DimensionError(f"density length {rho.size} != vertex count {n}")
-    run = Run(graph, rule, model, n, flow.field(graph, rule, model), tol, stop)
-    y0 = np.concatenate([fo.density_state(rho, tol=tol), *blocks[1:]])
+    run = Run(graph, rule, model, n, flow.field(graph, rule, model), stop)
+    y0 = np.concatenate([density_state(rho), *blocks[1:]])
     bind = lambda hook: None if hook is None else partial(hook, run)
     traj = integrate(run.field, y0, spec, {name: bind(hook) for name, _, hook in flow.observers},
                      post_step=bind(flow.post_step), n_density=n,

@@ -42,7 +42,7 @@ RELATION_TOL = 1e-6
 CARRIED_RHO_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HopfColeState(VertexBlocks):
     """Carried density plus the split pair (xi, xi_star)."""
 
@@ -63,17 +63,17 @@ def to_hopf_cole(state: PhaseState, potential) -> HopfColeState:
     )
 
 
-def from_hopf_cole(hc: HopfColeState, potential, tol: float = RELATION_TOL) -> PhaseState:
-    """Invert the split; raises if xi + xi_star has drifted off grad F(rho).
+def from_hopf_cole(hc: HopfColeState, potential) -> PhaseState:
+    """Invert the split; raises if xi + xi_star is off grad F(rho) by more than RELATION_TOL.
 
     F must be the quadratic potential; the density is recovered from the
     variables themselves (rho = -(xi + xi_star)/kappa).
     """
     kappa = quadratic_kappa(potential)
     defect = float(np.max(np.abs(hc.xi + hc.xi_star - (-kappa * hc.rho))))
-    if defect > tol:
+    if defect > RELATION_TOL:
         raise ConsistencyError(
-            f"xi + xi_star differs from grad F(rho) by {defect:.3e} (tol {tol:g})"
+            f"xi + xi_star differs from grad F(rho) by {defect:.3e} (tol {RELATION_TOL:g})"
         )
     return PhaseState(rho=-(hc.xi + hc.xi_star) / kappa, S=hc.xi - hc.xi_star)
 

@@ -17,7 +17,8 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import DomainError, GraphSyncError, NonFiniteStateError, SimplexViolationError
+from .errors import (DimensionError, DomainError, GraphSyncError, NonFiniteStateError,
+                     SimplexViolationError)
 
 Rhs = Callable[[np.ndarray], np.ndarray]
 
@@ -190,21 +191,37 @@ def integrate(
     return package("t_final")
 
 
-def project_simplex_clip(rho, tol: float = 1e-9) -> np.ndarray:
-    """Zero out components in [-tol, 0) and renormalise the sum to one.
+#: How far a density's mass may be off one and an entry below zero, at entry and in the clip.
+SIMPLEX_TOL = 1e-9
 
-    Components below -tol, or a total mass off by more than tol (or not
-    finite), indicate a real violation and raise rather than being repaired.
-    """
+
+def _on_simplex(rho, tol: float) -> tuple[np.ndarray, float, float]:
+    """rho as a float vector of length >= 2 on the simplex within tol, with its mass
+    and least entry; a mass or an entry (or a NaN or inf among them) beyond tol raises."""
     rho = np.asarray(rho, dtype=float)
+    if rho.ndim != 1 or rho.size < 2:
+        raise DimensionError(f"density must be a vector of length >= 2, got shape {rho.shape}")
     # fmin skips NaN, so `low < -tol` is `any(rho < -tol)`; the message keeps rho.min().
     s, low = float(np.add.reduce(rho)), float(np.fmin.reduce(rho))
     if not abs(s - 1.0) <= tol:  # negated, so that a NaN mass fails it
         raise SimplexViolationError(f"density mass {s!r} differs from 1 beyond tol={tol}")
     if low < -tol:
-        raise SimplexViolationError(
-            f"density component {float(rho.min())!r} below -tol={-tol}"
-        )
+        raise SimplexViolationError(f"density component {float(rho.min())!r} below -tol={-tol}")
+    return rho, s, low
+
+
+def density_state(rho, tol: float = SIMPLEX_TOL) -> np.ndarray:
+    """Validate a density vector: nonnegative entries summing to one."""
+    return _on_simplex(rho, tol)[0]
+
+
+def project_simplex_clip(rho, tol: float = SIMPLEX_TOL) -> np.ndarray:
+    """Zero out components in [-tol, 0) and renormalise the sum to one.
+
+    Components below -tol, or a total mass off by more than tol (or not
+    finite), indicate a real violation and raise rather than being repaired.
+    """
+    rho, s, low = _on_simplex(rho, tol)
     if low < 0.0:
         rho = np.where(rho < 0.0, 0.0, rho)
         s = float(np.add.reduce(rho))

@@ -19,8 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import BoundarySingularityError, DimensionError, DomainError
-
-_SIMPLEX_TOL = 1e-9
+from .integrate import SIMPLEX_TOL
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
@@ -40,7 +39,7 @@ def _reduced(singular: str = ""):
         @functools.wraps(method)
         def guarded(self, r):
             r = np.asarray(r, dtype=float)
-            if not np.all((r >= -_SIMPLEX_TOL) & (r <= 1.0 + _SIMPLEX_TOL)):
+            if not np.all((r >= -SIMPLEX_TOL) & (r <= 1.0 + SIMPLEX_TOL)):
                 raise DomainError(f"r must lie in [0, 1], got {r!r}")
             r = np.clip(r, 0.0, 1.0)
             if singular and not np.all((r > 0.0) & (r < 1.0)):
@@ -75,18 +74,17 @@ class KuramotoQuadratic:
         return -self.kappa * np.eye(n)
 
     # Two-node reduction in r = rho_1, rho_2 = 1 - r.
-    def value_r(self, r) -> float:
-        r = np.asarray(r, dtype=float)
-        out = -0.5 * self.kappa * (r**2 + (1.0 - r) ** 2)
-        return out if out.ndim else float(out)
+    @_reduced()
+    def value_r(self, r):
+        return -0.5 * self.kappa * (r**2 + (1.0 - r) ** 2)
 
+    @_reduced()
     def grad_r(self, r):
-        r = np.asarray(r, dtype=float)
-        out = -self.kappa * (2.0 * r - 1.0)
-        return out if out.ndim else float(out)
+        return -self.kappa * (2.0 * r - 1.0)
 
-    def hess_r(self, r) -> float:
-        return -2.0 * self.kappa
+    @_reduced()
+    def hess_r(self, r):
+        return np.full(r.shape, -2.0 * self.kappa)
 
 
 class _TwoNodeEntropy:
@@ -111,7 +109,7 @@ def _two_node_r(rho) -> float:
         raise DimensionError(
             f"entropy potentials are two-node only, got shape {rho.shape}"
         )
-    if abs(float(rho.sum()) - 1.0) > _SIMPLEX_TOL:
+    if not abs(float(rho.sum()) - 1.0) <= SIMPLEX_TOL:  # negated, so that a NaN mass fails it
         raise DomainError(f"two-node density must sum to 1, got {rho!r}")
     return float(rho[0])
 

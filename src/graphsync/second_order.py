@@ -29,19 +29,19 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateDerivativeError, DimensionError
-from .first_order import density_state
 from .graphs import Graph
-from .integrate import IntegratorSpec, Trajectory, integrate  # noqa: F401 (kept importable)
+from .integrate import IntegratorSpec, Trajectory, density_state, integrate  # noqa: F401
 from .potentials import quadratic_kappa
 
 #: Hard simplex tolerance for second-order runs (no clipping is applied).
 SIMPLEX_HARD_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexBlocks:
     """A flow's state blocks: finite float vectors over the vertices, of one
-    shape, the density ``rho`` first.  A non-finite entry raises ``_nonfinite``."""
+    shape, the density ``rho`` first.  A non-finite entry raises ``_nonfinite``.
+    Equal to a state of the same class with equal blocks; not hashable."""
 
     _nonfinite = DimensionError
 
@@ -56,6 +56,12 @@ class VertexBlocks:
         if not all(np.isfinite(block).all() for block in blocks):
             raise self._nonfinite(f"{', '.join(names)} must be finite")
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        names = self.__dataclass_fields__
+        return all(np.array_equal(getattr(self, k), getattr(other, k)) for k in names)
+
     @property
     def n(self) -> int:
         return self.rho.size
@@ -68,7 +74,7 @@ class VertexBlocks:
         return cls(*np.array_split(y, len(cls.__dataclass_fields__)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseState(VertexBlocks):
     """Density vector paired with a per-vertex potential vector."""
 

@@ -57,6 +57,10 @@ from .quadrature import QuadratureResult, adaptive_simpson
 
 #: Clipping distance from the density boundary for singular integrands.
 BOUNDARY_CLIP = 1e-8
+#: Distance from the density boundary at which a two-node run stops.
+BOUNDARY_STOP = 1e-12
+#: Nodes of the boundary-value path's cached stretch map (1/2 is added).
+_STRETCH_NODES = 1025
 #: Default absolute quadrature tolerance for the stretched coordinate.
 X_QUAD_TOL = 1e-10
 #: Half-width of the series window around r = 1/2 for induced weights.
@@ -71,8 +75,7 @@ class TwoPointState:
     S: float
 
     def __post_init__(self):
-        if not (0.0 <= self.r <= 1.0):
-            raise DomainError(f"r must lie in [0, 1], got {self.r}")
+        _check_unit("r", self.r)
         if not math.isfinite(self.S):
             raise DomainError(f"S must be finite, got {self.S}")
 
@@ -137,9 +140,8 @@ def simulate_two_point(
     kappa: float,
     state0: TwoPointState,
     spec: IntegratorSpec,
-    boundary_tol: float = 1e-12,
 ) -> Trajectory:
-    """Integrate the reduced flow; stops when r reaches either boundary.
+    """Integrate the reduced flow; stops when r is within BOUNDARY_STOP of either boundary.
 
     States are recorded as (r, S) rows with ``n_density = 1`` so the gap
     used by the rate-fitting helpers is 1 - r.  Runs that push S to
@@ -156,7 +158,7 @@ def simulate_two_point(
         return np.array(rhs(_clip01(r), S))
 
     def hit_boundary(y: np.ndarray) -> bool:
-        return min(y[0], 1.0 - y[0]) <= boundary_tol
+        return min(y[0], 1.0 - y[0]) <= BOUNDARY_STOP
 
     def energy(y: np.ndarray) -> float:
         r, S = y.tolist()
@@ -305,8 +307,7 @@ def _inv_sqrt_theta(theta_fn: Callable) -> Callable[[np.ndarray], np.ndarray]:
 
 def x_of_r_with_error(theta_fn: Callable, r: float, tol: float = X_QUAD_TOL) -> QuadratureResult:
     """Stretched coordinate with the quadrature error estimate attached."""
-    if not (0.0 <= r <= 1.0):
-        raise DomainError(f"r must lie in [0, 1], got {r}")
+    _check_unit("r", r)
     r_eff = min(max(r, BOUNDARY_CLIP), 1.0 - BOUNDARY_CLIP)
     return adaptive_simpson(_inv_sqrt_theta(theta_fn), 0.5, r_eff, tol=tol)
 
@@ -327,10 +328,10 @@ class _StretchMap:
     node spacing used.
     """
 
-    def __init__(self, theta_fn: Callable, lo: float, hi: float, n_nodes: int = 1025):
+    def __init__(self, theta_fn: Callable, lo: float, hi: float):
         if not lo < 0.5 < hi:
             raise DomainError(f"bracket [{lo}, {hi}] must hold 1/2 strictly inside")
-        nodes = np.unique(np.concatenate([np.linspace(lo, hi, n_nodes), [0.5]]))
+        nodes = np.unique(np.concatenate([np.linspace(lo, hi, _STRETCH_NODES), [0.5]]))
         self.nodes, self.inv_sqrt_theta = nodes, _inv_sqrt_theta(theta_fn)
         self.slope = self.inv_sqrt_theta(nodes)
         segs = adaptive_simpson(self.inv_sqrt_theta, nodes[:-1], nodes[1:], tol=1e-13).value
@@ -390,10 +391,9 @@ def _path_bracket(r0: float, r1: float) -> tuple[float, float]:
     return max(lo - pad, BOUNDARY_CLIP), min(hi + pad, 1.0 - BOUNDARY_CLIP)
 
 
-def _check_endpoints(r0: float, r1: float) -> None:
-    for name, v in (("r0", r0), ("r1", r1)):
-        if not (0.0 <= v <= 1.0):
-            raise DomainError(f"{name} must lie in [0, 1], got {v}")
+def _check_unit(name: str, v: float) -> None:
+    if not (0.0 <= v <= 1.0):
+        raise DomainError(f"{name} must lie in [0, 1], got {v}")
 
 
 def analytic_solution(theta_fn: Callable, r0: float, r1: float, t):
@@ -404,7 +404,8 @@ def analytic_solution(theta_fn: Callable, r0: float, r1: float, t):
     density is the numeric inverse of the coordinate map at x(t).
     Endpoints reproduce r0 and r1 to the inversion tolerance.
     """
-    _check_endpoints(r0, r1)
+    _check_unit("r0", r0)
+    _check_unit("r1", r1)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     scalar = np.ndim(t) == 0
     if np.any(t_arr < -1e-12) or np.any(t_arr > 1.0 + 1e-12):

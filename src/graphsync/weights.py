@@ -27,9 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .integrate import SIMPLEX_TOL
 from .potentials import _config_kind, _number, potential_from_config
-
-_PAIR_SUM_TOL = 1e-9
 
 
 def _pair(a, b):
@@ -176,7 +175,7 @@ class EntropyInduced:
 
     def theta(self, a, b):
         a, b = _pair(a, b)
-        if np.any(np.abs(a + b - 1.0) > _PAIR_SUM_TOL):
+        if np.any(np.abs(a + b - 1.0) > SIMPLEX_TOL):
             raise DomainError("entropy-induced weights need a + b = 1")
         return self.theta_r(a)
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -122,7 +123,16 @@ def test_config_normalises_initial_data():
      {"dynamics": "second", "s0": None}, {"s0": (1, 2, 3)}, {"s0": "gradflow"}, {"xi0": "zero"},
      {"xistar0": [0.0, 0.0, 0.0]}, {"dynamics": "second", "s0": "gradflow", "xi0": "zero"},
      {"dynamics": "hopf_cole", "s0": (0.1, 0.2, 0.3)}, {"stop_on_sync": True},
-     {"dynamics": "hopf_cole", "stop_on_sync": True}],
+     {"dynamics": "hopf_cole", "stop_on_sync": True},
+     # Initial data that are not finite, one row per block.
+     {"rho0": ["nan", 0.5, 0.5]}, {"rho0": [math.inf, 0.0, 0.0]},
+     {"dynamics": "second", "s0": [math.inf, 0.0, 0.0]},
+     {"dynamics": "hopf_cole", "xi0": [0.0, -math.inf, 0.0]},
+     {"dynamics": "hopf_cole", "xistar0": [0.1, math.nan, 0.1]},
+     # Integrator, theta and potential documents that the run could not build.
+     {"integrator": {"dt": -1}}, {"integrator": {"step": 0.1}}, {"integrator": None},
+     {"theta": {"kind": "nope"}}, {"theta": {"kind": "min_power", "alpha": "two"}},
+     {"theta": None}, {"potential": {"kind": "nope"}}, {"potential": {"kind": "renyi"}}],
 )
 def test_config_refuses_bad_initial_data(kwargs):
     with pytest.raises(DomainError):

@@ -99,7 +99,7 @@ def test_boundary_gradients_raise():
         gs.TsallisPotential(q=1.5).hess_r(0.0)
 
 
-@pytest.mark.parametrize("pot", ENTROPY_POTENTIALS, ids=repr)
+@pytest.mark.parametrize("pot", ENTROPY_POTENTIALS + [gs.KuramotoQuadratic(kappa=2.0)], ids=repr)
 @pytest.mark.parametrize("method", ["value_r", "grad_r", "hess_r"])
 def test_reduced_methods_share_one_guard(pot, method):
     fn = getattr(pot, method)
@@ -117,7 +117,10 @@ def test_reduced_methods_share_one_guard(pot, method):
 
 
 @pytest.mark.parametrize(
-    "pot", ENTROPY_POTENTIALS + [gs.RenyiPotential(alpha=2.5), gs.TsallisPotential(q=2.5)], ids=repr
+    "pot",
+    ENTROPY_POTENTIALS + [gs.RenyiPotential(alpha=2.5), gs.TsallisPotential(q=2.5),
+                          gs.KuramotoQuadratic(kappa=2.0)],
+    ids=repr,
 )
 @pytest.mark.parametrize("method", ["value_r", "grad_r", "hess_r"])
 def test_tolerance_band_gives_the_boundary_value(pot, method):
@@ -143,6 +146,10 @@ def test_entropy_needs_two_nodes():
         gs.ShannonPotential().value([0.5, 0.3, 0.2])
     with pytest.raises(DomainError):
         gs.ShannonPotential().value([0.7, 0.7])
+    # A NaN second entry makes a NaN mass, which is refused, not read past.
+    for method in ("value", "grad", "hess"):
+        with pytest.raises(DomainError):
+            getattr(gs.ShannonPotential(), method)([0.5, math.nan])
 
 
 def test_bad_parameters_rejected():
@@ -179,3 +186,12 @@ def test_potential_from_config():
         with pytest.raises(DomainError):
             gs.potential_from_config(doc)
     assert gs.potential_from_config({"kind": "kuramoto"}) == gs.KuramotoQuadratic(1.0)
+
+
+def test_quadratic_two_node_values_keep_their_bits():
+    # The shared guard passes r in [0, 1] through unchanged, ends included.
+    pot, r = gs.KuramotoQuadratic(kappa=1.7), np.linspace(0.0, 1.0, 11)
+    assert pot.value_r(r).tolist() == (-0.5 * 1.7 * (r**2 + (1.0 - r) ** 2)).tolist()
+    assert pot.grad_r(r).tolist() == (-1.7 * (2.0 * r - 1.0)).tolist()
+    assert [pot.value_r(v) for v in r] == pot.value_r(r).tolist()
+    assert pot.hess_r(0.3) == -3.4 and pot.hess_r(r).tolist() == [-3.4] * 11

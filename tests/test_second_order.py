@@ -150,3 +150,21 @@ def test_non_finite_entries_refused(field, bad):
     parts[field] = [parts[field][0], bad]
     with pytest.raises(DimensionError):
         gs.PhaseState(**parts)
+
+
+def test_states_compare_by_value_and_are_not_hashable():
+    # Like Graph: equal when the class and every block are equal; no hash.
+    st = gs.PhaseState([0.5, 0.5], [0.1, -0.1])
+    assert st == gs.PhaseState(np.array([0.5, 0.5]), (0.1, -0.1))
+    assert st != gs.PhaseState([0.5, 0.5], [0.1, 0.1])
+    assert st != gs.PhaseState([0.4, 0.3, 0.3], [0.1, -0.1, 0.0])  # another shape
+    hc = gs.HopfColeState([0.5, 0.5], [0.0, 0.0], [0.1, -0.1])
+    assert hc == gs.HopfColeState([0.5, 0.5], [0.0, 0.0], [0.1, -0.1])
+    assert hc != gs.HopfColeState([0.5, 0.5], [0.0, 1e-3], [0.1, -0.1])
+    # Another class is never equal, even with blocks of the same values.
+    assert gs.HopfColeState([0.5, 0.5], [0.5, 0.5], [0.1, -0.1]) != gs.PhaseState(
+        [0.5, 0.5], [0.1, -0.1])
+    assert st != st.as_vector().tolist() and st != "state"
+    for state in (st, hc):
+        with pytest.raises(TypeError):
+            hash(state)
