@@ -14,6 +14,7 @@ each with its expected outcome attached for --check mode.
 from __future__ import annotations
 
 import contextlib
+import copy
 import json
 import math
 import numbers
@@ -50,6 +51,7 @@ class ExperimentConfig:
     ``expect`` that the summary and its checks could not read, a ``name`` that is not
     one path component (the run's directory under ``out_dir``) and non-bool flags.
     Its integrator, theta and potential documents are built here, as a run builds them.
+    It keeps its own copies of its documents, and ``to_dict`` hands out copies.
     """
 
     name: str
@@ -69,6 +71,8 @@ class ExperimentConfig:
     expect: Optional[dict] = None
 
     def __post_init__(self):
+        for key in ("graph", "theta", "potential", "integrator", "expect"):  # its own copies
+            object.__setattr__(self, key, copy.deepcopy(getattr(self, key)))
         name = self.name  # the run's directory under out_dir
         _check(isinstance(name, str) and name not in ("", ".", "..")
                and not set(name) & set("/\\\0"),
@@ -101,7 +105,7 @@ class ExperimentConfig:
         _check(isinstance(fits, (list, tuple)) and all(t in _FITS for t in fits),
                f"fits must be a list of {list(_FITS)}", fits)
         object.__setattr__(self, "fits", tuple(fits))
-        _check(tol is None or isinstance(tol, numbers.Real), "dichotomy_tol must be a number", tol)
+        _check(tol is None or _finite(tol, 0), "dichotomy_tol must be a finite number >= 0", tol)
         if self.expect is not None:
             _check_expect(self.expect, len(self.rho0))
 
@@ -125,7 +129,7 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             default = f.default if f.default_factory is MISSING else f.default_factory()
             if default is MISSING or value != default:
-                out[f.name] = list(value) if isinstance(value, tuple) else value
+                out[f.name] = list(value) if isinstance(value, tuple) else copy.deepcopy(value)
         return out
 
 
@@ -134,23 +138,31 @@ def _check(ok: bool, what: str, value) -> None:
         raise DomainError(f"{what}, got {value!r}")
 
 
+def _finite(value, least=-math.inf) -> bool:
+    """A finite real number >= least; NaN fails the comparisons, so it fails too."""
+    return isinstance(value, numbers.Real) and -math.inf < value < math.inf and value >= least
+
+
 def _check_expect(exp, n: int) -> None:
-    """Refuse an ``expect`` block that ``check_expectations`` could not read."""
+    """Refuse an ``expect`` block that ``check_expectations`` could not read, or whose
+    checks could never fail (a NaN bound, a negative tolerance)."""
     _check(isinstance(exp, Mapping) and set(exp) <= _EXPECT_KEYS,
            f"expect must be a mapping with keys from {sorted(_EXPECT_KEYS)}", exp)
     limit = exp.get("limit", [0.0] * n)
-    _check(isinstance(limit, (list, tuple)) and len(limit) == n
-           and all(isinstance(v, numbers.Real) for v in limit),
-           f"expect limit must be {n} numbers", limit)
+    _check(isinstance(limit, (list, tuple)) and len(limit) == n and all(map(_finite, limit)),
+           f"expect limit must be {n} finite numbers", limit)
     for key in ("limit_tol", "max_dichotomy_violations"):
         value = exp.get(key, 0)
-        _check(isinstance(value, numbers.Real), f"expect {key} must be a number", value)
+        _check(_finite(value, 0), f"expect {key} must be a finite number >= 0", value)
+    sync = exp.get("synchronised", False)
+    _check(isinstance(sync, bool), "expect synchronised must be a bool", sync)
     fit = exp.get("fit", {"transform": _FITS[0]})
+    sign = fit.get("slope_sign") if isinstance(fit, Mapping) else None
     _check(isinstance(fit, Mapping) and set(fit) <= _FIT_KEYS and fit.get("transform") in _FITS
-           and isinstance(fit.get("min_r_squared", 0), numbers.Real)
-           and isinstance(fit.get("slope_sign", 0) or 0, numbers.Real),
-           f"expect fit must name a transform from {list(_FITS)}, with numbers for "
-           f"{sorted(_FIT_KEYS - {'transform'})}", fit)
+           and _finite(fit.get("min_r_squared", 0))
+           and (sign is None or isinstance(sign, numbers.Real) and sign in (-1, 0, 1)),
+           f"expect fit must name a transform from {list(_FITS)}, with a finite min_r_squared "
+           "and a slope_sign of -1, 0 or 1", fit)
 
 
 def _resolve_spec(doc: dict) -> IntegratorSpec:

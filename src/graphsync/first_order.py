@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DimensionError
 from .graphs import Graph
 from .integrate import IntegratorSpec, Trajectory, density_state, integrate  # noqa: F401
+from .potentials import KuramotoQuadratic
 
 #: Sup-norm of the vector field below which a trajectory counts as converged.
 #: Must sit far enough below detect_limit's stall tolerance that the state
@@ -29,8 +30,9 @@ CONVERGENCE_TOL = 1e-13
 
 
 def first_order_field(graph: Graph, rule, kappa: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Prebuilt vector field rho -> d rho/dt = kappa * Graph.flux(rule, rho, rho)."""
-    flux = graph.flux
+    """Prebuilt vector field rho -> d rho/dt = kappa * Graph.flux(rule, rho, rho);
+    kappa is checked as the quadratic potential checks it."""
+    flux, kappa = graph.flux, KuramotoQuadratic(kappa).kappa
 
     def field(rho: np.ndarray) -> np.ndarray:
         return kappa * flux(rule, rho, rho)

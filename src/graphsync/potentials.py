@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -59,8 +60,8 @@ class KuramotoQuadratic:
     kappa: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.kappa < math.inf:
-            raise DomainError(f"kappa must be positive and finite, got {self.kappa}")
+        if not (isinstance(self.kappa, numbers.Real) and 0 < self.kappa < math.inf):
+            raise DomainError(f"kappa must be positive and finite, got {self.kappa!r}")
 
     def value(self, rho) -> float:
         rho = np.asarray(rho, dtype=float)
@@ -143,8 +144,9 @@ class RenyiPotential(_TwoNodeEntropy):
     alpha: float
 
     def __post_init__(self):
-        if not 0 <= self.alpha < math.inf or self.alpha == 1.0:
-            raise DomainError(f"alpha must be finite, >= 0 and != 1, got {self.alpha}")
+        alpha = self.alpha
+        if not (isinstance(alpha, numbers.Real) and 0 <= alpha < math.inf) or alpha == 1.0:
+            raise DomainError(f"alpha must be finite, >= 0 and != 1, got {alpha!r}")
         grid = np.linspace(0.0, 1.0, 201)
         vals = self.value_r(grid)
         if np.min(vals) < -1e-12:
@@ -181,8 +183,8 @@ class TsallisPotential(_TwoNodeEntropy):
     q: float
 
     def __post_init__(self):
-        if not 1.0 < self.q < math.inf:
-            raise DomainError(f"q must be finite and exceed 1, got {self.q}")
+        if not (isinstance(self.q, numbers.Real) and 1.0 < self.q < math.inf):
+            raise DomainError(f"q must be finite and exceed 1, got {self.q!r}")
 
     @_reduced()
     def value_r(self, r):

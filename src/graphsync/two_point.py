@@ -38,7 +38,6 @@ with the integrand as slope.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -54,6 +53,7 @@ from .errors import (
 from .integrate import IntegratorSpec, Trajectory, integrate
 from .potentials import KuramotoQuadratic
 from .quadrature import QuadratureResult, adaptive_simpson
+from .weights import EntropyInduced
 
 #: Clipping distance from the density boundary for singular integrands.
 BOUNDARY_CLIP = 1e-8
@@ -63,8 +63,6 @@ BOUNDARY_STOP = 1e-12
 _STRETCH_NODES = 1025
 #: Default absolute quadrature tolerance for the stretched coordinate.
 X_QUAD_TOL = 1e-10
-#: Half-width of the series window around r = 1/2 for induced weights.
-_SERIES_WINDOW = 1e-4
 
 
 @dataclass(frozen=True)
@@ -91,19 +89,16 @@ class RateClass:
     def __post_init__(self):
         if self.kind not in ("finite_time_extinction", "exponential", "algebraic"):
             raise DomainError(f"unknown rate kind {self.kind!r}")
-        if self.rate is not None and self.rate <= 0:
-            raise DomainError("rate must be positive")
-        if self.power is not None and self.power <= 0:
-            raise DomainError("power must be positive")
+        if self.rate is not None and not 0 < self.rate < math.inf:
+            raise DomainError(f"rate must be positive and finite, got {self.rate}")
+        if self.power is not None and not 0 < self.power < math.inf:
+            raise DomainError(f"power must be positive and finite, got {self.power}")
 
 
 def _quadratic_rhs(rule, kappa: float) -> Callable[[float, float], tuple[float, float]]:
-    """The float kernel (r, S) -> (dr, dS) for coupling kappa.
-
-    kappa is checked once, here, by the quadratic potential; F'(r) is then
-    -kappa (2r - 1) and F'' is -2 kappa.
+    """The float kernel (r, S) -> (dr, dS) for a coupling kappa that the quadratic
+    potential has checked; F'(r) is then -kappa (2r - 1) and F'' is -2 kappa.
     """
-    kappa = KuramotoQuadratic(kappa=float(kappa)).kappa
     fpp = -2.0 * kappa
     theta_r, dtheta_r = rule.theta_r, rule.dtheta_r
 
@@ -123,15 +118,15 @@ def rhs_two_point(rule, kappa: float, state: TwoPointState) -> tuple[float, floa
     Matches the full two-vertex graph dynamics exactly, and keeps
     H = (theta/2)(S^2 - kappa^2 (2r - 1)^2) constant along solutions.
     """
-    return _quadratic_rhs(rule, kappa)(state.r, state.S)
+    return _quadratic_rhs(rule, KuramotoQuadratic(kappa).kappa)(state.r, state.S)
 
 
 def hamiltonian_two_point(rule, kappa_or_potential, state: TwoPointState) -> float:
-    """H = (theta/2) (S^2 - F'(r)^2); a number is read as the coupling kappa."""
-    if isinstance(kappa_or_potential, numbers.Real):
-        fp = -KuramotoQuadratic(kappa=float(kappa_or_potential)).kappa * (2.0 * state.r - 1.0)
-    else:
+    """H = (theta/2) (S^2 - F'(r)^2); anything but a potential is read as the coupling kappa."""
+    if hasattr(kappa_or_potential, "grad_r"):
         fp = kappa_or_potential.grad_r(state.r)
+    else:
+        fp = -KuramotoQuadratic(kappa_or_potential).kappa * (2.0 * state.r - 1.0)
     return 0.5 * rule.theta_r(state.r) * (state.S * state.S - fp * fp)
 
 
@@ -147,6 +142,7 @@ def simulate_two_point(
     used by the rate-fitting helpers is 1 - r.  Runs that push S to
     infinity in finite time surface as NonFiniteStateError.
     """
+    kappa = KuramotoQuadratic(kappa).kappa  # read once, here
     rhs = _quadratic_rhs(rule, kappa)
 
     def field(y: np.ndarray) -> np.ndarray:
@@ -180,10 +176,10 @@ def rate_class(alpha: float, H0: float) -> RateClass:
     on the positive-energy branch at alpha = 2 with the exponential rate
     sqrt(2 H0).
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    if H0 < 0:
-        raise UnsupportedRegimeError("negative energies are not classified")
+    if not H0 >= 0:
+        raise UnsupportedRegimeError(f"only energies H0 >= 0 are classified, got {H0}")
     if H0 == 0:
         if alpha < 1:
             return RateClass("finite_time_extinction")
@@ -204,9 +200,9 @@ def closed_form_gap(alpha: float, C: float, x0: float, t) -> float:
     1 - ((1 - x0)**(1 - alpha) + C (alpha - 1) t)**(-1 / (alpha - 1)).
     This is the oracle problem for the integrator-order tests.
     """
-    if alpha < 1:
-        raise UnsupportedRegimeError("closed form covers alpha >= 1 only")
-    if C <= 0:
+    if not alpha >= 1:
+        raise UnsupportedRegimeError(f"closed form covers alpha >= 1 only, got {alpha}")
+    if not C > 0:
         raise DomainError(f"C must be positive, got {C}")
     if not (0.0 <= x0 < 1.0):
         raise DomainError(f"x0 must lie in [0, 1), got {x0}")
@@ -223,43 +219,6 @@ def closed_form_gap(alpha: float, C: float, x0: float, t) -> float:
 # Entropy-induced two-node weights.
 # ---------------------------------------------------------------------------
 
-def _series_coefficients(potential) -> tuple[float, float]:
-    """Quadratic and quartic Taylor coefficients of F about r = 1/2.
-
-    c2 comes from the analytic curvature; c4 from a second difference of the
-    curvature, which is plenty accurate for the O(d^2) correction it feeds.
-    """
-    c2 = 0.5 * float(potential.hess_r(0.5))
-    h = 1e-3
-    c4 = (float(potential.hess_r(0.5 + h)) - 2.0 * c2) / (12.0 * h * h)
-    return c2, c4
-
-
-def _induced(pot, r, derivative: bool):
-    """theta (or d theta/dr, with ``derivative``) of the induced weight on (0, 1).
-
-    Within |r - 1/2| <= 1e-4 the quotients of F and its derivatives lose
-    their digits to the removable singularity; the Taylor series stands in.
-    """
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(r_arr <= 0.0) or np.any(r_arr >= 1.0):
-        raise DomainError("entropy-induced weights are defined on open (0, 1)")
-    out = np.empty_like(r_arr)
-    d = r_arr - 0.5
-    near = np.abs(d) <= _SERIES_WINDOW
-    far = ~near
-    if np.any(far):
-        rf = r_arr[far]
-        F, Fp = pot.value_r(rf), pot.grad_r(rf)
-        out[far] = 2.0 / Fp - 4.0 * F * pot.hess_r(rf) / Fp**3 if derivative else 2.0 * F / Fp**2
-    if np.any(near):
-        c2, c4 = _series_coefficients(pot)
-        dn = d[near]
-        out[near] = (-3.0 * (c4 / c2**2) * dn if derivative
-                     else (1.0 - 3.0 * (c4 / c2) * dn**2) / (2.0 * c2))
-    return float(out[0]) if np.ndim(r) == 0 else out
-
-
 def entropy_induced_theta(potential, r):
     """Two-node weight theta(r) = 2 F(r) / F'(r)^2 for an entropy potential.
 
@@ -267,17 +226,17 @@ def entropy_induced_theta(potential, r):
     small window around it the removable singularity is evaluated from the
     Taylor expansion of F, giving theta(1/2) = 1 / F''(1/2).
     """
-    return _induced(potential, r, derivative=False)
+    return EntropyInduced(potential).theta_r(r)
 
 
 def entropy_induced_theta_prime(potential, r):
     """d theta/dr for the induced weight: 2/F' - 4 F F'' / F'^3 away from 1/2."""
-    return _induced(potential, r, derivative=True)
+    return EntropyInduced(potential).dtheta_r(r)
 
 
 def entropy_theta_fn(potential) -> Callable:
     """Vectorised r -> theta(r) closure for the quadrature machinery."""
-    return lambda r: entropy_induced_theta(potential, r)
+    return EntropyInduced(potential).theta_r
 
 
 # ---------------------------------------------------------------------------

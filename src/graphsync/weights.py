@@ -5,7 +5,7 @@ family ``theta(a, b) = min(a, b)**alpha``; it vanishes exactly when the
 smaller density does, which is what drives extinction of low-mass vertices.
 ``ArithmeticMean`` is kept for contrast: it stays positive when one argument
 is zero, so it fails the boundary-vanishing condition (``validate_rule``
-reports this).  ``EntropyInduced`` wraps the closed-form two-node weight
+reports this).  ``EntropyInduced`` holds the closed-form two-node weight
 derived from an entropy potential and is defined only on density pairs with
 ``a + b = 1``.
 
@@ -22,6 +22,7 @@ giving theta and d theta/da under the same conventions as ``theta`` and
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,10 @@ import numpy as np
 from .errors import DomainError
 from .integrate import SIMPLEX_TOL
 from .potentials import _config_kind, _number, potential_from_config
+
+#: Half-width of the window about r = 1/2 where the induced weight's quotients of F
+#: lose their digits to the removable singularity, and its Taylor series stands in.
+_SERIES_WINDOW = 1e-4
 
 
 def _pair(a, b):
@@ -66,8 +71,8 @@ class MinPower:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.alpha < np.inf:
-            raise DomainError(f"alpha must be positive and finite, got {self.alpha}")
+        if not (isinstance(self.alpha, numbers.Real) and 0 < self.alpha < math.inf):
+            raise DomainError(f"alpha must be positive and finite, got {self.alpha!r}")
 
     @property
     def is_lipschitz(self) -> bool:
@@ -189,14 +194,36 @@ class EntropyInduced:
         return self.partials(a, b)
 
     def theta_r(self, r):
-        from .two_point import entropy_induced_theta
-
-        return entropy_induced_theta(self.potential, r)
+        return self._induced(r, derivative=False)
 
     def dtheta_r(self, r):
-        from .two_point import entropy_induced_theta_prime
+        return self._induced(r, derivative=True)
 
-        return entropy_induced_theta_prime(self.potential, r)
+    def _induced(self, r, derivative: bool):
+        """theta (or d theta/dr, with ``derivative``) on (0, 1)."""
+        pot = self.potential
+        r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+        if np.any(r_arr <= 0.0) or np.any(r_arr >= 1.0):
+            raise DomainError("entropy-induced weights are defined on open (0, 1)")
+        out = np.empty_like(r_arr)
+        d = r_arr - 0.5
+        near = np.abs(d) <= _SERIES_WINDOW
+        far = ~near
+        if np.any(far):
+            rf = r_arr[far]
+            F, Fp = pot.value_r(rf), pot.grad_r(rf)
+            out[far] = (2.0 / Fp - 4.0 * F * pot.hess_r(rf) / Fp**3 if derivative
+                        else 2.0 * F / Fp**2)
+        if np.any(near):
+            # Quadratic and quartic Taylor coefficients of F about 1/2: c2 from the analytic
+            # curvature, c4 from a second difference of it, plenty for the O(d^2) term it feeds.
+            c2 = 0.5 * float(pot.hess_r(0.5))
+            h = 1e-3
+            c4 = (float(pot.hess_r(0.5 + h)) - 2.0 * c2) / (12.0 * h * h)
+            dn = d[near]
+            out[near] = (-3.0 * (c4 / c2**2) * dn if derivative
+                         else (1.0 - 3.0 * (c4 / c2) * dn**2) / (2.0 * c2))
+        return float(out[0]) if np.ndim(r) == 0 else out
 
 
 @dataclass(frozen=True)

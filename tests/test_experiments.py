@@ -303,12 +303,46 @@ def test_every_failing_simulate_exits_2_after_writing_the_partial_csv(
      {"dichotomy_tol": "x"}, {"dichotomy_tol": 1e-3, "expect": {"max_dichotomy_violations": "a"}},
      {"fits": "log_gap"}, {"fits": ["log"]}, {"expect": {"limit": [1.0, 0.0]}},
      {"expect": {"fit": {"transform": "log_gap", "min_r_squared": "high"}}},
-     {"expect": {"limits": [0.5, 0.3, 0.2]}}],
+     {"expect": {"limits": [0.5, 0.3, 0.2]}},
+     # Checks that could never fail: NaN compares false, so `err > nan` passes any run.
+     {"expect": {"limit": [0.5, 0.3, 0.2], "limit_tol": math.nan}},
+     {"expect": {"limit": [0.5, 0.3, 0.2], "limit_tol": math.inf}},
+     {"expect": {"limit": [0.5, 0.3, 0.2], "limit_tol": -1e-3}},
+     {"expect": {"limit": [math.nan, 0.3, 0.2]}}, {"expect": {"limit": [math.inf, 0.0, 0.0]}},
+     {"expect": {"fit": {"transform": "log_gap", "min_r_squared": math.nan}}},
+     {"expect": {"fit": {"transform": "log_gap", "slope_sign": math.nan}}},
+     {"expect": {"fit": {"transform": "log_gap", "slope_sign": 2}}},
+     {"expect": {"fit": {"transform": "log_gap", "slope_sign": "-1"}}},
+     {"dichotomy_tol": 1e-3, "expect": {"max_dichotomy_violations": math.nan}},
+     {"dichotomy_tol": 1e-3, "expect": {"max_dichotomy_violations": -1}},
+     {"dichotomy_tol": math.nan}, {"dichotomy_tol": math.inf}, {"dichotomy_tol": -1.0},
+     {"expect": {"synchronised": "no"}},
+     json.loads('{"expect": {"limit": [0.5, 0.3, 0.2], "limit_tol": NaN}}')],
     ids=["fit-empty", "limit-text", "limit-tol-text", "expect-list", "dichotomy-tol-text",
          "violations-text", "fits-text", "fits-unknown", "limit-length", "r-squared-text",
-         "expect-unknown-key"],
+         "expect-unknown-key", "limit-tol-nan", "limit-tol-inf", "limit-tol-negative",
+         "limit-nan", "limit-inf", "r-squared-nan", "slope-sign-nan", "slope-sign-2",
+         "slope-sign-text", "violations-nan", "violations-negative", "dichotomy-tol-nan",
+         "dichotomy-tol-inf", "dichotomy-tol-negative", "synchronised-text", "json-nan-literal"],
 )
 def test_config_refuses_malformed_checks(kwargs):
     # Refused where the field enters, before anything runs.
     with pytest.raises(DomainError):
         ExperimentConfig.from_dict({**_config().to_dict(), **kwargs})
+
+
+def test_config_documents_are_copied_in_and_out():
+    # A config built from another's documents, or a to_dict edited, leaves the stock run alone.
+    stock = REPRODUCE_TARGETS["fig1"]
+    cfg = ExperimentConfig.from_dict(stock.to_dict())
+    cfg.integrator["dt"] = 50.0
+    cfg.expect["fit"]["min_r_squared"] = 0.0
+    doc = stock.to_dict()
+    doc["theta"]["alpha"] = 9.0
+    doc["potential"]["kappa"] = 9.0
+    assert stock.integrator["dt"] == 0.01 and stock.expect["fit"]["min_r_squared"] == 0.999
+    assert stock.theta["alpha"] == 1.0 and stock.potential["kappa"] == 1.0
+    graph = {"n": 3, "edges": [[1, 2, 1.0], [2, 3, 1.0], [1, 3, 1.0]]}
+    cfg = _config(graph=graph)
+    graph["edges"].pop()
+    assert len(cfg.graph["edges"]) == 3

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import graphsync as gs
 from graphsync.analysis import edge_dichotomy_report, fit_rate
-from graphsync.errors import DimensionError, SimplexViolationError
+from graphsync.errors import DimensionError, DomainError, SimplexViolationError
 
 simplex4 = st.lists(
     st.floats(min_value=0.01, max_value=1.0), min_size=4, max_size=4
@@ -146,3 +146,13 @@ def test_density_validation():
             gs.density_state(bad)
     with pytest.raises(DimensionError):
         gs.rhs_first_order(gs.complete_graph(3), gs.MinPower(1.0), 1.0, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("kappa", ["1", None, math.nan, math.inf, -1.0, 0.0])
+def test_first_order_coupling_refused_where_it_enters(kappa):
+    # The quadratic potential's check, before any step: no UFuncTypeError, no NonFiniteStateError.
+    g, rule, rho0 = gs.complete_graph(3), gs.MinPower(1.0), [0.5, 0.3, 0.2]
+    with pytest.raises(DomainError):
+        gs.simulate_first_order(g, rule, kappa, rho0, gs.IntegratorSpec(dt=0.01, t_final=0.1))
+    with pytest.raises(DomainError):
+        gs.rhs_first_order(g, rule, kappa, rho0)

@@ -167,6 +167,11 @@ def test_bad_parameters_rejected():
     for bad in (gs.RenyiPotential, gs.TsallisPotential):
         with pytest.raises(DomainError):
             bad(math.nan)
+    # A parameter that is no number: a DomainError, not a TypeError from its comparison.
+    for build, bad in ((gs.KuramotoQuadratic, "1"), (gs.KuramotoQuadratic, None), (gs.MinPower, "2"),
+                       (gs.RenyiPotential, "2"), (gs.TsallisPotential, "3"), (gs.TsallisPotential, [3.0])):
+        with pytest.raises(DomainError):
+            build(bad)
 
 
 def test_potential_from_config():

@@ -458,3 +458,28 @@ def test_two_point_state_validation():
 def test_two_point_state_refuses_non_finite_entries(r, S):
     with pytest.raises(DomainError):
         gs.TwoPointState(r, S)
+
+
+@pytest.mark.parametrize("kappa", ["1", None, [1.0]])
+def test_coupling_that_is_no_number_refused_before_any_step(kappa):
+    rule = _CountingRule(gs.MinPower(2.0))
+    state = gs.TwoPointState(0.55, 2.0)
+    with pytest.raises(DomainError):
+        gs.simulate_two_point(rule, kappa, state, gs.IntegratorSpec(dt=0.1, t_final=1.0))
+    for fn in (gs.rhs_two_point, gs.hamiltonian_two_point):
+        with pytest.raises(DomainError):
+            fn(rule, kappa, state)
+    assert rule.calls == 0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gs.rate_class(math.nan, 0.1), lambda: gs.rate_class(2.0, math.nan),
+    lambda: gs.closed_form_gap(2.0, math.nan, 0.5, 1.0),
+    lambda: gs.closed_form_gap(math.nan, 1.0, 0.5, 1.0),
+    lambda: gs.RateClass(kind="exponential", rate=math.nan),
+    lambda: gs.RateClass(kind="algebraic", power=math.nan),
+], ids=["rate-class-alpha", "rate-class-energy", "gap-rate", "gap-alpha", "rate", "power"])
+def test_two_node_closed_forms_refuse_nan(call):
+    # Each comparison is negated, so NaN fails it: a GraphSyncError, never a NaN answer.
+    with pytest.raises(gs.GraphSyncError):
+        call()
