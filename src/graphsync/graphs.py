@@ -27,8 +27,11 @@ those of the edge formulas.
 
 ``CompleteGraph`` overrides them.  It holds every pair with one weight omega
 and builds its edge arrays only when something reads them.  Under a
-``MinPower`` rule it evaluates the operators on x sorted once, with prefix
-sums, in O(n log n); other rules fall back to the edge list.
+``MinPower`` rule it evaluates the operators on x in rank order, with prefix
+sums, in O(n log n); other rules fall back to the edge list.  It keeps the
+rank order of its last call and sorts only when x is not strictly increasing
+in it, so the sort runs once per rank change, not once per operator call; with
+no ties, the slope sums take each rank as its own tie group without a search.
 ``complete_graph`` and ``build_graph`` return one for a complete graph with
 one common weight from ``SORTED_MIN_N`` vertices up, the measured crossover
 below which the edge list is faster.
@@ -223,9 +226,9 @@ class Graph:
         return json.dumps({"n": self.n, "edges": rows.tolist()})
 
 
-def _rank(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    order = np.argsort(x, kind="stable")
-    return order, x[order]
+def _increasing(xr: np.ndarray) -> bool:
+    """Whether xr is strictly increasing: no ties, and no NaN, which compares false."""
+    return bool(np.greater(xr[1:], xr[:-1]).all())
 
 
 def _unrank(order: np.ndarray, ranked: np.ndarray) -> np.ndarray:
@@ -241,7 +244,7 @@ def _ranked(order: np.ndarray, *vectors: np.ndarray) -> np.ndarray:
     The operators see differences only, and the shift keeps the expanded
     products (and sums such as g - S) at the scale of each vector's spread.
     """
-    rows = np.array(vectors)[:, order]
+    rows = np.array(vectors).take(order, axis=1)
     return rows - rows[:, :1]
 
 
@@ -263,8 +266,9 @@ class CompleteGraph(Graph):
     vertices by x turns each operator into prefix sums: vertex k meets each
     lower-ranked vertex through that vertex's phi and each higher-ranked one
     through its own phi_k, and its slope reaches the higher-ranked vertices
-    plus half its tie group.  One sort and a few cumulative sums replace the
-    n(n - 1) ordered edges.  Other rules use the edge list.
+    plus half its tie group.  A sort, when the ranks change, and a few
+    cumulative sums replace the n(n - 1) ordered edges.  Other rules use the
+    edge list.
     """
 
     def __init__(self, n: int, omega: float = 1.0):
@@ -289,6 +293,19 @@ class CompleteGraph(Graph):
     @property
     def edge_count(self) -> int:
         return self.n * (self.n - 1) // 2
+
+    def _ranking(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The stable order of x, and x in that order.  The order of the last call
+        is kept for the next, as a flow's states change rank only now and then:
+        when it puts x in strictly increasing order, it is the only order that
+        sorts x, and it is reused unsorted."""
+        # vars, not getattr: a missing attribute would reach __getattr__.
+        order = vars(self).get("_last_order")
+        if order is None or order.size != x.size or not _increasing(xr := x[order]):
+            order = np.argsort(x, kind="stable")
+            xr = x[order]
+            object.__setattr__(self, "_last_order", order)
+        return order, xr
 
     def _phi(self, rule, xr: np.ndarray) -> np.ndarray:
         phi = rule.phi(xr)
@@ -318,19 +335,22 @@ class CompleteGraph(Graph):
     def _slope_product(self, rule, xr: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """K(a, b) at each rank: omega phi'_k times the pair sum over the higher
         ranks plus half the tie group of k (k itself adds 0)."""
-        lo, hi = np.searchsorted(xr, xr, "left"), np.searchsorted(xr, xr, "right")
+        if _increasing(xr):  # no ties: the searches would give k and k + 1
+            lo, hi = np.arange(self.n), np.arange(1, self.n + 1)
+        else:
+            lo, hi = np.searchsorted(xr, xr, "left"), np.searchsorted(xr, xr, "right")
         return self._dphi(rule, xr) * _pair_sums(a, b, lo, hi)
 
     def flux(self, rule, x, u):
         if not isinstance(rule, MinPower):
             return super().flux(rule, x, u)
-        order, xr = _rank(x)
+        order, xr = self._ranking(x)
         return _unrank(order, self._fluxes(self._phi(rule, xr), _ranked(order, u))[0])
 
     def second_order_terms(self, rule, x, S, g):
         if not isinstance(rule, MinPower):
             return super().second_order_terms(rule, x, S, g)
-        order, xr = _rank(x)
+        order, xr = self._ranking(x)
         rows = _ranked(order, S, g)
         f_S, f_g = self._fluxes(self._phi(rule, xr), rows)
         S, g = rows
@@ -340,7 +360,7 @@ class CompleteGraph(Graph):
     def hopf_cole_terms(self, rule, x, xi, xs):
         if not isinstance(rule, MinPower):
             return super().hopf_cole_terms(rule, x, xi, xs)
-        order, xr = _rank(x)
+        order, xr = self._ranking(x)
         rows = _ranked(order, xi, xs)
         f_xi, f_xs = self._fluxes(self._phi(rule, xr), rows)
         xi, xs = rows
@@ -351,7 +371,7 @@ class CompleteGraph(Graph):
         if not isinstance(rule, MinPower):
             return super().pair_energy(rule, x, S, g)
         # Twice the sum over rank pairs k < r, whose weight is phi_k.
-        order, xr = _rank(x)
+        order, xr = self._ranking(x)
         S, g = _ranked(order, S, g)
         above = np.arange(1, self.n + 1)
         pairs = _pair_sums(S - g, S + g, above, above)
@@ -360,7 +380,7 @@ class CompleteGraph(Graph):
     def slope_is_finite(self, rule, x):
         if not isinstance(rule, MinPower):
             return super().slope_is_finite(rule, x)
-        return bool(np.isfinite(self._dphi(rule, np.sort(x))).all())
+        return bool(np.isfinite(self._dphi(rule, self._ranking(x)[1])).all())
 
 
 def build_graph(n: int, weighted_edges) -> Graph:

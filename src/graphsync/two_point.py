@@ -38,6 +38,7 @@ with the integrand as slope.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -89,10 +90,9 @@ class RateClass:
     def __post_init__(self):
         if self.kind not in ("finite_time_extinction", "exponential", "algebraic"):
             raise DomainError(f"unknown rate kind {self.kind!r}")
-        if self.rate is not None and not 0 < self.rate < math.inf:
-            raise DomainError(f"rate must be positive and finite, got {self.rate}")
-        if self.power is not None and not 0 < self.power < math.inf:
-            raise DomainError(f"power must be positive and finite, got {self.power}")
+        for name, value in (("rate", self.rate), ("power", self.power)):
+            if value is not None and not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+                raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _quadratic_rhs(rule, kappa: float) -> Callable[[float, float], tuple[float, float]]:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError
 from .integrate import SIMPLEX_TOL
-from .potentials import _config_kind, _number, potential_from_config
+from .potentials import _config_kind, _number, _TwoNodeEntropy, potential_from_config
 
 #: Half-width of the window about r = 1/2 where the induced weight's quotients of F
 #: lose their digits to the removable singularity, and its Taylor series stands in.
@@ -177,6 +177,11 @@ class EntropyInduced:
     """
 
     potential: object
+
+    def __post_init__(self):
+        if not isinstance(self.potential, _TwoNodeEntropy):
+            raise DomainError(f"the induced weight needs a two-node entropy potential, "
+                              f"got {self.potential!r}")
 
     def theta(self, a, b):
         a, b = _pair(a, b)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphsync as gs
+from graphsync import graphs
 from graphsync.analysis import edge_dichotomy_report
 from graphsync.errors import DegenerateDerivativeError, GraphConstructionError, NonFiniteStateError
 from graphsync.graphs import SORTED_MIN_N, CompleteGraph, Graph
@@ -207,3 +208,75 @@ def test_large_complete_graph_allocates_no_edges():
 def test_complete_graph_refuses_bad_input(n, omega):
     with pytest.raises(GraphConstructionError):
         CompleteGraph(n, omega)
+
+
+# ---------------------------------------------------------------------------
+# The rank order of the last call is reused, and no bit moves.
+# ---------------------------------------------------------------------------
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def sorted_operators(graph, rule, x, S, g, xi):
+    """Every sorted operator, in the order a flow and its observers call them."""
+    return (graph.flux(rule, x, S), *graph.second_order_terms(rule, x, S, g),
+            *graph.hopf_cole_terms(rule, x, xi, g), graph.pair_energy(rule, x, S, g),
+            graph.slope_is_finite(rule, x))
+
+
+def test_reused_ranks_give_the_bits_of_a_fresh_sort(monkeypatch):
+    n, rule = 64, gs.MinPower(2.0)
+    rng = np.random.default_rng(14)
+    base = rng.dirichlet(np.full(n, 5.0))
+    order = np.argsort(base)
+    if order[0] < order[1]:  # the least two in falling index order, so that a tie between
+        base[order[:2]] = base[order[1::-1]]  # them is ranked against the last order
+        order = np.argsort(base)
+    near = base + 1e-12 * rng.normal(size=n)           # most likely the same ranks
+    swapped = base.copy()                               # two neighbouring ranks trade places
+    swapped[order[[10, 11]]] = swapped[order[[11, 10]]]
+    tied = base.copy()                                  # exact ties, one among the least two
+    tied[order[[0, 20]]] = tied[order[[1, 21]]]
+    signed_zero, with_nan = base.copy(), base.copy()  # 0.0 ties -0.0; NaN compares false
+    signed_zero[:2] = 0.0, -0.0
+    with_nan[7] = np.nan
+    other = rng.dirichlet(np.full(n, 2.0))
+    states = [base, near, base, tied, tied, swapped, swapped, signed_zero, with_nan, base,
+              other, base, other, other, base]  # the last five interleave two states
+    graph, kept = CompleteGraph(n, 1.5), 0
+    with np.errstate(invalid="ignore"):
+        for x in states:
+            S, g, xi = rng.normal(size=(3, n))
+            hint = vars(graph).get("_last_order")
+            got = sorted_operators(graph, rule, x, S, g, xi)
+            kept += vars(graph)["_last_order"] is hint
+            with monkeypatch.context() as fresh:  # no hint, and every tie group searched for
+                fresh.setattr(graphs, "_increasing", lambda xr: False)
+                want = sorted_operators(CompleteGraph(n, 1.5), rule, x, S, g, xi)
+            assert all(map(same_bits, got, want))
+    assert 0 < kept < len(states)
+
+
+@pytest.mark.parametrize("dynamics", ["first", "second"])
+def test_complete_1024_runs_keep_their_bits_without_the_hint(dynamics, monkeypatch):
+    n, rule, pot = 1024, gs.MinPower(2.0), gs.KuramotoQuadratic(1.0)
+    rho = np.random.default_rng(9973).dirichlet(np.full(n, 5.0))
+    spec = gs.IntegratorSpec(dt=0.01, t_final=0.04)
+
+    def run():
+        graph = gs.complete_graph(n)
+        if dynamics == "first":
+            return gs.simulate_first_order(graph, rule, 1.0, rho, spec)
+        return gs.simulate_second_order(graph, rule, pot, gs.gradient_flow_init(rho, pot), spec)
+
+    hinted = run()
+    # Nothing is increasing any more: every rank is sorted afresh and every
+    # tie group searched for, as before the order was reused.
+    monkeypatch.setattr(graphs, "_increasing", lambda xr: False)
+    fresh = run()
+    assert same_bits(hinted.states, fresh.states)
+    for name, series in fresh.diagnostics.items():
+        assert same_bits(hinted.diagnostics[name], series)

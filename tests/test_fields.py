@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphsync as gs
+from graphsync import first_order, hopf_cole, second_order
 from graphsync.errors import DegenerateDerivativeError, DomainError, GraphSyncError
 from graphsync.first_order import first_order_field
 from graphsync.hopf_cole import hopf_cole_field
@@ -244,3 +245,52 @@ def test_graph_flows_refuse_non_quadratic_potentials(tmp_path):
         )
         with pytest.raises(DomainError):
             gs.run_experiment(cfg, tmp_path)
+
+
+def counting(factory, calls: list):
+    """``factory`` whose fields count their evaluations in ``calls``."""
+    def build(*args):
+        field = factory(*args)
+
+        def counted(y):
+            calls.append(None)
+            return field(y)
+
+        return counted
+
+    return build
+
+
+@pytest.mark.parametrize("scheme, stages", [("rk4", 4), ("euler", 1)])
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("t_final, reason", [(0.5, "t_final"), (200.0, "converged")])
+def test_first_order_stop_adds_one_field_call_per_record(
+        scheme, stages, record_every, t_final, reason, monkeypatch):
+    calls = []
+    monkeypatch.setattr(first_order, "first_order_field",
+                        counting(first_order.first_order_field, calls))
+    g, rule, rho0 = gs.named_graph("complete(4)"), gs.MinPower(1.0), [0.5, 0.3, 0.15, 0.05]
+    spec = gs.IntegratorSpec(scheme=scheme, dt=0.05, t_final=t_final, record_every=record_every)
+    traj = gs.simulate_first_order(g, rule, KAPPA, rho0, spec)
+    assert traj.stop_reason == reason
+    steps = round(traj.final_time / spec.dt)
+    # The stages of every step, and the stop's evaluation at every record.
+    assert len(calls) == stages * steps + len(traj.times)
+    calls.clear()
+    gs.simulate_first_order(g, rule, KAPPA, rho0, spec, stop_on_convergence=False)
+    assert len(calls) == stages * spec.n_steps
+
+
+@pytest.mark.parametrize("module, factory", [(second_order, "second_order_field"),
+                                             (hopf_cole, "hopf_cole_field")], ids=["second", "hopf_cole"])
+def test_other_flows_evaluate_their_field_at_the_stages_only(module, factory, monkeypatch):
+    calls = []
+    monkeypatch.setattr(module, factory, counting(getattr(module, factory), calls))
+    g, rule, pot = gs.named_graph("cycle6"), gs.MinPower(2.0), gs.KuramotoQuadratic(KAPPA)
+    state = gs.gradient_flow_init([0.3, 0.25, 0.2, 0.1, 0.1, 0.05], pot)
+    spec = gs.IntegratorSpec(dt=0.01, t_final=0.2)
+    if module is second_order:
+        gs.simulate_second_order(g, rule, pot, state, spec)
+    else:
+        gs.simulate_hopf_cole(g, rule, pot, gs.to_hopf_cole(state, pot), spec)
+    assert len(calls) == 4 * spec.n_steps

@@ -483,3 +483,13 @@ def test_two_node_closed_forms_refuse_nan(call):
     # Each comparison is negated, so NaN fails it: a GraphSyncError, never a NaN answer.
     with pytest.raises(gs.GraphSyncError):
         call()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"kind": "exponential", "rate": "x"}, {"kind": "exponential", "rate": [1.0]},
+    {"kind": "algebraic", "power": "2"}, {"kind": "algebraic", "power": 1j},
+], ids=["rate-text", "rate-list", "power-text", "power-complex"])
+def test_rate_class_refuses_a_rate_or_power_that_is_no_number(kwargs):
+    # The type is checked before any comparison, so the refusal is never a bare TypeError.
+    with pytest.raises(DomainError):
+        gs.RateClass(**kwargs)

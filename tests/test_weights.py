@@ -149,6 +149,8 @@ def test_rule_from_config():
         {"kind": "min_power", "alpha": None},
         {"kind": "entropy_induced"},
         {"kind": "entropy_induced", "potential": "tsallis"},
+        # theta(0.3) = -3.625 from -(kappa/2) sum rho^2, were it built
+        {"kind": "entropy_induced", "potential": {"kind": "kuramoto", "kappa": 1.0}},
         None,
         "min_power",
         ["min_power", 2.0],
@@ -228,7 +230,7 @@ R_SAMPLE = np.random.default_rng(0).uniform(0.0, 1.0, 20000).tolist()
 
 
 @pytest.mark.parametrize("rule", TWO_NODE_RULES, ids=repr)
-@settings(max_examples=100)
+@settings(max_examples=100, deadline=None)  # the 20000-value example alone takes ~0.1 s
 @given(rs=st.lists(st.one_of(unit, st.sampled_from([0.0, 0.5, 1.0])), min_size=1, max_size=100))
 @example(rs=R_SAMPLE)
 def test_two_node_reduction_on_floats_matches_the_array_kernel(rule, rs):
@@ -256,3 +258,10 @@ def test_two_node_slope_is_inf_where_the_power_fails():
         thp = gs.MinPower(alpha).dtheta_r(r)
         assert math.isinf(thp) and (thp > 0) == (r < 0.5)
     assert gs.MinPower(1e-3).dtheta_r(0.5) == 0.0
+
+
+@pytest.mark.parametrize("potential", [gs.KuramotoQuadratic(1.0), None, "shannon"], ids=repr)
+def test_entropy_induced_refuses_a_potential_that_is_no_two_node_entropy(potential):
+    with pytest.raises(DomainError):
+        gs.EntropyInduced(potential)
+
