@@ -21,7 +21,6 @@ from .experiments import (
     write_trajectory_csv,
 )
 from .flows import FLOWS
-from .graphs import load_graph
 from .integrate import IntegratorSpec
 from .potentials import _KINDS, ENTROPY_KINDS, potential_from_config
 from .two_point import (
@@ -53,14 +52,10 @@ def _cmd_simulate(args) -> int:
            for key, block in FLOWS[args.dynamics].initial.items()},
     )
     write = lambda traj, error: write_trajectory_csv(Path(args.out), cfg, traj)
-    traj, _ = run_and_write(cfg, load_graph(cfg.graph), write)
-    brief = {
-        "out": args.out,
-        "records": int(len(traj.times)),
-        "final_time": traj.final_time,
-        "stop_reason": traj.stop_reason,
-    }
-    print(json.dumps(brief, sort_keys=True))
+    traj, _ = run_and_write(cfg, write)
+    print(json.dumps({"out": args.out, "records": int(len(traj.times)),
+                      "final_time": traj.final_time, "stop_reason": traj.stop_reason},
+                     sort_keys=True))
     return 0
 
 
@@ -107,24 +102,20 @@ def _cmd_two_point(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    names = sorted(REPRODUCE_TARGETS) if args.target == "all" else [args.target]
-    for name in names:
-        if name not in REPRODUCE_TARGETS:
-            raise GraphSyncError(
-                f"unknown target {name!r}; choose from {sorted(REPRODUCE_TARGETS)} or 'all'"
-            )
+    if args.target not in (*REPRODUCE_TARGETS, "all"):
+        raise GraphSyncError(
+            f"unknown target {args.target!r}; choose from {sorted(REPRODUCE_TARGETS)} or 'all'")
     status = 0
-    for name in names:
-        cfg = REPRODUCE_TARGETS[name]
+    for name in sorted(REPRODUCE_TARGETS) if args.target == "all" else [args.target]:
         try:
-            summary = run_experiment(cfg, args.out_dir, check=args.check)
+            failures = run_experiment(REPRODUCE_TARGETS[name], args.out_dir)["check_failures"]
         except GraphSyncError as exc:
             print(f"{name}: FAIL ({exc})")
             status = 1
             continue
-        verdict = "PASS" if not summary["check_failures"] else "FAIL"
-        print(f"{name}: {verdict} (artifacts in {args.out_dir}/{name})")
-        if summary["check_failures"]:
+        detail = "; ".join([*failures, f"artifacts in {args.out_dir}/{name}"])
+        print(f"{name}: {'FAIL' if failures else 'PASS'} ({detail})")
+        if failures and args.check:
             status = 1
     return status
 

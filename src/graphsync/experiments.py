@@ -14,12 +14,13 @@ each with its expected outcome attached for --check mode.
 from __future__ import annotations
 
 import contextlib
-import copy
 import json
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -28,7 +29,7 @@ from .analysis import _TRANSFORMS, detect_limit, edge_dichotomy_report, fit_powe
 from .errors import DomainError, GraphSyncError
 from .first_order import classify_equilibrium
 from .flows import FLOWS, is_synchronised  # is_synchronised: re-exported
-from .graphs import Graph, load_graph
+from .graphs import load_graph
 from .integrate import IntegratorSpec, Trajectory
 from .potentials import potential_from_config, quadratic_kappa
 from .weights import rule_from_config
@@ -45,34 +46,34 @@ _FIT_KEYS = {"transform", "min_r_squared", "slope_sign"}
 class ExperimentConfig:
     """Declarative description of one run, mirroring the JSON layout.
 
-    Initial data become tuples of finite floats (or keep their block's keyword from
+    Its run is built here, once, from read-only copies of its documents: a graph that
+    does not load and a potential that is not quadratic are refused.  Initial data become
+    tuples of finite floats, one per vertex (or keep their block's keyword from
     ``flows.FLOWS``); anything else is a DomainError, and so are initial data and a
-    ``stop_on_sync`` that the flow does not read, ``fits``, ``dichotomy_tol`` and
-    ``expect`` that the summary and its checks could not read, a ``name`` that is not
-    one path component (the run's directory under ``out_dir``) and non-bool flags.
-    Its integrator, theta and potential documents are built here, as a run builds them.
-    It keeps its own copies of its documents, and ``to_dict`` hands out copies.
+    ``stop_on_sync`` that the flow does not read, ``fits``, ``dichotomy_tol`` and ``expect``
+    that the summary and its checks could not read, a ``name`` that is not one path
+    component (the run's directory under ``out_dir``) and non-bool flags.
     """
 
     name: str
     dynamics: str                      # a key of flows.FLOWS
-    graph: str | dict
-    theta: dict
-    potential: dict
+    graph: str | Mapping
+    theta: Mapping
+    potential: Mapping
     rho0: tuple[float, ...]
     s0: Optional[tuple[float, ...] | str] = None       # vector or "gradflow"
     xi0: Optional[tuple[float, ...] | str] = None      # vector or "zero"
     xistar0: Optional[tuple[float, ...] | str] = None  # vector or "from-rho"
-    integrator: dict = field(default_factory=dict)
+    integrator: Mapping = field(default_factory=dict)
     stop_on_sync: bool = False
     fits: tuple[str, ...] = ()
     power_fit: bool = False
     dichotomy_tol: Optional[float] = None
-    expect: Optional[dict] = None
+    expect: Optional[Mapping] = None
 
     def __post_init__(self):
-        for key in ("graph", "theta", "potential", "integrator", "expect"):  # its own copies
-            object.__setattr__(self, key, copy.deepcopy(getattr(self, key)))
+        for key in ("graph", "theta", "potential", "integrator", "expect"):  # read-only copies
+            object.__setattr__(self, key, _copied(getattr(self, key)))
         name = self.name  # the run's directory under out_dir
         _check(isinstance(name, str) and name not in ("", ".", "..")
                and not set(name) & set("/\\\0"),
@@ -86,28 +87,35 @@ class ExperimentConfig:
         for key in [k for other in FLOWS.values() for k in other.initial]:
             _check(key in flow.initial or getattr(self, key) is None,
                    f"{key} is not read by {self.dynamics} runs", getattr(self, key))
+        graph, rule = load_graph(self.graph), rule_from_config(self.theta)
+        potential, spec = potential_from_config(self.potential), _resolve_spec(self.integrator)
+        quadratic_kappa(potential)  # every graph flow needs it; refused before a block resolves
+        blocks = []
         for key, block in (("rho0", None), *flow.initial.items()):
             value, keyword = getattr(self, key), block and block.keyword
             # None stands for an optional block's keyword, its default.
             if (value is None and block and not block.required) or (
                     isinstance(value, str) and value == keyword):
+                blocks.append(block.resolve(potential, *blocks))
                 continue
             try:
-                object.__setattr__(self, key, tuple(float(v) for v in value))
+                vector = tuple(float(v) for v in value)
             except (TypeError, ValueError):
                 allowed = "numbers" if keyword is None else f"numbers or {keyword!r}"
                 raise DomainError(f"{key} must be {allowed}, got {value!r}") from None
-            _check(all(map(math.isfinite, getattr(self, key))), f"{key} must be finite", value)
-        _resolve_spec(self.integrator)
-        rule_from_config(self.theta)
-        potential_from_config(self.potential)
+            _check(all(map(math.isfinite, vector)), f"{key} must be finite", value)
+            _check(len(vector) == graph.n, f"{key} must have {graph.n} entries", value)
+            object.__setattr__(self, key, vector)
+            blocks.append(np.array(vector))
         fits, tol = self.fits, self.dichotomy_tol
         _check(isinstance(fits, (list, tuple)) and all(t in _FITS for t in fits),
                f"fits must be a list of {list(_FITS)}", fits)
         object.__setattr__(self, "fits", tuple(fits))
         _check(tol is None or _finite(tol, 0), "dichotomy_tol must be a finite number >= 0", tol)
         if self.expect is not None:
-            _check_expect(self.expect, len(self.rho0))
+            _check_expect(self.expect, graph.n)
+        # Not a field: fields, to_dict, ==, repr and dataclasses.replace leave it out.
+        object.__setattr__(self, "_run", _Run(graph, rule, potential, blocks, spec))
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "ExperimentConfig":
@@ -129,8 +137,25 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             default = f.default if f.default_factory is MISSING else f.default_factory()
             if default is MISSING or value != default:
-                out[f.name] = list(value) if isinstance(value, tuple) else copy.deepcopy(value)
+                out[f.name] = _copied(value, dict, list)
         return out
+
+    def __reduce__(self):  # copies and pickles rebuild from the plain document
+        return type(self).from_dict, (self.to_dict(),)
+
+
+#: What a config builds for its run: the arguments of its flow's ``simulate``.
+_Run = namedtuple("_Run", "graph rule potential blocks spec")
+
+
+def _copied(doc, mapping=MappingProxyType, sequence=tuple):
+    """A deep copy of a JSON-like document whose mappings are ``mapping``s and whose lists
+    and tuples are ``sequence``s: read-only by default, and plain with ``dict, list``."""
+    if isinstance(doc, Mapping):
+        return mapping({key: _copied(value, mapping, sequence) for key, value in doc.items()})
+    if isinstance(doc, (list, tuple)):
+        return sequence(_copied(value, mapping, sequence) for value in doc)
+    return doc
 
 
 def _check(ok: bool, what: str, value) -> None:
@@ -173,27 +198,17 @@ def _resolve_spec(doc: dict) -> IntegratorSpec:
     return IntegratorSpec(**doc)
 
 
-def run_dynamics(cfg: ExperimentConfig, graph: Graph) -> Trajectory:
-    """Execute the configured run on its resolved graph; in-loop errors propagate."""
-    rule = rule_from_config(cfg.theta)
-    potential = potential_from_config(cfg.potential)
-    quadratic_kappa(potential)  # refuse any other potential before anything is resolved
-    spec = _resolve_spec(cfg.integrator)
-    flow = FLOWS[cfg.dynamics]
-    blocks = [np.asarray(cfg.rho0, dtype=float)]
-    for key, block in flow.initial.items():
-        value = getattr(cfg, key)
-        blocks.append(block.resolve(potential, *blocks) if value in (None, block.keyword)
-                      else np.asarray(value, dtype=float))
-    return flow.simulate(graph, rule, potential, blocks, spec, cfg.stop_on_sync)
+def run_dynamics(cfg: ExperimentConfig) -> Trajectory:
+    """Execute the run that the config built; in-loop errors propagate."""
+    return FLOWS[cfg.dynamics].simulate(*cfg._run, cfg.stop_on_sync)
 
 
-def run_and_write(cfg: ExperimentConfig, graph: Graph, write: Callable) -> tuple:
+def run_and_write(cfg: ExperimentConfig, write: Callable) -> tuple:
     """The run's trajectory and ``write(trajectory, None)``.  The failure path of every
     front end: an in-loop error's partial run goes to ``write(partial, str(error))``,
     as far as the writer can take it, and then the run's own error is raised."""
     try:
-        traj = run_dynamics(cfg, graph)
+        traj = run_dynamics(cfg)
     except GraphSyncError as exc:
         if exc.trajectory is not None:
             with contextlib.suppress(GraphSyncError):
@@ -218,12 +233,12 @@ def write_trajectory_csv(path: Path, cfg: ExperimentConfig, traj: Trajectory) ->
 
 def _record(result, *skip: str) -> dict:
     """A result dataclass as a JSON object, less the ``skip`` fields; tuples become lists."""
-    values = {f.name: getattr(result, f.name) for f in fields(result) if f.name not in skip}
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
+    return _copied({f.name: getattr(result, f.name) for f in fields(result) if f.name not in skip},
+                   dict, list)
 
 
-def summarise(cfg: ExperimentConfig, traj: Trajectory, error: Optional[str], graph: Graph) -> dict:
-    """Summary of a run of ``cfg`` on its resolved graph, with a failed run's ``error``."""
+def summarise(cfg: ExperimentConfig, traj: Trajectory, error: Optional[str]) -> dict:
+    """Summary of a run of ``cfg``, with a failed run's ``error``."""
     limit = detect_limit(traj)  # first: it refuses a trajectory with no records
     summary: dict = {
         "schema": SUMMARY_SCHEMA,
@@ -244,11 +259,9 @@ def summarise(cfg: ExperimentConfig, traj: Trajectory, error: Optional[str], gra
         summary["power_fit"] = _record(fit_power(traj))
     summary.update(FLOWS[cfg.dynamics].summary(traj))
     if cfg.dichotomy_tol is not None:
-        verdicts = edge_dichotomy_report(graph, traj.densities[-1], tol=cfg.dichotomy_tol)
-        summary["dichotomy"] = {
-            "edges": [_record(v) for v in verdicts],
-            "violations": sum(1 for v in verdicts if v.verdict == "Violation"),
-        }
+        verdicts = edge_dichotomy_report(cfg._run.graph, traj.densities[-1], tol=cfg.dichotomy_tol)
+        summary["dichotomy"] = {"edges": [_record(v) for v in verdicts],
+                                "violations": sum(v.verdict == "Violation" for v in verdicts)}
     return summary
 
 
@@ -273,17 +286,14 @@ def check_expectations(cfg: ExperimentConfig, summary: dict) -> list[str]:
             failures.append(f"missing fit {want['transform']!r}")
         else:
             if got["r_squared"] < want.get("min_r_squared", 0.0):
-                failures.append(
-                    f"{want['transform']} r^2 {got['r_squared']:.6f} < "
-                    f"{want.get('min_r_squared')}"
-                )
+                failures.append(f"{want['transform']} r^2 {got['r_squared']:.6f} < "
+                                f"{want.get('min_r_squared')}")
             sign = want.get("slope_sign")
             if sign is not None and np.sign(got["slope"]) != sign:
                 failures.append(f"{want['transform']} slope sign is {np.sign(got['slope'])}")
-    if exp.get("synchronised"):
-        if not summary.get("synchronised"):
-            failures.append("run did not reach a synchronised state")
-        if summary.get("stop_reason") == "t_final" and not summary.get("synchronised"):
+    if exp.get("synchronised") and not summary.get("synchronised"):
+        failures.append("run did not reach a synchronised state")
+        if summary.get("stop_reason") == "t_final":
             failures.append("horizon reached before synchronisation")
     if "max_dichotomy_violations" in exp:
         got = (summary.get("dichotomy") or {}).get("violations")
@@ -299,24 +309,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir, check: bool = False) -> dict:
     ``run_and_write``: ``trajectory.csv`` holds its partial trajectory and,
     when there is at least one record, ``summary.json`` its stop reason and
     the error under ``"error"``; then the run's own error is raised.  In
-    check mode any unmet expectation raises DomainError after the artifacts
-    are written, so the CLI exits nonzero with the summary on disk.
+    check mode any unmet expectation raises DomainError after the artifacts are written.
     """
-    graph = load_graph(cfg.graph)
     out = Path(out_dir) / cfg.name
-    write = lambda traj, error: _write_run(out, cfg, traj, error, graph)
-    _, summary = run_and_write(cfg, graph, write)
+    _, summary = run_and_write(cfg, lambda traj, error: _write_run(out, cfg, traj, error))
     if check and summary["check_failures"]:
         raise DomainError(f"{cfg.name}: " + "; ".join(summary["check_failures"]))
     return summary
 
 
-def _write_run(out: Path, cfg: ExperimentConfig, traj: Trajectory, error: Optional[str],
-               graph: Graph) -> dict:
+def _write_run(out: Path, cfg: ExperimentConfig, traj: Trajectory, error: Optional[str]) -> dict:
     """Write ``trajectory.csv`` and ``summary.json`` into ``out``; returns the summary."""
     out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(out / "trajectory.csv", cfg, traj)
-    summary = summarise(cfg, traj, error, graph)
+    summary = summarise(cfg, traj, error)
     summary["check_failures"] = check_expectations(cfg, summary)
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,7 +312,7 @@ def rule_from_config(doc: dict):
         return ArithmeticMean()
     if kind == "entropy_induced":
         potential = doc.get("potential")
-        if not isinstance(potential, dict):
+        if not isinstance(potential, Mapping):
             raise DomainError(f"weight rule {kind!r} needs a potential config, got {potential!r}")
         return EntropyInduced(potential=potential_from_config(potential))
     raise DomainError(f"unknown weight-rule kind {kind!r}")

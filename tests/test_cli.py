@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -35,6 +36,16 @@ def test_simulate_ends_at_t_final(tmp_path, capsys):
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["final_time"] == 1.0
     assert out.read_text().splitlines()[-1].startswith("1,")
+
+
+def test_simulate_refuses_initial_data_of_the_wrong_length(tmp_path, capsys):
+    # Refused where the config is built: one error line, exit 2 and no CSV.
+    out = tmp_path / "x.csv"
+    rc = main(["simulate-hopf-cole", "--graph", "complete(3)", "--rho0", "0.5,0.3,0.2",
+               "--xi0", "0,0", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and not out.exists()
+    assert captured.err == "error: xi0 must have 3 entries, got ['0', '0']\n"
 
 
 def test_simulate_second_gradflow(tmp_path):
@@ -134,6 +145,22 @@ def test_reproduce_check_and_determinism(tmp_path, capsys):
     assert rc == 0
     capsys.readouterr()
     assert summary_a == (tmp_path / "b" / "fig7" / "summary.json").read_bytes()
+
+
+@pytest.mark.parametrize("check, status", [(True, 1), (False, 0)])
+def test_reproduce_exits_nonzero_on_unmet_expectations_only_under_check(
+        tmp_path, capsys, monkeypatch, check, status):
+    # fig1's gap decays exponentially: its log_gap slope is negative, so +1 is unmet.
+    fig1 = gs.REPRODUCE_TARGETS["fig1"]
+    wrong = dataclasses.replace(fig1, expect={"fit": {**fig1.expect["fit"], "slope_sign": +1}})
+    monkeypatch.setitem(gs.REPRODUCE_TARGETS, "fig1", wrong)
+    argv = ["reproduce", "fig1", "--out-dir", str(tmp_path)] + ["--check"] * check
+    assert main(argv) == status
+    # Both modes print the same verdict, with the unmet expectations, and write the run.
+    assert capsys.readouterr().out == (
+        f"fig1: FAIL (log_gap slope sign is -1.0; artifacts in {tmp_path}/fig1)\n")
+    summary = json.loads((tmp_path / "fig1" / "summary.json").read_text())
+    assert summary["check_failures"] == ["log_gap slope sign is -1.0"]
 
 
 def test_reproduce_unknown_target(capsys):

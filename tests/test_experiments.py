@@ -1,5 +1,8 @@
+import copy
 import json
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from graphsync.errors import (
     GraphConstructionError,
     NonFiniteStateError,
     SimplexViolationError,
+    UnknownGraphNameError,
 )
 from graphsync.experiments import (
     ExperimentConfig,
@@ -101,6 +105,44 @@ def _config(**kwargs) -> ExperimentConfig:
     return ExperimentConfig(**doc)
 
 
+_SHORT = {"integrator": {"dt": 0.01, "t_final": 1.0, "record_every": 10}}
+_SECOND_ON_SIX = dict(dynamics="second", graph="complete(6)", s0="gradflow",
+                      rho0=[0.3, 0.2, 0.15, 0.15, 0.1, 0.1])
+
+#: Short runs that miss their expect block: the config and the failure it names.
+UNMET = {
+    "no-limit": (dict(expect={"limit": [1.0, 0.0, 0.0]}), "trajectory did not converge to a limit"),
+    "missing-fit": (dict(expect={"fit": {"transform": "log_gap"}}), "missing fit 'log_gap'"),
+    "not-synchronised": (dict(_SECOND_ON_SIX, expect={"synchronised": True}),
+                         "run did not reach a synchronised state"),
+    "horizon": (dict(_SECOND_ON_SIX, expect={"synchronised": True}),
+                "horizon reached before synchronisation"),
+    # All three edges of complete(3) still carry unequal mass at t = 1.
+    "dichotomy": (dict(dichotomy_tol=1e-3, expect={"max_dichotomy_violations": 0}),
+                  "dichotomy violations: 3"),
+    "no-dichotomy-report": (dict(expect={"max_dichotomy_violations": 0}),
+                            "dichotomy violations: None"),
+}
+
+
+@pytest.mark.parametrize("kwargs, message", UNMET.values(), ids=UNMET)
+def test_check_names_each_unmet_expectation(tmp_path, kwargs, message):
+    cfg = _config(**_SHORT, **kwargs)
+    assert message in run_experiment(cfg, tmp_path)["check_failures"]
+    with pytest.raises(DomainError, match=re.escape(message)):
+        run_experiment(cfg, tmp_path, check=True)
+    summary = json.loads((tmp_path / "x" / "summary.json").read_text())
+    assert message in summary["check_failures"]
+
+
+def test_power_fit_goes_into_the_summary(tmp_path):
+    cfg = _config(power_fit=True, integrator={"dt": 0.01, "t_final": 20.0, "record_every": 10})
+    fit = run_experiment(cfg, tmp_path)["power_fit"]
+    assert set(fit) == {"power", "r_squared", "window"}
+    assert all(map(math.isfinite, [fit["power"], fit["r_squared"], *fit["window"]]))
+    assert 0.0 < fit["window"][0] < fit["window"][1] <= 20.0
+
+
 def test_config_normalises_initial_data():
     # Each initial-data field on the flow that reads it.
     cfg = _config(rho0=["0.5", 0.3, np.float64(0.2)], fits=["log_gap"])
@@ -136,6 +178,25 @@ def test_config_normalises_initial_data():
 )
 def test_config_refuses_bad_initial_data(kwargs):
     with pytest.raises(DomainError):
+        _config(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, error",
+    [({"graph": 42}, UnknownGraphNameError), ({"graph": "no-such-graph"}, UnknownGraphNameError),
+     ({"graph": "missing/graph.json"}, UnknownGraphNameError),
+     ({"graph": {"n": 3}}, GraphConstructionError),
+     # Initial data with other than one entry per vertex, one row per block.
+     ({"rho0": [0.5, 0.5]}, DomainError), ({"rho0": [0.4, 0.3, 0.2, 0.1]}, DomainError),
+     ({"dynamics": "second", "s0": [0.1, -0.1]}, DomainError),
+     ({"dynamics": "hopf_cole", "xi0": [0.0, 0.0]}, DomainError),
+     ({"dynamics": "hopf_cole", "xistar0": [0.1, 0.2, 0.3, 0.4]}, DomainError)],
+    ids=["graph-int", "graph-unknown-name", "graph-missing-file", "graph-document", "rho0-short",
+         "rho0-long", "s0-short", "xi0-short", "xistar0-long"],
+)
+def test_config_refuses_a_run_it_could_not_build(kwargs, error):
+    # Refused where the config is built, before anything runs.
+    with pytest.raises(error):
         _config(**kwargs)
 
 
@@ -189,9 +250,12 @@ def test_run_resolves_its_graph_once(tmp_path, monkeypatch):
     load = experiments.load_graph
     monkeypatch.setattr(experiments, "load_graph", lambda spec: calls.append(spec) or load(spec))
     kwargs = dict(integrator={"dt": 0.01, "t_final": 1.0, "record_every": 10}, dichotomy_tol=1e-3)
-    from_doc = run_experiment(_config(name="doc", graph=doc, **kwargs), tmp_path)
-    named = run_experiment(_config(name="named", graph="complete(3)", **kwargs), tmp_path)
-    assert calls == [doc, "complete(3)"]
+    configs = [_config(name="doc", graph=doc, **kwargs),
+               _config(name="named", graph="complete(3)", **kwargs)]
+    # Loaded when the config is built, from its read-only copy; a run loads nothing.
+    assert calls == [configs[0].graph, "complete(3)"] and configs[0].to_dict()["graph"] == doc
+    from_doc, named = (run_experiment(cfg, tmp_path) for cfg in configs)
+    assert len(calls) == 2
     assert {k: v for k, v in from_doc.items() if k not in ("name", "config")} == {
         k: v for k, v in named.items() if k not in ("name", "config")}
     assert (tmp_path / "doc" / "trajectory.csv").read_bytes() == (
@@ -332,17 +396,53 @@ def test_config_refuses_malformed_checks(kwargs):
 
 
 def test_config_documents_are_copied_in_and_out():
-    # A config built from another's documents, or a to_dict edited, leaves the stock run alone.
+    # A config's documents are read-only copies; a to_dict is plain and may be edited,
+    # and neither an edit of it nor of the document passed in reaches the config.
     stock = REPRODUCE_TARGETS["fig1"]
     cfg = ExperimentConfig.from_dict(stock.to_dict())
-    cfg.integrator["dt"] = 50.0
-    cfg.expect["fit"]["min_r_squared"] = 0.0
+    with pytest.raises(TypeError):
+        cfg.integrator["dt"] = -1
+    with pytest.raises(TypeError):
+        cfg.expect["fit"]["min_r_squared"] = 0.0
     doc = stock.to_dict()
     doc["theta"]["alpha"] = 9.0
     doc["potential"]["kappa"] = 9.0
+    doc["expect"]["fit"]["slope_sign"] = 1
     assert stock.integrator["dt"] == 0.01 and stock.expect["fit"]["min_r_squared"] == 0.999
     assert stock.theta["alpha"] == 1.0 and stock.potential["kappa"] == 1.0
+    assert stock.expect["fit"]["slope_sign"] == -1
     graph = {"n": 3, "edges": [[1, 2, 1.0], [2, 3, 1.0], [1, 3, 1.0]]}
     cfg = _config(graph=graph)
     graph["edges"].pop()
     assert len(cfg.graph["edges"]) == 3
+    edges = cfg.graph["edges"]
+    for target, key, value in ((cfg.graph, "edges", []), (cfg.graph, "n", 4),
+                               (edges, 0, (1, 2, 5.0)), (edges[0], 2, 5.0)):
+        with pytest.raises(TypeError):
+            target[key] = value
+    with pytest.raises(AttributeError):  # a tuple has no append
+        edges.append((1, 2, 1.0))
+    assert cfg.to_dict()["graph"] == {"n": 3, "edges": [[1, 2, 1.0], [2, 3, 1.0], [1, 3, 1.0]]}
+
+
+def test_configs_copy_and_pickle_by_value():
+    stock = REPRODUCE_TARGETS["fig7"]
+    for again in (copy.copy(stock), copy.deepcopy(stock), pickle.loads(pickle.dumps(stock))):
+        assert again == stock and again.to_dict() == stock.to_dict()
+
+
+@pytest.mark.parametrize("name", sorted(REPRODUCE_TARGETS))
+def test_stock_targets_round_trip_through_plain_documents(name):
+    stock = REPRODUCE_TARGETS[name]
+    doc = stock.to_dict()
+    assert ExperimentConfig.from_dict(doc) == stock
+
+    def plain(value):
+        if isinstance(value, dict):
+            return all(isinstance(k, str) and plain(v) for k, v in value.items())
+        if isinstance(value, list):
+            return all(map(plain, value))
+        return isinstance(value, (str, int, float, bool))
+
+    assert type(doc) is dict and plain(doc)
+    assert json.loads(json.dumps(doc)) == doc

@@ -228,7 +228,7 @@ def test_flow_starts_refuse_non_quadratic_potentials(entry):
         entry(gs.ShannonPotential())
 
 
-def test_graph_flows_refuse_non_quadratic_potentials(tmp_path):
+def test_graph_flows_refuse_non_quadratic_potentials():
     g, rule, pot = gs.complete_graph(2), gs.MinPower(2.0), gs.ShannonPotential()
     spec = gs.IntegratorSpec(dt=0.01, t_final=0.1)
     assert issubclass(DomainError, GraphSyncError)
@@ -237,14 +237,14 @@ def test_graph_flows_refuse_non_quadratic_potentials(tmp_path):
     g0 = pot.grad([0.6, 0.4])
     with pytest.raises(DomainError):
         gs.simulate_hopf_cole(g, rule, pot, gs.HopfColeState([0.6, 0.4], [0.0, 0.0], [g0, g0]), spec)
+    # A config is refused where it is built, before anything runs.
     for dynamics, initial in (("first", {}), ("second", {"s0": "gradflow"}), ("hopf_cole", {})):
-        cfg = gs.ExperimentConfig(
-            name=f"shannon-{dynamics}", dynamics=dynamics, graph="complete(2)",
-            theta={"kind": "min_power", "alpha": 2.0}, potential={"kind": "shannon"},
-            rho0=(0.6, 0.4), integrator={"dt": 0.01, "t_final": 0.1}, **initial,
-        )
         with pytest.raises(DomainError):
-            gs.run_experiment(cfg, tmp_path)
+            gs.ExperimentConfig(
+                name=f"shannon-{dynamics}", dynamics=dynamics, graph="complete(2)",
+                theta={"kind": "min_power", "alpha": 2.0}, potential={"kind": "shannon"},
+                rho0=(0.6, 0.4), integrator={"dt": 0.01, "t_final": 0.1}, **initial,
+            )
 
 
 def counting(factory, calls: list):

@@ -6,6 +6,7 @@ import pytest
 import graphsync as gs
 from graphsync.errors import (
     ConsistencyError,
+    DimensionError,
     DomainError,
     GraphSyncError,
     NonFiniteStateError,
@@ -222,3 +223,34 @@ def test_project_simplex_clip():
                 [np.inf, 0.0, 0.0], [1.0, 0.0, -np.inf]):
         with pytest.raises(SimplexViolationError, match="density mass"), np.errstate(invalid="ignore"):
             gs.project_simplex_clip(np.array(bad))
+
+
+_K3, _RULE, _KURAMOTO = gs.complete_graph(3), gs.MinPower(2.0), gs.KuramotoQuadratic(1.0)
+_SPEC = gs.IntegratorSpec(dt=0.01, t_final=0.1)
+
+#: Entry checks of the flows, the simplex check and Trajectory: the call and its error class.
+ENTRY_CHECKS = {
+    "simulate-density-length": (
+        lambda: gs.simulate_first_order(_K3, _RULE, 1.0, [0.5, 0.5], _SPEC), DimensionError),
+    "rhs-second-order-size": (
+        lambda: gs.rhs_second_order(_K3, _RULE, _KURAMOTO, gs.PhaseState([0.5, 0.5], [0.1, -0.1])),
+        DimensionError),
+    "rhs-hopf-cole-size": (
+        lambda: gs.rhs_hopf_cole(_K3, _RULE, _KURAMOTO,
+                                 gs.HopfColeState([0.5, 0.5], [0.0, 0.0], [0.5, 0.5])),
+        DimensionError),
+    "density-2d": (lambda: gs.density_state([[0.5, 0.5], [0.5, 0.5]]), DimensionError),
+    "density-one-entry": (lambda: gs.density_state([1.0]), DimensionError),
+    "trajectory-lengths": (
+        lambda: gs.Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((3, 2))), DomainError),
+    "trajectory-times": (
+        lambda: gs.Trajectory(times=np.array([0.0, 1.0, 1.0]), states=np.zeros((3, 2))),
+        DomainError),
+}
+
+
+@pytest.mark.parametrize("call, error", ENTRY_CHECKS.values(), ids=ENTRY_CHECKS)
+def test_entry_checks_raise_their_error_class(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
