@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the admission rule for scalar inputs."""
+import numbers
 
 
 class GraphSyncError(Exception):
@@ -77,3 +78,11 @@ class InversionRangeError(GraphSyncError, ValueError):
 
 class UnsupportedRegimeError(GraphSyncError, ValueError):
     """Parameter combination outside the regime the analytics cover."""
+
+
+def real(value, name: str, what: str, ok, error=DomainError):
+    """``value`` if it is a real number, not a bool, that ``ok`` accepts, else
+    ``error("<name> must be <what>, got <value>")``; a NaN fails ``ok``'s comparisons."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and ok(value):
+        return value
+    raise error(f"{name} must be {what}, got {value!r}")

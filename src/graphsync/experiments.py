@@ -16,7 +16,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import numbers
+import os
 from collections import namedtuple
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -26,12 +26,12 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .analysis import _TRANSFORMS, detect_limit, edge_dichotomy_report, fit_power, fit_rate
-from .errors import DomainError, GraphSyncError
+from .errors import DomainError, GraphSyncError, real
 from .first_order import classify_equilibrium
 from .flows import FLOWS, is_synchronised  # is_synchronised: re-exported
 from .graphs import load_graph
 from .integrate import IntegratorSpec, Trajectory
-from .potentials import potential_from_config, quadratic_kappa
+from .potentials import _number, potential_from_config, quadratic_kappa
 from .weights import rule_from_config
 
 SUMMARY_SCHEMA = 1
@@ -57,7 +57,7 @@ class ExperimentConfig:
 
     name: str
     dynamics: str                      # a key of flows.FLOWS
-    graph: str | Mapping
+    graph: str | os.PathLike | Mapping  # a path is kept as its str
     theta: Mapping
     potential: Mapping
     rho0: tuple[float, ...]
@@ -74,6 +74,8 @@ class ExperimentConfig:
     def __post_init__(self):
         for key in ("graph", "theta", "potential", "integrator", "expect"):  # read-only copies
             object.__setattr__(self, key, _copied(getattr(self, key)))
+        if isinstance(self.graph, os.PathLike):  # a str goes into the summary's JSON
+            object.__setattr__(self, "graph", os.fspath(self.graph))
         name = self.name  # the run's directory under out_dir
         _check(isinstance(name, str) and name not in ("", ".", "..")
                and not set(name) & set("/\\\0"),
@@ -98,12 +100,13 @@ class ExperimentConfig:
                     isinstance(value, str) and value == keyword):
                 blocks.append(block.resolve(potential, *blocks))
                 continue
-            try:
-                vector = tuple(float(v) for v in value)
-            except (TypeError, ValueError):
-                allowed = "numbers" if keyword is None else f"numbers or {keyword!r}"
+            allowed = "numbers" if keyword is None else f"numbers or {keyword!r}"
+            _check(not isinstance(value, str), f"{key} must be {allowed}", value)
+            try:  # a numeric string entry is read as its number, as in the potential's document
+                vector = tuple(float(real(_number(v), f"{key} entries", "finite numbers",
+                                          math.isfinite)) for v in value)
+            except TypeError:  # not iterable
                 raise DomainError(f"{key} must be {allowed}, got {value!r}") from None
-            _check(all(map(math.isfinite, vector)), f"{key} must be finite", value)
             _check(len(vector) == graph.n, f"{key} must have {graph.n} entries", value)
             object.__setattr__(self, key, vector)
             blocks.append(np.array(vector))
@@ -111,7 +114,8 @@ class ExperimentConfig:
         _check(isinstance(fits, (list, tuple)) and all(t in _FITS for t in fits),
                f"fits must be a list of {list(_FITS)}", fits)
         object.__setattr__(self, "fits", tuple(fits))
-        _check(tol is None or _finite(tol, 0), "dichotomy_tol must be a finite number >= 0", tol)
+        if tol is not None:
+            real(tol, "dichotomy_tol", "finite and >= 0", lambda v: 0 <= v < math.inf)
         if self.expect is not None:
             _check_expect(self.expect, graph.n)
         # Not a field: fields, to_dict, ==, repr and dataclasses.replace leave it out.
@@ -163,31 +167,26 @@ def _check(ok: bool, what: str, value) -> None:
         raise DomainError(f"{what}, got {value!r}")
 
 
-def _finite(value, least=-math.inf) -> bool:
-    """A finite real number >= least; NaN fails the comparisons, so it fails too."""
-    return isinstance(value, numbers.Real) and -math.inf < value < math.inf and value >= least
-
-
 def _check_expect(exp, n: int) -> None:
     """Refuse an ``expect`` block that ``check_expectations`` could not read, or whose
     checks could never fail (a NaN bound, a negative tolerance)."""
     _check(isinstance(exp, Mapping) and set(exp) <= _EXPECT_KEYS,
            f"expect must be a mapping with keys from {sorted(_EXPECT_KEYS)}", exp)
     limit = exp.get("limit", [0.0] * n)
-    _check(isinstance(limit, (list, tuple)) and len(limit) == n and all(map(_finite, limit)),
+    _check(isinstance(limit, (list, tuple)) and len(limit) == n,
            f"expect limit must be {n} finite numbers", limit)
+    for value in limit:
+        real(value, "expect limit entries", "finite numbers", math.isfinite)
     for key in ("limit_tol", "max_dichotomy_violations"):
-        value = exp.get(key, 0)
-        _check(_finite(value, 0), f"expect {key} must be a finite number >= 0", value)
+        real(exp.get(key, 0), f"expect {key}", "finite and >= 0", lambda v: 0 <= v < math.inf)
     sync = exp.get("synchronised", False)
     _check(isinstance(sync, bool), "expect synchronised must be a bool", sync)
     fit = exp.get("fit", {"transform": _FITS[0]})
-    sign = fit.get("slope_sign") if isinstance(fit, Mapping) else None
-    _check(isinstance(fit, Mapping) and set(fit) <= _FIT_KEYS and fit.get("transform") in _FITS
-           and _finite(fit.get("min_r_squared", 0))
-           and (sign is None or isinstance(sign, numbers.Real) and sign in (-1, 0, 1)),
-           f"expect fit must name a transform from {list(_FITS)}, with a finite min_r_squared "
-           "and a slope_sign of -1, 0 or 1", fit)
+    _check(isinstance(fit, Mapping) and set(fit) <= _FIT_KEYS and fit.get("transform") in _FITS,
+           f"expect fit must be a mapping of {sorted(_FIT_KEYS)} naming one of {list(_FITS)}", fit)
+    real(fit.get("min_r_squared", 0), "expect fit min_r_squared", "finite", math.isfinite)
+    if fit.get("slope_sign") is not None:
+        real(fit["slope_sign"], "expect fit slope_sign", "-1, 0 or 1", lambda s: s in (-1, 0, 1))
 
 
 def _resolve_spec(doc: dict) -> IntegratorSpec:
@@ -324,9 +323,8 @@ def _write_run(out: Path, cfg: ExperimentConfig, traj: Trajectory, error: Option
     write_trajectory_csv(out / "trajectory.csv", cfg, traj)
     summary = summarise(cfg, traj, error)
     summary["check_failures"] = check_expectations(cfg, summary)
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"  # a failed dump writes nothing
+    (out / "summary.json").write_text(text, encoding="utf-8")
     return summary
 
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, DomainError
 from .graphs import Graph
 from .integrate import IntegratorSpec, Trajectory, density_state, integrate  # noqa: F401
 from .potentials import KuramotoQuadratic
@@ -103,7 +103,10 @@ def classify_equilibrium(rho, tol: float = 1e-6) -> EquilibriumClass:
 
 def max_gap(rho) -> float:
     """Difference between the largest and second-largest components."""
-    rho = np.asarray(rho, dtype=float)
+    try:
+        rho = np.asarray(rho, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"max_gap needs a vector of numbers, got {rho!r}") from None
     if rho.size < 2:
         raise DimensionError("max_gap needs at least two components")
     two = np.partition(rho, rho.size - 2)[-2:]

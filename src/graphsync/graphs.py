@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import re
 from dataclasses import dataclass, field
@@ -55,6 +54,7 @@ from .errors import (
     SelfLoopError,
     UnknownGraphNameError,
     VertexIndexError,
+    real,
 )
 from .weights import MinPower
 
@@ -81,11 +81,8 @@ def _array(values, width=None) -> np.ndarray:
 
 def _vertex_count(n) -> int:
     """``n`` as an int of at least 2; an integral float such as 3.0 is accepted."""
-    if not (isinstance(n, numbers.Real) and float(n).is_integer()):
-        raise GraphConstructionError(f"vertex count must be an integer, got {n!r}")
-    if n < 2:
-        raise GraphConstructionError(f"need at least 2 vertices, got n={int(n)}")
-    return int(n)
+    return int(real(n, "vertex count", "an integer >= 2", lambda v: v >= 2 and v % 1 == 0,
+                    GraphConstructionError))
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,8 +210,8 @@ class Graph:
 
     def neighbors(self, j: int) -> tuple[int, ...]:
         """Sorted 1-based neighbour labels of vertex j."""
-        if not (1 <= j <= self.n):
-            raise VertexIndexError(f"vertex {j} outside 1..{self.n}")
+        real(j, "vertex", f"an integer in 1..{self.n}",
+             lambda v: 1 <= v <= self.n and v % 1 == 0, VertexIndexError)
         lo, hi = self.edges[:, 0], self.edges[:, 1]
         return tuple(np.sort(np.concatenate([hi[lo == j], lo[hi == j]])).tolist())
 
@@ -273,10 +270,8 @@ class CompleteGraph(Graph):
 
     def __init__(self, n: int, omega: float = 1.0):
         object.__setattr__(self, "n", _vertex_count(n))
-        if not (isinstance(omega, numbers.Real) and math.isfinite(omega)):
-            raise GraphConstructionError(f"the common weight must be a finite number, got {omega!r}")
-        if omega < 0:
-            raise NegativeWeightError(f"negative common weight {omega!r}")
+        real(omega, "the common weight", "finite", math.isfinite, GraphConstructionError)
+        real(omega, "the common weight", ">= 0", lambda w: w >= 0, NegativeWeightError)
         object.__setattr__(self, "omega", float(omega))
 
     def __getattr__(self, name):
@@ -430,12 +425,12 @@ _NAMED_EDGES = {
 
 def named_graph(name: str) -> Graph:
     """Benchmark topology by name: cycle6, lattice6, ribbon6, square4, complete(n)."""
-    m = _COMPLETE_RE.match(name.strip())
+    m = isinstance(name, str) and _COMPLETE_RE.match(name.strip())
     if m:
         return complete_graph(int(m.group(1)))
     try:
         n, edges = _NAMED_EDGES[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a name that is no string may be unhashable
         raise UnknownGraphNameError(
             f"unknown graph {name!r}; expected one of "
             f"{sorted(_NAMED_EDGES)} or 'complete(n)'"

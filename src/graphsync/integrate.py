@@ -11,14 +11,13 @@ randomness.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 import numpy as np
 
 from .errors import (DimensionError, DomainError, GraphSyncError, NonFiniteStateError,
-                     SimplexViolationError)
+                     SimplexViolationError, real)
 
 Rhs = Callable[[np.ndarray], np.ndarray]
 
@@ -35,20 +34,14 @@ class IntegratorSpec:
     def __post_init__(self):
         if self.scheme not in ("euler", "rk4"):
             raise DomainError(f"scheme must be 'euler' or 'rk4', got {self.scheme!r}")
-        values = (self.dt, self.t_final, self.record_every)
-        if not all(isinstance(v, numbers.Real) for v in values):
-            raise DomainError(f"dt, t_final and record_every must be numbers, got {values!r}")
-        if not (0 < self.dt < math.inf and 0 < self.t_final < math.inf):
-            raise DomainError(
-                f"dt and t_final must be positive and finite, got {self.dt}, {self.t_final}"
-            )
-        if self.dt > self.t_final:
-            raise DomainError(f"dt={self.dt} exceeds t_final={self.t_final}")
-        if not (float(self.record_every).is_integer() and self.record_every >= 1):
-            raise DomainError(f"record_every must be an integer >= 1, got {self.record_every}")
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "t_final", float(self.t_final))
-        object.__setattr__(self, "record_every", int(self.record_every))
+        dt = float(real(self.dt, "dt", "positive and finite", lambda v: 0 < v < math.inf))
+        t_final = real(self.t_final, "t_final", f"finite and >= dt={dt!r}",
+                       lambda v: dt <= v < math.inf)
+        record_every = real(self.record_every, "record_every", "an integer >= 1",
+                            lambda v: v >= 1 and v % 1 == 0)
+        object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "t_final", float(t_final))
+        object.__setattr__(self, "record_every", int(record_every))
 
     @property
     def n_steps(self) -> int:

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .errors import BoundarySingularityError, DimensionError, DomainError
+from .errors import BoundarySingularityError, DimensionError, DomainError, real
 from .integrate import SIMPLEX_TOL
 
 
@@ -60,8 +59,7 @@ class KuramotoQuadratic:
     kappa: float = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.kappa, numbers.Real) and 0 < self.kappa < math.inf):
-            raise DomainError(f"kappa must be positive and finite, got {self.kappa!r}")
+        real(self.kappa, "kappa", "positive and finite", lambda v: 0 < v < math.inf)
 
     def value(self, rho) -> float:
         rho = np.asarray(rho, dtype=float)
@@ -144,9 +142,7 @@ class RenyiPotential(_TwoNodeEntropy):
     alpha: float
 
     def __post_init__(self):
-        alpha = self.alpha
-        if not (isinstance(alpha, numbers.Real) and 0 <= alpha < math.inf) or alpha == 1.0:
-            raise DomainError(f"alpha must be finite, >= 0 and != 1, got {alpha!r}")
+        real(self.alpha, "alpha", "finite, >= 0 and != 1", lambda a: 0 <= a < math.inf and a != 1)
         grid = np.linspace(0.0, 1.0, 201)
         vals = self.value_r(grid)
         if np.min(vals) < -1e-12:
@@ -183,8 +179,7 @@ class TsallisPotential(_TwoNodeEntropy):
     q: float
 
     def __post_init__(self):
-        if not (isinstance(self.q, numbers.Real) and 1.0 < self.q < math.inf):
-            raise DomainError(f"q must be finite and exceed 1, got {self.q!r}")
+        real(self.q, "q", "finite and > 1", lambda q: 1 < q < math.inf)
 
     @_reduced()
     def value_r(self, r):
@@ -221,15 +216,14 @@ def _config_kind(doc: Mapping, owner: str):
     return doc.get("kind")
 
 
-def _number(doc: dict, key: str, default=None, owner: str = "potential") -> float:
-    """``doc[key]`` (or ``default``) as a float; anything else is a DomainError."""
-    value = doc.get(key, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise DomainError(
-            f"{owner} {doc.get('kind')!r} needs a number {key!r}, got {value!r}"
-        ) from None
+def _number(value):
+    """A numeric string (the CLI's ``kind:param``) as its float; anything else as it is."""
+    if isinstance(value, str):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    return value
 
 
 #: Potentials by config kind, with the name of their one numeric parameter (or None).
@@ -250,4 +244,4 @@ def potential_from_config(doc: dict):
     if param is None:
         return cls()
     # A parameter with a dataclass default (kappa) is optional; the others are required.
-    return cls(**{param: _number(doc, param, getattr(cls, param, None))})
+    return cls(**{param: _number(doc.get(param, getattr(cls, param, None)))})

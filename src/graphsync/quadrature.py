@@ -17,12 +17,13 @@ set every level, so more than ``MAX_LIVE`` live intervals is an error.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import QuadratureError, real
 
 #: Most intervals one bisection level may refine (two-node calls peak near 1k).
 MAX_LIVE = 1 << 16
@@ -61,8 +62,10 @@ def adaptive_simpson(
     Raises QuadratureError on a non-finite integrand value, when the
     subdivision depth limit is reached without the local error dropping,
     which is how a divergent integrand announces itself, or when more than
-    ``MAX_LIVE`` intervals need refining at once.
+    ``MAX_LIVE`` intervals need refining at once.  A ``tol`` that is not positive and
+    finite is a DomainError, raised before any sample.
     """
+    real(tol, "tol", "positive and finite", lambda v: 0 < v < math.inf)
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     shape, a, b = a.shape, a.ravel(), b.ravel()
     value, error = np.zeros(a.size), np.zeros(a.size)

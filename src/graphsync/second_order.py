@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateDerivativeError, DimensionError
+from .errors import DegenerateDerivativeError, DimensionError, real
 from .graphs import Graph
 from .integrate import IntegratorSpec, Trajectory, density_state, integrate  # noqa: F401
 from .potentials import quadratic_kappa
@@ -116,6 +116,8 @@ def block_rhs(factory, graph: Graph, rule, potential, state: VertexBlocks) -> tu
 def hamiltonian(graph: Graph, rule, potential, state: PhaseState) -> float:
     """Conserved energy of the flow (ordered-pair sum with prefactor 1/4)."""
     quadratic_kappa(potential)
+    if state.n != graph.n:
+        raise DimensionError(f"state size {state.n} != vertex count {graph.n}")
     return 0.25 * float(graph.pair_energy(rule, state.rho, state.S, potential.grad(state.rho)))
 
 
@@ -127,8 +129,7 @@ def gradient_flow_init(rho0, potential, sign: int = +1) -> PhaseState:
     gradient is -kappa * rho0.
     """
     kappa = quadratic_kappa(potential)
-    if sign not in (+1, -1):
-        raise DimensionError(f"sign must be +1 or -1, got {sign}")
+    real(sign, "sign", "+1 or -1", lambda s: s in (1, -1), DimensionError)
     rho0 = density_state(rho0)
     return PhaseState(rho=rho0, S=sign * kappa * rho0)
 

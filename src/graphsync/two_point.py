@@ -23,10 +23,11 @@ induced squared-distance divergence is (x(r1) - x(r0))^2 / (2 sinh 1).
 
 Numerics: the reduced flow runs on Python floats.  Each run builds one
 kernel (r, S) -> (dr, dS) from the rule's float reduction theta_r, dtheta_r
-and a coupling kappa checked once; the integrator's field unpacks its state
-once per stage.  Squares are products (S * S), which overflow to inf where
-S ** 2 would raise, so blow-ups surface as NonFiniteStateError; an RK4 stage
-whose r is NaN gets a NaN slope for the same reason.
+and a coupling kappa checked once; the field unpacks its state once per
+stage, and neither it nor the H observer re-checks its inputs.  Squares
+are products (S * S), which overflow to inf where S ** 2 would raise, so
+blow-ups surface as NonFiniteStateError; an RK4 stage whose r is NaN gets a
+NaN slope for the same reason.
 
 One array integrand, 1/sqrt(theta), serves every use of x.  x(r)
 is adaptive Simpson quadrature from 1/2, with r clipped 1e-8 away from the
@@ -38,7 +39,6 @@ with the integrand as slope.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -50,6 +50,7 @@ from .errors import (
     InversionRangeError,
     QuadratureError,
     UnsupportedRegimeError,
+    real,
 )
 from .integrate import IntegratorSpec, Trajectory, integrate
 from .potentials import KuramotoQuadratic
@@ -75,8 +76,7 @@ class TwoPointState:
 
     def __post_init__(self):
         _check_unit("r", self.r)
-        if not math.isfinite(self.S):
-            raise DomainError(f"S must be finite, got {self.S}")
+        real(self.S, "S", "finite", math.isfinite)
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,8 @@ class RateClass:
         if self.kind not in ("finite_time_extinction", "exponential", "algebraic"):
             raise DomainError(f"unknown rate kind {self.kind!r}")
         for name, value in (("rate", self.rate), ("power", self.power)):
-            if value is not None and not (isinstance(value, numbers.Real) and 0 < value < math.inf):
-                raise DomainError(f"{name} must be positive and finite, got {value!r}")
+            if value is not None:
+                real(value, name, "positive and finite", lambda v: 0 < v < math.inf)
 
 
 def _quadratic_rhs(rule, kappa: float) -> Callable[[float, float], tuple[float, float]]:
@@ -127,7 +127,12 @@ def hamiltonian_two_point(rule, kappa_or_potential, state: TwoPointState) -> flo
         fp = kappa_or_potential.grad_r(state.r)
     else:
         fp = -KuramotoQuadratic(kappa_or_potential).kappa * (2.0 * state.r - 1.0)
-    return 0.5 * rule.theta_r(state.r) * (state.S * state.S - fp * fp)
+    return _energy(rule, state.r, state.S, fp)
+
+
+def _energy(rule, r: float, S: float, fp: float) -> float:
+    """H at an admitted (r, S) with F'(r) = fp: the kernel the run's observer calls each record."""
+    return 0.5 * rule.theta_r(r) * (S * S - fp * fp)
 
 
 def simulate_two_point(
@@ -158,7 +163,8 @@ def simulate_two_point(
 
     def energy(y: np.ndarray) -> float:
         r, S = y.tolist()
-        return hamiltonian_two_point(rule, kappa, TwoPointState(_clip01(r), S))
+        r = _clip01(r)
+        return _energy(rule, r, S, -kappa * (2.0 * r - 1.0))
 
     return integrate(field, [state0.r, state0.S], spec, {"hamiltonian": energy},
                      stop_when=hit_boundary, n_density=1)
@@ -176,10 +182,8 @@ def rate_class(alpha: float, H0: float) -> RateClass:
     on the positive-energy branch at alpha = 2 with the exponential rate
     sqrt(2 H0).
     """
-    if not alpha > 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    if not H0 >= 0:
-        raise UnsupportedRegimeError(f"only energies H0 >= 0 are classified, got {H0}")
+    real(alpha, "alpha", "positive and finite", lambda v: 0 < v < math.inf)
+    real(H0, "H0", "finite and >= 0", lambda v: 0 <= v < math.inf, UnsupportedRegimeError)
     if H0 == 0:
         if alpha < 1:
             return RateClass("finite_time_extinction")
@@ -200,12 +204,9 @@ def closed_form_gap(alpha: float, C: float, x0: float, t) -> float:
     1 - ((1 - x0)**(1 - alpha) + C (alpha - 1) t)**(-1 / (alpha - 1)).
     This is the oracle problem for the integrator-order tests.
     """
-    if not alpha >= 1:
-        raise UnsupportedRegimeError(f"closed form covers alpha >= 1 only, got {alpha}")
-    if not C > 0:
-        raise DomainError(f"C must be positive, got {C}")
-    if not (0.0 <= x0 < 1.0):
-        raise DomainError(f"x0 must lie in [0, 1), got {x0}")
+    real(alpha, "alpha", "finite and >= 1", lambda a: 1 <= a < math.inf, UnsupportedRegimeError)
+    real(C, "C", "positive and finite", lambda v: 0 < v < math.inf)
+    real(x0, "x0", "in [0, 1)", lambda x: 0 <= x < 1)
     t = np.asarray(t, dtype=float)
     if alpha == 1:
         out = 1.0 - (1.0 - x0) * np.exp(-C * t)
@@ -351,8 +352,7 @@ def _path_bracket(r0: float, r1: float) -> tuple[float, float]:
 
 
 def _check_unit(name: str, v: float) -> None:
-    if not (0.0 <= v <= 1.0):
-        raise DomainError(f"{name} must lie in [0, 1], got {v}")
+    real(v, name, "in [0, 1]", lambda x: 0 <= x <= 1)
 
 
 def analytic_solution(theta_fn: Callable, r0: float, r1: float, t):

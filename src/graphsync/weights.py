@@ -22,13 +22,12 @@ giving theta and d theta/da under the same conventions as ``theta`` and
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, real
 from .integrate import SIMPLEX_TOL
 from .potentials import _config_kind, _number, _TwoNodeEntropy, potential_from_config
 
@@ -72,8 +71,7 @@ class MinPower:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.alpha, numbers.Real) and 0 < self.alpha < math.inf):
-            raise DomainError(f"alpha must be positive and finite, got {self.alpha!r}")
+        real(self.alpha, "alpha", "positive and finite", lambda v: 0 < v < math.inf)
 
     @property
     def is_lipschitz(self) -> bool:
@@ -264,8 +262,8 @@ def validate_rule(rule, grid_resolution: int = 100) -> RuleValidationReport:
     reported with the worst observed violation; nothing raises, the report
     is the product.
     """
-    if grid_resolution < 10:
-        raise DomainError(f"grid_resolution must be >= 10, got {grid_resolution}")
+    grid_resolution = int(real(grid_resolution, "grid_resolution", "an integer >= 10",
+                               lambda g: g >= 10 and g % 1 == 0))
     pts = np.linspace(0.0, 1.0, grid_resolution + 1)
     A, B = np.meshgrid(pts, pts, indexing="ij")
     a, b = A.ravel(), B.ravel()
@@ -307,7 +305,7 @@ def rule_from_config(doc: dict):
     """Build a weight rule from ``{"kind": ..., ...}`` configuration."""
     kind = _config_kind(doc, "weight rule")
     if kind == "min_power":
-        return MinPower(alpha=_number(doc, "alpha", MinPower.alpha, owner="weight rule"))
+        return MinPower(alpha=_number(doc.get("alpha", MinPower.alpha)))
     if kind == "arithmetic_mean":
         return ArithmeticMean()
     if kind == "entropy_induced":

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,7 +15,7 @@ from graphsync.analysis import (
     fit_rate,
     trajectory_gap,
 )
-from graphsync.errors import DomainError
+from graphsync.errors import DimensionError, DomainError
 from graphsync.integrate import Trajectory
 
 
@@ -104,6 +106,18 @@ def test_edge_dichotomy_verdicts():
     cyc = edge_dichotomy_report(gs.named_graph("cycle6"),
                                 [0.74, 0.0, 0.0, 0.26, 0.0, 0.0], tol=1e-3)
     assert all(v.verdict == "MinVanishes" for v in cyc)
+
+
+@pytest.mark.parametrize("rho, tol, error", [
+    ([1.0, 0.0], 1e-6, DimensionError), ([1.0, 0.0, 0.0, 0.0], 1e-6, DimensionError),
+    ([[1.0, 0.0, 0.0]], 1e-6, DimensionError), ([1.0, 0.0, 0.0], math.nan, DomainError),
+    ([1.0, 0.0, 0.0], -1e-6, DomainError), ([1.0, 0.0, 0.0], math.inf, DomainError),
+    ([1.0, 0.0, 0.0], True, DomainError), ([1.0, 0.0, 0.0], "1e-6", DomainError),
+])
+def test_edge_dichotomy_refuses_a_bad_density_or_tolerance(rho, tol, error):
+    # A NaN tol would compare false everywhere and mark every edge a Violation.
+    with pytest.raises(error):
+        edge_dichotomy_report(gs.complete_graph(3), rho, tol=tol)
 
 
 def per_edge_dichotomy(graph, rho, tol):

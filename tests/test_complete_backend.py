@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import graphsync as gs
 from graphsync import graphs
 from graphsync.analysis import edge_dichotomy_report
-from graphsync.errors import DegenerateDerivativeError, GraphConstructionError, NonFiniteStateError
+from graphsync.errors import (DegenerateDerivativeError, GraphConstructionError, NegativeWeightError,
+                              NonFiniteStateError)
 from graphsync.graphs import SORTED_MIN_N, CompleteGraph, Graph
 
 #: Agreement asked of the sorted operators, as a fraction of each evaluation's scale.
@@ -204,10 +205,17 @@ def test_large_complete_graph_allocates_no_edges():
     assert not {"edges", "weights", "tail", "head", "pair_weight"} & set(vars(g))
 
 
-@pytest.mark.parametrize("n, omega", [(1, 1.0), (2.5, 1.0), (4, -1.0), (4, float("inf")), (4, float("nan"))])
+@pytest.mark.parametrize("n, omega", [
+    (1, 1.0), (2.5, 1.0), (4, -1.0), (4, float("inf")), (4, float("nan")), (True, 1.0), ("4", 1.0),
+    (None, 1.0), (float("inf"), 1.0), (np.float64(1.0), 1.0), (4, True), (4, "1"), (4, -float("inf")),
+    (4, -5e-324),
+])
 def test_complete_graph_refuses_bad_input(n, omega):
     with pytest.raises(GraphConstructionError):
         CompleteGraph(n, omega)
+    if n == 4 and omega in (-1.0, -5e-324):  # finite and below zero
+        with pytest.raises(NegativeWeightError):
+            CompleteGraph(n, omega)
 
 
 # ---------------------------------------------------------------------------

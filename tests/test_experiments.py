@@ -9,6 +9,7 @@ import pytest
 
 import graphsync.experiments as experiments
 from graphsync.cli import main
+from graphsync.graphs import named_graph
 from graphsync.errors import (
     ConsistencyError,
     DomainError,
@@ -174,7 +175,11 @@ def test_config_normalises_initial_data():
      # Integrator, theta and potential documents that the run could not build.
      {"integrator": {"dt": -1}}, {"integrator": {"step": 0.1}}, {"integrator": None},
      {"theta": {"kind": "nope"}}, {"theta": {"kind": "min_power", "alpha": "two"}},
-     {"theta": None}, {"potential": {"kind": "nope"}}, {"potential": {"kind": "renyi"}}],
+     {"theta": None}, {"potential": {"kind": "nope"}}, {"potential": {"kind": "renyi"}},
+     # A bool is no number, in any document.
+     {"potential": {"kind": "kuramoto", "kappa": True}}, {"theta": {"kind": "min_power", "alpha": True}},
+     {"integrator": {"dt": True}}, {"integrator": {"record_every": True}},
+     {"rho0": [True, False, False]}, {"dynamics": "second", "s0": [0.0, True, 0.0]}],
 )
 def test_config_refuses_bad_initial_data(kwargs):
     with pytest.raises(DomainError):
@@ -381,13 +386,18 @@ def test_every_failing_simulate_exits_2_after_writing_the_partial_csv(
      {"dichotomy_tol": 1e-3, "expect": {"max_dichotomy_violations": -1}},
      {"dichotomy_tol": math.nan}, {"dichotomy_tol": math.inf}, {"dichotomy_tol": -1.0},
      {"expect": {"synchronised": "no"}},
-     json.loads('{"expect": {"limit": [0.5, 0.3, 0.2], "limit_tol": NaN}}')],
+     json.loads('{"expect": {"limit": [0.5, 0.3, 0.2], "limit_tol": NaN}}'),
+     {"dichotomy_tol": True}, {"expect": {"limit": [True, False, False]}},
+     {"expect": {"limit": [0.5, 0.3, 0.2], "limit_tol": True}},
+     {"expect": {"fit": {"transform": "log_gap", "slope_sign": True}}},
+     {"expect": {"fit": {"transform": "log_gap", "min_r_squared": False}}}],
     ids=["fit-empty", "limit-text", "limit-tol-text", "expect-list", "dichotomy-tol-text",
          "violations-text", "fits-text", "fits-unknown", "limit-length", "r-squared-text",
          "expect-unknown-key", "limit-tol-nan", "limit-tol-inf", "limit-tol-negative",
          "limit-nan", "limit-inf", "r-squared-nan", "slope-sign-nan", "slope-sign-2",
          "slope-sign-text", "violations-nan", "violations-negative", "dichotomy-tol-nan",
-         "dichotomy-tol-inf", "dichotomy-tol-negative", "synchronised-text", "json-nan-literal"],
+         "dichotomy-tol-inf", "dichotomy-tol-negative", "synchronised-text", "json-nan-literal",
+         "dichotomy-tol-bool", "limit-bool", "limit-tol-bool", "slope-sign-bool", "r-squared-bool"],
 )
 def test_config_refuses_malformed_checks(kwargs):
     # Refused where the field enters, before anything runs.
@@ -446,3 +456,24 @@ def test_stock_targets_round_trip_through_plain_documents(name):
 
     assert type(doc) is dict and plain(doc)
     assert json.loads(json.dumps(doc)) == doc
+
+
+def test_config_with_a_path_graph_runs_end_to_end(tmp_path):
+    # The path is kept as its str, so the summary's JSON holds it and round-trips.
+    graph_file = tmp_path / "square.json"
+    graph_file.write_text(named_graph("square4").to_json())
+    cfg = _config(graph=graph_file, rho0=[0.4, 0.3, 0.2, 0.1], **_SHORT)
+    assert cfg.graph == str(graph_file)
+    summary = run_experiment(cfg, tmp_path / "out")
+    written = json.loads((tmp_path / "out" / "x" / "summary.json").read_text())
+    assert written == summary and written["config"]["graph"] == str(graph_file)
+    assert ExperimentConfig.from_dict(written["config"]) == cfg
+
+
+def test_a_summary_that_fails_to_serialise_leaves_no_summary_file(tmp_path, monkeypatch):
+    real_summarise = experiments.summarise
+    monkeypatch.setattr(experiments, "summarise",
+                        lambda *args: {**real_summarise(*args), "bad": object()})
+    with pytest.raises(TypeError):
+        run_experiment(_config(**_SHORT), tmp_path)
+    assert not (tmp_path / "x" / "summary.json").exists()

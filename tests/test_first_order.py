@@ -134,6 +134,9 @@ def test_max_gap():
     assert gs.max_gap([1.0, 0.0, 0.0]) == pytest.approx(1.0)
     with pytest.raises(DimensionError):
         gs.max_gap([1.0])
+    for bad in ("ab", [0.5, "x"], {"a": 1.0}):
+        with pytest.raises(DomainError):
+            gs.max_gap(bad)
 
 
 def test_density_validation():
@@ -148,7 +151,8 @@ def test_density_validation():
         gs.rhs_first_order(gs.complete_graph(3), gs.MinPower(1.0), 1.0, [0.5, 0.5])
 
 
-@pytest.mark.parametrize("kappa", ["1", None, math.nan, math.inf, -1.0, 0.0])
+@pytest.mark.parametrize("kappa", ["1", None, math.nan, math.inf, -1.0, 0.0, True, False, -math.inf,
+                                   -5e-324])
 def test_first_order_coupling_refused_where_it_enters(kappa):
     # The quadratic potential's check, before any step: no UFuncTypeError, no NonFiniteStateError.
     g, rule, rho0 = gs.complete_graph(3), gs.MinPower(1.0), [0.5, 0.3, 0.2]

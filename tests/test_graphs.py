@@ -150,6 +150,12 @@ def test_load_graph_by_name_and_bad_spec():
     for bad in (5, None, 2.5, ["cycle6"]):
         with pytest.raises(UnknownGraphNameError):
             gs.load_graph(bad)
+        with pytest.raises(UnknownGraphNameError):
+            gs.named_graph(bad)
+    cycle = gs.named_graph("cycle6")
+    for vertex in (0, 7, 1.5, "1", True, None, float("nan")):
+        with pytest.raises(VertexIndexError):
+            cycle.neighbors(vertex)
 
 
 def test_graph_is_immutable():

@@ -171,6 +171,13 @@ def test_errors_carry_no_trajectory_outside_the_loop():
         {"record_every": "2"},
         {"dt": "0.1"},
         {"t_final": None},
+        {"dt": True},
+        {"t_final": True},
+        {"record_every": True},
+        {"dt": -math.inf},
+        {"dt": 0.0},
+        {"dt": 0.1, "t_final": math.nextafter(0.1, 0.0)},
+        {"record_every": math.nextafter(1.0, 0.0)},
     ],
 )
 def test_spec_validation(kwargs):

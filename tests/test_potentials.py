@@ -172,6 +172,24 @@ def test_bad_parameters_rejected():
                        (gs.RenyiPotential, "2"), (gs.TsallisPotential, "3"), (gs.TsallisPotential, [3.0])):
         with pytest.raises(DomainError):
             build(bad)
+    # A bool is no number here, and each bound is refused from just outside it.
+    below_one, above_one = math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
+    for build, bad in ((gs.KuramotoQuadratic, True), (gs.KuramotoQuadratic, -math.inf),
+                       (gs.KuramotoQuadratic, -5e-324), (gs.MinPower, True), (gs.MinPower, math.inf),
+                       (gs.MinPower, 0.0), (gs.RenyiPotential, False), (gs.RenyiPotential, math.inf),
+                       (gs.RenyiPotential, -5e-324), (gs.TsallisPotential, True),
+                       (gs.TsallisPotential, math.inf), (gs.TsallisPotential, below_one)):
+        with pytest.raises(DomainError, match=" must be .*, got "):
+            build(bad)
+    assert gs.TsallisPotential(above_one).q == above_one
+    # A config document's number may be a numeric string, never a bool.
+    assert gs.potential_from_config({"kind": "kuramoto", "kappa": "2"}) == gs.KuramotoQuadratic(2.0)
+    for doc in ({"kind": "kuramoto", "kappa": True}, {"kind": "tsallis", "q": True},
+                {"kind": "renyi", "alpha": "two"}, {"kind": "kuramoto", "kappa": "inf"}):
+        with pytest.raises(DomainError):
+            gs.potential_from_config(doc)
+    with pytest.raises(DomainError):
+        gs.rule_from_config({"kind": "min_power", "alpha": True})
 
 
 def test_potential_from_config():

@@ -54,8 +54,9 @@ def test_gradient_flow_init(kuramoto):
 
     st3 = gs.gradient_flow_init([0.5, 0.3, 0.2], kuramoto, sign=-1)
     np.testing.assert_allclose(st3.S, [-0.5, -0.3, -0.2])
-    with pytest.raises(DimensionError):
-        gs.gradient_flow_init([0.5, 0.5], kuramoto, sign=2)
+    for sign in (2, 0, True, "+1", None, 1.5):
+        with pytest.raises(DimensionError):
+            gs.gradient_flow_init([0.5, 0.5], kuramoto, sign=sign)
 
 
 def test_canonical_structure_against_hamiltonian_differences(kuramoto, min2):
@@ -138,9 +139,14 @@ def test_synchronisation_from_energetic_start(kuramoto, min2):
     assert traj.final_time < 200.0
 
 
-def test_state_shape_validation():
+def test_state_shape_validation(kuramoto, min1):
     with pytest.raises(DimensionError):
         gs.PhaseState(rho=[0.5, 0.5], S=[1.0])
+    # A state with other than one entry per vertex is refused, not read by index.
+    for n in (2, 4):
+        st = gs.PhaseState(rho=np.full(n, 1.0 / n), S=np.zeros(n))
+        with pytest.raises(DimensionError):
+            gs.hamiltonian(gs.complete_graph(3), min1, kuramoto, st)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

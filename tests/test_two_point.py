@@ -169,6 +169,12 @@ def test_rate_class_rejects():
         gs.rate_class(2.0, -0.1)
     with pytest.raises(DomainError):
         gs.rate_class(0.0, 0.5)
+    for alpha in ("a", True, math.inf, -math.inf, -5e-324):
+        with pytest.raises(DomainError, match="alpha must be positive and finite"):
+            gs.rate_class(alpha, 0.1)
+    for H0 in ("a", None, True, math.inf, -5e-324):
+        with pytest.raises(UnsupportedRegimeError, match="H0 must be finite and >= 0"):
+            gs.rate_class(2.0, H0)
 
 
 def test_closed_form_gap():
@@ -179,6 +185,19 @@ def test_closed_form_gap():
         gs.closed_form_gap(0.5, 1.0, 0.0, 1.0)
     with pytest.raises(DomainError):
         gs.closed_form_gap(2.0, -1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("alpha, C, x0, error", [
+    (2.0, "a", 0.5, DomainError), (2.0, True, 0.5, DomainError), (2.0, math.inf, 0.5, DomainError),
+    (2.0, 0.0, 0.5, DomainError), (2.0, 1.0, 1.0, DomainError), (2.0, 1.0, -5e-324, DomainError),
+    (2.0, 1.0, "0.5", DomainError), (2.0, 1.0, False, DomainError),
+    ("a", 1.0, 0.5, UnsupportedRegimeError), (True, 1.0, 0.5, UnsupportedRegimeError),
+    (math.inf, 1.0, 0.5, UnsupportedRegimeError),
+    (math.nextafter(1.0, 0.0), 1.0, 0.5, UnsupportedRegimeError),
+])
+def test_closed_form_gap_refuses_each_scalar_where_it_enters(alpha, C, x0, error):
+    with pytest.raises(error):
+        gs.closed_form_gap(alpha, C, x0, 1.0)
 
 
 def test_fitted_families_flip_at_zero_energy():
@@ -454,7 +473,11 @@ def test_two_point_state_validation():
         gs.TwoPointState(1.2, 0.0)
 
 
-@pytest.mark.parametrize("r, S", [(math.nan, 0.0), (0.5, math.nan), (0.5, math.inf), (0.5, -math.inf)])
+@pytest.mark.parametrize("r, S", [
+    (math.nan, 0.0), (0.5, math.nan), (0.5, math.inf), (0.5, -math.inf),
+    ("0.5", 0.0), (True, 0.0), (None, 0.0), (0.5, "x"), (0.5, False), (math.inf, 0.0),
+    (-5e-324, 0.0), (math.nextafter(1.0, 2.0), 0.0),
+])
 def test_two_point_state_refuses_non_finite_entries(r, S):
     with pytest.raises(DomainError):
         gs.TwoPointState(r, S)
@@ -488,8 +511,31 @@ def test_two_node_closed_forms_refuse_nan(call):
 @pytest.mark.parametrize("kwargs", [
     {"kind": "exponential", "rate": "x"}, {"kind": "exponential", "rate": [1.0]},
     {"kind": "algebraic", "power": "2"}, {"kind": "algebraic", "power": 1j},
-], ids=["rate-text", "rate-list", "power-text", "power-complex"])
+    {"kind": "exponential", "rate": True}, {"kind": "algebraic", "power": math.inf},
+], ids=["rate-text", "rate-list", "power-text", "power-complex", "rate-bool", "power-inf"])
 def test_rate_class_refuses_a_rate_or_power_that_is_no_number(kwargs):
     # The type is checked before any comparison, so the refusal is never a bare TypeError.
     with pytest.raises(DomainError):
         gs.RateClass(**kwargs)
+
+
+@pytest.mark.parametrize("call", [
+    lambda fn: gs.x_of_r(fn, 0.7, tol=-1.0), lambda fn: gs.x_of_r(fn, 0.7, tol=math.nan),
+    lambda fn: gs.x_of_r(fn, 0.7, tol=0.0), lambda fn: x_of_r_with_error(fn, 0.7, tol="1e-10"),
+    lambda fn: gs.x_of_r(fn, True), lambda fn: gs.action(fn, "a", 0.7),
+    lambda fn: gs.divergence(fn, 1.5, 0.3), lambda fn: gs.analytic_solution(fn, 0.3, None, 0.5),
+], ids=["tol-negative", "tol-nan", "tol-zero", "tol-text", "r-bool", "action-r0-text",
+        "divergence-r0-out", "solve-r1-none"])
+def test_stretched_coordinate_refuses_a_bad_scalar_before_any_quadrature(call):
+    # Refused before theta is sampled once.
+    calls = []
+    with pytest.raises(DomainError):
+        call(lambda r: calls.append(r) or 1.0)
+    assert calls == []
+
+
+def test_two_node_energy_observer_matches_hamiltonian_two_point():
+    rule, spec = gs.MinPower(2.0), gs.IntegratorSpec(dt=0.01, t_final=1.0, record_every=10)
+    traj = gs.simulate_two_point(rule, 1.5, gs.TwoPointState(0.55, 2.0), spec)
+    want = [gs.hamiltonian_two_point(rule, 1.5, gs.TwoPointState(r, S)) for r, S in traj.states]
+    assert traj.diagnostics["hamiltonian"].tolist() == want

@@ -117,8 +117,10 @@ def test_validate_rule_arithmetic_mean_fails_vanishing():
 
 
 def test_validate_rule_resolution_floor():
-    with pytest.raises(DomainError):
-        gs.validate_rule(gs.MinPower(1.0), grid_resolution=5)
+    for resolution in (5, 9, 10.5, True, "100", None, math.inf, math.nan):
+        with pytest.raises(DomainError, match="grid_resolution must be an integer >= 10"):
+            gs.validate_rule(gs.MinPower(1.0), grid_resolution=resolution)
+    assert gs.validate_rule(gs.MinPower(1.0), grid_resolution=10.0).grid_resolution == 10
 
 
 def test_entropy_induced_rule():
