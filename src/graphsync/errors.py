@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the admission rule for scalar inputs."""
+"""Exception types shared across the package, and the admission rules for scalars and documents."""
 import numbers
+from collections.abc import Mapping
 
 
 class GraphSyncError(Exception):
@@ -86,3 +87,16 @@ def real(value, name: str, what: str, ok, error=DomainError):
     if isinstance(value, numbers.Real) and not isinstance(value, bool) and ok(value):
         return value
     raise error(f"{name} must be {what}, got {value!r}")
+
+
+def document(doc, owner: str, required=(), optional=(), error=DomainError):
+    """``doc`` if it is a mapping that holds every key of ``required`` and no key outside
+    ``required`` and ``optional``, else ``error`` naming ``owner`` and the offending keys."""
+    if not isinstance(doc, Mapping):
+        raise error(f"{owner} must be a mapping, got {doc!r}")
+    wrong = {"unknown": [key for key in doc if key not in required and key not in optional],
+             "missing": [key for key in required if key not in doc]}
+    if any(wrong.values()):
+        raise error(f"{owner} has " + " and ".join(f"{what} keys {keys}"
+                                                   for what, keys in wrong.items() if keys))
+    return doc

@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .analysis import _TRANSFORMS, detect_limit, edge_dichotomy_report, fit_power, fit_rate
-from .errors import DomainError, GraphSyncError, real
+from .errors import DomainError, GraphSyncError, document, real
 from .first_order import classify_equilibrium
 from .flows import FLOWS, is_synchronised  # is_synchronised: re-exported
 from .graphs import load_graph
@@ -36,10 +36,10 @@ from .weights import rule_from_config
 
 SUMMARY_SCHEMA = 1
 
-#: The rate-fit transforms, and the keys ``check_expectations`` reads.
+#: The rate-fit transforms, and the keys ``check_expectations`` reads besides a fit's transform.
 _FITS = tuple(sorted(_TRANSFORMS))
-_EXPECT_KEYS = {"limit", "limit_tol", "fit", "synchronised", "max_dichotomy_violations"}
-_FIT_KEYS = {"transform", "min_r_squared", "slope_sign"}
+_EXPECT_KEYS = ("limit", "limit_tol", "fit", "synchronised", "max_dichotomy_violations")
+_FIT_KEYS = ("min_r_squared", "slope_sign")
 
 
 @dataclass(frozen=True)
@@ -123,16 +123,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "ExperimentConfig":
-        if not isinstance(doc, Mapping):
-            raise DomainError(f"a config must be a mapping, got {doc!r}")
-        unknown = set(doc) - {f.name for f in fields(cls)}
-        if unknown:
-            raise DomainError(f"unknown config keys: {sorted(unknown)}")
-        missing = [f.name for f in fields(cls)
-                   if f.default is MISSING and f.default_factory is MISSING and f.name not in doc]
-        if missing:
-            raise DomainError(f"missing config keys: {missing}")
-        return cls(**doc)
+        required = [f.name for f in fields(cls)
+                    if f.default is MISSING and f.default_factory is MISSING]
+        return cls(**document(doc, "a config", required, [f.name for f in fields(cls)]))
 
     def to_dict(self) -> dict:
         """The required fields, and each optional field that differs from its default."""
@@ -170,8 +163,7 @@ def _check(ok: bool, what: str, value) -> None:
 def _check_expect(exp, n: int) -> None:
     """Refuse an ``expect`` block that ``check_expectations`` could not read, or whose
     checks could never fail (a NaN bound, a negative tolerance)."""
-    _check(isinstance(exp, Mapping) and set(exp) <= _EXPECT_KEYS,
-           f"expect must be a mapping with keys from {sorted(_EXPECT_KEYS)}", exp)
+    document(exp, "expect", (), _EXPECT_KEYS)
     limit = exp.get("limit", [0.0] * n)
     _check(isinstance(limit, (list, tuple)) and len(limit) == n,
            f"expect limit must be {n} finite numbers", limit)
@@ -181,20 +173,17 @@ def _check_expect(exp, n: int) -> None:
         real(exp.get(key, 0), f"expect {key}", "finite and >= 0", lambda v: 0 <= v < math.inf)
     sync = exp.get("synchronised", False)
     _check(isinstance(sync, bool), "expect synchronised must be a bool", sync)
-    fit = exp.get("fit", {"transform": _FITS[0]})
-    _check(isinstance(fit, Mapping) and set(fit) <= _FIT_KEYS and fit.get("transform") in _FITS,
-           f"expect fit must be a mapping of {sorted(_FIT_KEYS)} naming one of {list(_FITS)}", fit)
+    fit = document(exp.get("fit", {"transform": _FITS[0]}), "expect fit", ("transform",), _FIT_KEYS)
+    _check(fit["transform"] in _FITS, f"expect fit transform must be one of {list(_FITS)}",
+           fit["transform"])
     real(fit.get("min_r_squared", 0), "expect fit min_r_squared", "finite", math.isfinite)
     if fit.get("slope_sign") is not None:
         real(fit["slope_sign"], "expect fit slope_sign", "-1, 0 or 1", lambda s: s in (-1, 0, 1))
 
 
 def _resolve_spec(doc: dict) -> IntegratorSpec:
-    _check(isinstance(doc, Mapping), "an integrator config must be a mapping", doc)
-    unknown = set(doc) - {f.name for f in fields(IntegratorSpec)}
-    if unknown:
-        raise DomainError(f"unknown integrator keys: {sorted(unknown)}")
-    return IntegratorSpec(**doc)
+    return IntegratorSpec(**document(doc, "an integrator config",
+                                     optional=[f.name for f in fields(IntegratorSpec)]))
 
 
 def run_dynamics(cfg: ExperimentConfig) -> Trajectory:

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, real
 from .graphs import Graph
 from .integrate import IntegratorSpec, Trajectory, density_state, integrate  # noqa: F401
 from .potentials import KuramotoQuadratic
@@ -86,7 +86,8 @@ class EquilibriumClass:
 
 def classify_equilibrium(rho, tol: float = 1e-6) -> EquilibriumClass:
     """Identify the support of rho and test closeness to the flat rest state."""
-    rho = np.asarray(rho, dtype=float)
+    real(tol, "tol", "finite and >= 0", lambda v: 0 <= v < np.inf)
+    rho = _finite_vector(rho, "classify_equilibrium")
     support = tuple(int(j + 1) for j in np.flatnonzero(rho > tol))
     m = len(support)
     if m == 0:
@@ -103,11 +104,18 @@ def classify_equilibrium(rho, tol: float = 1e-6) -> EquilibriumClass:
 
 def max_gap(rho) -> float:
     """Difference between the largest and second-largest components."""
-    try:
-        rho = np.asarray(rho, dtype=float)
-    except (TypeError, ValueError):
-        raise DomainError(f"max_gap needs a vector of numbers, got {rho!r}") from None
+    rho = _finite_vector(rho, "max_gap")
     if rho.size < 2:
         raise DimensionError("max_gap needs at least two components")
     two = np.partition(rho, rho.size - 2)[-2:]
     return float(two[1] - two[0])
+
+
+def _finite_vector(value, owner: str) -> np.ndarray:
+    try:
+        rho = np.asarray(value, dtype=float)
+        if np.isfinite(rho).all():
+            return rho
+    except (TypeError, ValueError):
+        pass
+    raise DomainError(f"{owner} needs a vector of finite numbers, got {value!r}")

@@ -101,8 +101,9 @@ FLOWS = {
         blocks={"rho": None, "S": Block(
             "gradflow", True, lambda potential, rho0: so.gradient_flow_init(rho0, potential).S)},
         field=lambda graph, rule, potential: so.second_order_field(graph, rule, potential),
-        observers=(("hamiltonian", "H", lambda run, y: so.hamiltonian(
-                        run.graph, run.rule, run.model, so.PhaseState.from_vector(y))),
+        # H as second_order.hamiltonian gives it, on a state the run has admitted already.
+        observers=(("hamiltonian", "H", lambda run, y: 0.25 * float(run.graph.pair_energy(
+                        run.rule, y[: run.n], y[run.n :], run.model.grad(y[: run.n])))),
                    ("sum_sq", None, lambda run, y: float(np.dot(y[: run.n], y[: run.n])))),
         simulate=lambda graph, rule, potential, blocks, spec, sync: so.simulate_second_order(
             graph, rule, potential, so.PhaseState(*blocks), spec,

@@ -54,6 +54,7 @@ from .errors import (
     SelfLoopError,
     UnknownGraphNameError,
     VertexIndexError,
+    document,
     real,
 )
 from .weights import MinPower
@@ -445,10 +446,10 @@ def graph_from_json(text) -> Graph:
     """
     try:
         doc = text if isinstance(text, Mapping) else json.loads(text)
-        n, edges = doc["n"], doc["edges"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, TypeError) as exc:
         raise GraphConstructionError(f"malformed graph document: {exc}") from exc
-    return build_graph(n, edges)
+    document(doc, "a graph document", ("n", "edges"), (), GraphConstructionError)
+    return build_graph(doc["n"], doc["edges"])
 
 
 def load_graph(spec) -> Graph:

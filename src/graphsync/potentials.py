@@ -14,11 +14,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .errors import BoundarySingularityError, DimensionError, DomainError, real
+from .errors import BoundarySingularityError, DimensionError, DomainError, document, real
 from .integrate import SIMPLEX_TOL
 
 
@@ -199,21 +198,11 @@ class TsallisPotential(_TwoNodeEntropy):
         return q * (np.power(r, q - 2.0) + np.power(1.0 - r, q - 2.0))
 
 
-ENTROPY_KINDS = (ShannonPotential, RenyiPotential, TsallisPotential)
-
-
 def quadratic_kappa(potential) -> float:
     """Coupling kappa of the quadratic potential; any other potential is refused."""
     if not isinstance(potential, KuramotoQuadratic):
         raise DomainError(f"graph flows need the quadratic potential, got {potential!r}")
     return potential.kappa
-
-
-def _config_kind(doc: Mapping, owner: str):
-    """The ``kind`` of a config document; a document that is no mapping is a DomainError."""
-    if not isinstance(doc, Mapping):
-        raise DomainError(f"a {owner} config must be a mapping, got {doc!r}")
-    return doc.get("kind")
 
 
 def _number(value):
@@ -226,22 +215,27 @@ def _number(value):
     return value
 
 
-#: Potentials by config kind, with the name of their one numeric parameter (or None).
+def from_config(doc, owner: str, kinds: dict):
+    """``doc`` built as ``kinds[doc["kind"]]``, a class and ``{parameter: reader}``; a parameter
+    is optional where the class gives it a default, and any other key is refused."""
+    kind = document(doc, f"a {owner} config", ("kind",), doc)["kind"]  # its kind picks the keys
+    if not isinstance(kind, str) or kind not in kinds:
+        raise DomainError(f"{owner} kind must be one of {sorted(kinds)}, got {kind!r}")
+    cls, readers = kinds[kind]
+    required = ["kind", *(p for p in readers if not hasattr(cls, p))]
+    document(doc, f"a {owner} {kind!r} config", required, readers)
+    return cls(**{p: read(doc[p]) for p, read in readers.items() if p in doc})
+
+
+#: Potentials by config kind, with a reader for each parameter.
 _KINDS = {
-    "kuramoto": (KuramotoQuadratic, "kappa"),
-    "shannon": (ShannonPotential, None),
-    "renyi": (RenyiPotential, "alpha"),
-    "tsallis": (TsallisPotential, "q"),
+    "kuramoto": (KuramotoQuadratic, {"kappa": _number}),
+    "shannon": (ShannonPotential, {}),
+    "renyi": (RenyiPotential, {"alpha": _number}),
+    "tsallis": (TsallisPotential, {"q": _number}),
 }
 
 
 def potential_from_config(doc: dict):
     """Build a potential from ``{"kind": ..., <parameter>: ...}`` configuration."""
-    kind = _config_kind(doc, "potential")
-    if not isinstance(kind, str) or kind not in _KINDS:
-        raise DomainError(f"unknown potential kind {kind!r}")
-    cls, param = _KINDS[kind]
-    if param is None:
-        return cls()
-    # A parameter with a dataclass default (kappa) is optional; the others are required.
-    return cls(**{param: _number(doc.get(param, getattr(cls, param, None)))})
+    return from_config(doc, "potential", _KINDS)

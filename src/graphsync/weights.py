@@ -22,14 +22,13 @@ giving theta and d theta/da under the same conventions as ``theta`` and
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, real
 from .integrate import SIMPLEX_TOL
-from .potentials import _config_kind, _number, _TwoNodeEntropy, potential_from_config
+from .potentials import _number, _TwoNodeEntropy, from_config, potential_from_config
 
 #: Half-width of the window about r = 1/2 where the induced weight's quotients of F
 #: lose their digits to the removable singularity, and its Taylor series stands in.
@@ -301,16 +300,14 @@ def validate_rule(rule, grid_resolution: int = 100) -> RuleValidationReport:
     )
 
 
+#: Weight rules by config kind, with a reader for each parameter.
+_KINDS = {
+    "min_power": (MinPower, {"alpha": _number}),
+    "arithmetic_mean": (ArithmeticMean, {}),
+    "entropy_induced": (EntropyInduced, {"potential": potential_from_config}),
+}
+
+
 def rule_from_config(doc: dict):
     """Build a weight rule from ``{"kind": ..., ...}`` configuration."""
-    kind = _config_kind(doc, "weight rule")
-    if kind == "min_power":
-        return MinPower(alpha=_number(doc.get("alpha", MinPower.alpha)))
-    if kind == "arithmetic_mean":
-        return ArithmeticMean()
-    if kind == "entropy_induced":
-        potential = doc.get("potential")
-        if not isinstance(potential, Mapping):
-            raise DomainError(f"weight rule {kind!r} needs a potential config, got {potential!r}")
-        return EntropyInduced(potential=potential_from_config(potential))
-    raise DomainError(f"unknown weight-rule kind {kind!r}")
+    return from_config(doc, "weight rule", _KINDS)

@@ -129,6 +129,7 @@ def test_validate_rule_exit_codes(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["symmetry"]["passed"]
     assert main(["validate-rule", "--kind", "arithmetic_mean"]) == 1
+    assert main(["validate-rule"]) == 0  # min_power at its default alpha
 
 
 def test_reproduce_check_and_determinism(tmp_path, capsys):
@@ -177,9 +178,14 @@ def test_reproduce_unknown_target(capsys):
         ["simulate-first", "--graph", "cycle6", "--rho0", "a,b", "--out", "unused.csv"],
         ["simulate-first", "--graph", "missing.json", "--rho0", "0.5,0.5", "--out", "unused.csv"],
         ["validate-rule", "--kind", "entropy_induced"],
+        ["validate-rule", "--kind", "arithmetic_mean", "--alpha", "2"],
+        ["two-point", "theta", "--potential", "shannon:3", "--r0", "0.3"],
+        ["two-point", "theta", "--potential", "renyi:2:3", "--r0", "0.3"],
+        ["two-point", "theta", "--potential", "gibbs", "--r0", "0.3"],
     ],
     ids=["renyi-no-alpha", "tsallis-bad-q", "non-entropy", "rho0-not-numbers", "no-graph",
-         "entropy-rule-no-potential"],
+         "entropy-rule-no-potential", "mean-rule-takes-no-alpha", "shannon-takes-no-parameter",
+         "renyi-takes-one-parameter", "unknown-potential"],
 )
 def test_bad_arguments_exit_2_with_one_error_line(argv, capsys):
     assert main(argv) == 2

@@ -5,7 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from graphsync.errors import DomainError, NegativeWeightError, real
+from graphsync.errors import (
+    DomainError, GraphConstructionError, NegativeWeightError, document, real,
+)
 
 
 def in_unit(v) -> bool:
@@ -29,3 +31,26 @@ def test_real_raises_the_error_it_is_given():
     with pytest.raises(NegativeWeightError):
         real(-1.0, "omega", ">= 0", lambda w: w >= 0, NegativeWeightError)
 
+
+
+def test_document_hands_back_a_mapping_with_its_keys():
+    doc = {"kind": "x", "a": 1}
+    assert document(doc, "a thing", ("kind",), ("a", "b")) is doc
+    assert document({}, "a thing") == {}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"kind": "x", "c": 1}, "a thing has unknown keys ['c']"),
+        ({"a": 1}, "a thing has missing keys ['kind']"),
+        ({"a": 1, "kidn": "x"}, "a thing has unknown keys ['kidn'] and missing keys ['kind']"),
+        (["kind", "x"], "a thing must be a mapping, got ['kind', 'x']"),
+        (None, "a thing must be a mapping, got None"),
+    ],
+)
+def test_document_refuses_unknown_and_missing_keys_and_a_non_mapping(doc, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        document(doc, "a thing", ("kind",), ("a", "b"))
+    with pytest.raises(GraphConstructionError, match=re.escape(message)):
+        document(doc, "a thing", ("kind",), ("a", "b"), GraphConstructionError)

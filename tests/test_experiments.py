@@ -9,7 +9,8 @@ import pytest
 
 import graphsync.experiments as experiments
 from graphsync.cli import main
-from graphsync.graphs import named_graph
+from graphsync.graphs import graph_from_json, named_graph
+from graphsync.potentials import potential_from_config
 from graphsync.errors import (
     ConsistencyError,
     DomainError,
@@ -50,6 +51,89 @@ def test_unknown_config_keys_rejected():
     for doc in ({"name": "x"}, None, [], "ex4.2"):
         with pytest.raises(DomainError):
             ExperimentConfig.from_dict(doc)
+    # A mistyped key in a nested document is refused too, not read as its default.
+    with pytest.raises(DomainError, match=re.escape("unknown keys ['alpah']")):
+        _config(theta={"kind": "min_power", "alpah": 3})
+    with pytest.raises(DomainError, match=re.escape("unknown keys ['kapa']")):
+        _config(potential={"kind": "kuramoto", "kapa": 5})
+
+
+FIG1 = REPRODUCE_TARGETS["fig1"].to_dict()  # on complete(4)
+
+
+def _config(**blocks):
+    return ExperimentConfig.from_dict({**FIG1, **blocks})
+
+
+# Each document's owner, the entry point that reads it, and its error class; then a
+# mistyped key, a missing required key and a document that is no mapping, each with
+# the text its refusal must hold.
+_DOCUMENT_CASES = {
+    "config": (ExperimentConfig.from_dict, DomainError, [
+        ({**FIG1, "power_fitt": True}, "a config has unknown keys ['power_fitt']"),
+        ({k: v for k, v in FIG1.items() if k != "rho0"}, "a config has missing keys ['rho0']"),
+        (["fig1"], "a config must be a mapping")]),
+    "graph": (graph_from_json, GraphConstructionError, [
+        ({"n": 3, "edges": [[1, 2, 1.0]], "weigths": 1}, "unknown keys ['weigths']"),
+        ({"n": 3}, "a graph document has missing keys ['edges']"),
+        ('[3, [[1, 2, 1.0]]]', "a graph document must be a mapping")]),
+    "graph-in-config": (lambda doc: _config(graph=doc), GraphConstructionError, [
+        ({"n": 4, "edges": [[1, 2, 1.0]], "weigths": 1}, "unknown keys ['weigths']"),
+        ({"edges": [[1, 2, 1.0]]}, "missing keys ['n']")]),
+    "theta": (lambda doc: _config(theta=doc), DomainError, [
+        ({"kidn": "min_power"}, "a weight rule config has missing keys ['kind']"),
+        ("min_power", "a weight rule config must be a mapping")]),
+    "theta-min_power": (lambda doc: _config(theta=doc), DomainError, [
+        ({"kind": "min_power", "alpah": 3}, "'min_power' config has unknown keys ['alpah']")]),
+    "theta-arithmetic_mean": (lambda doc: _config(theta=doc), DomainError, [
+        ({"kind": "arithmetic_mean", "alpha": 2}, "unknown keys ['alpha']")]),
+    "theta-entropy_induced": (lambda doc: _config(theta=doc), DomainError, [
+        ({"kind": "entropy_induced", "potenital": {"kind": "shannon"}},
+         "unknown keys ['potenital'] and missing keys ['potential']"),
+        ({"kind": "entropy_induced"}, "missing keys ['potential']")]),
+    "theta-potential": (lambda doc: _config(theta={"kind": "entropy_induced", "potential": doc}),
+                        DomainError, [
+        ({"kind": "tsallis", "Q": 2.0}, "'tsallis' config has unknown keys ['Q']"),
+        ({"kind": "tsallis"}, "'tsallis' config has missing keys ['q']"),
+        ("tsallis", "a potential config must be a mapping")]),
+    "potential": (lambda doc: _config(potential=doc), DomainError, [
+        ({"kidn": "kuramoto"}, "a potential config has missing keys ['kind']"),
+        (["kuramoto"], "a potential config must be a mapping")]),
+    "potential-kuramoto": (lambda doc: _config(potential=doc), DomainError, [
+        ({"kind": "kuramoto", "kapa": 5}, "'kuramoto' config has unknown keys ['kapa']")]),
+    "potential-shannon": (potential_from_config, DomainError, [
+        ({"kind": "shannon", "alpha": 2.0}, "'shannon' config has unknown keys ['alpha']")]),
+    "potential-renyi": (potential_from_config, DomainError, [
+        ({"kind": "renyi", "alpah": 2.0}, "unknown keys ['alpah']"),
+        ({"kind": "renyi"}, "'renyi' config has missing keys ['alpha']")]),
+    "potential-tsallis": (potential_from_config, DomainError, [
+        ({"kind": "tsallis", "qq": 2.0}, "unknown keys ['qq']"),
+        ({"kind": "tsallis"}, "missing keys ['q']")]),
+    "integrator": (lambda doc: _config(integrator=doc), DomainError, [
+        ({"dtt": 0.1}, "an integrator config has unknown keys ['dtt']"),
+        ([["dt", 0.1]], "an integrator config must be a mapping")]),
+    "expect": (lambda doc: _config(expect=doc), DomainError, [
+        ({"limits": [1.0, 0.0, 0.0, 0.0]}, "expect has unknown keys ['limits']"),
+        (["synchronised"], "expect must be a mapping")]),
+    "expect-fit": (lambda doc: _config(expect={"fit": doc}), DomainError, [
+        ({"transform": "log_gap", "slope": -1}, "expect fit has unknown keys ['slope']"),
+        ({"min_r_squared": 0.9}, "expect fit has missing keys ['transform']"),
+        ("log_gap", "expect fit must be a mapping")]),
+}
+
+
+@pytest.mark.parametrize(
+    "owner, doc, message",
+    [(owner, doc, message) for owner, (_, _, cases) in _DOCUMENT_CASES.items()
+     for doc, message in cases],
+    ids=[f"{owner}-" + ("mistyped" if "unknown" in message else
+                        "missing" if "missing" in message else "not-a-mapping")
+         for owner, (_, _, cases) in _DOCUMENT_CASES.items() for _, message in cases],
+)
+def test_each_document_refuses_a_wrong_key_with_its_own_error(owner, doc, message):
+    build, error, _ = _DOCUMENT_CASES[owner]
+    with pytest.raises(error, match=re.escape(message)):
+        build(doc)
 
 
 def test_is_synchronised():

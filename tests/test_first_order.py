@@ -134,9 +134,23 @@ def test_max_gap():
     assert gs.max_gap([1.0, 0.0, 0.0]) == pytest.approx(1.0)
     with pytest.raises(DimensionError):
         gs.max_gap([1.0])
-    for bad in ("ab", [0.5, "x"], {"a": 1.0}):
+    # None reads as NaN in numpy, so a non-finite entry is refused as such.
+    for bad in ("ab", [0.5, "x"], {"a": 1.0}, [0.5, None], [0.5, math.nan], [math.inf, 0.5],
+                [0.5, 0.3, -math.inf]):
         with pytest.raises(DomainError):
             gs.max_gap(bad)
+
+
+@pytest.mark.parametrize(
+    "rho, tol",
+    [([0.5, 0.5, 0.0], math.nan), ([0.5, 0.5, 0.0], -1e-3), ([0.5, 0.5, 0.0], math.inf),
+     ([0.5, 0.5, 0.0], True), ([0.5, 0.5, 0.0], "1e-3"), ([0.5, None, 0.5], 1e-6),
+     ([0.5, math.nan, 0.5], 1e-6), ([math.inf, 0.0], 1e-6), ("ab", 1e-6)],
+)
+def test_classify_equilibrium_refuses_a_non_finite_entry_or_a_bad_tolerance(rho, tol):
+    # tol = nan once compared false everywhere and gave m = 0, no support.
+    with pytest.raises(DomainError):
+        gs.classify_equilibrium(rho, tol=tol)
 
 
 def test_density_validation():

@@ -203,6 +203,12 @@ def test_potential_from_config():
         {"kind": "tsallis", "q": "two"},
         {"kind": "kuramoto", "kappa": None},
         {"kind": ["kuramoto"]},
+        # A mistyped or stray key is refused, not read as the default.
+        {"kind": "kuramoto", "kapa": 5},
+        {"kind": "shannon", "alpha": 2.0},
+        {"kind": "renyi", "alpah": 2.0},
+        {"kind": "tsallis", "q": 2.0, "alpha": 2.0},
+        {"kappa": 2.0},
         None,
         "kuramoto",
     ):

@@ -97,6 +97,17 @@ def test_energy_conserved_without_density_crossings(kuramoto, min2):
     assert np.max(np.abs(h - h[0])) < 1e-12
 
 
+@pytest.mark.parametrize("graph", ["complete(6)", "cycle6"])
+def test_energy_observer_matches_hamiltonian(kuramoto, min2, graph):
+    g = gs.load_graph(graph)
+    st = gs.PhaseState(rho=[0.3224, 0.2108, 0.1071, 0.0713, 0.2518, 0.0366],
+                       S=[0.1597, -1.1129, 0.5929, 0.4568, 0.8299, -0.2499])
+    spec = gs.IntegratorSpec(dt=0.01, t_final=2.0, record_every=10)
+    traj = gs.simulate_second_order(g, min2, kuramoto, st, spec)
+    want = [gs.hamiltonian(g, min2, kuramoto, gs.PhaseState.from_vector(y)) for y in traj.states]
+    assert traj.diagnostics["hamiltonian"].tolist() == want
+
+
 def test_mass_conserved(kuramoto, min2):
     g = gs.complete_graph(3)
     st = gs.PhaseState(rho=[0.5, 0.3, 0.2], S=[0.1, -0.2, 0.05])

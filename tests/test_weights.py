@@ -144,6 +144,7 @@ def test_rule_from_config():
         {"kind": "entropy_induced", "potential": {"kind": "tsallis", "q": 2.0}}
     )
     assert ent.theta_r(0.6) == pytest.approx(0.25)
+    assert gs.rule_from_config({"kind": "min_power"}) == gs.MinPower(1.0)
     with pytest.raises(DomainError):
         gs.rule_from_config({"kind": "geometric_mean"})
     for bad in (
@@ -153,6 +154,13 @@ def test_rule_from_config():
         {"kind": "entropy_induced", "potential": "tsallis"},
         # theta(0.3) = -3.625 from -(kappa/2) sum rho^2, were it built
         {"kind": "entropy_induced", "potential": {"kind": "kuramoto", "kappa": 1.0}},
+        # A mistyped or stray key is refused, not read as the default.
+        {"kind": "min_power", "alpah": 3},
+        {"kind": "min_power", "alpha": 2.0, "kappa": 1.0},
+        {"kind": "arithmetic_mean", "alpha": 2.0},
+        {"kind": "entropy_induced", "potenital": {"kind": "shannon"}},
+        {"kind": "entropy_induced", "potential": {"kind": "tsallis", "Q": 2.0}},
+        {"alpha": 2.0},
         None,
         "min_power",
         ["min_power", 2.0],
