@@ -27,12 +27,12 @@ from .two_point import (
     BOUNDARY_CLIP,
     _action_from_x,
     _divergence_from_x,
+    _x_pair,
     analytic_solution,
     entropy_induced_theta,
     entropy_theta_fn,
-    x_of_r_with_error,
 )
-from .weights import rule_from_config, validate_rule
+from .weights import _KINDS as WEIGHT_KINDS, EntropyInduced, rule_from_config, validate_rule
 
 def _vector(text: str, keyword=None):
     """A comma-separated vector as a list of strings, or the keyword itself."""
@@ -76,13 +76,13 @@ def _cmd_two_point(args) -> int:
     else:
         if args.r1 is None:
             raise GraphSyncError(f"two-point {args.operation} needs --r1")
-        q0 = x_of_r_with_error(theta_fn, args.r0)
-        q1 = x_of_r_with_error(theta_fn, args.r1)
-        err = q0.error_estimate + q1.error_estimate
+        x = _x_pair(theta_fn, args.r0, args.r1)
+        (x0, x1), (e0, e1) = x.value.tolist(), x.error_estimate.tolist()
+        err = e0 + e1
         if args.operation == "action":
-            value = _action_from_x(q0.value, q1.value)
+            value = _action_from_x(x0, x1)
         elif args.operation == "divergence":
-            value = _divergence_from_x(q0.value, q1.value)
+            value = _divergence_from_x(x0, x1)
         else:  # solve
             if args.t is None:
                 raise GraphSyncError("two-point solve needs --t")
@@ -160,7 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_reproduce)
 
     p = sub.add_parser("validate-rule", help="check weight-rule admissibility")
-    p.add_argument("--kind", default="min_power")
+    # The graph weights: the induced one lives on two nodes only (see two-point theta).
+    graph_kinds = [kind for kind, (cls, _) in WEIGHT_KINDS.items() if cls is not EntropyInduced]
+    p.add_argument("--kind", default="min_power", choices=graph_kinds)
     p.add_argument("--alpha", type=float, help="min_power's exponent (default 1)")
     p.add_argument("--resolution", type=int, default=100)
     p.set_defaults(fn=_cmd_validate_rule)

@@ -109,7 +109,7 @@ FLOWS = {
             graph, rule, potential, so.PhaseState(*blocks), spec,
             stop_when=(lambda st: is_synchronised(st.rho)) if sync else None),
         post_step=_inside_simplex,
-        stop=lambda run, y: bool(run.stop(so.PhaseState.from_vector(y))),
+        stop=lambda run, y: bool(run.stop(so.PhaseState._from_admitted(y))),
         stop_on_sync=True,
         summary=_energy_summary,
     ),

@@ -108,6 +108,30 @@ def _rk4_step(rhs: Rhs, y: np.ndarray, dt: float) -> np.ndarray:
 _STEPPERS = {"euler": _euler_step, "rk4": _rk4_step}
 
 
+# The same steps for a state (r, S) on Python floats, operation for operation, so the
+# same bits: ``rhs`` maps a float tuple to one, and the step builds one array at the end.
+def _euler_pair(rhs, y: np.ndarray, dt: float) -> np.ndarray:
+    r, S = y.tolist()
+    dr, dS = rhs((r, S))
+    return np.array([r + dt * dr, S + dt * dS])
+
+
+def _rk4_pair(rhs, y: np.ndarray, dt: float) -> np.ndarray:
+    r, S = y.tolist()
+    h = 0.5 * dt
+    r1, S1 = rhs((r, S))
+    r2, S2 = rhs((r + h * r1, S + h * S1))
+    r3, S3 = rhs((r + h * r2, S + h * S2))
+    r4, S4 = rhs((r + dt * r3, S + dt * S3))
+    w = dt / 6.0
+    return np.array([r + w * (r1 + (r2 + r2) + (r3 + r3) + r4),
+                     S + w * (S1 + (S2 + S2) + (S3 + S3) + S4)])
+
+
+#: The steppers of a two-entry state whose ``rhs`` takes and returns float pairs.
+PAIR_STEPPERS = {"euler": _euler_pair, "rk4": _rk4_pair}
+
+
 def integrate(
     rhs: Rhs,
     state0,
@@ -117,6 +141,7 @@ def integrate(
     post_step: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     stop_when: Optional[Callable[[np.ndarray], bool]] = None,
     n_density: Optional[int] = None,
+    steppers: Mapping[str, Callable] = _STEPPERS,
 ) -> Trajectory:
     """Advance ``state0`` under ``rhs`` and record a Trajectory.
 
@@ -127,10 +152,11 @@ def integrate(
     NonFiniteStateError.  A GraphSyncError raised in the loop (by the step,
     ``post_step``, an observer or ``stop_when``) carries the trajectory so
     far; its stop_reason is ``'nonfinite'`` for a NonFiniteStateError and
-    the error's class name otherwise.
+    the error's class name otherwise.  ``steppers`` maps each scheme to its
+    step ``(rhs, y, dt) -> y``; ``PAIR_STEPPERS`` steps a pair on floats.
     """
     observers = dict(observers or {})
-    step = _STEPPERS[spec.scheme]
+    step = steppers[spec.scheme]
     y = np.array(state0, dtype=float).reshape(-1)
     dim = y.size
     if n_density is None:

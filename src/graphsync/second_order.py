@@ -73,6 +73,16 @@ class VertexBlocks:
     def from_vector(cls, y: np.ndarray):
         return cls(*np.array_split(y, len(cls.__dataclass_fields__)))
 
+    @classmethod
+    def _from_admitted(cls, y: np.ndarray):
+        """from_vector without the admission, for a finite float vector y of a length
+        the blocks divide, such as the state integrate hands its hooks."""
+        state = object.__new__(cls)
+        for name, block in zip(cls.__dataclass_fields__,
+                               np.array_split(y, len(cls.__dataclass_fields__))):
+            object.__setattr__(state, name, block)
+        return state
+
 
 @dataclass(frozen=True, eq=False)
 class PhaseState(VertexBlocks):

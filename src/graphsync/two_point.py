@@ -23,18 +23,21 @@ induced squared-distance divergence is (x(r1) - x(r0))^2 / (2 sinh 1).
 
 Numerics: the reduced flow runs on Python floats.  Each run builds one
 kernel (r, S) -> (dr, dS) from the rule's float reduction theta_r, dtheta_r
-and a coupling kappa checked once; the field unpacks its state once per
-stage, and neither it nor the H observer re-checks its inputs.  Squares
+and a coupling kappa checked once, and integrate steps it with its pair
+steppers, which take whole Euler or RK4 steps on floats and build one array
+per step; neither the kernel nor the H observer re-checks its inputs.  Squares
 are products (S * S), which overflow to inf where S ** 2 would raise, so
 blow-ups surface as NonFiniteStateError; an RK4 stage whose r is NaN gets a
 NaN slope for the same reason.
 
 One array integrand, 1/sqrt(theta), serves every use of x.  x(r)
 is adaptive Simpson quadrature from 1/2, with r clipped 1e-8 away from the
-density boundary.  The boundary-value path caches x on 1025 nodes around 1/2
-from one quadrature call over all node-to-node panels, interpolates between
-nodes by cubic Hermite and inverts by bisection-safeguarded Newton, both
-with the integrand as slope.
+density boundary; action and divergence take x(r0) and x(r1) from one call
+over both panels, which gives each the bits of its own call.  The
+boundary-value path caches x on 1025 nodes around 1/2 from one quadrature
+call over all node-to-node panels, interpolates between nodes by cubic
+Hermite and inverts by bisection-safeguarded Newton, both with the
+integrand as slope.
 """
 from __future__ import annotations
 
@@ -52,7 +55,7 @@ from .errors import (
     UnsupportedRegimeError,
     real,
 )
-from .integrate import IntegratorSpec, Trajectory, integrate
+from .integrate import PAIR_STEPPERS, IntegratorSpec, Trajectory, integrate
 from .potentials import KuramotoQuadratic
 from .quadrature import QuadratureResult, adaptive_simpson
 from .weights import EntropyInduced
@@ -148,15 +151,15 @@ def simulate_two_point(
     infinity in finite time surface as NonFiniteStateError.
     """
     kappa = KuramotoQuadratic(kappa).kappa  # read once, here
-    rhs = _quadratic_rhs(rule, kappa)
+    kernel = _quadratic_rhs(rule, kappa)
 
-    def field(y: np.ndarray) -> np.ndarray:
-        r, S = y.tolist()
+    def rhs(y: tuple[float, float]) -> tuple[float, float]:
+        r, S = y
         if math.isnan(r):
             # An RK4 stage past a blow-up: a non-finite slope makes integrate
             # stop with NonFiniteStateError and the partial trajectory.
-            return np.full(2, math.nan)
-        return np.array(rhs(_clip01(r), S))
+            return math.nan, math.nan
+        return kernel(_clip01(r), S)
 
     def hit_boundary(y: np.ndarray) -> bool:
         return min(y[0], 1.0 - y[0]) <= BOUNDARY_STOP
@@ -166,8 +169,8 @@ def simulate_two_point(
         r = _clip01(r)
         return _energy(rule, r, S, -kappa * (2.0 * r - 1.0))
 
-    return integrate(field, [state0.r, state0.S], spec, {"hamiltonian": energy},
-                     stop_when=hit_boundary, n_density=1)
+    return integrate(rhs, [state0.r, state0.S], spec, {"hamiltonian": energy},
+                     stop_when=hit_boundary, n_density=1, steppers=PAIR_STEPPERS)
 
 
 def _clip01(r: float) -> float:
@@ -268,8 +271,20 @@ def _inv_sqrt_theta(theta_fn: Callable) -> Callable[[np.ndarray], np.ndarray]:
 def x_of_r_with_error(theta_fn: Callable, r: float, tol: float = X_QUAD_TOL) -> QuadratureResult:
     """Stretched coordinate with the quadrature error estimate attached."""
     _check_unit("r", r)
-    r_eff = min(max(r, BOUNDARY_CLIP), 1.0 - BOUNDARY_CLIP)
-    return adaptive_simpson(_inv_sqrt_theta(theta_fn), 0.5, r_eff, tol=tol)
+    return adaptive_simpson(_inv_sqrt_theta(theta_fn), 0.5, _clip_end(r), tol=tol)
+
+
+def _x_pair(theta_fn: Callable, r0: float, r1: float) -> QuadratureResult:
+    """x(r0) and x(r1), values and error estimates as x_of_r_with_error gives each,
+    from one quadrature over the two panels [1/2, r0] and [1/2, r1]."""
+    _check_unit("r", r0)
+    _check_unit("r", r1)
+    ends = [_clip_end(r0), _clip_end(r1)]
+    return adaptive_simpson(_inv_sqrt_theta(theta_fn), 0.5, ends, tol=X_QUAD_TOL)
+
+
+def _clip_end(r: float) -> float:
+    return min(max(r, BOUNDARY_CLIP), 1.0 - BOUNDARY_CLIP)
 
 
 def x_of_r(theta_fn: Callable, r: float, tol: float = X_QUAD_TOL) -> float:
@@ -395,7 +410,7 @@ def action(theta_fn: Callable, r0: float, r1: float) -> float:
     coefficient; dropping the half breaks the match with the Lagrangian
     quadrature, which pins these constants.)
     """
-    return _action_from_x(x_of_r(theta_fn, r0), x_of_r(theta_fn, r1))
+    return _action_from_x(*_x_pair(theta_fn, r0, r1).value.tolist())
 
 
 def _action_from_x(x0: float, x1: float) -> float:
@@ -410,7 +425,7 @@ def divergence(theta_fn: Callable, r0: float, r1: float) -> float:
     values, so the identity holds to round-off when both sides reuse the
     same quadratures.
     """
-    return _divergence_from_x(x_of_r(theta_fn, r0), x_of_r(theta_fn, r1))
+    return _divergence_from_x(*_x_pair(theta_fn, r0, r1).value.tolist())
 
 
 def _divergence_from_x(x0: float, x1: float) -> float:

@@ -97,7 +97,7 @@ def test_two_point_quadratures_run_once_and_match_library(operation, library, ca
     monkeypatch.setattr(two_point, "adaptive_simpson", counted)
     rc = main(["two-point", operation, "--potential", "tsallis:3.0", "--r0", "0.3", "--r1", "0.8"])
     assert rc == 0
-    assert len(calls) == 2  # one x(r) quadrature per endpoint
+    assert calls == [(0.5, [0.3, 0.8])]  # one quadrature over both endpoints' panels
     monkeypatch.undo()
     doc = json.loads(capsys.readouterr().out)
     theta_fn = entropy_theta_fn(gs.TsallisPotential(q=3.0))
@@ -122,6 +122,16 @@ def test_two_point_theta_and_solve(capsys):
 def test_two_point_missing_args_fail(capsys):
     assert main(["two-point", "solve", "--potential", "shannon", "--r0", "0.3"]) == 2
     assert main(["two-point", "action", "--potential", "shannon", "--r0", "0.3"]) == 2
+
+
+def test_validate_rule_offers_only_the_graph_weight_kinds(capsys):
+    # The induced weight is defined on two nodes only; two-point theta computes it.
+    with pytest.raises(SystemExit) as info:
+        main(["validate-rule", "--kind", "entropy_induced"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'entropy_induced'" in err
+    assert "'min_power'" in err and "'arithmetic_mean'" in err
 
 
 def test_validate_rule_exit_codes(capsys):
@@ -177,14 +187,13 @@ def test_reproduce_unknown_target(capsys):
         ["two-point", "theta", "--potential", "kuramoto:1", "--r0", "0.3"],
         ["simulate-first", "--graph", "cycle6", "--rho0", "a,b", "--out", "unused.csv"],
         ["simulate-first", "--graph", "missing.json", "--rho0", "0.5,0.5", "--out", "unused.csv"],
-        ["validate-rule", "--kind", "entropy_induced"],
         ["validate-rule", "--kind", "arithmetic_mean", "--alpha", "2"],
         ["two-point", "theta", "--potential", "shannon:3", "--r0", "0.3"],
         ["two-point", "theta", "--potential", "renyi:2:3", "--r0", "0.3"],
         ["two-point", "theta", "--potential", "gibbs", "--r0", "0.3"],
     ],
     ids=["renyi-no-alpha", "tsallis-bad-q", "non-entropy", "rho0-not-numbers", "no-graph",
-         "entropy-rule-no-potential", "mean-rule-takes-no-alpha", "shannon-takes-no-parameter",
+         "mean-rule-takes-no-alpha", "shannon-takes-no-parameter",
          "renyi-takes-one-parameter", "unknown-potential"],
 )
 def test_bad_arguments_exit_2_with_one_error_line(argv, capsys):

@@ -1,18 +1,22 @@
-"""The trimmed weight kernels, edge-list operators, RK4 step and simplex clip, bit for bit.
+"""The trimmed weight kernels, edge-list operators, RK4 step, pair steppers, two-node
+run and simplex clip, bit for bit.
 
 Each reference below is the earlier, longer formula of the kernel, kept
 verbatim: the rewrites drop numpy calls but must give the same bits, signed
 zeros and the places of NaN included.  The inputs hold ties, exact and
 negative zeros, tiny negatives, subnormals, NaN and infinities.
 """
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphsync as gs
-from graphsync.errors import SimplexViolationError
-from graphsync.integrate import _rk4_step, project_simplex_clip
+from graphsync.errors import GraphSyncError, NonFiniteStateError, SimplexViolationError
+from graphsync.integrate import _STEPPERS, _rk4_step, PAIR_STEPPERS, integrate, project_simplex_clip
+from graphsync.two_point import _quadratic_rhs
 
 ALPHAS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
 SPECIAL = [0.0, -0.0, -1e-9, -1e-12, 5e-324, -5e-324, 1e-300, 0.25, 0.5, 1.0,
@@ -100,6 +104,29 @@ def rk4_step_ref(rhs, y, dt):
     k3 = rhs(y + (0.5 * dt) * k2)
     k4 = rhs(y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def simulate_two_point_ref(rule, kappa, state0, spec):
+    """The two-node run on integrate's array steppers, with its array field."""
+    rhs = _quadratic_rhs(rule, kappa)
+
+    def field(y):
+        r, S = y.tolist()
+        if math.isnan(r):
+            return np.full(2, math.nan)
+        return np.array(rhs(min(max(r, 0.0), 1.0), S))
+
+    def hit_boundary(y):
+        return min(y[0], 1.0 - y[0]) <= 1e-12
+
+    def energy(y):
+        r, S = y.tolist()
+        r = min(max(r, 0.0), 1.0)
+        fp = -kappa * (2.0 * r - 1.0)
+        return 0.5 * rule.theta_r(r) * (S * S - fp * fp)
+
+    return integrate(field, [state0.r, state0.S], spec, {"hamiltonian": energy},
+                     stop_when=hit_boundary, n_density=1)
 
 
 def clip_ref(rho, tol=1e-9):
@@ -224,6 +251,59 @@ def test_rk4_step_keeps_its_bits(y, stages, dt):
 
     with np.errstate(all="ignore"):
         assert_same_bits(_rk4_step(rhs_from(stages), y, dt), rk4_step_ref(rhs_from(stages), y, dt))
+
+
+@settings(max_examples=300, deadline=None)
+@given(y=vectors(2), stages=st.lists(vectors(2), min_size=4, max_size=4),
+       dt=st.sampled_from([0.01, 1e-3, 0.3, 1e300]), scheme=st.sampled_from(["euler", "rk4"]))
+def test_pair_steppers_take_the_array_steps_bits(y, stages, dt, scheme):
+    # The same stage values, as a function of the stage state, on arrays and on float pairs.
+    array_stages, pair_stages, calls = iter(stages), iter(stages), []
+
+    def pair_rhs(state):
+        calls.append(state)
+        a, b = next(pair_stages).tolist()
+        return a * (1.0 + state[0]), b * (1.0 + state[1])
+
+    with np.errstate(all="ignore"):
+        want = _STEPPERS[scheme](lambda state: next(array_stages) * (1.0 + state), y, dt)
+        got = PAIR_STEPPERS[scheme](pair_rhs, y, dt)
+    assert type(got) is np.ndarray and got.dtype == float
+    assert len(calls) == {"euler": 1, "rk4": 4}[scheme]
+    assert all(type(r) is float and type(S) is float for r, S in calls)
+    assert_same_bits(got, want)
+
+
+def _run_bits(simulate, *args):
+    """A run's records and stop reason as bytes, with its error's class and message."""
+    try:
+        traj, err = simulate(*args), None
+    except GraphSyncError as exc:
+        traj, err = exc.trajectory, (type(exc), str(exc))
+    return (traj.times.tobytes(), traj.states.tobytes(),
+            traj.diagnostics["hamiltonian"].tobytes(), traj.stop_reason, err)
+
+
+_RNG = np.random.default_rng(12)
+TWO_NODE_STARTS = [(float(_RNG.uniform(0.05, 0.95)), float(_RNG.uniform(-2.5, 2.5)))
+                   for _ in range(3)] + [(0.55, 2.0), (0.551123195510678, 1.9480270656605552)]
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
+def test_two_node_run_keeps_the_array_steppers_bits(alpha, scheme):
+    spec = gs.IntegratorSpec(scheme=scheme, dt=1e-3, t_final=2.0, record_every=10)
+    for r0, S0 in TWO_NODE_STARTS:
+        args = (gs.MinPower(alpha), 1.0, gs.TwoPointState(r0, S0), spec)
+        assert _run_bits(gs.simulate_two_point, *args) == _run_bits(simulate_two_point_ref, *args)
+
+
+def test_two_node_blow_up_keeps_its_partial_trajectory_bits():
+    spec = gs.IntegratorSpec(dt=1e-3, t_final=5.0, record_every=10)
+    args = (gs.MinPower(1.0), 1.0, gs.TwoPointState(0.551123195510678, 1.9480270656605552), spec)
+    got = _run_bits(gs.simulate_two_point, *args)
+    assert got[3] == "nonfinite" and got[4][0] is NonFiniteStateError
+    assert got == _run_bits(simulate_two_point_ref, *args)
 
 
 def _outcome(fn, rho, tol):

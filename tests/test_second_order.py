@@ -108,6 +108,19 @@ def test_energy_observer_matches_hamiltonian(kuramoto, min2, graph):
     assert traj.diagnostics["hamiltonian"].tolist() == want
 
 
+def test_stop_when_sees_each_record_as_a_phase_state(kuramoto, min2):
+    g = gs.complete_graph(3)
+    st = gs.PhaseState(rho=[0.5, 0.3, 0.2], S=[0.1, -0.2, 0.05])
+    spec = gs.IntegratorSpec(dt=0.01, t_final=1.0, record_every=10)
+    seen = []
+    traj = gs.simulate_second_order(g, min2, kuramoto, st, spec,
+                                    stop_when=lambda s: seen.append(s) or len(seen) == 5)
+    assert traj.stop_reason == "stop_condition" and len(traj.states) == len(seen) == 5
+    for state, y in zip(seen, traj.states):
+        assert type(state) is gs.PhaseState and state == gs.PhaseState.from_vector(y)
+        assert state.rho.tolist() == y[:3].tolist() and state.S.tolist() == y[3:].tolist()
+
+
 def test_mass_conserved(kuramoto, min2):
     g = gs.complete_graph(3)
     st = gs.PhaseState(rho=[0.5, 0.3, 0.2], S=[0.1, -0.2, 0.05])

@@ -468,6 +468,31 @@ def test_divergence_identity_and_symmetry():
     assert abs(d - combo) < 1e-10
 
 
+@pytest.mark.parametrize("pot", [gs.ShannonPotential(), gs.TsallisPotential(q=3.0),
+                                 gs.RenyiPotential(alpha=2.0)], ids=["shannon", "tsallis", "renyi"])
+def test_action_and_divergence_keep_the_per_endpoint_bits(pot):
+    # Both ends from one quadrature give the bits of one x_of_r per end, at 1/2 and
+    # at both clip ends.
+    fn = entropy_theta_fn(pot)
+    ends = [0.0, 1e-9, 0.2, 0.5, 0.7, 1.0 - 1e-9, 1.0]
+    for r0 in ends:
+        for r1 in ends:
+            x0, x1 = gs.x_of_r(fn, r0), gs.x_of_r(fn, r1)
+            c1, s1 = math.cosh(1.0), math.sinh(1.0)
+            action = (c1 / (2.0 * s1)) * (x0 - x1) ** 2 + ((c1 - 1.0) / s1) * x0 * x1
+            assert gs.action(fn, r0, r1) == action
+            assert gs.divergence(fn, r0, r1) == (x1 - x0) ** 2 / (2.0 * s1)
+
+
+@pytest.mark.parametrize("call", [gs.action, gs.divergence])
+@pytest.mark.parametrize("r0, r1, got", [(1.5, 0.3, "1.5"), (0.3, -0.1, "-0.1"),
+                                         (math.nan, 2.0, "nan"), ("a", 0.3, "'a'")])
+def test_action_and_divergence_name_the_first_bad_end(call, r0, r1, got):
+    fn = entropy_theta_fn(gs.ShannonPotential())
+    with pytest.raises(DomainError, match=rf"^r must be in \[0, 1\], got {got}$"):
+        call(fn, r0, r1)
+
+
 def test_two_point_state_validation():
     with pytest.raises(DomainError):
         gs.TwoPointState(1.2, 0.0)
