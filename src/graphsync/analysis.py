@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, real
+from .errors import DimensionError, DomainError, real, vector
 from .graphs import Graph
 from .integrate import Trajectory
 
@@ -157,9 +157,7 @@ def edge_dichotomy_report(graph: Graph, rho, tol: float = 1e-6) -> tuple[EdgeVer
     reported for edges carrying real mass.
     """
     real(tol, "tol", "finite and >= 0", lambda v: 0 <= v < math.inf)
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != (graph.n,):
-        raise DimensionError(f"rho must have shape ({graph.n},), got {rho.shape}")
+    rho = vector(rho, "rho", graph.n, DimensionError)
     a, b = rho[graph.edges[:, 0] - 1], rho[graph.edges[:, 1] - 1]
     mn, diff = np.where(b < a, b, a), np.abs(a - b)  # min(a, b) exactly, signed zeros too
     verdict = np.where(mn < tol, "MinVanishes", np.where(diff < tol, "ValuesEqual", "Violation"))

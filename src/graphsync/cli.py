@@ -27,8 +27,8 @@ from .two_point import (
     BOUNDARY_CLIP,
     _action_from_x,
     _divergence_from_x,
+    _path,
     _x_pair,
-    analytic_solution,
     entropy_induced_theta,
     entropy_theta_fn,
 )
@@ -73,20 +73,16 @@ def _cmd_two_point(args) -> int:
     clipped = not (BOUNDARY_CLIP <= min(args.r0, r1) and max(args.r0, r1) <= 1 - BOUNDARY_CLIP)
     if args.operation == "theta":
         value, err = entropy_induced_theta(potential, args.r0), 0.0
+    elif args.r1 is None:
+        raise GraphSyncError(f"two-point {args.operation} needs --r1")
+    elif args.operation == "solve":
+        if args.t is None:
+            raise GraphSyncError("two-point solve needs --t")
+        value, err = _path(theta_fn, args.r0, args.r1, args.t)
     else:
-        if args.r1 is None:
-            raise GraphSyncError(f"two-point {args.operation} needs --r1")
         x = _x_pair(theta_fn, args.r0, args.r1)
-        (x0, x1), (e0, e1) = x.value.tolist(), x.error_estimate.tolist()
-        err = e0 + e1
-        if args.operation == "action":
-            value = _action_from_x(x0, x1)
-        elif args.operation == "divergence":
-            value = _divergence_from_x(x0, x1)
-        else:  # solve
-            if args.t is None:
-                raise GraphSyncError("two-point solve needs --t")
-            value = analytic_solution(theta_fn, args.r0, args.r1, args.t)
+        (x0, x1), err = x.value.tolist(), sum(x.error_estimate.tolist())
+        value = (_action_from_x if args.operation == "action" else _divergence_from_x)(x0, x1)
     out = {"value": float(value), "quadrature_error_estimate": float(err)}
     if clipped:
         out["boundary_clipped"] = True

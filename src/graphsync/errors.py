@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the admission rules for scalars and documents."""
+"""Exception types shared across the package, and the admission rules for its inputs."""
 import numbers
 from collections.abc import Mapping
+
+import numpy as np
 
 
 class GraphSyncError(Exception):
@@ -87,6 +89,31 @@ def real(value, name: str, what: str, ok, error=DomainError):
     if isinstance(value, numbers.Real) and not isinstance(value, bool) and ok(value):
         return value
     raise error(f"{name} must be {what}, got {value!r}")
+
+
+def vector(value, name: str, size=None, error=DomainError) -> np.ndarray:
+    """``value`` as a 1-D float array of ``size`` entries (any count when ``size`` is None),
+    each a finite real number and not a bool, else ``error("<name> must ..., got <value>")``."""
+    array = _float_vector(value, name, size, error)
+    if np.isfinite(array).all():
+        return array
+    raise error(f"{name} must be finite, got {value!r}")
+
+
+def _float_vector(value, name: str, size=None, error=DomainError) -> np.ndarray:
+    """``vector`` less its finiteness check, for a caller whose own arithmetic refuses NaN and
+    inf.  A list is read entry by entry, since numpy would convert a ``True`` or a ``"0.5"``."""
+    kind = getattr(getattr(value, "dtype", None), "kind", "O")
+    try:
+        array = np.asarray(value, dtype=float) if kind in "fiu" or all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in value) else None
+    except (TypeError, OverflowError):  # not iterable; an int beyond the floats
+        array = None
+    if array is None or array.ndim != 1:
+        raise error(f"{name} must be a vector of real numbers, got {value!r}")
+    if size is not None and array.size != size:
+        raise error(f"{name} must have {size} entries, got {value!r}")
+    return array
 
 
 def document(doc, owner: str, required=(), optional=(), error=DomainError):

@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .analysis import _TRANSFORMS, detect_limit, edge_dichotomy_report, fit_power, fit_rate
-from .errors import DomainError, GraphSyncError, document, real
+from .errors import DomainError, GraphSyncError, document, real, vector
 from .first_order import classify_equilibrium
 from .flows import FLOWS, is_synchronised  # is_synchronised: re-exported
 from .graphs import load_graph
@@ -103,13 +103,13 @@ class ExperimentConfig:
             allowed = "numbers" if keyword is None else f"numbers or {keyword!r}"
             _check(not isinstance(value, str), f"{key} must be {allowed}", value)
             try:  # a numeric string entry is read as its number, as in the potential's document
-                vector = tuple(float(real(_number(v), f"{key} entries", "finite numbers",
-                                          math.isfinite)) for v in value)
+                array = vector([_number(v) for v in value], key, graph.n)
             except TypeError:  # not iterable
                 raise DomainError(f"{key} must be {allowed}, got {value!r}") from None
-            _check(len(vector) == graph.n, f"{key} must have {graph.n} entries", value)
-            object.__setattr__(self, key, vector)
-            blocks.append(np.array(vector))
+            except DomainError as exc:  # said of the entries as given, not as read
+                raise DomainError(f"{str(exc).partition(', got ')[0]}, got {value!r}") from None
+            object.__setattr__(self, key, tuple(array.tolist()))
+            blocks.append(array)
         fits, tol = self.fits, self.dichotomy_tol
         _check(isinstance(fits, (list, tuple)) and all(t in _FITS for t in fits),
                f"fits must be a list of {list(_FITS)}", fits)
@@ -164,11 +164,7 @@ def _check_expect(exp, n: int) -> None:
     """Refuse an ``expect`` block that ``check_expectations`` could not read, or whose
     checks could never fail (a NaN bound, a negative tolerance)."""
     document(exp, "expect", (), _EXPECT_KEYS)
-    limit = exp.get("limit", [0.0] * n)
-    _check(isinstance(limit, (list, tuple)) and len(limit) == n,
-           f"expect limit must be {n} finite numbers", limit)
-    for value in limit:
-        real(value, "expect limit entries", "finite numbers", math.isfinite)
+    vector(exp.get("limit", [0.0] * n), "expect limit", n)
     for key in ("limit_tol", "max_dichotomy_violations"):
         real(exp.get(key, 0), f"expect {key}", "finite and >= 0", lambda v: 0 <= v < math.inf)
     sync = exp.get("synchronised", False)

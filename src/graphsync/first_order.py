@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, real
+from .errors import DimensionError, real, vector
 from .graphs import Graph
 from .integrate import IntegratorSpec, Trajectory, density_state, integrate  # noqa: F401
 from .potentials import KuramotoQuadratic
@@ -42,10 +42,7 @@ def first_order_field(graph: Graph, rule, kappa: float) -> Callable[[np.ndarray]
 
 def rhs_first_order(graph: Graph, rule, kappa: float, rho) -> np.ndarray:
     """Time derivative of the density vector; components sum to zero."""
-    rho = np.asarray(rho, dtype=float)
-    if rho.size != graph.n:
-        raise DimensionError(f"density length {rho.size} != vertex count {graph.n}")
-    return first_order_field(graph, rule, kappa)(rho)
+    return first_order_field(graph, rule, kappa)(vector(rho, "rho", graph.n, DimensionError))
 
 
 def simulate_first_order(
@@ -87,7 +84,7 @@ class EquilibriumClass:
 def classify_equilibrium(rho, tol: float = 1e-6) -> EquilibriumClass:
     """Identify the support of rho and test closeness to the flat rest state."""
     real(tol, "tol", "finite and >= 0", lambda v: 0 <= v < np.inf)
-    rho = _finite_vector(rho, "classify_equilibrium")
+    rho = vector(rho, "rho")
     support = tuple(int(j + 1) for j in np.flatnonzero(rho > tol))
     m = len(support)
     if m == 0:
@@ -104,18 +101,12 @@ def classify_equilibrium(rho, tol: float = 1e-6) -> EquilibriumClass:
 
 def max_gap(rho) -> float:
     """Difference between the largest and second-largest components."""
-    rho = _finite_vector(rho, "max_gap")
+    return _gap(vector(rho, "rho"))
+
+
+def _gap(rho: np.ndarray) -> float:
+    """max_gap of an admitted vector, as the first-order run's observer takes it each record."""
     if rho.size < 2:
-        raise DimensionError("max_gap needs at least two components")
+        raise DimensionError(f"rho must have 2 or more entries, got {rho!r}")
     two = np.partition(rho, rho.size - 2)[-2:]
     return float(two[1] - two[0])
-
-
-def _finite_vector(value, owner: str) -> np.ndarray:
-    try:
-        rho = np.asarray(value, dtype=float)
-        if np.isfinite(rho).all():
-            return rho
-    except (TypeError, ValueError):
-        pass
-    raise DomainError(f"{owner} needs a vector of finite numbers, got {value!r}")

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import first_order as fo, hopf_cole as hc, second_order as so
-from .errors import ConsistencyError, DimensionError
+from .errors import ConsistencyError, DimensionError, vector
 from .integrate import IntegratorSpec, Trajectory, density_state, integrate, project_simplex_clip
 from .potentials import quadratic_kappa
 
@@ -89,7 +89,7 @@ FLOWS = {
         blocks={"rho": None},
         field=lambda graph, rule, kappa: fo.first_order_field(graph, rule, kappa),
         observers=(("sum_sq", "sum_sq", lambda run, y: float(np.dot(y, y))),
-                   ("max_gap", "max_gap", lambda run, y: fo.max_gap(y))),
+                   ("max_gap", "max_gap", lambda run, y: fo._gap(y))),
         simulate=lambda graph, rule, potential, blocks, spec, sync: fo.simulate_first_order(
             graph, rule, quadratic_kappa(potential), *blocks, spec),
         post_step=lambda run, y: project_simplex_clip(y),
@@ -134,11 +134,8 @@ def simulate(dynamics: str, graph, rule, model, blocks, spec: IntegratorSpec, *,
     """The run of every simulate function, from initial ``blocks`` whose density has one entry
     per vertex and lies on the simplex; ``stop`` is None for no stop."""
     flow, n = FLOWS[dynamics], graph.n
-    rho = np.asarray(blocks[0], dtype=float)
-    if rho.size != n:
-        raise DimensionError(f"density length {rho.size} != vertex count {n}")
     run = Run(graph, rule, model, n, flow.field(graph, rule, model), stop)
-    y0 = np.concatenate([density_state(rho), *blocks[1:]])
+    y0 = np.concatenate([density_state(vector(blocks[0], "rho0", n, DimensionError)), *blocks[1:]])
     bind = lambda hook: None if hook is None else partial(hook, run)
     traj = integrate(run.field, y0, spec, {name: bind(hook) for name, _, hook in flow.observers},
                      post_step=bind(flow.post_step), n_density=n,

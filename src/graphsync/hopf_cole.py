@@ -46,7 +46,7 @@ CARRIED_RHO_TOL = 1e-8
 class HopfColeState(VertexBlocks):
     """Carried density plus the split pair (xi, xi_star)."""
 
-    _nonfinite = DomainError
+    _error = DomainError
 
     rho: np.ndarray
     xi: np.ndarray

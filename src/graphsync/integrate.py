@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .errors import (DimensionError, DomainError, GraphSyncError, NonFiniteStateError,
-                     SimplexViolationError, real)
+                     SimplexViolationError, _float_vector, real, vector)
 
 Rhs = Callable[[np.ndarray], np.ndarray]
 
@@ -148,16 +148,16 @@ def integrate(
     ``post_step`` may transform the state after each step (used for simplex
     clipping in the first-order flow).  ``stop_when`` is checked at record
     points; when it fires, recording stops and the trajectory is marked with
-    ``stop_reason='stop_condition'``.  A NaN or infinity in the state raises
-    NonFiniteStateError.  A GraphSyncError raised in the loop (by the step,
-    ``post_step``, an observer or ``stop_when``) carries the trajectory so
-    far; its stop_reason is ``'nonfinite'`` for a NonFiniteStateError and
-    the error's class name otherwise.  ``steppers`` maps each scheme to its
-    step ``(rhs, y, dt) -> y``; ``PAIR_STEPPERS`` steps a pair on floats.
+    ``stop_reason='stop_condition'``.  ``state0`` is admitted by errors.vector, and a
+    NaN or infinity that a step reaches raises NonFiniteStateError.  A GraphSyncError
+    raised in the loop (by the step, ``post_step``, an observer or ``stop_when``)
+    carries the trajectory so far; its stop_reason is ``'nonfinite'`` for a
+    NonFiniteStateError and the error's class name otherwise.  ``steppers`` maps each
+    scheme to its step ``(rhs, y, dt) -> y``; ``PAIR_STEPPERS`` steps a pair on floats.
     """
     observers = dict(observers or {})
     step = steppers[spec.scheme]
-    y = np.array(state0, dtype=float).reshape(-1)
+    y = vector(state0, "state0")
     dim = y.size
     if n_density is None:
         n_density = dim
@@ -217,9 +217,9 @@ SIMPLEX_TOL = 1e-9
 def _on_simplex(rho, tol: float) -> tuple[np.ndarray, float, float]:
     """rho as a float vector of length >= 2 on the simplex within tol, with its mass
     and least entry; a mass or an entry (or a NaN or inf among them) beyond tol raises."""
-    rho = np.asarray(rho, dtype=float)
-    if rho.ndim != 1 or rho.size < 2:
-        raise DimensionError(f"density must be a vector of length >= 2, got shape {rho.shape}")
+    rho = _float_vector(rho, "density", None, DimensionError)
+    if rho.size < 2:
+        raise DimensionError(f"density must have 2 or more entries, got {rho!r}")
     # fmin skips NaN, so `low < -tol` is `any(rho < -tol)`; the message keeps rho.min().
     s, low = float(np.add.reduce(rho)), float(np.fmin.reduce(rho))
     if not abs(s - 1.0) <= tol:  # negated, so that a NaN mass fails it

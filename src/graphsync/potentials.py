@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundarySingularityError, DimensionError, DomainError, document, real
+from .errors import (BoundarySingularityError, DimensionError, DomainError, _float_vector, document,
+                     real)
 from .integrate import SIMPLEX_TOL
 
 
@@ -99,14 +100,10 @@ class _TwoNodeEntropy:
 
 
 def _two_node_r(rho) -> float:
-    # The range of r is checked by the method it is passed to.
-    rho = np.asarray(rho, dtype=float)
-    if rho.ndim == 0:
+    # A single number is r itself.  The range of r is checked by the method it is passed to.
+    if not isinstance(rho, (list, tuple)) and np.ndim(rho) == 0:
         return float(rho)
-    if rho.shape != (2,):
-        raise DimensionError(
-            f"entropy potentials are two-node only, got shape {rho.shape}"
-        )
+    rho = _float_vector(rho, "two-node density", 2, DimensionError)
     if not abs(float(rho.sum()) - 1.0) <= SIMPLEX_TOL:  # negated, so that a NaN mass fails it
         raise DomainError(f"two-node density must sum to 1, got {rho!r}")
     return float(rho[0])

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateDerivativeError, DimensionError, real
+from .errors import DegenerateDerivativeError, DimensionError, real, vector
 from .graphs import Graph
 from .integrate import IntegratorSpec, Trajectory, density_state, integrate  # noqa: F401
 from .potentials import quadratic_kappa
@@ -39,22 +39,16 @@ SIMPLEX_HARD_TOL = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class VertexBlocks:
-    """A flow's state blocks: finite float vectors over the vertices, of one
-    shape, the density ``rho`` first.  A non-finite entry raises ``_nonfinite``.
-    Equal to a state of the same class with equal blocks; not hashable."""
+    """A flow's state blocks, the density ``rho`` first: vectors over the vertices, of one
+    length, that ``errors.vector`` admits with the class's ``_error``.  Equal to a state
+    of the same class with equal blocks; not hashable."""
 
-    _nonfinite = DimensionError
+    _error = DimensionError
 
     def __post_init__(self):
-        names = tuple(self.__dataclass_fields__)
-        blocks = [np.asarray(getattr(self, name), dtype=float) for name in names]
-        for name, block in zip(names, blocks):
-            object.__setattr__(self, name, block)
-        shapes = [block.shape for block in blocks]
-        if shapes.count(shapes[0]) != len(shapes):
-            raise DimensionError(f"{', '.join(names)} must share one shape, got {shapes}")
-        if not all(np.isfinite(block).all() for block in blocks):
-            raise self._nonfinite(f"{', '.join(names)} must be finite")
+        for name in self.__dataclass_fields__:  # rho first, whose length the others take
+            size = None if name == "rho" else self.n
+            object.__setattr__(self, name, vector(getattr(self, name), name, size, self._error))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -115,8 +109,7 @@ def block_rhs(factory, graph: Graph, rule, potential, state: VertexBlocks) -> tu
     """The time derivative of each of ``state``'s blocks under the field ``factory``
     builds.  A density at which an edge's weight slope is infinite, as min**alpha's
     is for alpha < 1 on an edge with a zero-density end, is refused."""
-    if state.n != graph.n:
-        raise DimensionError(f"state size {state.n} != vertex count {graph.n}")
+    vector(state.rho, "rho", graph.n, DimensionError)
     if not graph.slope_is_finite(rule, state.rho):
         raise DegenerateDerivativeError("weight derivative is infinite at a zero-density edge")
     dy = factory(graph, rule, potential)(state.as_vector())
@@ -126,8 +119,7 @@ def block_rhs(factory, graph: Graph, rule, potential, state: VertexBlocks) -> tu
 def hamiltonian(graph: Graph, rule, potential, state: PhaseState) -> float:
     """Conserved energy of the flow (ordered-pair sum with prefactor 1/4)."""
     quadratic_kappa(potential)
-    if state.n != graph.n:
-        raise DimensionError(f"state size {state.n} != vertex count {graph.n}")
+    vector(state.rho, "rho", graph.n, DimensionError)
     return 0.25 * float(graph.pair_energy(rule, state.rho, state.S, potential.grad(state.rho)))
 
 

@@ -54,6 +54,7 @@ from .errors import (
     QuadratureError,
     UnsupportedRegimeError,
     real,
+    vector,
 )
 from .integrate import PAIR_STEPPERS, IntegratorSpec, Trajectory, integrate
 from .potentials import KuramotoQuadratic
@@ -210,13 +211,13 @@ def closed_form_gap(alpha: float, C: float, x0: float, t) -> float:
     real(alpha, "alpha", "finite and >= 1", lambda a: 1 <= a < math.inf, UnsupportedRegimeError)
     real(C, "C", "positive and finite", lambda v: 0 < v < math.inf)
     real(x0, "x0", "in [0, 1)", lambda x: 0 <= x < 1)
-    t = np.asarray(t, dtype=float)
+    t_arr = vector(t if isinstance(t, (list, tuple)) else np.atleast_1d(t), "t")
     if alpha == 1:
-        out = 1.0 - (1.0 - x0) * np.exp(-C * t)
+        out = 1.0 - (1.0 - x0) * np.exp(-C * t_arr)
     else:
-        base = (1.0 - x0) ** (1.0 - alpha) + C * (alpha - 1.0) * t
+        base = (1.0 - x0) ** (1.0 - alpha) + C * (alpha - 1.0) * t_arr
         out = 1.0 - base ** (-1.0 / (alpha - 1.0))
-    return out if out.ndim else float(out)
+    return out if np.ndim(t) else float(out[0])  # np.ndim reads an admitted t, not a ragged one
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +310,9 @@ class _StretchMap:
         nodes = np.unique(np.concatenate([np.linspace(lo, hi, _STRETCH_NODES), [0.5]]))
         self.nodes, self.inv_sqrt_theta = nodes, _inv_sqrt_theta(theta_fn)
         self.slope = self.inv_sqrt_theta(nodes)
-        segs = adaptive_simpson(self.inv_sqrt_theta, nodes[:-1], nodes[1:], tol=1e-13).value
-        cum = np.concatenate([[0.0], np.cumsum(segs)])
+        segs = adaptive_simpson(self.inv_sqrt_theta, nodes[:-1], nodes[1:], tol=1e-13)
+        self.error_estimate = float(np.sum(segs.error_estimate))  # summed over the panels
+        cum = np.concatenate([[0.0], np.cumsum(segs.value)])
         self.x = cum - cum[np.searchsorted(nodes, 0.5)]
 
     def x_at(self, r) -> np.ndarray:
@@ -378,22 +380,25 @@ def analytic_solution(theta_fn: Callable, r0: float, r1: float, t):
     density is the numeric inverse of the coordinate map at x(t).
     Endpoints reproduce r0 and r1 to the inversion tolerance.
     """
+    return _path(theta_fn, r0, r1, t)[0]
+
+
+def _path(theta_fn: Callable, r0: float, r1: float, t) -> tuple:
+    """analytic_solution's r(t), and the summed error estimate of the one quadrature it ran."""
     _check_unit("r0", r0)
     _check_unit("r1", r1)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    scalar = np.ndim(t) == 0
+    t_arr = vector(t if isinstance(t, (list, tuple)) else np.atleast_1d(t), "t")
     if np.any(t_arr < -1e-12) or np.any(t_arr > 1.0 + 1e-12):
         raise DomainError("path time must lie in [0, 1]")
-    if r0 == r1 == 0.5:
-        out = np.full_like(t_arr, 0.5)
-        return float(out[0]) if scalar else out
+    if r0 == r1 == 0.5:  # no quadrature
+        return (np.full_like(t_arr, 0.5) if np.ndim(t) else 0.5), 0.0
     lo, hi = _path_bracket(r0, r1)
     grid = _StretchMap(theta_fn, lo, hi)
     x0, x1 = grid.x_at(np.clip([r0, r1], lo, hi))
     s1 = math.sinh(1.0)
     xt = (np.sinh(1.0 - t_arr) * x0 + np.sinh(t_arr) * x1) / s1
     out = grid.invert(xt)
-    return float(out[0]) if scalar else out
+    return (out if np.ndim(t) else float(out[0])), grid.error_estimate
 
 
 def action(theta_fn: Callable, r0: float, r1: float) -> float:

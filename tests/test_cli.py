@@ -1,6 +1,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 import graphsync as gs
@@ -85,7 +86,8 @@ def test_two_point_action_json(capsys):
     assert doc["quadrature_error_estimate"] < 1e-9
 
 
-@pytest.mark.parametrize("operation, library", [("action", gs.action), ("divergence", gs.divergence)])
+@pytest.mark.parametrize("operation, library", [("action", gs.action), ("divergence", gs.divergence),
+                                                ("solve", gs.analytic_solution)])
 def test_two_point_quadratures_run_once_and_match_library(operation, library, capsys, monkeypatch):
     calls = []
     simpson = two_point.adaptive_simpson
@@ -95,12 +97,22 @@ def test_two_point_quadratures_run_once_and_match_library(operation, library, ca
         return simpson(*args, **kwargs)
 
     monkeypatch.setattr(two_point, "adaptive_simpson", counted)
-    rc = main(["two-point", operation, "--potential", "tsallis:3.0", "--r0", "0.3", "--r1", "0.8"])
+    t = ["--t", "0.4"] if operation == "solve" else []
+    rc = main(["two-point", operation, "--potential", "tsallis:3.0", "--r0", "0.3", "--r1", "0.8", *t])
     assert rc == 0
-    assert calls == [(0.5, [0.3, 0.8])]  # one quadrature over both endpoints' panels
     monkeypatch.undo()
     doc = json.loads(capsys.readouterr().out)
     theta_fn = entropy_theta_fn(gs.TsallisPotential(q=3.0))
+    if operation == "solve":
+        # Only the stretch map's quadrature runs, and its estimate, summed over the panels, is told.
+        nodes = two_point._StretchMap(theta_fn, *two_point._path_bracket(0.3, 0.8)).nodes
+        [(a, b)] = calls
+        assert a.tolist() == nodes[:-1].tolist() and b.tolist() == nodes[1:].tolist()
+        quad = simpson(two_point._inv_sqrt_theta(theta_fn), a, b, tol=1e-13)
+        assert doc["value"] == library(theta_fn, 0.3, 0.8, 0.4)
+        assert doc["quadrature_error_estimate"] == float(np.sum(quad.error_estimate))
+        return
+    assert calls == [(0.5, [0.3, 0.8])]  # one quadrature over both endpoints' panels
     assert doc["value"] == library(theta_fn, 0.3, 0.8)
     q0, q1 = two_point.x_of_r_with_error(theta_fn, 0.3), two_point.x_of_r_with_error(theta_fn, 0.8)
     assert doc["quadrature_error_estimate"] == q0.error_estimate + q1.error_estimate
