@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, real, vector
+from .errors import DimensionError, DomainError, _float_vector, real, vector
 from .graphs import Graph
 from .integrate import Trajectory
 
@@ -76,7 +76,8 @@ def _resolve_window(times, valid, window):
         t_lo = t_valid[0] + 0.5 * (t_valid[-1] - t_valid[0])
         t_hi = t_valid[-1]
     else:
-        t_lo, t_hi = float(window[0]), float(window[1])
+        t_lo, t_hi = (real(t, "window", "a pair of numbers, not NaN", lambda v: v == v)
+                      for t in _float_vector(window, "window", 2).tolist())
         if t_hi > t_valid[-1] or t_lo < times[0]:
             truncated = True
             t_hi = min(t_hi, t_valid[-1])

@@ -101,19 +101,26 @@ def vector(value, name: str, size=None, error=DomainError) -> np.ndarray:
 
 
 def _float_vector(value, name: str, size=None, error=DomainError) -> np.ndarray:
-    """``vector`` less its finiteness check, for a caller whose own arithmetic refuses NaN and
-    inf.  A list is read entry by entry, since numpy would convert a ``True`` or a ``"0.5"``."""
-    kind = getattr(getattr(value, "dtype", None), "kind", "O")
-    try:
-        array = np.asarray(value, dtype=float) if kind in "fiu" or all(
-            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in value) else None
-    except (TypeError, OverflowError):  # not iterable; an int beyond the floats
-        array = None
+    """``vector`` less its finiteness check, for a caller whose arithmetic refuses NaN and inf."""
+    array = _reals(value)
     if array is None or array.ndim != 1:
         raise error(f"{name} must be a vector of real numbers, got {value!r}")
     if size is not None and array.size != size:
         raise error(f"{name} must have {size} entries, got {value!r}")
     return array
+
+
+def _reals(value):
+    """``value`` as a float array if it is one of int or float dtype, or nested sequences whose
+    entries are real numbers and not bools, else None; numpy would convert ``True`` or ``"0.5"``."""
+    if getattr(getattr(value, "dtype", None), "kind", "O") in "fiu":
+        return np.asarray(value, dtype=float)
+    try:
+        entries = np.array(value, dtype=object)
+        ok = all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in entries.flat)
+        return entries.astype(float) if ok else None
+    except (TypeError, ValueError, OverflowError):  # e.g. an int beyond the floats
+        return None
 
 
 def document(doc, owner: str, required=(), optional=(), error=DomainError):

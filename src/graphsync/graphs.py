@@ -19,7 +19,7 @@ neighbours j of i,
     E(a, b)   = sum_i sum_j omega_ij theta_ij (a_i - a_j)(b_i - b_j)
 
 ``flux(rule, x, u)`` is F(u); ``second_order_terms`` gives F(S), K(g - S, g + S)
-and F(g); ``hopf_cole_terms`` gives F(xi - xi*), K(xi*, xi), F(xi) and F(xi*);
+and F(g), and the Hopf-Cole field takes it at (S, g) = (xi - xi*, xi + xi*);
 ``pair_energy`` is E(S - g, S + g) = 4 H; ``slope_is_finite`` tells whether
 every omega theta'_ij is finite.  On ``Graph`` each is the per-edge
 expression of its flow, so each vector is gathered once and the bits are
@@ -54,6 +54,7 @@ from .errors import (
     SelfLoopError,
     UnknownGraphNameError,
     VertexIndexError,
+    _reals,
     document,
     real,
 )
@@ -68,11 +69,12 @@ SORTED_MIN_N = 48
 
 
 def _array(values, width=None) -> np.ndarray:
-    """``values`` as an (m, width) float array, or (m,) without a width."""
-    try:
-        a = np.array(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise GraphConstructionError(f"malformed edge data: {exc}") from exc
+    """``values`` as a new (m, width) float array, or (m,) without a width; each entry must
+    be a real number and not a bool."""
+    a = _reals(values)
+    if a is None:
+        raise GraphConstructionError(f"edge data must be real numbers, got {values!r}")
+    a = np.array(a)  # a copy, which Graph makes read-only; never the caller's array
     row = () if width is None else (width,)
     a = a.reshape((0, *row)) if a.size == 0 else a
     if a.ndim == 0 or a.shape[1:] != row:
@@ -191,14 +193,6 @@ class Graph:
         wth, wdth = self.coupling_and_slope(rule, x)
         dS, dg = diff(S), diff(g)
         return scatter(wth * dS), scatter((dg**2 - dS**2) * wdth), scatter(wth * dg)
-
-    def hopf_cole_terms(self, rule, x, xi, xs) -> tuple[np.ndarray, ...]:
-        """F(xi - xs), K(xs, xi), F(xi) and F(xs), with xs = xi*."""
-        diff, scatter = self.diff, self.scatter
-        wth, wdth = self.coupling_and_slope(rule, x)
-        dxi, dxs = diff(xi), diff(xs)
-        return (scatter(wth * diff(xi - xs)), scatter(dxs * dxi * wdth),
-                scatter(wth * dxi), scatter(wth * dxs))
 
     def pair_energy(self, rule, x, S, g) -> float:
         """E(S - g, S + g), whose pair factor is (S_i - S_j)^2 - (g_i - g_j)^2."""
@@ -352,16 +346,6 @@ class CompleteGraph(Graph):
         S, g = rows
         kinetic = self._slope_product(rule, xr, g - S, g + S)
         return tuple(_unrank(order, np.array([f_S, kinetic, f_g])))
-
-    def hopf_cole_terms(self, rule, x, xi, xs):
-        if not isinstance(rule, MinPower):
-            return super().hopf_cole_terms(rule, x, xi, xs)
-        order, xr = self._ranking(x)
-        rows = _ranked(order, xi, xs)
-        f_xi, f_xs = self._fluxes(self._phi(rule, xr), rows)
-        xi, xs = rows
-        cross = self._slope_product(rule, xr, xs, xi)
-        return tuple(_unrank(order, np.array([f_xi - f_xs, cross, f_xi, f_xs])))
 
     def pair_energy(self, rule, x, S, g):
         if not isinstance(rule, MinPower):

@@ -19,10 +19,11 @@ for all time, step by step, even in floating point.  That structural zero is
 the point of integrating in these variables.
 
 The graph flow accepts only the quadratic potential, so HessF = -kappa I is
-applied as -kappa * u, with no n x n matrix.  rho is carried alongside
-(xi, xi_star), and the carried density is asserted to agree with the one
-recovered from the variables, rho = -(xi + xi_star)/kappa, as a consistency
-diagnostic.
+applied as -kappa * u, with no n x n matrix.  The field is the second-order
+graph operator at S = xi - xi_star, g = xi + xi_star, recombined.  rho is
+carried alongside (xi, xi_star), and the carried density is asserted to agree
+with the one recovered from the variables, rho = -(xi + xi_star)/kappa, as a
+consistency diagnostic.
 """
 from __future__ import annotations
 
@@ -79,15 +80,18 @@ def from_hopf_cole(hc: HopfColeState, potential) -> PhaseState:
 
 
 def hopf_cole_field(graph: Graph, rule, potential) -> Callable[[np.ndarray], np.ndarray]:
-    """Prebuilt packed field y = (rho, xi, xi_star) -> derivatives; the sums come
-    from ``Graph.hopf_cole_terms``."""
-    kappa = quadratic_kappa(potential)
-    n, terms = graph.n, graph.hopf_cole_terms
+    """Prebuilt packed field y = (rho, xi, xi_star) -> derivatives, from the sums
+    ``Graph.second_order_terms`` at S = xi - xi_star, g = xi + xi_star: K(g - S, g + S)
+    = 4 K(xi_star, xi) and F(xi), F(xi_star) = (F(g) +- F(S)) / 2.  At xi = 0, S = -g
+    exactly, so F(S) = -F(g), K = 0 and d xi = 0."""
+    half = 0.5 * quadratic_kappa(potential)
+    n, terms = graph.n, graph.second_order_terms
 
     def field(y: np.ndarray) -> np.ndarray:
         rho, xi, xs = y[:n], y[n : 2 * n], y[2 * n :]
-        drho, cross, xi_flux, xs_flux = terms(rule, rho, xi, xs)
-        return np.concatenate([drho, cross - kappa * xi_flux, kappa * xs_flux - cross])
+        f_S, kinetic, f_g = terms(rule, rho, xi - xs, xi + xs)
+        cross = 0.25 * kinetic
+        return np.concatenate([f_S, cross - half * (f_g + f_S), half * (f_g - f_S) - cross])
 
     return field
 

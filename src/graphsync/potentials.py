@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BoundarySingularityError, DimensionError, DomainError, _float_vector, document,
-                     real)
+                     real, vector)
 from .integrate import SIMPLEX_TOL
 
 
@@ -62,15 +62,14 @@ class KuramotoQuadratic:
         real(self.kappa, "kappa", "positive and finite", lambda v: 0 < v < math.inf)
 
     def value(self, rho) -> float:
-        rho = np.asarray(rho, dtype=float)
+        rho = vector(rho, "density")
         return -0.5 * self.kappa * float(np.dot(rho, rho))
 
     def grad(self, rho) -> np.ndarray:
         return -self.kappa * np.asarray(rho, dtype=float)
 
     def hess(self, rho) -> np.ndarray:
-        n = len(np.asarray(rho))
-        return -self.kappa * np.eye(n)
+        return -self.kappa * np.eye(vector(rho, "density").size)
 
     # Two-node reduction in r = rho_1, rho_2 = 1 - r.
     @_reduced()

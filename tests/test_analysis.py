@@ -75,6 +75,29 @@ def test_fit_rate_window_truncation_warns():
     assert fit.slope == pytest.approx(-1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("window", [("a", 5.0), "ab", "abc", (1.0,), (1.0, 2.0, 3.0), 5.0,
+                                    (math.nan, 5.0), (0.0, math.nan), (True, 5.0), ("0", "5")])
+def test_fits_admit_the_window(window):
+    t = np.linspace(0.0, 10.0, 101)
+    traj = gap_trajectory(t, np.exp(-t))
+    with pytest.raises(DomainError, match="window"):
+        fit_rate(traj, "log_gap", window=window)
+    with pytest.raises(DomainError, match="window"):
+        fit_power(traj, window=window)
+
+
+def test_fits_keep_their_window_truncation():
+    # Ends out of range, infinite ones included, are truncated as before.
+    t = np.linspace(0.0, 10.0, 101)
+    traj = gap_trajectory(t, np.exp(-t))
+    assert fit_rate(traj, "log_gap", window=np.array([2.0, 8.0])).window == (2.0, 8.0)
+    for window in ((-math.inf, math.inf), (2, 50)):
+        with pytest.warns(UserWarning):
+            fit = fit_rate(traj, "log_gap", window=window)
+        assert fit.truncated and fit.window[1] == 10.0
+        assert fit.slope == pytest.approx(-1.0, abs=1e-9)
+
+
 def test_fit_rate_rejects_unknown_transform_and_dead_gap():
     traj = gap_trajectory([0.0, 1.0, 2.0], [0.5, 0.4, 0.3])
     with pytest.raises(DomainError):

@@ -19,9 +19,12 @@ from graphsync.analysis import edge_dichotomy_report
 from graphsync.errors import (DegenerateDerivativeError, GraphConstructionError, NegativeWeightError,
                               NonFiniteStateError)
 from graphsync.graphs import SORTED_MIN_N, CompleteGraph, Graph
+from graphsync.hopf_cole import hopf_cole_field
 
 #: Agreement asked of the sorted operators, as a fraction of each evaluation's scale.
 REL_TOL = 1e-12
+KAPPA = 1.5
+POT = gs.KuramotoQuadratic(KAPPA)
 
 
 def edge_list(n: int, omega: float = 1.0) -> Graph:
@@ -72,9 +75,14 @@ def test_sorted_operators_match_the_edge_list(case):
             (theta * big(S), slope * 4 * big(S, g) ** 2, theta * big(g)),
         ):
             assert_agree(got, want, scale)
+        # The Hopf-Cole field at (xi, xi*) = (xi, g) is the second-order sums at
+        # S' = xi - g and g' = xi + g: K(g' - S', g' + S') / 4 and (kappa / 2) F.
+        y, S2, g2 = np.concatenate([x, xi, g]), xi - g, xi + g
+        hopf_cole = slope * big(S2, g2) ** 2 + KAPPA * theta * big(S2, g2)
         for got, want, scale in zip(
-            fast.hopf_cole_terms(rule, x, xi, g), ref.hopf_cole_terms(rule, x, xi, g),
-            (theta * big(xi, g) * 2, slope * big(xi) * big(g), theta * big(xi), theta * big(g)),
+            np.split(hopf_cole_field(fast, rule, POT)(y), 3),
+            np.split(hopf_cole_field(ref, rule, POT)(y), 3),
+            (theta * big(S2), hopf_cole, hopf_cole),
         ):
             assert_agree(got, want, scale)
         assert_agree(fast.pair_energy(rule, x, S, g), ref.pair_energy(rule, x, S, g),
@@ -231,8 +239,8 @@ def same_bits(got, want) -> bool:
 def sorted_operators(graph, rule, x, S, g, xi):
     """Every sorted operator, in the order a flow and its observers call them."""
     return (graph.flux(rule, x, S), *graph.second_order_terms(rule, x, S, g),
-            *graph.hopf_cole_terms(rule, x, xi, g), graph.pair_energy(rule, x, S, g),
-            graph.slope_is_finite(rule, x))
+            hopf_cole_field(graph, rule, POT)(np.concatenate([x, xi, g])),
+            graph.pair_energy(rule, x, S, g), graph.slope_is_finite(rule, x))
 
 
 def test_reused_ranks_give_the_bits_of_a_fresh_sort(monkeypatch):

@@ -3,7 +3,9 @@
 The oracles below spell out each flow edge by edge, with the dense Hessian
 HessF = potential.hess(rho) and the rule's full partials, independently of
 the coupling kernel and the Graph coupling/gather/scatter methods the fields
-use.
+use.  The Hopf-Cole field has two: the second-order sums at (xi - xi*,
+xi + xi*), which it matches bit for bit on unit weights, and the product form
+K(xi*, xi), which rounds differently and is matched to 1e-14.
 """
 import json
 
@@ -35,19 +37,33 @@ def oracle_first(graph, rule, kappa, rho):
     return kappa * np.bincount(tail, weights=flux, minlength=graph.n)
 
 
-def oracle_second(graph, rule, potential, y):
+def oracle_second_sums(graph, rule, rho, S, g):
+    """F(S), K(g - S, g + S) and F(g), edge by edge."""
     tail, head, w, n = graph.tail, graph.head, graph.pair_weight, graph.n
-    rho, S = y[:n], y[n:]
     rt, rh = rho[tail], rho[head]
     th = rule.theta(rt, rh)
-    dS_edge = S[tail] - S[head]
-    drho = np.bincount(tail, weights=w * th * dS_edge, minlength=n)
-    g = potential.grad(rho)
-    dg_edge = g[tail] - g[head]
+    dS_edge, dg_edge = S[tail] - S[head], g[tail] - g[head]
     dth_tail, _ = rule.partials(rt, rh)
-    kinetic = 0.5 * np.bincount(tail, weights=w * (dg_edge**2 - dS_edge**2) * dth_tail, minlength=n)
-    u = np.bincount(tail, weights=w * th * dg_edge, minlength=n)
-    return np.concatenate([drho, kinetic + potential.hess(rho) @ u])
+    return (np.bincount(tail, weights=w * th * dS_edge, minlength=n),
+            np.bincount(tail, weights=w * (dg_edge**2 - dS_edge**2) * dth_tail, minlength=n),
+            np.bincount(tail, weights=w * th * dg_edge, minlength=n))
+
+
+def oracle_second(graph, rule, potential, y):
+    n = graph.n
+    rho, S = y[:n], y[n:]
+    drho, kinetic, u = oracle_second_sums(graph, rule, rho, S, potential.grad(rho))
+    return np.concatenate([drho, 0.5 * kinetic + potential.hess(rho) @ u])
+
+
+def oracle_hopf_cole_rotated(graph, rule, potential, y):
+    """The split flow as the second-order sums at S = xi - xi*, g = xi + xi*, where
+    K(g - S, g + S) = 4 K(xi*, xi) and F(xi), F(xi*) = (F(g) +- F(S)) / 2."""
+    n = graph.n
+    rho, xi, xs = y[:n], y[n : 2 * n], y[2 * n :]
+    f_S, kinetic, f_g = oracle_second_sums(graph, rule, rho, xi - xs, xi + xs)
+    half_hess, cross = 0.5 * potential.hess(rho), 0.25 * kinetic
+    return np.concatenate([f_S, cross + half_hess @ (f_g + f_S), -(half_hess @ (f_g - f_S)) - cross])
 
 
 def oracle_hopf_cole(graph, rule, potential, y):
@@ -96,7 +112,9 @@ def _check_fields(graph, rule, assert_match):
         with np.errstate(invalid="ignore"):
             assert_match(f1(rho), oracle_first(graph, rule, KAPPA, rho))
             assert_match(f2(y2), oracle_second(graph, rule, pot, y2))
-            assert_match(f3(y3), oracle_hopf_cole(graph, rule, pot, y3))
+            assert_match(f3(y3), oracle_hopf_cole_rotated(graph, rule, pot, y3))
+            np.testing.assert_allclose(f3(y3), oracle_hopf_cole(graph, rule, pot, y3),
+                                       rtol=0.0, atol=1e-14)
             assert_match(
                 gs.hamiltonian(graph, rule, pot, gs.PhaseState(rho, S)),
                 oracle_hamiltonian(graph, rule, pot, rho, S),

@@ -53,6 +53,15 @@ def test_edge_order_within_pair_is_free():
         ('{"n": 3, "edges": [[1, 2, 1.0]', GraphConstructionError),
         ('{"n": 3.7, "edges": [[1, 2, 1.0]]}', GraphConstructionError),
         ('{"n": null, "edges": []}', GraphConstructionError),
+        # Each entry must be a real number and not a bool, which numpy would convert.
+        ([(1, 2, "2.5")], GraphConstructionError),
+        ({(1, 2): True}, GraphConstructionError),
+        ({(1, 2): "1"}, GraphConstructionError),
+        ({(True, 2): 1.0}, GraphConstructionError),
+        ([(1, 2, None)], GraphConstructionError),
+        ([(1, 2, 1.0), (2, 3)], GraphConstructionError),
+        ('{"n": 3, "edges": [[1, 2, true]]}', GraphConstructionError),
+        ('{"n": 3, "edges": [[1, "2", 1.0]]}', GraphConstructionError),
     ],
 )
 def test_invalid_edges_rejected(edges, err):
@@ -62,6 +71,24 @@ def test_invalid_edges_rejected(edges, err):
             gs.graph_from_json(edges)
         else:
             gs.build_graph(3, edges)
+
+
+@pytest.mark.parametrize("edges, weights", [
+    ([[1, 2]], [True]), ([[True, 2]], [1.0]), ([[1, 2]], ["1"]), ([[1, 2.0]], np.array([True])),
+    ([["1", 2]], [1.0]), ([[1, 2]], [[1.0]]), ([1, 2], [1.0]), (None, [1.0]),
+])
+def test_graph_refuses_edge_data_that_is_not_real_numbers(edges, weights):
+    with pytest.raises(GraphConstructionError):
+        gs.Graph(n=2, edges=edges, weights=weights)
+
+
+def test_graph_copies_its_edge_arrays():
+    # Numeric arrays are taken whole, but copied: the caller's stay writeable.
+    edges, weights = np.array([[1, 2]]), np.array([0.5])
+    g = gs.Graph(n=2, edges=edges, weights=weights)
+    assert edges.flags.writeable and weights.flags.writeable
+    assert not g.weights.flags.writeable and g.weights is not weights
+    assert g == gs.Graph(n=2, edges=[[1.0, 2.0]], weights=[np.float64(0.5)])
 
 
 @pytest.mark.parametrize("n, m", [(2, 1), (4, 6), (6, 15)])

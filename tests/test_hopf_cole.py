@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import graphsync as gs
 from graphsync.errors import ConsistencyError, DomainError
+from graphsync.graphs import CompleteGraph
+from graphsync.hopf_cole import hopf_cole_field
 from conftest import random_interior_density
 
 
@@ -58,6 +62,39 @@ def test_zero_xi_is_a_structural_fixed_hyperplane(kuramoto, min2):
                                 xi=kuramoto.grad([0.5, 0.3, 0.2]), xi_star=[0.0] * 3)
     _, _, dxs = gs.rhs_hopf_cole(g, min2, kuramoto, mirrored)
     np.testing.assert_array_equal(dxs, 0.0)
+
+
+@st.composite
+def split_cases(draw):
+    """An edge-list graph on 2..7 vertices with unit, zero or other weights, or a
+    sorted ``CompleteGraph`` on 2..12; a density with ties and zeros, and a vector."""
+    n = draw(st.integers(2, 12))
+    weight = st.sampled_from([1.0, 0.0, 0.5, 2.0]) | st.floats(1e-3, 10.0)
+    if draw(st.booleans()):
+        graph = CompleteGraph(n, draw(weight))
+    else:
+        n = min(n, 7)
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        keep[0] = True
+        graph = gs.build_graph(n, [(i, j, draw(weight)) for (i, j), k in zip(pairs, keep) if k])
+    mass = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 1.0),
+                         min_size=n, max_size=n))
+    mass[0] = mass[0] or 1.0
+    value = st.sampled_from([0.0, -0.5, 1.0]) | st.floats(-3.0, 3.0)
+    return graph, np.array(mass) / sum(mass), np.array(draw(st.lists(value, min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=split_cases(), rule=st.sampled_from([gs.MinPower(a) for a in (0.5, 1.0, 2.0, 3.0)]),
+       kappa=st.sampled_from([0.5, 1.0, 1.5]))
+def test_zero_xi_stays_exactly_zero_on_both_backends(case, rule, kappa):
+    graph, rho, v = case
+    with np.errstate(invalid="ignore"):  # a zero weight on an infinite slope
+        assume(graph.slope_is_finite(rule, rho))  # else block_rhs refuses the field
+    field, n, zero = hopf_cole_field(graph, rule, gs.KuramotoQuadratic(kappa)), graph.n, np.zeros(graph.n)
+    np.testing.assert_array_equal(field(np.concatenate([rho, zero, v]))[n : 2 * n], 0.0)
+    np.testing.assert_array_equal(field(np.concatenate([rho, v, zero]))[2 * n :], 0.0)
 
 
 def test_rhs_agrees_with_transformed_second_order(kuramoto, min2):

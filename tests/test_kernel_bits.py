@@ -3,7 +3,8 @@ run and simplex clip, bit for bit.
 
 Each reference below is the earlier, longer formula of the kernel, kept
 verbatim: the rewrites drop numpy calls but must give the same bits, signed
-zeros and the places of NaN included.  The inputs hold ties, exact and
+zeros and the places of NaN included.  The Hopf-Cole field's reference spells
+out its recombination of the second-order sums.  The inputs hold ties, exact and
 negative zeros, tiny negatives, subnormals, NaN and infinities.
 """
 import math
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import graphsync as gs
 from graphsync.errors import GraphSyncError, NonFiniteStateError, SimplexViolationError
+from graphsync.hopf_cole import hopf_cole_field
 from graphsync.integrate import _STEPPERS, _rk4_step, PAIR_STEPPERS, integrate, project_simplex_clip
 from graphsync.two_point import _quadratic_rhs
 
@@ -85,12 +87,14 @@ def second_order_terms_ref(graph, rule, x, S, g):
             scatter_ref(graph, wth * dg))
 
 
-def hopf_cole_terms_ref(graph, rule, x, xi, xs):
-    wth, wdth = coupling_and_slope_ref(graph, rule, x)
-    dxi, dxs = diff_ref(graph, xi), diff_ref(graph, xs)
-    return (scatter_ref(graph, wth * diff_ref(graph, xi - xs)),
-            scatter_ref(graph, dxs * dxi * wdth),
-            scatter_ref(graph, wth * dxi), scatter_ref(graph, wth * dxs))
+def hopf_cole_field_ref(graph, rule, kappa, y):
+    """The second-order sums at S = xi - xs and g = xi + xs: K(g - S, g + S) is
+    4 K(xs, xi), and F(xi), F(xs) are (F(g) +- F(S)) / 2."""
+    n = graph.n
+    x, xi, xs = y[:n], y[n : 2 * n], y[2 * n :]
+    f_S, kinetic, f_g = second_order_terms_ref(graph, rule, x, xi - xs, xi + xs)
+    cross, half = 0.25 * kinetic, 0.5 * kappa
+    return np.concatenate([f_S, cross - half * (f_g + f_S), half * (f_g - f_S) - cross])
 
 
 def pair_energy_ref(graph, rule, x, S, g):
@@ -221,10 +225,11 @@ def test_weight_kernels_keep_their_bits_on_scalars(alpha):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=graph_cases(), alpha=st.sampled_from(ALPHAS))
-def test_edge_list_operators_keep_their_bits(case, alpha):
+@given(case=graph_cases(), alpha=st.sampled_from(ALPHAS), kappa=st.sampled_from([0.5, 1.0, 1.5]))
+def test_edge_list_operators_keep_their_bits(case, alpha, kappa):
     graph, x, S, g = case
     rule = gs.MinPower(alpha)
+    y = np.concatenate([x, S, g])
     with np.errstate(all="ignore"):
         assert_same_bits(graph.coupling(rule, x), coupling_ref(graph, rule, x))
         for got, want in zip(graph.coupling_and_slope(rule, x),
@@ -235,9 +240,8 @@ def test_edge_list_operators_keep_their_bits(case, alpha):
         for got, want in zip(graph.second_order_terms(rule, x, S, g),
                              second_order_terms_ref(graph, rule, x, S, g)):
             assert_same_bits(got, want)
-        for got, want in zip(graph.hopf_cole_terms(rule, x, S, g),
-                             hopf_cole_terms_ref(graph, rule, x, S, g)):
-            assert_same_bits(got, want)
+        assert_same_bits(hopf_cole_field(graph, rule, gs.KuramotoQuadratic(kappa))(y),
+                         hopf_cole_field_ref(graph, rule, kappa, y))
         assert_same_bits(graph.pair_energy(rule, x, S, g), pair_energy_ref(graph, rule, x, S, g))
 
 

@@ -26,6 +26,14 @@ def test_kuramoto_values():
     np.testing.assert_allclose(pot.hess([0.2, 0.3, 0.5]), -np.eye(3))
 
 
+@pytest.mark.parametrize("bad", [["a", 1], [[1, 2], [3]], [math.nan, 1], [1.0, math.inf], [True, 0.5],
+                                 None, 0.5])
+@pytest.mark.parametrize("method", ["value", "hess"])
+def test_kuramoto_value_and_hess_admit_the_density(method, bad):
+    with pytest.raises(DomainError):
+        getattr(gs.KuramotoQuadratic(kappa=1.0), method)(bad)
+
+
 def test_kuramoto_reduction_consistency():
     pot = gs.KuramotoQuadratic(kappa=1.5)
     for r in [0.1, 0.5, 0.8]:
