@@ -32,7 +32,7 @@ CONVERGENCE_TOL = 1e-13
 def first_order_field(graph: Graph, rule, kappa: float) -> Callable[[np.ndarray], np.ndarray]:
     """Prebuilt vector field rho -> d rho/dt = kappa * Graph.flux(rule, rho, rho);
     kappa is checked as the quadratic potential checks it."""
-    flux, kappa = graph.flux, KuramotoQuadratic(kappa).kappa
+    flux, kappa = graph.held(graph.flux), KuramotoQuadratic(kappa).kappa
 
     def field(rho: np.ndarray) -> np.ndarray:
         return kappa * flux(rule, rho, rho)

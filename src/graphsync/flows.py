@@ -37,9 +37,9 @@ def is_synchronised(rho: np.ndarray) -> bool:
 #: ``resolve(potential, rho0, *the blocks before it)``.
 Block = namedtuple("Block", "keyword required resolve")
 
-#: What a flow's hooks see of one run: ``model`` is kappa for the first-order flow and the
-#: potential for the others, ``stop`` the caller's stop option.
-Run = namedtuple("Run", "graph rule model n field stop")
+#: What a flow's hooks see of one run: the graph's ``pair_energy`` held for it, ``model`` kappa
+#: for the first-order flow and the potential for the others, ``stop`` the caller's stop option.
+Run = namedtuple("Run", "pair_energy rule model n field stop")
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ FLOWS = {
             "gradflow", True, lambda potential, rho0: so.gradient_flow_init(rho0, potential).S)},
         field=lambda graph, rule, potential: so.second_order_field(graph, rule, potential),
         # H as second_order.hamiltonian gives it, on a state the run has admitted already.
-        observers=(("hamiltonian", "H", lambda run, y: 0.25 * float(run.graph.pair_energy(
+        observers=(("hamiltonian", "H", lambda run, y: 0.25 * float(run.pair_energy(
                         run.rule, y[: run.n], y[run.n :], run.model.grad(y[: run.n])))),
                    ("sum_sq", None, lambda run, y: float(np.dot(y[: run.n], y[: run.n])))),
         simulate=lambda graph, rule, potential, blocks, spec, sync: so.simulate_second_order(
@@ -134,7 +134,7 @@ def simulate(dynamics: str, graph, rule, model, blocks, spec: IntegratorSpec, *,
     """The run of every simulate function, from initial ``blocks`` whose density has one entry
     per vertex and lies on the simplex; ``stop`` is None for no stop."""
     flow, n = FLOWS[dynamics], graph.n
-    run = Run(graph, rule, model, n, flow.field(graph, rule, model), stop)
+    run = Run(graph.held(graph.pair_energy), rule, model, n, flow.field(graph, rule, model), stop)
     y0 = np.concatenate([density_state(vector(blocks[0], "rho0", n, DimensionError)), *blocks[1:]])
     bind = lambda hook: None if hook is None else partial(hook, run)
     traj = integrate(run.field, y0, spec, {name: bind(hook) for name, _, hook in flow.observers},

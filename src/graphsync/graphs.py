@@ -4,11 +4,13 @@ Vertices are labelled 1..n.  The six-vertex benchmark topologies use the
 letters A..F, which map to 1..6 in order.  Each undirected edge is stored
 once, as a row i < j of the read-only ``edges`` array with one nonnegative
 weight in ``weights``, so weight symmetry holds by construction.  Sums over
-ordered vertex pairs are realised by iterating every unordered edge in both
-directions through the ``tail``/``head`` index arrays (0-based, aligned with
-density vectors) and the doubled weights ``pair_weight``;
-``coupling``/``coupling_and_slope`` (omega * theta and omega * d theta/d x_tail
-per ordered edge), ``diff`` and ``scatter`` work at that edge level.
+ordered vertex pairs are realised by iterating every unordered edge of
+positive weight in both directions through the ``tail``/``head`` index arrays
+(0-based, aligned with density vectors) and the doubled weights
+``pair_weight``; a zero weight couples nothing, even where the slope is
+infinite.  ``coupling``/``coupling_and_slope`` (omega * theta and
+omega * d theta/d x_tail per ordered edge), ``diff`` and ``scatter`` work at
+that edge level.
 
 The flows and H reach a graph only through its vertex-level operators.  With
 theta_ij = theta(x_i, x_j), theta'_ij = d theta_ij/d x_i and sums over the
@@ -28,10 +30,10 @@ those of the edge formulas.
 ``CompleteGraph`` overrides them.  It holds every pair with one weight omega
 and builds its edge arrays only when something reads them.  Under a
 ``MinPower`` rule it evaluates the operators on x in rank order, with prefix
-sums, in O(n log n); other rules fall back to the edge list.  It keeps the
-rank order of its last call and sorts only when x is not strictly increasing
-in it, so the sort runs once per rank change, not once per operator call; with
-no ties, the slope sums take each rank as its own tie group without a search.
+sums, in O(n log n); other rules fall back to the edge list.  A ``frame``
+argument gives the order, sorted afresh when None; the graph keeps none, and a
+run holds its own through ``held``, so it sorts once per rank change.  With no
+ties, the slope sums take each rank as its own tie group without a search.
 ``complete_graph`` and ``build_graph`` return one for a complete graph with
 one common weight from ``SORTED_MIN_N`` vertices up, the measured crossover
 below which the edge list is faster.
@@ -135,15 +137,18 @@ class Graph:
         self._store_edges(e.astype(np.intp), w)
 
     def _store_edges(self, edges: np.ndarray, w: np.ndarray) -> None:
-        """Keep checked edges and weights read-only, with the ordered-edge arrays."""
+        """Keep checked edges and weights read-only, with the ordered-edge arrays of
+        the edges of positive weight."""
         edges.flags.writeable = w.flags.writeable = False
-        src, dst = edges.T - 1
+        coupled = w > 0
+        src, dst = edges[coupled].T - 1
+        w_on = w[coupled]
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "tail", np.concatenate([src, dst]))
         object.__setattr__(self, "head", np.concatenate([dst, src]))
-        object.__setattr__(self, "pair_weight", np.concatenate([w, w]))
-        object.__setattr__(self, "_unit_weights", bool(np.all(w == 1.0)))
+        object.__setattr__(self, "pair_weight", np.concatenate([w_on, w_on]))
+        object.__setattr__(self, "_unit_weights", bool(np.all(w_on == 1.0)))
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -203,6 +208,10 @@ class Graph:
         """Whether omega * d theta/d x_tail is finite on every ordered edge."""
         return bool(np.isfinite(self.coupling_and_slope(rule, x)[1]).all())
 
+    def held(self, operator):
+        """One of this graph's operators as a run calls it: on an edge list, itself."""
+        return operator
+
     def neighbors(self, j: int) -> tuple[int, ...]:
         """Sorted 1-based neighbour labels of vertex j."""
         real(j, "vertex", f"an integer in 1..{self.n}",
@@ -221,6 +230,12 @@ class Graph:
 def _increasing(xr: np.ndarray) -> bool:
     """Whether xr is strictly increasing: no ties, and no NaN, which compares false."""
     return bool(np.greater(xr[1:], xr[:-1]).all())
+
+
+def _rank_order(x: np.ndarray, order=None) -> np.ndarray:
+    """``order`` if it puts x in strictly increasing order, the one order that sorts x
+    then, else x's stable order."""
+    return order if order is not None and _increasing(x[order]) else np.argsort(x, kind="stable")
 
 
 def _unrank(order: np.ndarray, ranked: np.ndarray) -> np.ndarray:
@@ -258,9 +273,9 @@ class CompleteGraph(Graph):
     vertices by x turns each operator into prefix sums: vertex k meets each
     lower-ranked vertex through that vertex's phi and each higher-ranked one
     through its own phi_k, and its slope reaches the higher-ranked vertices
-    plus half its tie group.  A sort, when the ranks change, and a few
-    cumulative sums replace the n(n - 1) ordered edges.  Other rules use the
-    edge list.
+    plus half its tie group.  A sort and a few cumulative sums replace the
+    n(n - 1) ordered edges, and a run that holds its order through ``held`` sorts
+    only when the ranks change; the graph keeps none.  Other rules use the edge list.
     """
 
     def __init__(self, n: int, omega: float = 1.0):
@@ -284,18 +299,18 @@ class CompleteGraph(Graph):
     def edge_count(self) -> int:
         return self.n * (self.n - 1) // 2
 
-    def _ranking(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The stable order of x, and x in that order.  The order of the last call
-        is kept for the next, as a flow's states change rank only now and then:
-        when it puts x in strictly increasing order, it is the only order that
-        sorts x, and it is reused unsorted."""
-        # vars, not getattr: a missing attribute would reach __getattr__.
-        order = vars(self).get("_last_order")
-        if order is None or order.size != x.size or not _increasing(xr := x[order]):
-            order = np.argsort(x, kind="stable")
-            xr = x[order]
-            object.__setattr__(self, "_last_order", order)
-        return order, xr
+    def held(self, operator):
+        """``flux``, ``second_order_terms`` or ``pair_energy`` as one run calls it: under
+        ``MinPower`` each call's frame is ``_rank_order`` of x and the last call's frame."""
+        last = None
+
+        def in_held_frame(rule, x, *vectors):
+            nonlocal last
+            if isinstance(rule, MinPower):
+                last = _rank_order(x, last)
+            return operator(rule, x, *vectors, frame=last)
+
+        return in_held_frame
 
     def _phi(self, rule, xr: np.ndarray) -> np.ndarray:
         phi = rule.phi(xr)
@@ -303,8 +318,8 @@ class CompleteGraph(Graph):
 
     def _dphi(self, rule, xr: np.ndarray) -> np.ndarray:
         """omega * phi'(x) at each rank; 0 at a strict maximum, which has no
-        higher-ranked or tied vertex to reach."""
-        dphi = rule.dphi(xr)
+        higher-ranked or tied vertex to reach, and 0 throughout when omega is 0."""
+        dphi = rule.dphi(xr) if self.omega else np.zeros_like(xr)
         dphi = dphi if self.omega == 1.0 else self.omega * dphi
         if xr[-1] > xr[-2]:
             dphi[-1] = 0.0
@@ -331,36 +346,36 @@ class CompleteGraph(Graph):
             lo, hi = np.searchsorted(xr, xr, "left"), np.searchsorted(xr, xr, "right")
         return self._dphi(rule, xr) * _pair_sums(a, b, lo, hi)
 
-    def flux(self, rule, x, u):
+    def flux(self, rule, x, u, frame=None):
         if not isinstance(rule, MinPower):
             return super().flux(rule, x, u)
-        order, xr = self._ranking(x)
-        return _unrank(order, self._fluxes(self._phi(rule, xr), _ranked(order, u))[0])
+        order = _rank_order(x) if frame is None else frame
+        return _unrank(order, self._fluxes(self._phi(rule, x[order]), _ranked(order, u))[0])
 
-    def second_order_terms(self, rule, x, S, g):
+    def second_order_terms(self, rule, x, S, g, frame=None):
         if not isinstance(rule, MinPower):
             return super().second_order_terms(rule, x, S, g)
-        order, xr = self._ranking(x)
-        rows = _ranked(order, S, g)
+        order = _rank_order(x) if frame is None else frame
+        xr, rows = x[order], _ranked(order, S, g)
         f_S, f_g = self._fluxes(self._phi(rule, xr), rows)
         S, g = rows
         kinetic = self._slope_product(rule, xr, g - S, g + S)
         return tuple(_unrank(order, np.array([f_S, kinetic, f_g])))
 
-    def pair_energy(self, rule, x, S, g):
+    def pair_energy(self, rule, x, S, g, frame=None):
         if not isinstance(rule, MinPower):
             return super().pair_energy(rule, x, S, g)
         # Twice the sum over rank pairs k < r, whose weight is phi_k.
-        order, xr = self._ranking(x)
+        order = _rank_order(x) if frame is None else frame
         S, g = _ranked(order, S, g)
         above = np.arange(1, self.n + 1)
         pairs = _pair_sums(S - g, S + g, above, above)
-        return 2.0 * float(np.dot(self._phi(rule, xr), pairs))
+        return 2.0 * float(np.dot(self._phi(rule, x[order]), pairs))
 
     def slope_is_finite(self, rule, x):
         if not isinstance(rule, MinPower):
             return super().slope_is_finite(rule, x)
-        return bool(np.isfinite(self._dphi(rule, self._ranking(x)[1])).all())
+        return bool(np.isfinite(self._dphi(rule, x[_rank_order(x)])).all())
 
 
 def build_graph(n: int, weighted_edges) -> Graph:

@@ -85,7 +85,7 @@ def hopf_cole_field(graph: Graph, rule, potential) -> Callable[[np.ndarray], np.
     = 4 K(xi_star, xi) and F(xi), F(xi_star) = (F(g) +- F(S)) / 2.  At xi = 0, S = -g
     exactly, so F(S) = -F(g), K = 0 and d xi = 0."""
     half = 0.5 * quadratic_kappa(potential)
-    n, terms = graph.n, graph.second_order_terms
+    n, terms = graph.n, graph.held(graph.second_order_terms)
 
     def field(y: np.ndarray) -> np.ndarray:
         rho, xi, xs = y[:n], y[n : 2 * n], y[2 * n :]

@@ -39,6 +39,8 @@ class IntegratorSpec:
                        lambda v: dt <= v < math.inf)
         record_every = real(self.record_every, "record_every", "an integer >= 1",
                             lambda v: v >= 1 and v % 1 == 0)
+        if not t_final / dt < math.inf:
+            raise DomainError(f"t_final / dt must be a finite step count, got {t_final!r} / {dt!r}")
         object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "t_final", float(t_final))
         object.__setattr__(self, "record_every", int(record_every))

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BoundarySingularityError, DimensionError, DomainError, _float_vector, document,
-                     real, vector)
+from .errors import (BoundarySingularityError, DimensionError, DomainError, _float_vector, _reals,
+                     document, real, vector)
 from .integrate import SIMPLEX_TOL
 
 
@@ -27,7 +27,8 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
 
 
 def _reduced(singular: str = ""):
-    """Guard for a two-node method of r: r in [0, 1], passed on as an array.
+    """Guard for a two-node method of r: r, a real number or an array of them, in [0, 1],
+    passed on as an array.
 
     r within the simplex tolerance of [0, 1] is clipped into it, so every
     family gives its boundary value there.  A method singular at r in {0, 1}
@@ -38,7 +39,7 @@ def _reduced(singular: str = ""):
     def guard(method):
         @functools.wraps(method)
         def guarded(self, r):
-            r = np.asarray(r, dtype=float)
+            r = _two_node_reals(r)
             if not np.all((r >= -SIMPLEX_TOL) & (r <= 1.0 + SIMPLEX_TOL)):
                 raise DomainError(f"r must lie in [0, 1], got {r!r}")
             r = np.clip(r, 0.0, 1.0)
@@ -98,10 +99,18 @@ class _TwoNodeEntropy:
         return self.hess_r(_two_node_r(rho))
 
 
-def _two_node_r(rho) -> float:
-    # A single number is r itself.  The range of r is checked by the method it is passed to.
+def _two_node_reals(r) -> np.ndarray:
+    """r as a float array, if it is a real number or an array of them; a NaN is left to
+    the range check."""
+    if (array := _reals(r)) is None:
+        raise DomainError(f"r must be a real number or an array of real numbers, got {r!r}")
+    return array
+
+
+def _two_node_r(rho):
+    # A single number is r itself, which the method it is passed to admits.
     if not isinstance(rho, (list, tuple)) and np.ndim(rho) == 0:
-        return float(rho)
+        return rho
     rho = _float_vector(rho, "two-node density", 2, DimensionError)
     if not abs(float(rho.sum()) - 1.0) <= SIMPLEX_TOL:  # negated, so that a NaN mass fails it
         raise DomainError(f"two-node density must sum to 1, got {rho!r}")

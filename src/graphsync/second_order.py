@@ -90,7 +90,7 @@ def second_order_field(graph: Graph, rule, potential) -> Callable[[np.ndarray], 
     """Prebuilt packed field y = (rho, S) -> (d rho, d S); the sums come from
     ``Graph.second_order_terms``."""
     kappa = quadratic_kappa(potential)
-    n, terms = graph.n, graph.second_order_terms
+    n, terms = graph.n, graph.held(graph.second_order_terms)
 
     def field(y: np.ndarray) -> np.ndarray:
         rho, S = y[:n], y[n:]

@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import DomainError, real
 from .integrate import SIMPLEX_TOL
-from .potentials import _number, _TwoNodeEntropy, from_config, potential_from_config
+from .potentials import (_number, _two_node_reals, _TwoNodeEntropy, from_config,
+                         potential_from_config)
 
 #: Half-width of the window about r = 1/2 where the induced weight's quotients of F
 #: lose their digits to the removable singularity, and its Taylor series stands in.
@@ -205,7 +206,7 @@ class EntropyInduced:
     def _induced(self, r, derivative: bool):
         """theta (or d theta/dr, with ``derivative``) on (0, 1)."""
         pot = self.potential
-        r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+        r_arr = np.atleast_1d(_two_node_reals(r))
         if np.any(r_arr <= 0.0) or np.any(r_arr >= 1.0):
             raise DomainError("entropy-induced weights are defined on open (0, 1)")
         out = np.empty_like(r_arr)

@@ -227,7 +227,7 @@ def test_complete_graph_refuses_bad_input(n, omega):
 
 
 # ---------------------------------------------------------------------------
-# The rank order of the last call is reused, and no bit moves.
+# A run holds its rank order and the graph keeps none; no bit moves.
 # ---------------------------------------------------------------------------
 
 
@@ -249,7 +249,7 @@ def test_reused_ranks_give_the_bits_of_a_fresh_sort(monkeypatch):
     base = rng.dirichlet(np.full(n, 5.0))
     order = np.argsort(base)
     if order[0] < order[1]:  # the least two in falling index order, so that a tie between
-        base[order[:2]] = base[order[1::-1]]  # them is ranked against the last order
+        base[order[:2]] = base[order[1::-1]]  # them is ranked against the held order
         order = np.argsort(base)
     near = base + 1e-12 * rng.normal(size=n)           # most likely the same ranks
     swapped = base.copy()                               # two neighbouring ranks trade places
@@ -262,18 +262,96 @@ def test_reused_ranks_give_the_bits_of_a_fresh_sort(monkeypatch):
     other = rng.dirichlet(np.full(n, 2.0))
     states = [base, near, base, tied, tied, swapped, swapped, signed_zero, with_nan, base,
               other, base, other, other, base]  # the last five interleave two states
-    graph, kept = CompleteGraph(n, 1.5), 0
+    graph, kept, frames = CompleteGraph(n, 1.5), 0, [None]
+
+    def in_frame(rule, x, S, g, frame):  # the framed operators, noting the frame held
+        frames.append(frame)
+        return (graph.flux(rule, x, S, frame=frame),
+                *graph.second_order_terms(rule, x, S, g, frame=frame),
+                graph.pair_energy(rule, x, S, g, frame=frame))
+
+    held, hopf_cole = graph.held(in_frame), hopf_cole_field(graph, rule, POT)
     with np.errstate(invalid="ignore"):
         for x in states:
             S, g, xi = rng.normal(size=(3, n))
-            hint = vars(graph).get("_last_order")
-            got = sorted_operators(graph, rule, x, S, g, xi)
-            kept += vars(graph)["_last_order"] is hint
-            with monkeypatch.context() as fresh:  # no hint, and every tie group searched for
+            flux, *terms, energy = held(rule, x, S, g)
+            got = (flux, *terms, hopf_cole(np.concatenate([x, xi, g])), energy,
+                   graph.slope_is_finite(rule, x))
+            kept += frames[-1] is frames[-2]
+            with monkeypatch.context() as fresh:  # no held order, and every tie group searched for
                 fresh.setattr(graphs, "_increasing", lambda xr: False)
                 want = sorted_operators(CompleteGraph(n, 1.5), rule, x, S, g, xi)
             assert all(map(same_bits, got, want))
     assert 0 < kept < len(states)
+
+
+@pytest.mark.parametrize("make", [CompleteGraph, edge_list], ids=["sorted", "edge_list"])
+def test_runs_and_operator_calls_leave_the_graph_as_it_was(make):
+    n, rule = 64, gs.MinPower(2.0)
+    rho = np.random.default_rng(5).dirichlet(np.full(n, 5.0))
+    phase = gs.gradient_flow_init(rho, POT)
+    split, spec = gs.to_hopf_cole(phase, POT), gs.IntegratorSpec(dt=0.01, t_final=0.03)
+    graph = make(n)
+    before = dict(vars(graph))
+    gs.simulate_first_order(graph, rule, KAPPA, rho, spec)
+    gs.simulate_second_order(graph, rule, POT, phase, spec)
+    gs.simulate_hopf_cole(graph, rule, POT, split, spec)
+    gs.rhs_first_order(graph, rule, KAPPA, rho)
+    gs.rhs_second_order(graph, rule, POT, phase)
+    gs.rhs_hopf_cole(graph, rule, POT, split)
+    gs.hamiltonian(graph, rule, POT, phase)
+    assert vars(graph).keys() == before.keys()
+    assert all(vars(graph)[name] is value for name, value in before.items())
+
+
+def test_interleaved_runs_on_one_sorted_graph_give_the_bits_of_separate_graphs():
+    # At each record a second-order run starts a first-order run from its density.
+    n, rule = 64, gs.MinPower(2.0)
+    rng = np.random.default_rng(21)
+    phase = gs.PhaseState(rng.dirichlet(np.full(n, 5.0)), 0.05 * rng.normal(size=n))
+    spec = gs.IntegratorSpec(dt=0.01, t_final=0.05)
+
+    def runs(second_graph, first_graph):
+        firsts = []
+
+        def start_a_first_order_run(state):
+            firsts.append(gs.simulate_first_order(first_graph(), rule, KAPPA, state.rho, spec))
+            return False
+
+        second = gs.simulate_second_order(second_graph, rule, POT, phase, spec,
+                                          stop_when=start_a_first_order_run)
+        return [second, *firsts]
+
+    shared = CompleteGraph(n)
+    together = runs(shared, lambda: shared)
+    apart = runs(CompleteGraph(n), lambda: CompleteGraph(n))
+    assert len(together) == len(apart) > 2
+    for got, want in zip(together, apart):
+        assert same_bits(got.states, want.states)
+        assert got.diagnostics.keys() == want.diagnostics.keys()
+        for name, series in want.diagnostics.items():
+            assert same_bits(got.diagnostics[name], series)
+
+
+def test_a_frame_that_x_has_left_gives_the_frozen_side_formula():
+    # theta_ij = phi(x at the end of i, j ranked lower in the frame), whatever x's own order.
+    n, rule, graph = 60, gs.MinPower(2.0), CompleteGraph(60)
+    rng = np.random.default_rng(17)
+    x0 = rng.dirichlet(np.full(n, 5.0))
+    frame = np.argsort(x0, kind="stable")
+    x = x0 + rng.normal(0.0, 2e-3, size=n)
+    assert not graphs._increasing(x[frame])
+    S, g = rng.normal(size=(2, n))
+    rank = np.empty(n, dtype=int)
+    rank[frame] = np.arange(n)
+    theta = rule.phi(np.where(rank[:, None] < rank[None, :], x[:, None], x[None, :]))
+    dS, dg = S[:, None] - S[None, :], g[:, None] - g[None, :]
+    # The scale rule of test_sorted_operators_match_the_edge_list.
+    scale = n * float(np.max(rule.phi(x)))
+    big = lambda *v: max(float(np.max(np.abs(u))) for u in v)
+    assert_agree(graph.flux(rule, x, S, frame=frame), np.sum(theta * dS, axis=1), scale * big(S))
+    assert_agree(graph.pair_energy(rule, x, S, g, frame=frame), np.sum(theta * (dS**2 - dg**2)),
+                 n * scale * 4 * big(S, g) ** 2)
 
 
 @pytest.mark.parametrize("dynamics", ["first", "second"])

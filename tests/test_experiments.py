@@ -258,6 +258,7 @@ def test_config_normalises_initial_data():
      {"dynamics": "hopf_cole", "xistar0": [0.1, math.nan, 0.1]},
      # Integrator, theta and potential documents that the run could not build.
      {"integrator": {"dt": -1}}, {"integrator": {"step": 0.1}}, {"integrator": None},
+     {"integrator": {"dt": 5e-324, "t_final": 1.0}}, {"integrator": {"dt": 1e-300, "t_final": 1e300}},
      {"theta": {"kind": "nope"}}, {"theta": {"kind": "min_power", "alpha": "two"}},
      {"theta": None}, {"potential": {"kind": "nope"}}, {"potential": {"kind": "renyi"}},
      # A bool is no number, in any document.

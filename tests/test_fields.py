@@ -8,6 +8,7 @@ xi + xi*), which it matches bit for bit on unit weights, and the product form
 K(xi*, xi), which rounds differently and is matched to 1e-14.
 """
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ import graphsync as gs
 from graphsync import first_order, hopf_cole, second_order
 from graphsync.errors import DegenerateDerivativeError, DomainError, GraphSyncError
 from graphsync.first_order import first_order_field
+from graphsync.graphs import CompleteGraph
 from graphsync.hopf_cole import hopf_cole_field
 from graphsync.second_order import second_order_field
 from conftest import random_interior_density
@@ -171,7 +173,7 @@ def test_coupling_methods_and_mass_on_random_weighted_graphs(case, rule):
     # bit for bit on unit weights, where the product by 1 is exact.
     th = rule.theta(rho[tail], rho[head])
     th2, slope = rule.theta_and_slope(rho[tail], rho[head])
-    with np.errstate(invalid="ignore"):  # a zero weight on an infinite slope
+    with np.errstate(invalid="raise"):  # a zero-weight edge, whose slope may be infinite, is left out
         wth, wslope = graph.coupling_and_slope(rule, rho)
         np.testing.assert_array_equal(wslope, slope if unit else w * slope)
     np.testing.assert_array_equal(graph.coupling(rule, rho), th if unit else w * th)
@@ -228,6 +230,33 @@ def test_both_rhs_helpers_share_the_degenerate_slope_check(alpha, degenerate):
                 helper()
         else:
             assert all(np.isfinite(part).all() for part in helper())
+
+
+def test_zero_weight_edges_couple_nothing():
+    # An infinite slope at a zero density on a zero-weight edge: 0 * inf stays out of the sums.
+    rule, pot = gs.MinPower(0.5), gs.KuramotoQuadratic(kappa=1.0)
+    state = gs.PhaseState([0.5, 0.5, 0.0], [0.1, 0.0, -0.1])
+    split = gs.to_hopf_cole(state, pot)
+    with_zero = gs.build_graph(3, [(1, 2, 1.0), (2, 3, 0.0)])
+    without = gs.build_graph(3, [(1, 2, 1.0)])
+    assert with_zero.edge_count == 2 and with_zero.neighbors(3) == (2,)
+    assert gs.graph_from_json(with_zero.to_json()) == with_zero != without
+    all_zero = [(i, j, 0.0) for i in range(1, 49) for j in range(i + 1, 49)]
+    zero_graphs = (CompleteGraph(3, 0.0), gs.build_graph(48, all_zero), gs.build_graph(3, all_zero[:1]))
+    assert type(zero_graphs[1]) is CompleteGraph
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = ((*gs.rhs_second_order(g, rule, pot, state), *gs.rhs_hopf_cole(g, rule, pot, split),
+                      gs.rhs_first_order(g, rule, 1.0, state.rho)) for g in (with_zero, without))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
+        for graph in zero_graphs:
+            rho = np.zeros(graph.n)
+            rho[:2] = 0.5
+            phase = gs.PhaseState(rho, np.linspace(-1.0, 1.0, graph.n))
+            parts = (*gs.rhs_second_order(graph, rule, pot, phase), gs.rhs_first_order(graph, rule, 1.0, rho),
+                     *gs.rhs_hopf_cole(graph, rule, pot, gs.to_hopf_cole(phase, pot)))
+            assert all(np.all(part == 0.0) for part in parts)
+            assert gs.hamiltonian(graph, rule, pot, phase) == 0.0
 
 
 @pytest.mark.parametrize(

@@ -198,7 +198,8 @@ def test_graph_is_immutable():
 def per_edge_graph_arrays(n, edges, weights):
     """Graph's former edge-by-edge check, plus a finite-weight check at the end.
 
-    Returns (tail, head, pair_weight) built from the tuples as it did.
+    Returns (tail, head, pair_weight) built from the tuples of positive weight,
+    as a zero weight couples nothing.
     """
     if n < 2:
         raise GraphConstructionError(f"need at least 2 vertices, got n={n}")
@@ -219,9 +220,10 @@ def per_edge_graph_arrays(n, edges, weights):
             raise NegativeWeightError(f"edge ({i}, {j}) has negative weight {w}")
         if not math.isfinite(w):
             raise GraphConstructionError(f"edge ({i}, {j}) has non-finite weight {w}")
-    src = np.array([i - 1 for i, _ in edges], dtype=np.intp)
-    dst = np.array([j - 1 for _, j in edges], dtype=np.intp)
-    w = np.array(weights, dtype=float)
+    coupled = [(i, j, w) for (i, j), w in zip(edges, weights) if w > 0]
+    src = np.array([i - 1 for i, _, _ in coupled], dtype=np.intp)
+    dst = np.array([j - 1 for _, j, _ in coupled], dtype=np.intp)
+    w = np.array([w for _, _, w in coupled], dtype=float)
     return np.concatenate([src, dst]), np.concatenate([dst, src]), np.concatenate([w, w])
 
 

@@ -178,11 +178,22 @@ def test_errors_carry_no_trajectory_outside_the_loop():
         {"dt": 0.0},
         {"dt": 0.1, "t_final": math.nextafter(0.1, 0.0)},
         {"record_every": math.nextafter(1.0, 0.0)},
+        {"dt": 5e-324, "t_final": 1.0},  # t_final / dt overflows: no step count
+        {"dt": 1e-300, "t_final": 1e300},
     ],
 )
 def test_spec_validation(kwargs):
     with pytest.raises(DomainError):
         gs.IntegratorSpec(**kwargs)
+
+
+@pytest.mark.parametrize("dt, t_final, steps, last", [
+    (0.01, 1.0, 100, (0.01, 1.0)), (0.3, 1.0, 4, (0.10000000000000009, 1.0)),
+    (5e-324 * 2**52, 1.0, 2**1022, (5e-324 * 2**52, 1.0)),
+])
+def test_valid_specs_keep_their_step_counts(dt, t_final, steps, last):
+    spec = gs.IntegratorSpec(dt=dt, t_final=t_final)
+    assert (spec.n_steps, spec.final_step) == (steps, last)
 
 
 def test_spec_takes_integral_numbers():

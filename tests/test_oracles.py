@@ -168,7 +168,7 @@ def test_induced_weight_inside_the_series_window_matches_mpmath():
         assert _worst_window_error(mp, (0.0, 2e-5, 5e-5, 1e-4)) <= WINDOW_RTOL
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: just outside the series window the "
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: just outside the series window the "
                    "quotient 2 F / F'^2 keeps only about 9 digits (2.2e-9 for renyi at 2e-4)")
 def test_induced_weight_just_outside_the_series_window_matches_mpmath():
     mp = pytest.importorskip("mpmath")

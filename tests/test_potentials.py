@@ -149,6 +149,24 @@ def test_tolerance_band_gives_the_boundary_value(pot, method):
         assert [fn(band[0]), fn(band[1])] == ends.tolist()
 
 
+@pytest.mark.parametrize("bad", ["0.3", True, None, [0.3, "x"], np.array([True, False]), 0.3 + 0j],
+                         ids=["str", "bool", "none", "list-with-str", "bool-array", "complex"])
+@pytest.mark.parametrize("call", [
+    lambda r: gs.ShannonPotential().value_r(r),
+    lambda r: gs.ShannonPotential().value(r),
+    lambda r: gs.TsallisPotential(q=2.0).grad(r),
+    lambda r: gs.RenyiPotential(alpha=2.0).hess_r(r),
+    lambda r: gs.KuramotoQuadratic(kappa=1.0).grad_r(r),
+    lambda r: gs.entropy_induced_theta(gs.ShannonPotential(), r),
+    lambda r: gs.EntropyInduced(gs.TsallisPotential(q=2.0)).dtheta_r(r),
+], ids=["value_r", "value", "grad", "hess_r", "kuramoto-grad_r", "induced-theta", "induced-dtheta_r"])
+def test_two_node_methods_admit_r_as_real_numbers(call, bad):
+    # What numpy would read as a number, or fail on with a bare error, is refused by name;
+    # a list given to value or grad is a two-node density, which DimensionError refuses.
+    with pytest.raises((DomainError, DimensionError), match="real number"):
+        call(bad)
+
+
 def test_entropy_needs_two_nodes():
     with pytest.raises(DimensionError):
         gs.ShannonPotential().value([0.5, 0.3, 0.2])
