@@ -123,6 +123,15 @@ def _reals(value):
         return None
 
 
+def weight_rule(value, methods, user: str):
+    """``value`` if it has every method of ``methods``, which ``user`` calls on a weight
+    rule, else DomainError naming the ones it lacks."""
+    missing = [name for name in methods if not callable(getattr(value, name, None))]
+    if missing:
+        raise DomainError(f"{user} needs a weight rule with {', '.join(missing)}, got {value!r}")
+    return value
+
+
 def document(doc, owner: str, required=(), optional=(), error=DomainError):
     """``doc`` if it is a mapping that holds every key of ``required`` and no key outside
     ``required`` and ``optional``, else ``error`` naming ``owner`` and the offending keys."""

@@ -31,11 +31,17 @@ CONVERGENCE_TOL = 1e-13
 
 def first_order_field(graph: Graph, rule, kappa: float) -> Callable[[np.ndarray], np.ndarray]:
     """Prebuilt vector field rho -> d rho/dt = kappa * Graph.flux(rule, rho, rho);
-    kappa is checked as the quadratic potential checks it."""
+    kappa is checked as the quadratic potential checks it.  Where ``Graph.float_flux``
+    gives a flux, the field computes on floats, with the bits of ``Graph.flux``: it takes
+    rho as a list of floats and returns one, or as an array and returns one."""
     flux, kappa = graph.held(graph.flux), KuramotoQuadratic(kappa).kappa
+    float_flux = graph.float_flux(rule)
 
-    def field(rho: np.ndarray) -> np.ndarray:
-        return kappa * flux(rule, rho, rho)
+    def field(rho):
+        if float_flux is None:
+            return kappa * flux(rule, rho, rho)
+        drho = [kappa * f for f in float_flux(rho if type(rho) is list else rho.tolist())]
+        return drho if type(rho) is list else np.array(drho)
 
     return field
 

@@ -17,8 +17,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import first_order as fo, hopf_cole as hc, second_order as so
-from .errors import ConsistencyError, DimensionError, vector
-from .integrate import IntegratorSpec, Trajectory, density_state, integrate, project_simplex_clip
+from .errors import ConsistencyError, DimensionError, vector, weight_rule
+from .integrate import (IntegratorSpec, Trajectory, clip_floats, density_state, integrate,
+                        project_simplex_clip)
 from .potentials import quadratic_kappa
 
 #: Thresholds defining "synchronised": one dominant density, rest negligible.
@@ -57,6 +58,8 @@ class Flow:
     stop_reason: str = "stop_condition"     # ... with this reason
     stop_on_sync: bool = False              # whether a config's stop_on_sync applies
     summary: Callable = lambda traj: {}     # the entries it adds to a run's summary
+    rule_methods: tuple = ("theta", "theta_and_slope")  # what the field calls on a rule
+    on_floats: Callable = lambda graph, rule: False     # whether y is a list between records
 
     @property
     def initial(self) -> dict:
@@ -92,9 +95,11 @@ FLOWS = {
                    ("max_gap", "max_gap", lambda run, y: fo._gap(y))),
         simulate=lambda graph, rule, potential, blocks, spec, sync: fo.simulate_first_order(
             graph, rule, quadratic_kappa(potential), *blocks, spec),
-        post_step=lambda run, y: project_simplex_clip(y),
+        post_step=lambda run, y: clip_floats(y) if type(y) is list else project_simplex_clip(y),
         stop=lambda run, y: float(np.max(np.abs(run.field(y)))) < fo.CONVERGENCE_TOL,
         stop_reason="converged",
+        rule_methods=("theta",),
+        on_floats=lambda graph, rule: graph.float_flux(rule) is not None,
     ),
     "second": Flow(
         help="second-order Hamiltonian flow",
@@ -134,12 +139,14 @@ def simulate(dynamics: str, graph, rule, model, blocks, spec: IntegratorSpec, *,
     """The run of every simulate function, from initial ``blocks`` whose density has one entry
     per vertex and lies on the simplex; ``stop`` is None for no stop."""
     flow, n = FLOWS[dynamics], graph.n
+    weight_rule(rule, flow.rule_methods, f"the {flow.help}")
     run = Run(graph.held(graph.pair_energy), rule, model, n, flow.field(graph, rule, model), stop)
     y0 = np.concatenate([density_state(vector(blocks[0], "rho0", n, DimensionError)), *blocks[1:]])
     bind = lambda hook: None if hook is None else partial(hook, run)
     traj = integrate(run.field, y0, spec, {name: bind(hook) for name, _, hook in flow.observers},
                      post_step=bind(flow.post_step), n_density=n,
-                     stop_when=bind(None if stop is None else flow.stop))
+                     stop_when=bind(None if stop is None else flow.stop),
+                     on_floats=flow.on_floats(graph, rule))
     if traj.stop_reason == "stop_condition":
         traj.stop_reason = flow.stop_reason
     return traj

@@ -25,7 +25,8 @@ and F(g), and the Hopf-Cole field takes it at (S, g) = (xi - xi*, xi + xi*);
 ``pair_energy`` is E(S - g, S + g) = 4 H; ``slope_is_finite`` tells whether
 every omega theta'_ij is finite.  On ``Graph`` each is the per-edge
 expression of its flow, so each vector is gathered once and the bits are
-those of the edge formulas.
+those of the edge formulas.  ``float_flux`` gives F(x) of a small graph as
+a loop over its edges on Python floats, with the bits of ``flux``.
 
 ``CompleteGraph`` overrides them.  It holds every pair with one weight omega
 and builds its edge arrays only when something reads them.  Under a
@@ -34,9 +35,10 @@ sums, in O(n log n); other rules fall back to the edge list.  A ``frame``
 argument gives the order, sorted afresh when None; the graph keeps none, and a
 run holds its own through ``held``, so it sorts once per rank change.  With no
 ties, the slope sums take each rank as its own tie group without a search.
-``complete_graph`` and ``build_graph`` return one for a complete graph with
-one common weight from ``SORTED_MIN_N`` vertices up, the measured crossover
-below which the edge list is faster.
+Its ``slope_is_finite`` needs no order: only a strict maximum's slope is
+dropped.  ``complete_graph`` and ``build_graph`` return one for a complete
+graph with one common weight from ``SORTED_MIN_N`` vertices up, the measured
+crossover below which the edge list is faster.
 """
 from __future__ import annotations
 
@@ -60,6 +62,7 @@ from .errors import (
     document,
     real,
 )
+from .integrate import FLOAT_MAX_N
 from .weights import MinPower
 
 _COMPLETE_RE = re.compile(r"^complete\((\d+)\)$")
@@ -212,6 +215,41 @@ class Graph:
         """One of this graph's operators as a run calls it: on an edge list, itself."""
         return operator
 
+    def float_flux(self, rule):
+        """``flux(rule, x, x)`` as a function of a list x of floats, with its bits, for a
+        first-order run that steps on floats; None where none does.  One does on at most
+        ``FLOAT_MAX_N`` vertices under a rule that is a ``MinPower`` itself (a subclass may
+        override phi) with alpha 1/2, 1 or 2, the exponents at which phi on floats (``sqrt``
+        of the clamped m, ``np.maximum``'s rule, ``m * m``) has numpy's bits."""
+        if self.n > FLOAT_MAX_N or type(rule) is not MinPower or rule.alpha not in (0.5, 1.0, 2.0):
+            return None
+        half = len(self.tail) // 2  # each edge of positive weight forward, then back
+        heads = self.head[:half].tolist()
+        edges = list(zip(self.tail[:half].tolist(), heads, self.pair_weight[:half].tolist()))
+        n, alpha, sqrt = self.n, rule.alpha, math.sqrt
+
+        def flux(x: list) -> list:
+            # bincount's sums: a vertex adds its edges forward in edge order, then its
+            # edges back, whose terms are exactly minus the forward ones.
+            out, terms = [0.0] * n, []
+            for i, j, w in edges:
+                a, b = x[i], x[j]
+                m = a if a < b else b  # np.minimum's but at a NaN, where a - b is NaN anyway
+                if alpha == 1.0:
+                    th = m if m > 0.0 or m != m else 0.0
+                elif alpha == 2.0:
+                    th = m * m if m > 0.0 else 0.0
+                else:
+                    th = sqrt(m) if m > 0.0 else 0.0
+                v = w * th * (a - b)
+                out[i] += v
+                terms.append(v)
+            for j, v in zip(heads, terms):
+                out[j] -= v
+            return out
+
+        return flux
+
     def neighbors(self, j: int) -> tuple[int, ...]:
         """Sorted 1-based neighbour labels of vertex j."""
         real(j, "vertex", f"an integer in 1..{self.n}",
@@ -316,13 +354,14 @@ class CompleteGraph(Graph):
         phi = rule.phi(xr)
         return phi if self.omega == 1.0 else self.omega * phi
 
-    def _dphi(self, rule, xr: np.ndarray) -> np.ndarray:
-        """omega * phi'(x) at each rank; 0 at a strict maximum, which has no
-        higher-ranked or tied vertex to reach, and 0 throughout when omega is 0."""
-        dphi = rule.dphi(xr) if self.omega else np.zeros_like(xr)
+    def _dphi(self, rule, x: np.ndarray, top) -> np.ndarray:
+        """omega * phi'(x) at each entry; 0 at the index ``top`` of a strict maximum (None
+        when x has none), which has no higher-ranked or tied vertex to reach, and 0
+        throughout when omega is 0."""
+        dphi = rule.dphi(x) if self.omega else np.zeros_like(x)
         dphi = dphi if self.omega == 1.0 else self.omega * dphi
-        if xr[-1] > xr[-2]:
-            dphi[-1] = 0.0
+        if top is not None:
+            dphi[top] = 0.0
         return dphi
 
     def _fluxes(self, phi: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -344,7 +383,7 @@ class CompleteGraph(Graph):
             lo, hi = np.arange(self.n), np.arange(1, self.n + 1)
         else:
             lo, hi = np.searchsorted(xr, xr, "left"), np.searchsorted(xr, xr, "right")
-        return self._dphi(rule, xr) * _pair_sums(a, b, lo, hi)
+        return self._dphi(rule, xr, -1 if xr[-1] > xr[-2] else None) * _pair_sums(a, b, lo, hi)
 
     def flux(self, rule, x, u, frame=None):
         if not isinstance(rule, MinPower):
@@ -375,7 +414,13 @@ class CompleteGraph(Graph):
     def slope_is_finite(self, rule, x):
         if not isinstance(rule, MinPower):
             return super().slope_is_finite(rule, x)
-        return bool(np.isfinite(self._dphi(rule, x[_rank_order(x)])).all())
+        # Each vertex in its own place, no sort: only a strict maximum's slope is 0.
+        low, high = np.partition(x, self.n - 2)[-2:]
+        return bool(np.isfinite(self._dphi(rule, x, np.argmax(x) if high > low else None)).all())
+
+    def float_flux(self, rule):
+        """None: the sorted flux has other bits than the edge formula."""
+        return None
 
 
 def build_graph(n: int, weighted_edges) -> Graph:

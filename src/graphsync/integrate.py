@@ -7,11 +7,20 @@ the final state.  Observers are scalar functions of the state evaluated at
 each record point and stored as named diagnostic series.  Identical inputs
 produce bit-identical trajectories; there is no adaptivity and no
 randomness.
+
+A small state can step on Python floats, where numpy's per-call dispatch
+would outweigh the arithmetic: with ``on_floats`` it is a list between
+records, stepped by the tuple steppers, the same formulas operation for
+operation and so the same bits.  The two-node flow and the first-order flow
+on at most ``FLOAT_MAX_N`` vertices step so; ``clip_floats`` is the simplex
+clip on such a list.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -110,28 +119,29 @@ def _rk4_step(rhs: Rhs, y: np.ndarray, dt: float) -> np.ndarray:
 _STEPPERS = {"euler": _euler_step, "rk4": _rk4_step}
 
 
-# The same steps for a state (r, S) on Python floats, operation for operation, so the
-# same bits: ``rhs`` maps a float tuple to one, and the step builds one array at the end.
-def _euler_pair(rhs, y: np.ndarray, dt: float) -> np.ndarray:
-    r, S = y.tolist()
-    dr, dS = rhs((r, S))
-    return np.array([r + dt * dr, S + dt * dS])
+# The same steps on a state held as a list of floats, operation for operation, so the
+# same bits: ``rhs`` maps such a list to a sequence of as many floats.
+def _euler_floats(rhs, y: list, dt: float) -> list:
+    return [v + dt * d for v, d in zip(y, rhs(y))]
 
 
-def _rk4_pair(rhs, y: np.ndarray, dt: float) -> np.ndarray:
-    r, S = y.tolist()
+def _rk4_floats(rhs, y: list, dt: float) -> list:
     h = 0.5 * dt
-    r1, S1 = rhs((r, S))
-    r2, S2 = rhs((r + h * r1, S + h * S1))
-    r3, S3 = rhs((r + h * r2, S + h * S2))
-    r4, S4 = rhs((r + dt * r3, S + dt * S3))
+    k1 = rhs(y)
+    k2 = rhs([v + h * d for v, d in zip(y, k1)])
+    k3 = rhs([v + h * d for v, d in zip(y, k2)])
+    k4 = rhs([v + dt * d for v, d in zip(y, k3)])
     w = dt / 6.0
-    return np.array([r + w * (r1 + (r2 + r2) + (r3 + r3) + r4),
-                     S + w * (S1 + (S2 + S2) + (S3 + S3) + S4)])
+    return [v + w * (a + (b + b) + (c + c) + d) for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
 
 
-#: The steppers of a two-entry state whose ``rhs`` takes and returns float pairs.
-PAIR_STEPPERS = {"euler": _euler_pair, "rk4": _rk4_pair}
+#: The steppers of a state of any length held as a list of floats, an n-tuple.
+TUPLE_STEPPERS = {"euler": _euler_floats, "rk4": _rk4_floats}
+
+
+def _finite(y) -> bool:
+    """Whether every entry of a state, an array or a list of floats, is finite."""
+    return all(map(math.isfinite, y)) if type(y) is list else bool(np.isfinite(y).all())
 
 
 def integrate(
@@ -143,7 +153,7 @@ def integrate(
     post_step: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     stop_when: Optional[Callable[[np.ndarray], bool]] = None,
     n_density: Optional[int] = None,
-    steppers: Mapping[str, Callable] = _STEPPERS,
+    on_floats: bool = False,
 ) -> Trajectory:
     """Advance ``state0`` under ``rhs`` and record a Trajectory.
 
@@ -154,11 +164,13 @@ def integrate(
     NaN or infinity that a step reaches raises NonFiniteStateError.  A GraphSyncError
     raised in the loop (by the step, ``post_step``, an observer or ``stop_when``)
     carries the trajectory so far; its stop_reason is ``'nonfinite'`` for a
-    NonFiniteStateError and the error's class name otherwise.  ``steppers`` maps each
-    scheme to its step ``(rhs, y, dt) -> y``; ``PAIR_STEPPERS`` steps a pair on floats.
+    NonFiniteStateError and the error's class name otherwise.  With ``on_floats`` the
+    state is a list of floats between records, stepped by ``TUPLE_STEPPERS``: ``rhs`` and
+    ``post_step`` then take and return lists, while the records, the observers and
+    ``stop_when`` still see arrays.
     """
     observers = dict(observers or {})
-    step = steppers[spec.scheme]
+    step = (TUPLE_STEPPERS if on_floats else _STEPPERS)[spec.scheme]
     y = vector(state0, "state0")
     dim = y.size
     if n_density is None:
@@ -168,13 +180,16 @@ def integrate(
     states: list[np.ndarray] = []
     diag: dict[str, list[float]] = {name: [] for name in observers}
 
-    def record(t: float, state: np.ndarray) -> None:
+    def record(t: float, y) -> np.ndarray:
+        """Record a copy of y as an array, which it returns."""
+        state = np.array(y)
         # Observers run first, so a failing one leaves no half-written record.
         values = [float(fn(state)) for fn in observers.values()]
         times.append(t)
-        states.append(state.copy())
+        states.append(state)
         for series, value in zip(diag.values(), values):
             series.append(value)
+        return state
 
     def package(reason: str) -> Trajectory:
         return Trajectory(
@@ -188,21 +203,22 @@ def integrate(
     # A blow-up is reported by NonFiniteStateError, not by numpy's warnings on the way.
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            record(0.0, y)
-            if stop_when is not None and stop_when(y):
+            state = record(0.0, y)
+            if stop_when is not None and stop_when(state):
                 return package("stop_condition")
 
+            y = y.tolist() if on_floats else y
             n_steps, last = spec.n_steps, spec.final_step
             for k in range(1, n_steps + 1):
                 dt, t = (spec.dt, k * spec.dt) if k < n_steps else last
                 y = step(rhs, y, dt)
-                if not np.isfinite(y).all():
+                if not _finite(y):
                     raise NonFiniteStateError(f"non-finite state at t={t:.6g}")
                 if post_step is not None:
                     y = post_step(y)
                 if k % spec.record_every == 0 or k == n_steps:
-                    record(t, y)
-                    if stop_when is not None and stop_when(y):
+                    state = record(t, y)
+                    if stop_when is not None and stop_when(state):
                         return package("stop_condition")
     except GraphSyncError as exc:
         if exc.trajectory is None:
@@ -215,6 +231,21 @@ def integrate(
 #: How far a density's mass may be off one and an entry below zero, at entry and in the clip.
 SIMPLEX_TOL = 1e-9
 
+#: The most entries that np.add.reduce sums from 0.0 left to right, one after another, as a loop
+#: on floats does; from 8 entries on it sums in unrolled blocks.  A run holds its state on floats
+#: only up to here, so that the float clip's mass has project_simplex_clip's bits.
+FLOAT_MAX_N = 7
+
+
+def _check_simplex(s: float, low: float, tol: float) -> None:
+    """Refuse a density of mass s and least entry low whose mass is off one, or whose least
+    entry is below zero, beyond tol; a NaN or inf entry makes the mass fail."""
+    if not abs(s - 1.0) <= tol:  # negated, so that a NaN mass fails it
+        raise SimplexViolationError(f"density mass {s!r} differs from 1 beyond tol={tol}")
+    # The mass passed, so rho holds no NaN, and low is rho's least entry.
+    if low < -tol:
+        raise SimplexViolationError(f"density component {low!r} below -tol={-tol}")
+
 
 def _on_simplex(rho, tol: float) -> tuple[np.ndarray, float, float]:
     """rho as a float vector of length >= 2 on the simplex within tol, with its mass
@@ -222,12 +253,8 @@ def _on_simplex(rho, tol: float) -> tuple[np.ndarray, float, float]:
     rho = _float_vector(rho, "density", None, DimensionError)
     if rho.size < 2:
         raise DimensionError(f"density must have 2 or more entries, got {rho!r}")
-    # fmin skips NaN, so `low < -tol` is `any(rho < -tol)`; the message keeps rho.min().
     s, low = float(np.add.reduce(rho)), float(np.fmin.reduce(rho))
-    if not abs(s - 1.0) <= tol:  # negated, so that a NaN mass fails it
-        raise SimplexViolationError(f"density mass {s!r} differs from 1 beyond tol={tol}")
-    if low < -tol:
-        raise SimplexViolationError(f"density component {float(rho.min())!r} below -tol={-tol}")
+    _check_simplex(s, low, tol)
     return rho, s, low
 
 
@@ -248,4 +275,17 @@ def project_simplex_clip(rho, tol: float = SIMPLEX_TOL) -> np.ndarray:
         s = float(np.add.reduce(rho))
     if abs(s - 1.0) > 1e-15:
         rho = rho / s
+    return rho
+
+
+def clip_floats(rho: list, tol: float = SIMPLEX_TOL) -> list:
+    """project_simplex_clip of a list of 2 to FLOAT_MAX_N floats, with its bits, decision
+    and messages: its sums run from 0.0 left to right, as np.add.reduce's do on so few entries."""
+    s, low = reduce(add, rho, 0.0), min(rho)
+    _check_simplex(s, low, tol)
+    if low < 0.0:
+        rho = [0.0 if v < 0.0 else v for v in rho]
+        s = reduce(add, rho, 0.0)
+    if abs(s - 1.0) > 1e-15:
+        rho = [v / s for v in rho]
     return rho

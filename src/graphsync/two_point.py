@@ -23,9 +23,10 @@ induced squared-distance divergence is (x(r1) - x(r0))^2 / (2 sinh 1).
 
 Numerics: the reduced flow runs on Python floats.  Each run builds one
 kernel (r, S) -> (dr, dS) from the rule's float reduction theta_r, dtheta_r
-and a coupling kappa checked once, and integrate steps it with its pair
-steppers, which take whole Euler or RK4 steps on floats and build one array
-per step; neither the kernel nor the H observer re-checks its inputs.  Squares
+and a coupling kappa checked once, and integrate holds (r, S) as a list of
+floats between records and steps it with its tuple steppers, whole Euler or
+RK4 steps with the bits of its array steps; only a record builds an array.
+Neither the kernel nor the H observer re-checks its inputs.  Squares
 are products (S * S), which overflow to inf where S ** 2 would raise, so
 blow-ups surface as NonFiniteStateError; an RK4 stage whose r is NaN gets a
 NaN slope for the same reason.
@@ -55,8 +56,9 @@ from .errors import (
     UnsupportedRegimeError,
     real,
     vector,
+    weight_rule,
 )
-from .integrate import PAIR_STEPPERS, IntegratorSpec, Trajectory, integrate
+from .integrate import IntegratorSpec, Trajectory, integrate
 from .potentials import KuramotoQuadratic
 from .quadrature import QuadratureResult, adaptive_simpson
 from .weights import EntropyInduced
@@ -151,10 +153,11 @@ def simulate_two_point(
     used by the rate-fitting helpers is 1 - r.  Runs that push S to
     infinity in finite time surface as NonFiniteStateError.
     """
+    weight_rule(rule, ("theta_r", "dtheta_r"), "the two-node flow")
     kappa = KuramotoQuadratic(kappa).kappa  # read once, here
     kernel = _quadratic_rhs(rule, kappa)
 
-    def rhs(y: tuple[float, float]) -> tuple[float, float]:
+    def rhs(y: list) -> tuple[float, float]:
         r, S = y
         if math.isnan(r):
             # An RK4 stage past a blow-up: a non-finite slope makes integrate
@@ -171,7 +174,7 @@ def simulate_two_point(
         return _energy(rule, r, S, -kappa * (2.0 * r - 1.0))
 
     return integrate(rhs, [state0.r, state0.S], spec, {"hamiltonian": energy},
-                     stop_when=hit_boundary, n_density=1, steppers=PAIR_STEPPERS)
+                     stop_when=hit_boundary, n_density=1, on_floats=True)
 
 
 def _clip01(r: float) -> float:

@@ -139,6 +139,40 @@ def test_degenerate_slope_refused_on_the_sorted_path():
     assert CompleteGraph(3).slope_is_finite(rule, np.array([-1e-10, 0.0, -1e-10]))
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(2, 80), alpha=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+       omega=st.sampled_from([0.0, 1.0, 2.5]))
+def test_slope_verdict_matches_the_edge_list_without_a_sort(data, n, alpha, omega):
+    entry = st.sampled_from([0.0, -0.0, -1e-10, 0.1, 0.5]) | st.floats(-1e-9, 1.0)
+    x = np.array(data.draw(st.lists(entry, min_size=n, max_size=n)))
+    if data.draw(st.booleans()):  # a tie at the maximum
+        x[data.draw(st.integers(0, n - 1))] = np.max(x)
+    rule, graph, ref = gs.MinPower(alpha), CompleteGraph(n, omega), edge_list(n, omega)
+    want = ref.slope_is_finite(rule, x)
+    with pytest.MonkeyPatch.context() as no_sort:
+        no_sort.setattr(np, "argsort", None)  # a sort would fail here
+        assert graph.slope_is_finite(rule, x) == want
+
+
+@pytest.mark.parametrize("helper", ["second", "hopf_cole"])
+def test_a_one_shot_rhs_on_the_sorted_path_sorts_once(helper, monkeypatch):
+    n, rule = 64, gs.MinPower(2.0)
+    graph, rho = gs.complete_graph(n), np.random.default_rng(8).dirichlet(np.full(n, 5.0))
+    state = gs.gradient_flow_init(rho, POT)
+    sorts, argsort = [], np.argsort
+
+    def counted(*args, **kwargs):
+        sorts.append(args)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    if helper == "second":
+        gs.rhs_second_order(graph, rule, POT, state)
+    else:
+        gs.rhs_hopf_cole(graph, rule, POT, gs.to_hopf_cole(state, POT))
+    assert len(sorts) == 1
+
+
 def test_nonfinite_state_on_the_sorted_path_keeps_its_partial_trajectory():
     # MinPower(0.5) has an infinite slope at the zero vertex, so the first
     # second-order step is not finite; the start is the one record.

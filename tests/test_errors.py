@@ -178,3 +178,39 @@ def test_a_run_admits_its_inputs_a_fixed_number_of_times(run, monkeypatch):
         assert len(traj.times) == steps + 1
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+class _ThetaOnlyRule:
+    """A rule with theta and nothing else."""
+
+    theta = staticmethod(gs.MinPower(2.0).theta)
+
+
+@pytest.mark.parametrize("flow, rule, missing", [
+    ("first", "x", "theta"),
+    ("second", "x", "theta, theta_and_slope"),
+    ("second", _ThetaOnlyRule(), "theta_and_slope"),
+    ("hopf_cole", _ThetaOnlyRule(), "theta_and_slope"),
+    ("two_point", "x", "theta_r, dtheta_r"),
+    ("two_point", _ThetaOnlyRule(), "theta_r, dtheta_r"),
+])
+def test_a_run_refuses_a_rule_without_the_methods_its_flow_calls(flow, rule, missing):
+    spec, rho = gs.IntegratorSpec(dt=0.01, t_final=0.1), [0.4, 0.3, 0.2, 0.1]
+    run = {
+        "first": lambda: gs.simulate_first_order(
+            gs.named_graph("cycle6"), rule, 1.0, [1 / 6] * 6, spec),
+        "second": lambda: gs.simulate_second_order(
+            _K4, rule, _KAPPA, gs.PhaseState(rho, [0.1, 0.0, 0.0, -0.1]), spec),
+        "hopf_cole": lambda: gs.simulate_hopf_cole(
+            _K4, rule, _KAPPA, gs.HopfColeState(_FLAT, [0.0] * 4, _KAPPA.grad(_FLAT)), spec),
+        "two_point": lambda: gs.simulate_two_point(rule, 1.0, gs.TwoPointState(0.3, 0.1), spec),
+    }[flow]
+    with pytest.raises(DomainError, match=f"needs a weight rule with {missing}, got") as info:
+        run()
+    assert info.value.trajectory is None  # refused at entry, before any step
+
+
+def test_a_rule_with_theta_only_runs_the_first_order_flow():
+    traj = gs.simulate_first_order(_K4, _ThetaOnlyRule(), 1.0, [0.4, 0.3, 0.2, 0.1],
+                                   gs.IntegratorSpec(dt=0.01, t_final=0.1))
+    assert traj.stop_reason == "t_final"

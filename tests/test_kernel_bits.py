@@ -7,17 +7,22 @@ zeros and the places of NaN included.  The Hopf-Cole field's reference spells
 out its recombination of the second-order sums.  The inputs hold ties, exact and
 negative zeros, tiny negatives, subnormals, NaN and infinities.
 """
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import graphsync as gs
+from graphsync import flows
 from graphsync.errors import GraphSyncError, NonFiniteStateError, SimplexViolationError
+from graphsync.first_order import first_order_field
 from graphsync.hopf_cole import hopf_cole_field
-from graphsync.integrate import _STEPPERS, _rk4_step, PAIR_STEPPERS, integrate, project_simplex_clip
+from graphsync.integrate import (_STEPPERS, FLOAT_MAX_N, TUPLE_STEPPERS, _rk4_step, clip_floats,
+                                 integrate, project_simplex_clip)
 from graphsync.two_point import _quadratic_rhs
 
 ALPHAS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
@@ -257,35 +262,43 @@ def test_rk4_step_keeps_its_bits(y, stages, dt):
         assert_same_bits(_rk4_step(rhs_from(stages), y, dt), rk4_step_ref(rhs_from(stages), y, dt))
 
 
-@settings(max_examples=300, deadline=None)
-@given(y=vectors(2), stages=st.lists(vectors(2), min_size=4, max_size=4),
-       dt=st.sampled_from([0.01, 1e-3, 0.3, 1e300]), scheme=st.sampled_from(["euler", "rk4"]))
-def test_pair_steppers_take_the_array_steps_bits(y, stages, dt, scheme):
-    # The same stage values, as a function of the stage state, on arrays and on float pairs.
-    array_stages, pair_stages, calls = iter(stages), iter(stages), []
+@st.composite
+def step_cases(draw):
+    """A state of 2..FLOAT_MAX_N entries and the four stage values an rhs returns for it."""
+    n = draw(st.integers(2, FLOAT_MAX_N))
+    return draw(vectors(n)), draw(st.lists(vectors(n), min_size=4, max_size=4))
 
-    def pair_rhs(state):
+
+@settings(max_examples=300, deadline=None)
+@given(case=step_cases(), dt=st.sampled_from([0.01, 1e-3, 0.3, 1e300]),
+       scheme=st.sampled_from(["euler", "rk4"]))
+def test_tuple_steppers_take_the_array_steps_bits(case, dt, scheme):
+    # The same stage values, as a function of the stage state, on arrays and on float lists.
+    y, stages = case
+    array_stages, float_stages, calls = iter(stages), iter(stages), []
+
+    def float_rhs(state):
         calls.append(state)
-        a, b = next(pair_stages).tolist()
-        return a * (1.0 + state[0]), b * (1.0 + state[1])
+        return [d * (1.0 + v) for d, v in zip(next(float_stages).tolist(), state)]
 
     with np.errstate(all="ignore"):
         want = _STEPPERS[scheme](lambda state: next(array_stages) * (1.0 + state), y, dt)
-        got = PAIR_STEPPERS[scheme](pair_rhs, y, dt)
-    assert type(got) is np.ndarray and got.dtype == float
+        got = TUPLE_STEPPERS[scheme](float_rhs, y.tolist(), dt)
+    assert type(got) is list and all(type(v) is float for v in got)
     assert len(calls) == {"euler": 1, "rk4": 4}[scheme]
-    assert all(type(r) is float and type(S) is float for r, S in calls)
+    assert all(type(state) is list and all(type(v) is float for v in state) for state in calls)
     assert_same_bits(got, want)
 
 
-def _run_bits(simulate, *args):
-    """A run's records and stop reason as bytes, with its error's class and message."""
+def _run_bits(simulate, *args, **kwargs):
+    """A run's records, diagnostics and stop reason as bytes, with its error's class and message."""
     try:
-        traj, err = simulate(*args), None
+        traj, err = simulate(*args, **kwargs), None
     except GraphSyncError as exc:
         traj, err = exc.trajectory, (type(exc), str(exc))
     return (traj.times.tobytes(), traj.states.tobytes(),
-            traj.diagnostics["hamiltonian"].tobytes(), traj.stop_reason, err)
+            {name: series.tobytes() for name, series in traj.diagnostics.items()},
+            traj.stop_reason, err)
 
 
 _RNG = np.random.default_rng(12)
@@ -342,3 +355,170 @@ def test_simplex_clip_keeps_its_bits_decision_and_message(rho, tol):
     assert got_err == want_err
     if want_err is None:
         assert_same_bits(got, want)
+
+
+# -- the first-order run on floats ---------------------------------------------
+
+def simulate_first_order_ref(graph, rule, kappa, rho0, spec, stop_on_convergence=True):
+    """The first-order run on integrate's array steppers, Graph.flux and project_simplex_clip."""
+    def field(rho):
+        return kappa * graph.flux(rule, rho, rho)
+
+    def gap(rho):
+        two = np.partition(rho, rho.size - 2)[-2:]
+        return float(two[1] - two[0])
+
+    def converged(rho):
+        return float(np.max(np.abs(field(rho)))) < 1e-13
+
+    observers = {"sum_sq": lambda rho: float(np.dot(rho, rho)), "max_gap": gap}
+    traj = integrate(field, rho0, spec, observers, post_step=project_simplex_clip, n_density=graph.n,
+                     stop_when=converged if stop_on_convergence else None)
+    if traj.stop_reason == "stop_condition":
+        traj.stop_reason = "converged"
+    return traj
+
+
+FLOAT_ALPHAS = [0.5, 1.0, 2.0]
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph on 2..FLOAT_MAX_N vertices with unit, other or zero weights."""
+    n = draw(st.integers(2, FLOAT_MAX_N))
+    i, j = np.triu_indices(n, k=1)
+    keep = draw(st.lists(st.booleans(), min_size=len(i), max_size=len(i)))
+    keep[0] = True
+    edges = [(a + 1, b + 1) for a, b, k in zip(i, j, keep) if k]
+    weight = st.just(1.0) if draw(st.booleans()) else st.sampled_from([0.0, 0.5, 2.0, 1.7])
+    ws = draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
+    return gs.build_graph(n, [(a, b, w) for (a, b), w in zip(edges, ws)])
+
+
+@st.composite
+def densities(draw, n):
+    """A density on n vertices with exact and negative zeros, and ties."""
+    entry = st.sampled_from([0.0, -0.0, 0.1, 0.25, 0.5]) | st.floats(0.0, 1.0)
+    mass = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        mass[draw(st.integers(0, n - 1))] = mass[draw(st.integers(0, n - 1))]
+    if not np.add.reduce(mass) > 0.0:
+        mass[0] = 1.0
+    return mass / np.add.reduce(mass)
+
+
+@st.composite
+def first_order_runs(draw):
+    graph = draw(small_graphs())
+    dt = draw(st.sampled_from([0.01, 0.05, 0.3]))
+    # Some horizons end on a shortened step.
+    t_final = dt * draw(st.integers(1, 60)) + dt * draw(st.sampled_from([0.0, 0.37]))
+    spec = gs.IntegratorSpec(scheme=draw(st.sampled_from(["euler", "rk4"])), dt=dt,
+                             t_final=t_final, record_every=draw(st.sampled_from([1, 3])))
+    # A large kappa overshoots the simplex or overflows: the run ends in an error.
+    kappa = draw(st.sampled_from([0.5, 1.0, 4.0, 1e3, 1e200]))
+    rule = gs.MinPower(draw(st.sampled_from(FLOAT_ALPHAS)))
+    return graph, rule, kappa, draw(densities(graph.n)), spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=first_order_runs(), stop=st.booleans())
+def test_first_order_run_on_floats_keeps_the_array_runs_bits(case, stop):
+    graph, rule, kappa, rho0, spec = case
+    assert graph.float_flux(rule) is not None
+    with np.errstate(all="ignore"):
+        want = _run_bits(simulate_first_order_ref, graph, rule, kappa, rho0, spec, stop)
+    assert _run_bits(gs.simulate_first_order, graph, rule, kappa, rho0, spec,
+                     stop_on_convergence=stop) == want
+
+
+@pytest.mark.parametrize("name, rho0, scheme, kappa, error", [
+    ("cycle6", [0.3, 0.25, 0.2, 0.1, 0.1, 0.05], "euler", 1e3, SimplexViolationError),
+    ("complete(4)", [0.3 / 0.85, 0.25 / 0.85, 0.2 / 0.85, 0.1 / 0.85], "rk4", 1e200,
+     NonFiniteStateError),
+])
+def test_first_order_run_on_floats_keeps_the_partial_trajectory_of_an_error(
+        name, rho0, scheme, kappa, error):
+    graph, rule = gs.named_graph(name), gs.MinPower(2.0)
+    spec = gs.IntegratorSpec(scheme=scheme, dt=0.3, t_final=3.0)
+    got = _run_bits(gs.simulate_first_order, graph, rule, kappa, rho0, spec)
+    assert got[4][0] is error
+    with np.errstate(all="ignore"):
+        assert got == _run_bits(simulate_first_order_ref, graph, rule, kappa, rho0, spec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=small_graphs(), data=st.data(), alpha=st.sampled_from(FLOAT_ALPHAS),
+       kappa=st.sampled_from([0.5, 1.0, 1e200]))
+def test_float_field_has_the_array_fields_bits(graph, data, alpha, kappa):
+    # Entries whose squares overflow, beside the ties, zeros, NaN and infinities.
+    entry = st.sampled_from(SPECIAL + [1e200, -1e160]) | st.floats(-1e-9, 1.0)
+    x = np.array(data.draw(st.lists(entry, min_size=graph.n, max_size=graph.n)))
+    rule = gs.MinPower(alpha)
+    field = first_order_field(graph, rule, kappa)
+    with np.errstate(all="ignore"):
+        want = kappa * graph.flux(rule, x, x)
+        assert_same_bits(graph.float_flux(rule)(x.tolist()), graph.flux(rule, x, x))
+        on_array, on_list = field(x), field(x.tolist())
+    assert type(on_array) is np.ndarray and type(on_list) is list
+    assert all(type(v) is float for v in on_list)
+    assert_same_bits(on_array, want)
+    assert_same_bits(on_list, want)
+
+
+@settings(max_examples=500, deadline=None)
+@given(rho=near_densities(), tol=st.sampled_from([1e-9, 1e-6]))
+@example(rho=np.array([-0.0, -0.0]), tol=1e-9)  # the mass is 0.0, summed from 0.0
+def test_float_clip_keeps_the_array_clips_bits_decision_and_message(rho, tol):
+    with np.errstate(all="ignore"):
+        want, want_err = _outcome(project_simplex_clip, rho.copy(), tol)
+    got, got_err = _outcome(clip_floats, rho.tolist(), tol)
+    assert got_err == want_err
+    if want_err is None:
+        assert type(got) is list
+        assert_same_bits(got, want)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), n=st.integers(2, FLOAT_MAX_N))
+def test_add_reduce_sums_few_entries_left_to_right(data, n):
+    # What the float clip's mass rests on; a numpy that sums otherwise fails here.
+    rho = data.draw(vectors(n) | densities(n))
+    with np.errstate(all="ignore"):
+        assert_same_bits(functools.reduce(operator.add, rho.tolist(), 0.0), np.add.reduce(rho))
+
+
+def test_add_reduce_sums_random_densities_left_to_right():
+    rng = np.random.default_rng(22)
+    for n in range(2, FLOAT_MAX_N + 1):
+        rho = rng.dirichlet(np.ones(n), size=20000) * rng.uniform(0.5, 1.5, size=(20000, 1))
+        left_to_right = [functools.reduce(operator.add, row, 0.0) for row in rho.tolist()]
+        assert_same_bits(left_to_right, [np.add.reduce(row) for row in rho])
+
+
+class _OwnPhi(gs.MinPower):
+    """A MinPower subclass, which may give phi a form of its own."""
+
+
+@pytest.mark.parametrize("graph, rule", [
+    (gs.complete_graph(FLOAT_MAX_N + 1), gs.MinPower(2.0)),
+    (gs.named_graph("cycle6"), gs.MinPower(3.0)),
+    (gs.named_graph("cycle6"), gs.MinPower(1.5)),
+    (gs.named_graph("cycle6"), _OwnPhi(2.0)),
+    (gs.named_graph("cycle6"), gs.ArithmeticMean()),
+    (gs.graphs.CompleteGraph(4), gs.MinPower(1.0)),
+], ids=["n=8", "alpha=3", "alpha=1.5", "subclass", "arithmetic_mean", "sorted"])
+def test_other_runs_stay_on_arrays(graph, rule):
+    assert graph.float_flux(rule) is None
+
+
+def test_a_run_on_floats_calls_neither_the_array_clip_nor_theta(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an array kernel called on the float path")
+
+    monkeypatch.setattr(flows, "project_simplex_clip", refuse)
+    monkeypatch.setattr(gs.MinPower, "theta", refuse)
+    spec = gs.IntegratorSpec(dt=0.05, t_final=1.0, record_every=4)
+    traj = gs.simulate_first_order(gs.named_graph("ribbon6"), gs.MinPower(1.0), 1.0,
+                                   [0.3, 0.25, 0.2, 0.1, 0.1, 0.05], spec)
+    assert traj.final_time == 1.0
