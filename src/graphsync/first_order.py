@@ -31,17 +31,18 @@ CONVERGENCE_TOL = 1e-13
 
 def first_order_field(graph: Graph, rule, kappa: float) -> Callable[[np.ndarray], np.ndarray]:
     """Prebuilt vector field rho -> d rho/dt = kappa * Graph.flux(rule, rho, rho);
-    kappa is checked as the quadratic potential checks it.  Where ``Graph.float_flux``
-    gives a flux, the field computes on floats, with the bits of ``Graph.flux``: it takes
-    rho as a list of floats and returns one, or as an array and returns one."""
+    kappa is checked as the quadratic potential checks it.  Given rho as a list of floats,
+    where ``Graph.on_floats`` holds for ``flux``, it computes on floats and returns a list;
+    there it computes an array on floats too, with the same bits and fewer numpy calls."""
     flux, kappa = graph.held(graph.flux), KuramotoQuadratic(kappa).kappa
-    float_flux = graph.float_flux(rule)
+    on_floats = graph.on_floats(rule, "flux")
 
     def field(rho):
-        if float_flux is None:
-            return kappa * flux(rule, rho, rho)
-        drho = [kappa * f for f in float_flux(rho if type(rho) is list else rho.tolist())]
-        return drho if type(rho) is list else np.array(drho)
+        if type(rho) is list:
+            return [kappa * f for f in flux(rule, rho, rho)]
+        if on_floats:
+            return np.array(field(rho.tolist()))
+        return kappa * flux(rule, rho, rho)
 
     return field
 

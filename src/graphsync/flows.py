@@ -5,7 +5,11 @@ over the vertices each, the density ``rho`` first.  A block's name is its CSV
 column prefix, and in lower case with a ``0`` the config key and CLI flag of
 its initial data (``S`` -> ``s0``).  The records call the flow modules'
 functions through module attributes at call time, so that replacing such an
-attribute reaches every run.
+attribute reaches every run.  Where a flow's ``on_floats`` holds for the graph
+and rule, the run holds its state as a list of Python floats between records
+(see ``integrate``), with the array path's bits: where ``Graph.on_floats``
+holds for the operator its field calls, ``flux`` for the first-order flow and
+``second_order_terms`` for the second-order and Hopf-Cole flows.
 """
 from __future__ import annotations
 
@@ -18,8 +22,8 @@ import numpy as np
 
 from . import first_order as fo, hopf_cole as hc, second_order as so
 from .errors import ConsistencyError, DimensionError, vector, weight_rule
-from .integrate import (IntegratorSpec, Trajectory, clip_floats, density_state, integrate,
-                        project_simplex_clip)
+from .integrate import (IntegratorSpec, Trajectory, clip_floats, density_floats, density_state,
+                        integrate, project_simplex_clip)
 from .potentials import quadratic_kappa
 
 #: Thresholds defining "synchronised": one dominant density, rest negligible.
@@ -68,7 +72,7 @@ class Flow:
 
 
 def _inside_simplex(run, y):
-    density_state(y[: run.n], so.SIMPLEX_HARD_TOL)
+    (density_floats if type(y) is list else density_state)(y[: run.n], so.SIMPLEX_HARD_TOL)
     return y
 
 
@@ -99,7 +103,7 @@ FLOWS = {
         stop=lambda run, y: float(np.max(np.abs(run.field(y)))) < fo.CONVERGENCE_TOL,
         stop_reason="converged",
         rule_methods=("theta",),
-        on_floats=lambda graph, rule: graph.float_flux(rule) is not None,
+        on_floats=lambda graph, rule: graph.on_floats(rule, "flux"),
     ),
     "second": Flow(
         help="second-order Hamiltonian flow",
@@ -117,6 +121,7 @@ FLOWS = {
         stop=lambda run, y: bool(run.stop(so.PhaseState._from_admitted(y))),
         stop_on_sync=True,
         summary=_energy_summary,
+        on_floats=lambda graph, rule: graph.on_floats(rule, "second_order_terms"),
     ),
     "hopf_cole": Flow(
         help="flow in split (xi, xi*) variables",
@@ -130,6 +135,7 @@ FLOWS = {
                    ("rho_consistency", None, _carried_rho_deviation)),
         simulate=lambda graph, rule, potential, blocks, spec, sync: hc.simulate_hopf_cole(
             graph, rule, potential, hc.HopfColeState(*blocks), spec),
+        on_floats=lambda graph, rule: graph.on_floats(rule, "second_order_terms"),
     ),
 }
 

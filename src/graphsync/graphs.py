@@ -25,8 +25,14 @@ and F(g), and the Hopf-Cole field takes it at (S, g) = (xi - xi*, xi + xi*);
 ``pair_energy`` is E(S - g, S + g) = 4 H; ``slope_is_finite`` tells whether
 every omega theta'_ij is finite.  On ``Graph`` each is the per-edge
 expression of its flow, so each vector is gathered once and the bits are
-those of the edge formulas.  ``float_flux`` gives F(x) of a small graph as
-a loop over its edges on Python floats, with the bits of ``flux``.
+those of the edge formulas.  A graph of at most ``FLOAT_MAX_N`` vertices
+also computes on Python floats, where numpy's per-call dispatch would
+outweigh the arithmetic: where ``on_floats`` holds for a rule and an
+operator, ``flux`` (with u = x) and ``second_order_terms`` take lists of
+floats and return lists, as loops over the edges with the bits of the array
+formulas.  It holds under a rule that is a ``MinPower`` itself at the
+operator's ``FLOAT_ALPHAS``; elsewhere the edge list refuses a list with a
+DomainError.
 
 ``CompleteGraph`` overrides them.  It holds every pair with one weight omega
 and builds its edge arrays only when something reads them.  Under a
@@ -36,9 +42,10 @@ argument gives the order, sorted afresh when None; the graph keeps none, and a
 run holds its own through ``held``, so it sorts once per rank change.  With no
 ties, the slope sums take each rank as its own tie group without a search.
 Its ``slope_is_finite`` needs no order: only a strict maximum's slope is
-dropped.  ``complete_graph`` and ``build_graph`` return one for a complete
-graph with one common weight from ``SORTED_MIN_N`` vertices up, the measured
-crossover below which the edge list is faster.
+dropped, and a NaN entry, whose edges have slope 0, ranks lowest.  It
+computes on no floats.  ``complete_graph`` and ``build_graph`` return one for
+a complete graph with one common weight from ``SORTED_MIN_N`` vertices up,
+the measured crossover below which the edge list is faster.
 """
 from __future__ import annotations
 
@@ -52,6 +59,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import (
+    DomainError,
     DuplicateEdgeError,
     GraphConstructionError,
     NegativeWeightError,
@@ -71,6 +79,13 @@ _COMPLETE_RE = re.compile(r"^complete\((\d+)\)$")
 #: its operators on sorted densities, O(n log n), instead of on its n(n - 1)
 #: ordered edges: the measured crossover of the two paths (see CHANGES.md).
 SORTED_MIN_N = 48
+
+#: The alphas at which each operator computes on lists of floats, with the bits of arrays.
+#: ``flux``'s phi on floats (``sqrt`` of the clamped m, ``np.maximum``'s rule, ``m * m``) is
+#: numpy's at all three.  ``second_order_terms`` also takes phi' (``2 * m``); at alpha 1/2,
+#: ``m ** -0.5`` differs from ``np.power(m, -0.5)`` in about 5 % of entries, and no workload
+#: runs the second-order flows at alpha 1.
+FLOAT_ALPHAS = {"flux": (0.5, 1.0, 2.0), "second_order_terms": (2.0,)}
 
 
 def _array(values, width=None) -> np.ndarray:
@@ -108,6 +123,7 @@ class Graph:
     head: np.ndarray = field(init=False, repr=False)
     pair_weight: np.ndarray = field(init=False, repr=False)
     _unit_weights: bool = field(init=False, repr=False)
+    _edge_tuples: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", _vertex_count(self.n))
@@ -141,7 +157,8 @@ class Graph:
 
     def _store_edges(self, edges: np.ndarray, w: np.ndarray) -> None:
         """Keep checked edges and weights read-only, with the ordered-edge arrays of
-        the edges of positive weight."""
+        the edges of positive weight, and on at most ``FLOAT_MAX_N`` vertices those
+        edges as (tail, head, weight) tuples."""
         edges.flags.writeable = w.flags.writeable = False
         coupled = w > 0
         src, dst = edges[coupled].T - 1
@@ -152,6 +169,8 @@ class Graph:
         object.__setattr__(self, "head", np.concatenate([dst, src]))
         object.__setattr__(self, "pair_weight", np.concatenate([w_on, w_on]))
         object.__setattr__(self, "_unit_weights", bool(np.all(w_on == 1.0)))
+        object.__setattr__(self, "_edge_tuples", tuple(zip(src.tolist(), dst.tolist(), w_on.tolist()))
+                           if self.n <= FLOAT_MAX_N else None)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -190,13 +209,22 @@ class Graph:
     # Each is its flow's per-edge formula, operation for operation, so it
     # gives that formula's bits; each vector is gathered once for all the sums.
     def flux(self, rule, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """F(u)_i = sum_j omega_ij theta(x_i, x_j) (u_i - u_j)."""
+        """F(u)_i = sum_j omega_ij theta(x_i, x_j) (u_i - u_j).  Given x as a list of floats
+        and u as x itself, where ``on_floats`` holds, it returns a list."""
+        if type(x) is list:
+            if u is not x:
+                raise DomainError("flux takes a list of floats only as both x and u")
+            return _float_flux(self._float_edges(rule, "flux"), rule.alpha, self.n, x)
         xt, xh = x[self.tail], x[self.head]
         du = xt - xh if u is x else self.diff(u)
         return self.scatter(self._weighted(rule.theta(xt, xh)) * du)
 
-    def second_order_terms(self, rule, x, S, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """F(S), K(g - S, g + S) and F(g); K's pair factor is (g_i - g_j)^2 - (S_i - S_j)^2."""
+    def second_order_terms(self, rule, x, S, g) -> tuple:
+        """F(S), K(g - S, g + S) and F(g); K's pair factor is (g_i - g_j)^2 - (S_i - S_j)^2.
+
+        Given x, S and g as lists of floats, where ``on_floats`` holds, it returns lists."""
+        if type(x) is list:
+            return _float_terms(self._float_edges(rule, "second_order_terms"), self.n, x, S, g)
         diff, scatter = self.diff, self.scatter
         wth, wdth = self.coupling_and_slope(rule, x)
         dS, dg = diff(S), diff(g)
@@ -215,40 +243,22 @@ class Graph:
         """One of this graph's operators as a run calls it: on an edge list, itself."""
         return operator
 
-    def float_flux(self, rule):
-        """``flux(rule, x, x)`` as a function of a list x of floats, with its bits, for a
-        first-order run that steps on floats; None where none does.  One does on at most
-        ``FLOAT_MAX_N`` vertices under a rule that is a ``MinPower`` itself (a subclass may
-        override phi) with alpha 1/2, 1 or 2, the exponents at which phi on floats (``sqrt``
-        of the clamped m, ``np.maximum``'s rule, ``m * m``) has numpy's bits."""
-        if self.n > FLOAT_MAX_N or type(rule) is not MinPower or rule.alpha not in (0.5, 1.0, 2.0):
-            return None
-        half = len(self.tail) // 2  # each edge of positive weight forward, then back
-        heads = self.head[:half].tolist()
-        edges = list(zip(self.tail[:half].tolist(), heads, self.pair_weight[:half].tolist()))
-        n, alpha, sqrt = self.n, rule.alpha, math.sqrt
+    def on_floats(self, rule, operator: str) -> bool:
+        """Whether the operator named ``operator``, ``"flux"`` or ``"second_order_terms"``,
+        computes on lists of floats under ``rule``, with the bits of arrays: on at most
+        ``FLOAT_MAX_N`` vertices, under a rule that is a ``MinPower`` itself (a subclass may
+        override phi) at one of the operator's ``FLOAT_ALPHAS``."""
+        return (self._edge_tuples is not None and type(rule) is MinPower
+                and rule.alpha in FLOAT_ALPHAS[operator])
 
-        def flux(x: list) -> list:
-            # bincount's sums: a vertex adds its edges forward in edge order, then its
-            # edges back, whose terms are exactly minus the forward ones.
-            out, terms = [0.0] * n, []
-            for i, j, w in edges:
-                a, b = x[i], x[j]
-                m = a if a < b else b  # np.minimum's but at a NaN, where a - b is NaN anyway
-                if alpha == 1.0:
-                    th = m if m > 0.0 or m != m else 0.0
-                elif alpha == 2.0:
-                    th = m * m if m > 0.0 else 0.0
-                else:
-                    th = sqrt(m) if m > 0.0 else 0.0
-                v = w * th * (a - b)
-                out[i] += v
-                terms.append(v)
-            for j, v in zip(heads, terms):
-                out[j] -= v
-            return out
-
-        return flux
+    def _float_edges(self, rule, operator: str) -> tuple:
+        """The edges of positive weight as (tail, head, weight) tuples, 0-based and each
+        once, for ``operator`` on lists of floats; a DomainError where ``on_floats`` fails."""
+        if not self.on_floats(rule, operator):
+            raise DomainError(f"{operator} computes on lists of floats only on at most "
+                              f"{FLOAT_MAX_N} vertices, under a MinPower at alpha in "
+                              f"{FLOAT_ALPHAS[operator]}; give arrays")
+        return self._edge_tuples
 
     def neighbors(self, j: int) -> tuple[int, ...]:
         """Sorted 1-based neighbour labels of vertex j."""
@@ -263,6 +273,62 @@ class Graph:
     def to_json(self) -> str:
         rows = np.column_stack([self.edges.astype(object), self.weights.astype(object)])
         return json.dumps({"n": self.n, "edges": rows.tolist()})
+
+
+def _float_flux(edges, alpha: float, n: int, x: list) -> list:
+    """``Graph.flux`` at u = x on a list of floats over the (tail, head, weight) tuples
+    ``edges``, at alpha 1/2, 1 or 2, with the bits of its array formula.
+
+    bincount's sums: a vertex adds its edges forward in edge order, then its edges back,
+    whose terms are exactly minus the forward ones.
+    """
+    out, terms, sqrt = [0.0] * n, [], math.sqrt
+    for i, j, w in edges:
+        a, b = x[i], x[j]
+        m = a if a < b else b  # np.minimum's but at a NaN, where a - b is NaN anyway
+        if alpha == 1.0:
+            th = m if m > 0.0 or m != m else 0.0
+        elif alpha == 2.0:
+            th = m * m if m > 0.0 else 0.0
+        else:
+            th = sqrt(m) if m > 0.0 else 0.0
+        v = w * th * (a - b)
+        out[i] += v
+        terms.append(v)
+    for (_, j, _), v in zip(edges, terms):
+        out[j] -= v
+    return out
+
+
+def _float_terms(edges, n: int, x: list, S: list, g: list) -> tuple:
+    """``Graph.second_order_terms`` on lists of floats over the (tail, head, weight) tuples
+    ``edges``, at alpha 2, with the bits of its array formulas.
+
+    Each edge's terms are added to its tail in edge order, then its back terms to its
+    head, which is ``bincount``'s order.  Back, the flux terms are exactly minus the
+    forward ones and the pair factor is the same; the slope is each tail's own share.
+    """
+    f_S, kinetic, f_g, back = [0.0] * n, [0.0] * n, [0.0] * n, []
+    for i, j, w in edges:
+        a, b = x[i], x[j]
+        m = a if a < b else b if b <= a else math.nan  # np.minimum's, NaN included
+        th, d = (m * m, 2.0 * m) if m > 0.0 else (0.0, 0.0)  # 0 at NaN too
+        # _tie_share's rule: all of the slope to the smaller end, half each on a tie or a
+        # NaN (where d is 0).
+        da = d if a < b else 0.0 if b < a else 0.5 * d
+        db = d if b < a else 0.0 if a < b else 0.5 * d
+        wth, dS, dg = w * th, S[i] - S[j], g[i] - g[j]
+        q = dg * dg - dS * dS
+        vS, vg = wth * dS, wth * dg
+        f_S[i] += vS
+        kinetic[i] += q * (w * da)
+        f_g[i] += vg
+        back.append((j, vS, q * (w * db), vg))
+    for j, vS, k, vg in back:
+        f_S[j] -= vS
+        kinetic[j] += k
+        f_g[j] -= vg
+    return f_S, kinetic, f_g
 
 
 def _increasing(xr: np.ndarray) -> bool:
@@ -414,13 +480,15 @@ class CompleteGraph(Graph):
     def slope_is_finite(self, rule, x):
         if not isinstance(rule, MinPower):
             return super().slope_is_finite(rule, x)
-        # Each vertex in its own place, no sort: only a strict maximum's slope is 0.
+        # Each vertex in its own place, no sort: only a strict maximum's slope is 0.  An edge
+        # with a NaN end has slope 0, so a NaN vertex ranks lowest, as -inf, where phi' is 0.
+        x = np.fmax(x, -np.inf)
         low, high = np.partition(x, self.n - 2)[-2:]
         return bool(np.isfinite(self._dphi(rule, x, np.argmax(x) if high > low else None)).all())
 
-    def float_flux(self, rule):
-        """None: the sorted flux has other bits than the edge formula."""
-        return None
+    def on_floats(self, rule, operator):
+        """False: the sorted operators have other bits than the edge formulas."""
+        return False
 
 
 def build_graph(n: int, weighted_edges) -> Graph:

@@ -11,9 +11,10 @@ randomness.
 A small state can step on Python floats, where numpy's per-call dispatch
 would outweigh the arithmetic: with ``on_floats`` it is a list between
 records, stepped by the tuple steppers, the same formulas operation for
-operation and so the same bits.  The two-node flow and the first-order flow
-on at most ``FLOAT_MAX_N`` vertices step so; ``clip_floats`` is the simplex
-clip on such a list.
+operation and so the same bits.  The two-node flow and the graph flows on at
+most ``FLOAT_MAX_N`` vertices step so; ``clip_floats`` is the first-order
+flow's simplex clip on such a list, and ``density_floats`` the second-order
+flow's simplex check.
 """
 from __future__ import annotations
 
@@ -275,6 +276,13 @@ def project_simplex_clip(rho, tol: float = SIMPLEX_TOL) -> np.ndarray:
         s = float(np.add.reduce(rho))
     if abs(s - 1.0) > 1e-15:
         rho = rho / s
+    return rho
+
+
+def density_floats(rho: list, tol: float = SIMPLEX_TOL) -> list:
+    """density_state of a list of 2 to FLOAT_MAX_N floats, with its decision and messages:
+    its mass is summed from 0.0 left to right, as np.add.reduce sums so few entries."""
+    _check_simplex(reduce(add, rho, 0.0), min(rho), tol)
     return rho
 
 

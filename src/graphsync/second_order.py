@@ -88,12 +88,16 @@ class PhaseState(VertexBlocks):
 
 def second_order_field(graph: Graph, rule, potential) -> Callable[[np.ndarray], np.ndarray]:
     """Prebuilt packed field y = (rho, S) -> (d rho, d S); the sums come from
-    ``Graph.second_order_terms``."""
+    ``Graph.second_order_terms``.  Given y as a list of floats, where that operator takes
+    lists, the field computes on floats, with the bits of arrays, and returns a list."""
     kappa = quadratic_kappa(potential)
     n, terms = graph.n, graph.held(graph.second_order_terms)
 
-    def field(y: np.ndarray) -> np.ndarray:
+    def field(y):
         rho, S = y[:n], y[n:]
+        if type(y) is list:  # g = grad F(rho) = -kappa rho, as potential.grad gives it
+            drho, kinetic, g_flux = terms(rule, rho, S, [-kappa * v for v in rho])
+            return drho + [0.5 * k - kappa * f for k, f in zip(kinetic, g_flux)]
         drho, kinetic, g_flux = terms(rule, rho, S, potential.grad(rho))
         return np.concatenate([drho, 0.5 * kinetic - kappa * g_flux])
 

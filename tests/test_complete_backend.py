@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import graphsync as gs
@@ -152,6 +152,26 @@ def test_slope_verdict_matches_the_edge_list_without_a_sort(data, n, alpha, omeg
     with pytest.MonkeyPatch.context() as no_sort:
         no_sort.setattr(np, "argsort", None)  # a sort would fail here
         assert graph.slope_is_finite(rule, x) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(2, 12), alpha=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+       omega=st.sampled_from([0.0, 1.0, 2.5]))
+@example(data=None, n=3, alpha=0.5, omega=1.0)  # (0.0, -1e-10, NaN): the zero's edge to NaN
+def test_slope_verdict_matches_the_edge_list_with_nan_entries(data, n, alpha, omega):
+    # An edge with a NaN end has slope 0, so the NaN entries leave the strict-maximum rule.
+    if data is None:
+        x = np.array([0.0, -1e-10, np.nan])
+    else:
+        entry = st.sampled_from([0.0, -0.0, -1e-10, 0.1, 0.5, np.nan, np.inf, -np.inf])
+        x = np.array(data.draw(st.lists(entry | st.floats(-1e-9, 1.0), min_size=n, max_size=n)))
+        x[data.draw(st.integers(0, n - 1))] = np.nan
+        if data.draw(st.booleans()):  # a tie at the largest entry that is not NaN
+            x[data.draw(st.integers(0, n - 1))] = np.nanmax(x) if not np.isnan(x).all() else 0.0
+    rule = gs.MinPower(alpha)
+    with np.errstate(all="ignore"):
+        assert CompleteGraph(n, omega).slope_is_finite(rule, x) == edge_list(n, omega).slope_is_finite(
+            rule, x)
 
 
 @pytest.mark.parametrize("helper", ["second", "hopf_cole"])

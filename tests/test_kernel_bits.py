@@ -1,5 +1,5 @@
 """The trimmed weight kernels, edge-list operators, RK4 step, pair steppers, two-node
-run and simplex clip, bit for bit.
+run and simplex clip, and the graph flows on floats, bit for bit.
 
 Each reference below is the earlier, longer formula of the kernel, kept
 verbatim: the rewrites drop numpy calls but must give the same bits, signed
@@ -18,11 +18,13 @@ from hypothesis import strategies as st
 
 import graphsync as gs
 from graphsync import flows
-from graphsync.errors import GraphSyncError, NonFiniteStateError, SimplexViolationError
+from graphsync.errors import (ConsistencyError, DomainError, GraphSyncError,
+                              NonFiniteStateError, SimplexViolationError)
 from graphsync.first_order import first_order_field
 from graphsync.hopf_cole import hopf_cole_field
 from graphsync.integrate import (_STEPPERS, FLOAT_MAX_N, TUPLE_STEPPERS, _rk4_step, clip_floats,
-                                 integrate, project_simplex_clip)
+                                 density_floats, density_state, integrate, project_simplex_clip)
+from graphsync.second_order import second_order_field
 from graphsync.two_point import _quadratic_rhs
 
 ALPHAS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
@@ -425,7 +427,7 @@ def first_order_runs(draw):
 @given(case=first_order_runs(), stop=st.booleans())
 def test_first_order_run_on_floats_keeps_the_array_runs_bits(case, stop):
     graph, rule, kappa, rho0, spec = case
-    assert graph.float_flux(rule) is not None
+    assert graph.on_floats(rule, "flux")
     with np.errstate(all="ignore"):
         want = _run_bits(simulate_first_order_ref, graph, rule, kappa, rho0, spec, stop)
     assert _run_bits(gs.simulate_first_order, graph, rule, kappa, rho0, spec,
@@ -458,7 +460,8 @@ def test_float_field_has_the_array_fields_bits(graph, data, alpha, kappa):
     field = first_order_field(graph, rule, kappa)
     with np.errstate(all="ignore"):
         want = kappa * graph.flux(rule, x, x)
-        assert_same_bits(graph.float_flux(rule)(x.tolist()), graph.flux(rule, x, x))
+        x_list = x.tolist()
+        assert_same_bits(graph.flux(rule, x_list, x_list), graph.flux(rule, x, x))
         on_array, on_list = field(x), field(x.tolist())
     assert type(on_array) is np.ndarray and type(on_list) is list
     assert all(type(v) is float for v in on_list)
@@ -500,16 +503,38 @@ class _OwnPhi(gs.MinPower):
     """A MinPower subclass, which may give phi a form of its own."""
 
 
-@pytest.mark.parametrize("graph, rule", [
-    (gs.complete_graph(FLOAT_MAX_N + 1), gs.MinPower(2.0)),
-    (gs.named_graph("cycle6"), gs.MinPower(3.0)),
-    (gs.named_graph("cycle6"), gs.MinPower(1.5)),
-    (gs.named_graph("cycle6"), _OwnPhi(2.0)),
-    (gs.named_graph("cycle6"), gs.ArithmeticMean()),
-    (gs.graphs.CompleteGraph(4), gs.MinPower(1.0)),
-], ids=["n=8", "alpha=3", "alpha=1.5", "subclass", "arithmetic_mean", "sorted"])
-def test_other_runs_stay_on_arrays(graph, rule):
-    assert graph.float_flux(rule) is None
+@pytest.mark.parametrize("graph, rule, first_on_floats", [
+    (gs.complete_graph(FLOAT_MAX_N + 1), gs.MinPower(2.0), False),
+    (gs.named_graph("cycle6"), gs.MinPower(3.0), False),
+    (gs.named_graph("cycle6"), gs.MinPower(1.5), False),
+    (gs.named_graph("cycle6"), _OwnPhi(2.0), False),
+    (gs.named_graph("cycle6"), gs.ArithmeticMean(), False),
+    (gs.graphs.CompleteGraph(4), gs.MinPower(1.0), False),
+    # phi' = m ** -0.5 / 2 on floats is not np.power's: only the first-order run steps on floats.
+    (gs.named_graph("cycle6"), gs.MinPower(0.5), True),
+    # No workload runs the second-order flows at alpha 1: only the first-order run does.
+    (gs.named_graph("cycle6"), gs.MinPower(1.0), True),
+], ids=["n=8", "alpha=3", "alpha=1.5", "subclass", "arithmetic_mean", "sorted", "alpha=0.5",
+        "alpha=1"])
+def test_other_runs_stay_on_arrays(graph, rule, first_on_floats):
+    assert graph.on_floats(rule, "flux") is first_on_floats
+    assert flows.FLOWS["first"].on_floats(graph, rule) is first_on_floats
+    assert not graph.on_floats(rule, "second_order_terms")
+    assert not flows.FLOWS["second"].on_floats(graph, rule)
+    assert not flows.FLOWS["hopf_cole"].on_floats(graph, rule)
+    if type(graph) is gs.Graph:  # the edge list refuses lists where it does not compute on them
+        x = [1.0 / graph.n] * graph.n
+        if not first_on_floats:
+            with pytest.raises(DomainError, match="flux computes on lists of floats only"):
+                graph.flux(rule, x, x)
+        with pytest.raises(DomainError, match="second_order_terms computes on lists of floats"):
+            graph.second_order_terms(rule, x, x, x)
+
+
+def test_flux_on_a_list_takes_it_as_both_x_and_u():
+    graph, rule, x = gs.named_graph("cycle6"), gs.MinPower(2.0), [1.0 / 6.0] * 6
+    with pytest.raises(DomainError, match="only as both x and u"):
+        graph.flux(rule, x, list(x))
 
 
 def test_a_run_on_floats_calls_neither_the_array_clip_nor_theta(monkeypatch):
@@ -522,3 +547,169 @@ def test_a_run_on_floats_calls_neither_the_array_clip_nor_theta(monkeypatch):
     traj = gs.simulate_first_order(gs.named_graph("ribbon6"), gs.MinPower(1.0), 1.0,
                                    [0.3, 0.25, 0.2, 0.1, 0.1, 0.05], spec)
     assert traj.final_time == 1.0
+
+
+# -- the second-order and Hopf-Cole runs on floats -------------------------------
+
+def second_order_field_ref(graph, rule, kappa, y):
+    """The second-order field on arrays, from Graph.second_order_terms at g = -kappa rho."""
+    n = graph.n
+    x, S = y[:n], y[n:]
+    drho, kinetic, g_flux = graph.second_order_terms(rule, x, S, -kappa * x)
+    return np.concatenate([drho, 0.5 * kinetic - kappa * g_flux])
+
+
+def simulate_second_order_ref(graph, rule, kappa, rho0, S0, spec):
+    """The second-order run on integrate's array steppers, its array field and density_state."""
+    n = graph.n
+
+    def inside_simplex(y):
+        density_state(y[:n], 1e-6)
+        return y
+
+    def energy(y):
+        return 0.25 * float(graph.pair_energy(rule, y[:n], y[n:], -kappa * y[:n]))
+
+    observers = {"hamiltonian": energy, "sum_sq": lambda y: float(np.dot(y[:n], y[:n]))}
+    return integrate(lambda y: second_order_field_ref(graph, rule, kappa, y),
+                     np.concatenate([rho0, S0]), spec, observers, post_step=inside_simplex,
+                     n_density=n)
+
+
+def simulate_hopf_cole_ref(graph, rule, kappa, rho0, xi0, xs0, spec):
+    """The Hopf-Cole run on integrate's array steppers and its array field."""
+    n = graph.n
+
+    def carried_rho_deviation(y):
+        dev = float(np.max(np.abs(-(y[n : 2 * n] + y[2 * n :]) / kappa - y[:n])))
+        if dev > 1e-8:
+            raise ConsistencyError(f"carried and recovered densities diverged by {dev:.3e}")
+        return dev
+
+    observers = {"max_abs_xi": lambda y: float(np.max(np.abs(y[n : 2 * n]))),
+                 "rho_consistency": carried_rho_deviation}
+    return integrate(lambda y: hopf_cole_field_ref(graph, rule, kappa, y),
+                     np.concatenate([rho0, xi0, xs0]), spec, observers, n_density=n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=small_graphs(), data=st.data(), kappa=st.sampled_from([0.5, 1.0, 1e200]))
+def test_second_order_fields_on_floats_have_the_array_fields_bits(graph, data, kappa):
+    # Entries whose squares overflow, beside the ties, zeros, NaN and infinities.
+    entry = st.sampled_from(SPECIAL + [1e200, -1e160]) | st.floats(-1e-9, 1.0)
+    n, rule, potential = graph.n, gs.MinPower(2.0), gs.KuramotoQuadratic(kappa)
+    x, S, g = [np.array(data.draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(3)]
+    if data.draw(st.booleans()):  # ties between vertices
+        x[data.draw(st.integers(0, n - 1))] = x[0]
+    with np.errstate(all="ignore"):
+        want = graph.second_order_terms(rule, x, S, g)
+        got = graph.second_order_terms(rule, x.tolist(), S.tolist(), g.tolist())
+        for on_list, on_array in zip(got, want):
+            assert type(on_list) is list and all(type(v) is float for v in on_list)
+            assert_same_bits(on_list, on_array)
+        for factory, y, ref in [(second_order_field, np.concatenate([x, S]), second_order_field_ref),
+                                (hopf_cole_field, np.concatenate([x, S, g]), hopf_cole_field_ref)]:
+            field = factory(graph, rule, potential)
+            want = ref(graph, rule, kappa, y)
+            on_array, on_list = field(y), field(y.tolist())
+            assert type(on_array) is np.ndarray and type(on_list) is list
+            assert all(type(v) is float for v in on_list)
+            assert_same_bits(on_array, want)
+            assert_same_bits(on_list, want)
+
+
+@st.composite
+def second_order_runs(draw):
+    """A second-order or Hopf-Cole run on floats: its graph, rule, kappa, rho0, a kick that
+    moves S0 off the gradient-flow branch and xi0 off 0, and its spec."""
+    graph = draw(small_graphs())
+    dt = draw(st.sampled_from([0.01, 0.05, 0.3]))
+    # Some horizons end on a shortened step.
+    t_final = dt * draw(st.integers(1, 40)) + dt * draw(st.sampled_from([0.0, 0.37]))
+    spec = gs.IntegratorSpec(scheme=draw(st.sampled_from(["euler", "rk4"])), dt=dt,
+                             t_final=t_final, record_every=draw(st.sampled_from([1, 3])))
+    # A large kappa or kick leaves the simplex or overflows: the run ends in an error.
+    kappa = draw(st.sampled_from([0.5, 1.0, 4.0, 1e3, 1e200]))
+    rule = gs.MinPower(2.0)
+    value = st.sampled_from([0.0, -0.0, 0.1, -0.3]) | st.floats(-1.0, 1.0)
+    kick = np.array(draw(st.lists(value, min_size=graph.n, max_size=graph.n)))
+    return graph, rule, kappa, draw(densities(graph.n)), kick, spec
+
+
+def _second_order_outcomes(graph, rule, kappa, rho0, kick, spec):
+    """The second-order run from S0 = kappa rho0 + kick and the Hopf-Cole run from xi0 = kick,
+    each as _run_bits gives it, on floats and by its array reference."""
+    potential = gs.KuramotoQuadratic(kappa)
+    S0, xi0 = kappa * rho0 + kick, kick
+    xs0 = potential.grad(rho0) - xi0
+    got = (_run_bits(gs.simulate_second_order, graph, rule, potential, gs.PhaseState(rho0, S0), spec),
+           _run_bits(gs.simulate_hopf_cole, graph, rule, potential,
+                     gs.HopfColeState(rho0, xi0, xs0), spec))
+    with np.errstate(all="ignore"):
+        want = (_run_bits(simulate_second_order_ref, graph, rule, kappa, rho0, S0, spec),
+                _run_bits(simulate_hopf_cole_ref, graph, rule, kappa, rho0, xi0, xs0, spec))
+    return got, want
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=second_order_runs())
+def test_second_order_runs_on_floats_keep_the_array_runs_bits(case):
+    graph, rule = case[:2]
+    assert flows.FLOWS["second"].on_floats(graph, rule)
+    assert flows.FLOWS["hopf_cole"].on_floats(graph, rule)
+    got, want = _second_order_outcomes(*case)
+    assert got == want
+
+
+@pytest.mark.parametrize("name, kappa, kick, scheme, dt, errors", [
+    ("cycle6", 100.0, 5.0, "euler", 0.3, (SimplexViolationError, None)),
+    ("complete(4)", 1.0, 20.0, "rk4", 0.05, (None, ConsistencyError)),
+    ("complete(2)", 1e100, 1.0, "euler", 0.01, (SimplexViolationError, NonFiniteStateError)),
+], ids=["simplex", "consistency", "nonfinite"])
+def test_second_order_runs_on_floats_keep_the_partial_trajectory_of_an_error(
+        name, kappa, kick, scheme, dt, errors):
+    graph, rule = gs.named_graph(name), gs.MinPower(2.0)
+    rho0 = np.linspace(1.0, 2.0, graph.n) / np.add.reduce(np.linspace(1.0, 2.0, graph.n))
+    kick = kick * np.linspace(-1.0, 1.0, graph.n)
+    spec = gs.IntegratorSpec(scheme=scheme, dt=dt, t_final=3.0)
+    got, want = _second_order_outcomes(graph, rule, kappa, rho0, kick, spec)
+    assert [None if err is None else err[0] for *_, err in got] == list(errors)
+    assert got == want
+
+
+@pytest.mark.parametrize("dynamics", ["second", "hopf_cole"])
+def test_a_second_order_run_on_floats_calls_neither_the_slope_kernel_nor_density_state(
+        dynamics, monkeypatch):
+    admitted = []
+
+    def refuse(*args):
+        raise AssertionError("an array kernel called on the float path")
+
+    def counted(*args):
+        admitted.append(args)
+        return density_state(*args)
+
+    monkeypatch.setattr(gs.MinPower, "theta_and_slope", refuse)
+    monkeypatch.setattr(flows, "density_state", counted)
+    graph, rule, potential = gs.named_graph("ribbon6"), gs.MinPower(2.0), gs.KuramotoQuadratic(1.0)
+    rho0 = np.array([0.3, 0.25, 0.2, 0.1, 0.1, 0.05])
+    spec = gs.IntegratorSpec(dt=0.05, t_final=1.0, record_every=4)
+    if dynamics == "second":
+        traj = gs.simulate_second_order(graph, rule, potential, gs.PhaseState(rho0, rho0), spec)
+    else:
+        traj = gs.simulate_hopf_cole(graph, rule, potential,
+                                     gs.HopfColeState(rho0, np.zeros(6), -rho0), spec)
+    assert traj.final_time == 1.0
+    assert len(admitted) == 1  # rho0, where the run admits it
+
+
+@settings(max_examples=500, deadline=None)
+@given(rho=near_densities(), tol=st.sampled_from([1e-9, 1e-6]))
+def test_float_density_check_keeps_density_states_decision_and_message(rho, tol):
+    with np.errstate(all="ignore"):
+        want, want_err = _outcome(density_state, rho.copy(), tol)
+    got, got_err = _outcome(density_floats, rho.tolist(), tol)
+    assert got_err == want_err
+    if want_err is None:
+        assert type(got) is list
+        assert_same_bits(got, want)
