@@ -44,11 +44,10 @@ from .potentials import (
     TsallisPotential,
     potential_from_config,
 )
-from .integrate import IntegratorSpec, Trajectory, integrate, project_simplex_clip
+from .integrate import IntegratorSpec, Trajectory, density_state, integrate, project_simplex_clip
 from .first_order import (
     EquilibriumClass,
     classify_equilibrium,
-    density_state,
     max_gap,
     rhs_first_order,
     simulate_first_order,

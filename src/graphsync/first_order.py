@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionError, real, vector
 from .graphs import Graph
-from .integrate import IntegratorSpec, Trajectory, density_state, integrate  # noqa: F401
+from .integrate import IntegratorSpec, Trajectory
 from .potentials import KuramotoQuadratic
 
 #: Sup-norm of the vector field below which a trajectory counts as converged.
@@ -32,16 +32,13 @@ CONVERGENCE_TOL = 1e-13
 def first_order_field(graph: Graph, rule, kappa: float) -> Callable[[np.ndarray], np.ndarray]:
     """Prebuilt vector field rho -> d rho/dt = kappa * Graph.flux(rule, rho, rho);
     kappa is checked as the quadratic potential checks it.  Given rho as a list of floats,
-    where ``Graph.on_floats`` holds for ``flux``, it computes on floats and returns a list;
-    there it computes an array on floats too, with the same bits and fewer numpy calls."""
+    where the graph's ``flux`` takes lists, it computes on floats, with the bits of arrays,
+    and returns a list; given an array, it returns an array."""
     flux, kappa = graph.held(graph.flux), KuramotoQuadratic(kappa).kappa
-    on_floats = graph.on_floats(rule, "flux")
 
     def field(rho):
         if type(rho) is list:
             return [kappa * f for f in flux(rule, rho, rho)]
-        if on_floats:
-            return np.array(field(rho.tolist()))
         return kappa * flux(rule, rho, rho)
 
     return field

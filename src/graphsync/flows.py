@@ -6,10 +6,11 @@ column prefix, and in lower case with a ``0`` the config key and CLI flag of
 its initial data (``S`` -> ``s0``).  The records call the flow modules'
 functions through module attributes at call time, so that replacing such an
 attribute reaches every run.  Where a flow's ``on_floats`` holds for the graph
-and rule, the run holds its state as a list of Python floats between records
-(see ``integrate``), with the array path's bits: where ``Graph.on_floats``
-holds for the operator its field calls, ``flux`` for the first-order flow and
-``second_order_terms`` for the second-order and Hopf-Cole flows.
+and rule, ``simulate`` has the run hold its state as a list of Python floats,
+which the field, post-step and stop hooks take (see ``integrate``), with the
+array path's bits: where ``Graph.on_floats`` holds for the operator its field
+calls, ``flux`` for the first-order flow and ``second_order_terms`` for the
+second-order and Hopf-Cole flows.  No flow module decides it.
 """
 from __future__ import annotations
 
@@ -63,7 +64,7 @@ class Flow:
     stop_on_sync: bool = False              # whether a config's stop_on_sync applies
     summary: Callable = lambda traj: {}     # the entries it adds to a run's summary
     rule_methods: tuple = ("theta", "theta_and_slope")  # what the field calls on a rule
-    on_floats: Callable = lambda graph, rule: False     # whether y is a list between records
+    on_floats: Callable = lambda graph, rule: False     # whether y is a list of floats
 
     @property
     def initial(self) -> dict:

@@ -31,8 +31,9 @@ outweigh the arithmetic: where ``on_floats`` holds for a rule and an
 operator, ``flux`` (with u = x) and ``second_order_terms`` take lists of
 floats and return lists, as loops over the edges with the bits of the array
 formulas.  It holds under a rule that is a ``MinPower`` itself at the
-operator's ``FLOAT_ALPHAS``; elsewhere the edge list refuses a list with a
-DomainError.
+operator's ``FLOAT_ALPHAS``, and never for ``pair_energy`` or
+``slope_is_finite``; elsewhere every operator of either backend refuses a
+list x with a DomainError that names it.
 
 ``CompleteGraph`` overrides them.  It holds every pair with one weight omega
 and builds its edge arrays only when something reads them.  Under a
@@ -41,11 +42,12 @@ sums, in O(n log n); other rules fall back to the edge list.  A ``frame``
 argument gives the order, sorted afresh when None; the graph keeps none, and a
 run holds its own through ``held``, so it sorts once per rank change.  With no
 ties, the slope sums take each rank as its own tie group without a search.
-Its ``slope_is_finite`` needs no order: only a strict maximum's slope is
-dropped, and a NaN entry, whose edges have slope 0, ranks lowest.  It
-computes on no floats.  ``complete_graph`` and ``build_graph`` return one for
-a complete graph with one common weight from ``SORTED_MIN_N`` vertices up,
-the measured crossover below which the edge list is faster.
+Its ``slope_is_finite`` needs no order: a strict maximum has no slope, a tied
+top group only the half share of its ties, and a NaN entry, whose edges have
+slope 0, ranks lowest.  It computes on no floats.  ``complete_graph`` and
+``build_graph`` return one for a complete graph with one common weight from
+``SORTED_MIN_N`` vertices up, the measured crossover below which the edge
+list is faster.
 """
 from __future__ import annotations
 
@@ -84,8 +86,9 @@ SORTED_MIN_N = 48
 #: ``flux``'s phi on floats (``sqrt`` of the clamped m, ``np.maximum``'s rule, ``m * m``) is
 #: numpy's at all three.  ``second_order_terms`` also takes phi' (``2 * m``); at alpha 1/2,
 #: ``m ** -0.5`` differs from ``np.power(m, -0.5)`` in about 5 % of entries, and no workload
-#: runs the second-order flows at alpha 1.
-FLOAT_ALPHAS = {"flux": (0.5, 1.0, 2.0), "second_order_terms": (2.0,)}
+#: runs the second-order flows at alpha 1.  ``pair_energy`` and ``slope_is_finite`` take no lists.
+FLOAT_ALPHAS = {"flux": (0.5, 1.0, 2.0), "second_order_terms": (2.0,), "pair_energy": (),
+                "slope_is_finite": ()}
 
 
 def _array(values, width=None) -> np.ndarray:
@@ -232,11 +235,15 @@ class Graph:
 
     def pair_energy(self, rule, x, S, g) -> float:
         """E(S - g, S + g), whose pair factor is (S_i - S_j)^2 - (g_i - g_j)^2."""
+        if type(x) is list:
+            self._float_edges(rule, "pair_energy")  # which refuses it
         wth, dS, dg = self.coupling(rule, x), self.diff(S), self.diff(g)
         return np.sum(wth * (dS**2 - dg**2))
 
     def slope_is_finite(self, rule, x) -> bool:
         """Whether omega * d theta/d x_tail is finite on every ordered edge."""
+        if type(x) is list:
+            self._float_edges(rule, "slope_is_finite")  # which refuses it
         return bool(np.isfinite(self.coupling_and_slope(rule, x)[1]).all())
 
     def held(self, operator):
@@ -244,8 +251,8 @@ class Graph:
         return operator
 
     def on_floats(self, rule, operator: str) -> bool:
-        """Whether the operator named ``operator``, ``"flux"`` or ``"second_order_terms"``,
-        computes on lists of floats under ``rule``, with the bits of arrays: on at most
+        """Whether the operator named ``operator``, a key of ``FLOAT_ALPHAS``, computes on
+        lists of floats under ``rule``, with the bits of arrays: on at most
         ``FLOAT_MAX_N`` vertices, under a rule that is a ``MinPower`` itself (a subclass may
         override phi) at one of the operator's ``FLOAT_ALPHAS``."""
         return (self._edge_tuples is not None and type(rule) is MinPower
@@ -253,11 +260,14 @@ class Graph:
 
     def _float_edges(self, rule, operator: str) -> tuple:
         """The edges of positive weight as (tail, head, weight) tuples, 0-based and each
-        once, for ``operator`` on lists of floats; a DomainError where ``on_floats`` fails."""
+        once, for ``operator`` on lists of floats; a DomainError that names it where
+        ``on_floats`` fails."""
         if not self.on_floats(rule, operator):
-            raise DomainError(f"{operator} computes on lists of floats only on at most "
-                              f"{FLOAT_MAX_N} vertices, under a MinPower at alpha in "
-                              f"{FLOAT_ALPHAS[operator]}; give arrays")
+            alphas = FLOAT_ALPHAS[operator]
+            raise DomainError(f"{operator} computes on lists of floats only on an edge list of "
+                              f"at most {FLOAT_MAX_N} vertices, under a MinPower at alpha in "
+                              f"{alphas}; give arrays" if alphas else
+                              f"{operator} computes on no lists of floats; give arrays")
         return self._edge_tuples
 
     def neighbors(self, j: int) -> tuple[int, ...]:
@@ -420,15 +430,14 @@ class CompleteGraph(Graph):
         phi = rule.phi(xr)
         return phi if self.omega == 1.0 else self.omega * phi
 
-    def _dphi(self, rule, x: np.ndarray, top) -> np.ndarray:
-        """omega * phi'(x) at each entry; 0 at the index ``top`` of a strict maximum (None
-        when x has none), which has no higher-ranked or tied vertex to reach, and 0
-        throughout when omega is 0."""
+    def _dphi(self, rule, x: np.ndarray, top, tied: bool = False) -> np.ndarray:
+        """omega * phi'(x) at each entry, and 0 throughout when omega is 0.  At ``top``, an
+        index or a mask (or None), omega * (phi'/2) where ``tied``, the share of a tie, and
+        else 0: a strict maximum has no higher-ranked or tied vertex to reach."""
         dphi = rule.dphi(x) if self.omega else np.zeros_like(x)
-        dphi = dphi if self.omega == 1.0 else self.omega * dphi
         if top is not None:
-            dphi[top] = 0.0
-        return dphi
+            dphi[top] = 0.5 * dphi[top] if tied else 0.0
+        return dphi if self.omega == 1.0 else self.omega * dphi
 
     def _fluxes(self, phi: np.ndarray, u: np.ndarray) -> np.ndarray:
         """F at each rank for each rank-ordered row of u.
@@ -451,14 +460,15 @@ class CompleteGraph(Graph):
             lo, hi = np.searchsorted(xr, xr, "left"), np.searchsorted(xr, xr, "right")
         return self._dphi(rule, xr, -1 if xr[-1] > xr[-2] else None) * _pair_sums(a, b, lo, hi)
 
+    # A list x goes to the edge list's operator, which refuses it (see ``on_floats``).
     def flux(self, rule, x, u, frame=None):
-        if not isinstance(rule, MinPower):
+        if not isinstance(rule, MinPower) or type(x) is list:
             return super().flux(rule, x, u)
         order = _rank_order(x) if frame is None else frame
         return _unrank(order, self._fluxes(self._phi(rule, x[order]), _ranked(order, u))[0])
 
     def second_order_terms(self, rule, x, S, g, frame=None):
-        if not isinstance(rule, MinPower):
+        if not isinstance(rule, MinPower) or type(x) is list:
             return super().second_order_terms(rule, x, S, g)
         order = _rank_order(x) if frame is None else frame
         xr, rows = x[order], _ranked(order, S, g)
@@ -468,7 +478,7 @@ class CompleteGraph(Graph):
         return tuple(_unrank(order, np.array([f_S, kinetic, f_g])))
 
     def pair_energy(self, rule, x, S, g, frame=None):
-        if not isinstance(rule, MinPower):
+        if not isinstance(rule, MinPower) or type(x) is list:
             return super().pair_energy(rule, x, S, g)
         # Twice the sum over rank pairs k < r, whose weight is phi_k.
         order = _rank_order(x) if frame is None else frame
@@ -478,13 +488,15 @@ class CompleteGraph(Graph):
         return 2.0 * float(np.dot(self._phi(rule, x[order]), pairs))
 
     def slope_is_finite(self, rule, x):
-        if not isinstance(rule, MinPower):
+        if not isinstance(rule, MinPower) or type(x) is list:
             return super().slope_is_finite(rule, x)
-        # Each vertex in its own place, no sort: only a strict maximum's slope is 0.  An edge
-        # with a NaN end has slope 0, so a NaN vertex ranks lowest, as -inf, where phi' is 0.
+        # Each vertex in its own place, no sort.  A vertex below the top reaches a higher one
+        # through omega phi'; the top has no slope when strict, and omega (phi'/2) on each of
+        # its ties.  An edge with a NaN end has slope 0, so a NaN vertex ranks lowest, as -inf,
+        # where phi' is 0.
         x = np.fmax(x, -np.inf)
         low, high = np.partition(x, self.n - 2)[-2:]
-        return bool(np.isfinite(self._dphi(rule, x, np.argmax(x) if high > low else None)).all())
+        return bool(np.isfinite(self._dphi(rule, x, x == high, high == low)).all())
 
     def on_floats(self, rule, operator):
         """False: the sorted operators have other bits than the edge formulas."""

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError
 from .graphs import Graph
-from .integrate import IntegratorSpec, Trajectory, integrate  # noqa: F401 (kept importable)
+from .integrate import IntegratorSpec, Trajectory
 from .potentials import quadratic_kappa
 from .second_order import PhaseState, VertexBlocks, block_rhs
 

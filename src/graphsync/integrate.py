@@ -9,12 +9,12 @@ produce bit-identical trajectories; there is no adaptivity and no
 randomness.
 
 A small state can step on Python floats, where numpy's per-call dispatch
-would outweigh the arithmetic: with ``on_floats`` it is a list between
-records, stepped by the tuple steppers, the same formulas operation for
-operation and so the same bits.  The two-node flow and the graph flows on at
-most ``FLOAT_MAX_N`` vertices step so; ``clip_floats`` is the first-order
-flow's simplex clip on such a list, and ``density_floats`` the second-order
-flow's simplex check.
+would outweigh the arithmetic: with ``on_floats`` the run holds it as a list
+from the start, stepped by the tuple steppers, the same formulas operation
+for operation and so the same bits; only a record builds an array.  The
+two-node flow and the graph flows on at most ``FLOAT_MAX_N`` vertices step
+so; ``clip_floats`` is the first-order flow's simplex clip on such a list,
+and ``density_floats`` the second-order flow's simplex check.
 """
 from __future__ import annotations
 
@@ -165,15 +165,16 @@ def integrate(
     NaN or infinity that a step reaches raises NonFiniteStateError.  A GraphSyncError
     raised in the loop (by the step, ``post_step``, an observer or ``stop_when``)
     carries the trajectory so far; its stop_reason is ``'nonfinite'`` for a
-    NonFiniteStateError and the error's class name otherwise.  With ``on_floats`` the
-    state is a list of floats between records, stepped by ``TUPLE_STEPPERS``: ``rhs`` and
-    ``post_step`` then take and return lists, while the records, the observers and
-    ``stop_when`` still see arrays.
+    NonFiniteStateError and the error's class name otherwise.  ``rhs``, ``post_step`` and
+    ``stop_when`` take the state as the run holds it, which ``on_floats`` makes a list of
+    floats from the start, stepped by ``TUPLE_STEPPERS``; only the records and the
+    observers see an array, a copy.
     """
     observers = dict(observers or {})
     step = (TUPLE_STEPPERS if on_floats else _STEPPERS)[spec.scheme]
     y = vector(state0, "state0")
     dim = y.size
+    y = y.tolist() if on_floats else y
     if n_density is None:
         n_density = dim
 
@@ -181,8 +182,8 @@ def integrate(
     states: list[np.ndarray] = []
     diag: dict[str, list[float]] = {name: [] for name in observers}
 
-    def record(t: float, y) -> np.ndarray:
-        """Record a copy of y as an array, which it returns."""
+    def record(t: float, y) -> None:
+        """Record a copy of y as an array."""
         state = np.array(y)
         # Observers run first, so a failing one leaves no half-written record.
         values = [float(fn(state)) for fn in observers.values()]
@@ -190,7 +191,6 @@ def integrate(
         states.append(state)
         for series, value in zip(diag.values(), values):
             series.append(value)
-        return state
 
     def package(reason: str) -> Trajectory:
         return Trajectory(
@@ -204,11 +204,10 @@ def integrate(
     # A blow-up is reported by NonFiniteStateError, not by numpy's warnings on the way.
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            state = record(0.0, y)
-            if stop_when is not None and stop_when(state):
+            record(0.0, y)
+            if stop_when is not None and stop_when(y):
                 return package("stop_condition")
 
-            y = y.tolist() if on_floats else y
             n_steps, last = spec.n_steps, spec.final_step
             for k in range(1, n_steps + 1):
                 dt, t = (spec.dt, k * spec.dt) if k < n_steps else last
@@ -218,8 +217,8 @@ def integrate(
                 if post_step is not None:
                     y = post_step(y)
                 if k % spec.record_every == 0 or k == n_steps:
-                    state = record(t, y)
-                    if stop_when is not None and stop_when(state):
+                    record(t, y)
+                    if stop_when is not None and stop_when(y):
                         return package("stop_condition")
     except GraphSyncError as exc:
         if exc.trajectory is None:

@@ -69,8 +69,8 @@ class VertexBlocks:
 
     @classmethod
     def _from_admitted(cls, y: np.ndarray):
-        """from_vector without the admission, for a finite float vector y of a length
-        the blocks divide, such as the state integrate hands its hooks."""
+        """from_vector without the admission, for a finite float vector y, an array or a
+        list, of a length the blocks divide, such as the state integrate hands its hooks."""
         state = object.__new__(cls)
         for name, block in zip(cls.__dataclass_fields__,
                                np.array_split(y, len(cls.__dataclass_fields__))):

@@ -24,8 +24,8 @@ induced squared-distance divergence is (x(r1) - x(r0))^2 / (2 sinh 1).
 Numerics: the reduced flow runs on Python floats.  Each run builds one
 kernel (r, S) -> (dr, dS) from the rule's float reduction theta_r, dtheta_r
 and a coupling kappa checked once, and integrate holds (r, S) as a list of
-floats between records and steps it with its tuple steppers, whole Euler or
-RK4 steps with the bits of its array steps; only a record builds an array.
+floats throughout and steps it with its tuple steppers, whole Euler or RK4
+steps with the bits of its array steps; only a record builds an array.
 Neither the kernel nor the H observer re-checks its inputs.  Squares
 are products (S * S), which overflow to inf where S ** 2 would raise, so
 blow-ups surface as NonFiniteStateError; an RK4 stage whose r is NaN gets a
@@ -151,7 +151,8 @@ def simulate_two_point(
 
     States are recorded as (r, S) rows with ``n_density = 1`` so the gap
     used by the rate-fitting helpers is 1 - r.  Runs that push S to
-    infinity in finite time surface as NonFiniteStateError.
+    infinity in finite time surface as NonFiniteStateError.  The step and the
+    boundary stop take the run's list (r, S); the H observer, a record's array.
     """
     weight_rule(rule, ("theta_r", "dtheta_r"), "the two-node flow")
     kappa = KuramotoQuadratic(kappa).kappa  # read once, here
@@ -165,7 +166,7 @@ def simulate_two_point(
             return math.nan, math.nan
         return kernel(_clip01(r), S)
 
-    def hit_boundary(y: np.ndarray) -> bool:
+    def hit_boundary(y: list) -> bool:
         return min(y[0], 1.0 - y[0]) <= BOUNDARY_STOP
 
     def energy(y: np.ndarray) -> float:

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 import graphsync as gs
 from graphsync import graphs
 from graphsync.analysis import edge_dichotomy_report
-from graphsync.errors import (DegenerateDerivativeError, GraphConstructionError, NegativeWeightError,
-                              NonFiniteStateError)
+from graphsync.errors import (DegenerateDerivativeError, DomainError, GraphConstructionError,
+                              NegativeWeightError, NonFiniteStateError)
 from graphsync.graphs import SORTED_MIN_N, CompleteGraph, Graph
 from graphsync.hopf_cole import hopf_cole_field
 
@@ -141,17 +141,24 @@ def test_degenerate_slope_refused_on_the_sorted_path():
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), n=st.integers(2, 80), alpha=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
-       omega=st.sampled_from([0.0, 1.0, 2.5]))
+       omega=st.sampled_from([0.0, 1.0, 1.5, 2.5]))
+# A tie near overflow: omega (phi'/2) on each end is finite, omega phi' is not.
+@example(data=None, n=2, alpha=2.0, omega=1.5)
 def test_slope_verdict_matches_the_edge_list_without_a_sort(data, n, alpha, omega):
-    entry = st.sampled_from([0.0, -0.0, -1e-10, 0.1, 0.5]) | st.floats(-1e-9, 1.0)
-    x = np.array(data.draw(st.lists(entry, min_size=n, max_size=n)))
-    if data.draw(st.booleans()):  # a tie at the maximum
-        x[data.draw(st.integers(0, n - 1))] = np.max(x)
+    if data is None:
+        x = np.array([6e307, 6e307])
+    else:
+        entry = (st.sampled_from([0.0, -0.0, -1e-10, 0.1, 0.5, 6e307, 1e308])
+                 | st.floats(-1e-9, 1.0) | st.floats(4e307, 1.5e308))
+        x = np.array(data.draw(st.lists(entry, min_size=n, max_size=n)))
+        if data.draw(st.booleans()):  # a tie at the maximum
+            x[data.draw(st.integers(0, n - 1))] = np.max(x)
     rule, graph, ref = gs.MinPower(alpha), CompleteGraph(n, omega), edge_list(n, omega)
-    want = ref.slope_is_finite(rule, x)
-    with pytest.MonkeyPatch.context() as no_sort:
-        no_sort.setattr(np, "argsort", None)  # a sort would fail here
-        assert graph.slope_is_finite(rule, x) == want
+    with np.errstate(over="ignore"):
+        want = ref.slope_is_finite(rule, x)
+        with pytest.MonkeyPatch.context() as no_sort:
+            no_sort.setattr(np, "argsort", None)  # a sort would fail here
+            assert graph.slope_is_finite(rule, x) == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -172,6 +179,25 @@ def test_slope_verdict_matches_the_edge_list_with_nan_entries(data, n, alpha, om
     with np.errstate(all="ignore"):
         assert CompleteGraph(n, omega).slope_is_finite(rule, x) == edge_list(n, omega).slope_is_finite(
             rule, x)
+
+
+#: How many vectors each graph operator takes after the rule, x first.
+OPERATOR_VECTORS = {"flux": 2, "second_order_terms": 3, "pair_energy": 3, "slope_is_finite": 1}
+
+
+@pytest.mark.parametrize("rule", [gs.MinPower(2.0), gs.MinPower(3.0), gs.ArithmeticMean()], ids=repr)
+@pytest.mark.parametrize("operator", list(OPERATOR_VECTORS))
+@pytest.mark.parametrize("make", [CompleteGraph, edge_list], ids=["sorted", "edge_list"])
+def test_every_operator_computes_on_a_list_where_it_may_and_else_refuses_it(make, operator, rule):
+    graph, x = make(4), [0.4, 0.3, 0.2, 0.1]
+    call = getattr(graph, operator)
+    vectors = (x,) * OPERATOR_VECTORS[operator]  # x, then x itself as u, S and g
+    if graph.on_floats(rule, operator):
+        want = np.array(call(rule, *map(np.array, vectors)))
+        np.testing.assert_array_equal(np.array(call(rule, *vectors)), want)
+    else:
+        with pytest.raises(DomainError, match=f"^{operator} computes on "):
+            call(rule, *vectors)
 
 
 @pytest.mark.parametrize("helper", ["second", "hopf_cole"])

@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import graphsync as gs
@@ -164,6 +164,10 @@ def weighted_graphs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(case=weighted_graphs(), rule=st.sampled_from(RULES))
+# A subnormal first-order field, [1e-323, -1.5e-323, 1e-323], whose mass is 5e-324.
+@example(case=(gs.build_graph(3, [(1, 2, 1.0), (2, 3, 1.0)]),
+               np.array([0.5, float.fromhex("0x1.65c822ca709b4p-537"), 0.5]), np.zeros(3),
+               np.zeros(3)), rule=gs.MinPower(2.0))
 def test_coupling_methods_and_mass_on_random_weighted_graphs(case, rule):
     graph, rho, S, xi = case
     pot = gs.KuramotoQuadratic(kappa=KAPPA)
@@ -180,8 +184,9 @@ def test_coupling_methods_and_mass_on_random_weighted_graphs(case, rule):
     np.testing.assert_array_equal(wth, th2 if unit else w * th2)
     # Each field's d rho is a scatter of an antisymmetric edge flux, so the
     # mass change is pure round-off: |sum d rho| <= (edges + n) eps sum|flux|,
-    # twice the first-order bound for the two-level sum.
-    eps = np.finfo(float).eps
+    # twice the first-order bound for the two-level sum, plus (edges + n) 2^-1074
+    # for the roundings below the normal range, each off by up to half of 2^-1074.
+    eps, tiny = np.finfo(float).eps, 2.0**-1074
     fields = (
         (first_order_field(graph, rule, KAPPA), rho, KAPPA * rho),
         (second_order_field(graph, rule, pot), np.concatenate([rho, S]), S),
@@ -192,7 +197,7 @@ def test_coupling_methods_and_mass_on_random_weighted_graphs(case, rule):
         flux = np.abs(graph.coupling(rule, rho) * graph.diff(carrier))
         with np.errstate(invalid="ignore", divide="ignore"):
             drho = field(y)[: graph.n]
-        assert abs(float(np.sum(drho))) <= (len(tail) + graph.n) * eps * float(np.sum(flux))
+        assert abs(float(np.sum(drho))) <= (len(tail) + graph.n) * (eps * float(np.sum(flux)) + tiny)
 
 
 class _ThetaOnly:

@@ -224,6 +224,27 @@ def test_whole_step_horizons_keep_their_steps(dt, t_final):
     assert spec.final_step == (dt, spec.n_steps * dt)
 
 
+@pytest.mark.parametrize("on_floats, held", [(True, list), (False, np.ndarray)],
+                         ids=["on_floats", "on_arrays"])
+def test_hooks_take_the_state_as_the_run_holds_it_and_observers_an_array(on_floats, held):
+    seen = {"rhs": [], "post_step": [], "stop_when": [], "observer": []}
+
+    def hook(name, value):
+        return lambda y: seen[name].append(type(y)) or value(y)
+
+    ones = (lambda y: [1.0] * len(y)) if on_floats else np.ones_like
+    spec = gs.IntegratorSpec(scheme="euler", dt=0.1, t_final=1.0, record_every=3)
+    traj = gs.integrate(hook("rhs", ones), [0.0, 0.5], spec,
+                        {"t": hook("observer", lambda y: float(y[0]))},
+                        post_step=hook("post_step", lambda y: y),
+                        stop_when=hook("stop_when", lambda y: False), on_floats=on_floats)
+    records = len(traj.times)
+    assert records == 5  # t = 0, 0.3, 0.6, 0.9 and the last step's 1.0
+    assert seen == {"rhs": [held] * 10, "post_step": [held] * 10,
+                    "stop_when": [held] * records, "observer": [np.ndarray] * records}
+    np.testing.assert_allclose(traj.states, 0.1 * np.arange(11)[[0, 3, 6, 9, 10], None] + [0.0, 0.5])
+
+
 def test_project_simplex_clip():
     out = gs.project_simplex_clip(np.array([0.5, 0.5, -1e-13]), tol=1e-9)
     np.testing.assert_array_equal(out, [0.5, 0.5, 0.0])
