@@ -94,9 +94,9 @@ def _resolve_window(times, valid, window):
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_res = float(np.dot(resid, resid))
-    ss_tot = float(np.dot(y - y.mean(), y - y.mean()))
+    resid, dev = y - (slope * x + intercept), y - y.mean()
+    # math.fsum's sums of squares are correctly rounded, so no BLAS kernel picks their bits.
+    ss_res, ss_tot = math.fsum((resid * resid).tolist()), math.fsum((dev * dev).tolist())
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
     return float(slope), float(intercept), r2
 

@@ -5,12 +5,12 @@ over the vertices each, the density ``rho`` first.  A block's name is its CSV
 column prefix, and in lower case with a ``0`` the config key and CLI flag of
 its initial data (``S`` -> ``s0``).  The records call the flow modules'
 functions through module attributes at call time, so that replacing such an
-attribute reaches every run.  Where a flow's ``on_floats`` holds for the graph
-and rule, ``simulate`` has the run hold its state as a list of Python floats,
-which the field, post-step and stop hooks take (see ``integrate``), with the
-array path's bits: where ``Graph.on_floats`` holds for the operator its field
-calls, ``flux`` for the first-order flow and ``second_order_terms`` for the
-second-order and Hopf-Cole flows.  No flow module decides it.
+attribute reaches every run.  Where ``Graph.on_floats`` holds for the graph and
+rule, ``simulate`` has the run hold its state as a list of Python floats, which
+the field, post-step and stop hooks take (see ``integrate``), with the array
+path's bits.  No flow module decides it.  The observers take a record's array;
+a sum of squares is ``np.add.reduce``'s, whose order numpy fixes, and not a
+BLAS dot, whose bits follow the kernel OpenBLAS picks.
 """
 from __future__ import annotations
 
@@ -64,12 +64,15 @@ class Flow:
     stop_on_sync: bool = False              # whether a config's stop_on_sync applies
     summary: Callable = lambda traj: {}     # the entries it adds to a run's summary
     rule_methods: tuple = ("theta", "theta_and_slope")  # what the field calls on a rule
-    on_floats: Callable = lambda graph, rule: False     # whether y is a list of floats
 
     @property
     def initial(self) -> dict:
         """The config key of each block's initial data after rho0, with its Block."""
         return {name.lower() + "0": block for name, block in self.blocks.items() if block}
+
+
+def _sum_sq(v: np.ndarray) -> float:
+    return float(np.add.reduce(v * v))
 
 
 def _inside_simplex(run, y):
@@ -96,7 +99,7 @@ FLOWS = {
         help="first-order concentration flow",
         blocks={"rho": None},
         field=lambda graph, rule, kappa: fo.first_order_field(graph, rule, kappa),
-        observers=(("sum_sq", "sum_sq", lambda run, y: float(np.dot(y, y))),
+        observers=(("sum_sq", "sum_sq", lambda run, y: _sum_sq(y)),
                    ("max_gap", "max_gap", lambda run, y: fo._gap(y))),
         simulate=lambda graph, rule, potential, blocks, spec, sync: fo.simulate_first_order(
             graph, rule, quadratic_kappa(potential), *blocks, spec),
@@ -104,7 +107,6 @@ FLOWS = {
         stop=lambda run, y: float(np.max(np.abs(run.field(y)))) < fo.CONVERGENCE_TOL,
         stop_reason="converged",
         rule_methods=("theta",),
-        on_floats=lambda graph, rule: graph.on_floats(rule, "flux"),
     ),
     "second": Flow(
         help="second-order Hamiltonian flow",
@@ -114,7 +116,7 @@ FLOWS = {
         # H as second_order.hamiltonian gives it, on a state the run has admitted already.
         observers=(("hamiltonian", "H", lambda run, y: 0.25 * float(run.pair_energy(
                         run.rule, y[: run.n], y[run.n :], run.model.grad(y[: run.n])))),
-                   ("sum_sq", None, lambda run, y: float(np.dot(y[: run.n], y[: run.n])))),
+                   ("sum_sq", None, lambda run, y: _sum_sq(y[: run.n]))),
         simulate=lambda graph, rule, potential, blocks, spec, sync: so.simulate_second_order(
             graph, rule, potential, so.PhaseState(*blocks), spec,
             stop_when=(lambda st: is_synchronised(st.rho)) if sync else None),
@@ -122,7 +124,6 @@ FLOWS = {
         stop=lambda run, y: bool(run.stop(so.PhaseState._from_admitted(y))),
         stop_on_sync=True,
         summary=_energy_summary,
-        on_floats=lambda graph, rule: graph.on_floats(rule, "second_order_terms"),
     ),
     "hopf_cole": Flow(
         help="flow in split (xi, xi*) variables",
@@ -136,7 +137,6 @@ FLOWS = {
                    ("rho_consistency", None, _carried_rho_deviation)),
         simulate=lambda graph, rule, potential, blocks, spec, sync: hc.simulate_hopf_cole(
             graph, rule, potential, hc.HopfColeState(*blocks), spec),
-        on_floats=lambda graph, rule: graph.on_floats(rule, "second_order_terms"),
     ),
 }
 
@@ -153,7 +153,7 @@ def simulate(dynamics: str, graph, rule, model, blocks, spec: IntegratorSpec, *,
     traj = integrate(run.field, y0, spec, {name: bind(hook) for name, _, hook in flow.observers},
                      post_step=bind(flow.post_step), n_density=n,
                      stop_when=bind(None if stop is None else flow.stop),
-                     on_floats=flow.on_floats(graph, rule))
+                     on_floats=graph.on_floats(rule))
     if traj.stop_reason == "stop_condition":
         traj.stop_reason = flow.stop_reason
     return traj

@@ -27,13 +27,14 @@ every omega theta'_ij is finite.  On ``Graph`` each is the per-edge
 expression of its flow, so each vector is gathered once and the bits are
 those of the edge formulas.  A graph of at most ``FLOAT_MAX_N`` vertices
 also computes on Python floats, where numpy's per-call dispatch would
-outweigh the arithmetic: where ``on_floats`` holds for a rule and an
-operator, ``flux`` (with u = x) and ``second_order_terms`` take lists of
-floats and return lists, as loops over the edges with the bits of the array
-formulas.  It holds under a rule that is a ``MinPower`` itself at the
-operator's ``FLOAT_ALPHAS``, and never for ``pair_energy`` or
-``slope_is_finite``; elsewhere every operator of either backend refuses a
-list x with a DomainError that names it.
+outweigh the arithmetic: where ``on_floats`` holds for a rule, ``flux`` (with
+u = x) and ``second_order_terms`` take lists of floats and return lists, as
+loops over the edges with the bits of the array formulas.  It holds under a
+rule that is a ``MinPower`` itself at one of ``FLOAT_ALPHAS``, the stock
+alphas, where phi and phi' are IEEE products, square roots and a quotient,
+the same bits on floats as under any numpy dispatch.  ``pair_energy`` and
+``slope_is_finite`` take no lists, and elsewhere every operator of either
+backend refuses a list x with a DomainError that names it.
 
 ``CompleteGraph`` overrides them.  It holds every pair with one weight omega
 and builds its edge arrays only when something reads them.  Under a
@@ -82,13 +83,12 @@ _COMPLETE_RE = re.compile(r"^complete\((\d+)\)$")
 #: ordered edges: the measured crossover of the two paths (see CHANGES.md).
 SORTED_MIN_N = 48
 
-#: The alphas at which each operator computes on lists of floats, with the bits of arrays.
-#: ``flux``'s phi on floats (``sqrt`` of the clamped m, ``np.maximum``'s rule, ``m * m``) is
-#: numpy's at all three.  ``second_order_terms`` also takes phi' (``2 * m``); at alpha 1/2,
-#: ``m ** -0.5`` differs from ``np.power(m, -0.5)`` in about 5 % of entries, and no workload
-#: runs the second-order flows at alpha 1.  ``pair_energy`` and ``slope_is_finite`` take no lists.
-FLOAT_ALPHAS = {"flux": (0.5, 1.0, 2.0), "second_order_terms": (2.0,), "pair_energy": (),
-                "slope_is_finite": ()}
+#: The alphas at which ``flux`` and ``second_order_terms`` compute on lists of floats, with the
+#: bits of arrays: the stock alphas, where ``MinPower``'s phi and phi' are products, square
+#: roots and one quotient (``weights._STOCK``), or at alpha 1 ``np.maximum``'s rule and
+#: ``m >= 0``.  IEEE arithmetic rounds each correctly, so floats and numpy, whichever kernels
+#: numpy dispatches, give the same bits; ``pair_energy`` and ``slope_is_finite`` take no lists.
+FLOAT_ALPHAS = (0.5, 1.0, 1.5, 2.0, 3.0)
 
 
 def _array(values, width=None) -> np.ndarray:
@@ -227,7 +227,8 @@ class Graph:
 
         Given x, S and g as lists of floats, where ``on_floats`` holds, it returns lists."""
         if type(x) is list:
-            return _float_terms(self._float_edges(rule, "second_order_terms"), self.n, x, S, g)
+            return _float_terms(self._float_edges(rule, "second_order_terms"), rule.alpha, self.n,
+                                x, S, g)
         diff, scatter = self.diff, self.scatter
         wth, wdth = self.coupling_and_slope(rule, x)
         dS, dg = diff(S), diff(g)
@@ -236,38 +237,36 @@ class Graph:
     def pair_energy(self, rule, x, S, g) -> float:
         """E(S - g, S + g), whose pair factor is (S_i - S_j)^2 - (g_i - g_j)^2."""
         if type(x) is list:
-            self._float_edges(rule, "pair_energy")  # which refuses it
+            raise DomainError("pair_energy computes on no lists of floats; give arrays")
         wth, dS, dg = self.coupling(rule, x), self.diff(S), self.diff(g)
         return np.sum(wth * (dS**2 - dg**2))
 
     def slope_is_finite(self, rule, x) -> bool:
         """Whether omega * d theta/d x_tail is finite on every ordered edge."""
         if type(x) is list:
-            self._float_edges(rule, "slope_is_finite")  # which refuses it
+            raise DomainError("slope_is_finite computes on no lists of floats; give arrays")
         return bool(np.isfinite(self.coupling_and_slope(rule, x)[1]).all())
 
     def held(self, operator):
         """One of this graph's operators as a run calls it: on an edge list, itself."""
         return operator
 
-    def on_floats(self, rule, operator: str) -> bool:
-        """Whether the operator named ``operator``, a key of ``FLOAT_ALPHAS``, computes on
-        lists of floats under ``rule``, with the bits of arrays: on at most
-        ``FLOAT_MAX_N`` vertices, under a rule that is a ``MinPower`` itself (a subclass may
-        override phi) at one of the operator's ``FLOAT_ALPHAS``."""
+    def on_floats(self, rule) -> bool:
+        """Whether ``flux`` and ``second_order_terms`` compute on lists of floats under
+        ``rule``, with the bits of arrays: on at most ``FLOAT_MAX_N`` vertices, under a rule
+        that is a ``MinPower`` itself (a subclass may override phi) at one of
+        ``FLOAT_ALPHAS``."""
         return (self._edge_tuples is not None and type(rule) is MinPower
-                and rule.alpha in FLOAT_ALPHAS[operator])
+                and rule.alpha in FLOAT_ALPHAS)
 
     def _float_edges(self, rule, operator: str) -> tuple:
         """The edges of positive weight as (tail, head, weight) tuples, 0-based and each
         once, for ``operator`` on lists of floats; a DomainError that names it where
         ``on_floats`` fails."""
-        if not self.on_floats(rule, operator):
-            alphas = FLOAT_ALPHAS[operator]
+        if not self.on_floats(rule):
             raise DomainError(f"{operator} computes on lists of floats only on an edge list of "
                               f"at most {FLOAT_MAX_N} vertices, under a MinPower at alpha in "
-                              f"{alphas}; give arrays" if alphas else
-                              f"{operator} computes on no lists of floats; give arrays")
+                              f"{FLOAT_ALPHAS}; give arrays")
         return self._edge_tuples
 
     def neighbors(self, j: int) -> tuple[int, ...]:
@@ -285,9 +284,11 @@ class Graph:
         return json.dumps({"n": self.n, "edges": rows.tolist()})
 
 
+# The float loops below take phi and phi' inline, as weights._STOCK gives them, with no
+# call per edge; m > 0 there, so c = max(m, 0) is m itself.
 def _float_flux(edges, alpha: float, n: int, x: list) -> list:
     """``Graph.flux`` at u = x on a list of floats over the (tail, head, weight) tuples
-    ``edges``, at alpha 1/2, 1 or 2, with the bits of its array formula.
+    ``edges``, at one of ``FLOAT_ALPHAS``, with the bits of its array formula.
 
     bincount's sums: a vertex adds its edges forward in edge order, then its edges back,
     whose terms are exactly minus the forward ones.
@@ -300,8 +301,12 @@ def _float_flux(edges, alpha: float, n: int, x: list) -> list:
             th = m if m > 0.0 or m != m else 0.0
         elif alpha == 2.0:
             th = m * m if m > 0.0 else 0.0
-        else:
+        elif alpha == 3.0:
+            th = m * m * m if m > 0.0 else 0.0
+        elif alpha == 0.5:
             th = sqrt(m) if m > 0.0 else 0.0
+        else:
+            th = m * sqrt(m) if m > 0.0 else 0.0
         v = w * th * (a - b)
         out[i] += v
         terms.append(v)
@@ -310,19 +315,33 @@ def _float_flux(edges, alpha: float, n: int, x: list) -> list:
     return out
 
 
-def _float_terms(edges, n: int, x: list, S: list, g: list) -> tuple:
+def _float_terms(edges, alpha: float, n: int, x: list, S: list, g: list) -> tuple:
     """``Graph.second_order_terms`` on lists of floats over the (tail, head, weight) tuples
-    ``edges``, at alpha 2, with the bits of its array formulas.
+    ``edges``, at one of ``FLOAT_ALPHAS``, with the bits of its array formulas.
 
     Each edge's terms are added to its tail in edge order, then its back terms to its
     head, which is ``bincount``'s order.  Back, the flux terms are exactly minus the
     forward ones and the pair factor is the same; the slope is each tail's own share.
     """
-    f_S, kinetic, f_g, back = [0.0] * n, [0.0] * n, [0.0] * n, []
+    f_S, kinetic, f_g, back, sqrt = [0.0] * n, [0.0] * n, [0.0] * n, [], math.sqrt
     for i, j, w in edges:
         a, b = x[i], x[j]
         m = a if a < b else b if b <= a else math.nan  # np.minimum's, NaN included
-        th, d = (m * m, 2.0 * m) if m > 0.0 else (0.0, 0.0)  # 0 at NaN too
+        # phi and phi' are 0 where m < 0 or NaN, but phi passes a NaN on at alpha 1, and
+        # phi'(0) is 1 at alpha 1 and +inf at alpha 1/2.
+        if alpha == 2.0:
+            th, d = (m * m, 2.0 * m) if m > 0.0 else (0.0, 0.0)
+        elif alpha == 1.0:
+            th = m if m > 0.0 or m != m else 0.0
+            d = 1.0 if m >= 0.0 else 0.0
+        elif alpha == 3.0:
+            mm = m * m
+            th, d = (mm * m, 3.0 * mm) if m > 0.0 else (0.0, 0.0)
+        elif alpha == 0.5:
+            th = sqrt(m) if m > 0.0 else 0.0
+            d = 0.5 / th if m > 0.0 else math.inf if m == 0.0 else 0.0
+        else:
+            th, d = (m * sqrt(m), 1.5 * sqrt(m)) if m > 0.0 else (0.0, 0.0)
         # _tie_share's rule: all of the slope to the smaller end, half each on a tie or a
         # NaN (where d is 0).
         da = d if a < b else 0.0 if b < a else 0.5 * d
@@ -498,7 +517,7 @@ class CompleteGraph(Graph):
         low, high = np.partition(x, self.n - 2)[-2:]
         return bool(np.isfinite(self._dphi(rule, x, x == high, high == low)).all())
 
-    def on_floats(self, rule, operator):
+    def on_floats(self, rule):
         """False: the sorted operators have other bits than the edge formulas."""
         return False
 

@@ -46,14 +46,16 @@ def _maybe_scalar(x, scalar: bool):
     return float(x) if scalar else x
 
 
-def _power(m: float, e: float) -> float:
-    """m**e on floats; at e = 2 and 1/2 the correctly rounded m * m and sqrt(m)
-    that numpy's power gives, where libm's pow can be 1 ulp off."""
-    if e == 2.0:
-        return m * m
-    if e == 0.5:
-        return math.sqrt(m)
-    return m**e
+#: phi and phi' at the stock alphas but 1, as functions of c = max(m, 0) >= 0 (an array or a
+#: float) and numpy's or math's ``sqrt``: products, square roots and one quotient, which IEEE
+#: arithmetic rounds correctly, so their bits are the same on any machine.  np.power's bits
+#: follow numpy's CPU dispatch, and libm's pow may be 1 ulp off.  phi' at alpha 1/2 is
+#: 0.5 / 0 at c = 0: +inf on arrays, a ZeroDivisionError on floats.  The edge loops of
+#: graphs.py spell the same formulas out inline.
+_STOCK = {0.5: (lambda c, sqrt: sqrt(c), lambda c, sqrt: 0.5 / sqrt(c)),
+          1.5: (lambda c, sqrt: c * sqrt(c), lambda c, sqrt: 1.5 * sqrt(c)),
+          2.0: (lambda c, sqrt: c * c, lambda c, sqrt: 2.0 * c),
+          3.0: (lambda c, sqrt: c * c * c, lambda c, sqrt: 3.0 * (c * c))}
 
 
 def _tie_share(d: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -80,13 +82,16 @@ class MinPower:
 
     # theta(a, b) = phi(min(a, b)): the sorted complete-graph operators in
     # graphs.py evaluate phi and dphi once per vertex instead of per edge.
-    # Both clamp with abs(fmax(m, 0)): fmax sends NaN to 0 but may keep a -0.0,
-    # which power passes on at odd integer and 1/2 exponents; abs makes it +0.0.
+    # Both clamp with c = abs(fmax(m, 0)): fmax sends NaN to 0 but may keep a -0.0,
+    # which sqrt and power pass on; abs makes it +0.0.  At a stock alpha they take
+    # ``_STOCK``'s formula, and np.power elsewhere.
     def phi(self, m):
         """max(m, 0)**alpha; 0 at NaN, except for alpha = 1, which passes NaN on."""
-        if self.alpha == 1.0:
+        a = self.alpha
+        if a == 1.0:
             return np.maximum(m, 0.0)
-        return np.power(np.abs(np.fmax(m, 0.0)), self.alpha)
+        c = np.abs(np.fmax(m, 0.0))
+        return _STOCK[a][0](c, np.sqrt) if a in _STOCK else np.power(c, a)
 
     def dphi(self, m):
         """d/dm of max(m, 0)**alpha with the 0**0 = 1 convention.
@@ -96,12 +101,13 @@ class MinPower:
         of theta.
         """
         a = self.alpha
-        if a > 1.0:  # 0**(a - 1) = 0 is already the slope off the domain
-            return a * np.power(np.abs(np.fmax(m, 0.0)), a - 1.0)
         if a == 1.0:
             return np.where(m >= 0.0, 1.0, 0.0)
-        with np.errstate(divide="ignore"):  # 0**(a - 1) = inf
-            d = a * np.power(np.maximum(m, 0.0), a - 1.0)
+        c = np.abs(np.fmax(m, 0.0))
+        if a > 1.0:  # 0**(a - 1) = 0 is already the slope off the domain
+            return _STOCK[a][1](c, np.sqrt) if a in _STOCK else a * np.power(c, a - 1.0)
+        with np.errstate(divide="ignore"):  # 0**(a - 1) = inf, also where m < 0 or NaN
+            d = _STOCK[a][1](c, np.sqrt) if a in _STOCK else a * np.power(c, a - 1.0)
         return np.where(m >= 0.0, d, 0.0)
 
     def theta(self, a, b):
@@ -121,23 +127,33 @@ class MinPower:
         return th, da
 
     # Two-node reduction, b = 1 - r, on Python floats: the scalar flow calls
-    # these once per stage, where numpy's per-call overhead would dominate.
+    # these once per stage, where numpy's per-call overhead would dominate.  At a
+    # stock alpha they take ``_STOCK``'s formula, and so the array kernel's bits.
     def theta_r(self, r: float) -> float:
-        m = min(r, 1.0 - r)
-        return _power(m, self.alpha) if m > 0.0 else 0.0
+        b = 1.0 - r
+        m = b if b < r else r  # min(r, b), without the builtin's call
+        if not m > 0.0:
+            return 0.0
+        stock = _STOCK.get(self.alpha)
+        return stock[0](m, math.sqrt) if stock else m**self.alpha
 
     def dtheta_r(self, r: float) -> float:
         """theta'(r): the slope of min(r, 1 - r)**alpha, 0 on the tie r = 1/2.
 
         For alpha < 1 it is +inf at r = 0 and -inf at r = 1, as ``partials`` gives.
         """
-        b = 1.0 - r
+        b, a = 1.0 - r, self.alpha
         if r == b:
             return 0.0
-        m = min(r, b)
+        m, stock = b if b < r else r, _STOCK.get(a)
         try:
-            d = self.alpha * _power(m, self.alpha - 1.0) if m >= 0.0 else 0.0
-        except (ZeroDivisionError, OverflowError):  # 0.0 ** -x, or a tiny m for a small alpha
+            if not m >= 0.0:
+                d = 0.0
+            elif stock:
+                d = stock[1](abs(m), math.sqrt)  # abs: +0.0 for a -0.0, as arrays clamp
+            else:
+                d = a * m ** (a - 1.0)
+        except (ZeroDivisionError, OverflowError):  # 0.5 / 0.0, 0.0 ** -x, or a tiny m ** -x
             d = math.inf
         return d if r < b else 0.0 - d  # not -d: +0.0 at r = 1, as da - db gives
 

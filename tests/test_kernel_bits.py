@@ -2,10 +2,13 @@
 run and simplex clip, and the graph flows on floats, bit for bit.
 
 Each reference below is the earlier, longer formula of the kernel, kept
-verbatim: the rewrites drop numpy calls but must give the same bits, signed
-zeros and the places of NaN included.  The Hopf-Cole field's reference spells
-out its recombination of the second-order sums.  The inputs hold ties, exact and
-negative zeros, tiny negatives, subnormals, NaN and infinities.
+verbatim but for phi and phi' at the stock alphas, which are products, square
+roots and a quotient instead of ``np.power``, and the sums of squares, which
+are ``np.add.reduce``'s instead of ``np.dot``: the rewrites drop numpy calls but
+must give the same bits, signed zeros and the places of NaN included.  The
+Hopf-Cole field's reference spells out its recombination of the second-order
+sums.  The inputs hold ties, exact and negative zeros, tiny negatives,
+subnormals, NaN and infinities.
 """
 import functools
 import math
@@ -21,6 +24,7 @@ from graphsync import flows
 from graphsync.errors import (ConsistencyError, DomainError, GraphSyncError,
                               NonFiniteStateError, SimplexViolationError)
 from graphsync.first_order import first_order_field
+from graphsync.graphs import FLOAT_ALPHAS
 from graphsync.hopf_cole import hopf_cole_field
 from graphsync.integrate import (_STEPPERS, FLOAT_MAX_N, TUPLE_STEPPERS, _rk4_step, clip_floats,
                                  density_floats, density_state, integrate, project_simplex_clip)
@@ -34,16 +38,29 @@ SPECIAL = [0.0, -0.0, -1e-9, -1e-12, 5e-324, -5e-324, 1e-300, 0.25, 0.5, 1.0,
 
 # -- references ---------------------------------------------------------------
 
+#: phi and phi' of c = max(m, 0) at the stock alphas but 1.
+STOCK_PHI = {0.5: np.sqrt, 1.5: lambda c: c * np.sqrt(c), 2.0: lambda c: c * c,
+             3.0: lambda c: c * c * c}
+STOCK_DPHI = {0.5: lambda c: 0.5 / np.sqrt(c), 1.5: lambda c: 1.5 * np.sqrt(c),
+              2.0: lambda c: 2.0 * c, 3.0: lambda c: 3.0 * (c * c)}
+
+
 def phi_ref(alpha, m):
     if alpha == 1.0:
         return np.maximum(m, 0.0)
-    return np.where(m > 0.0, np.power(np.maximum(m, 0.0), alpha), 0.0)
+    c = np.maximum(m, 0.0)
+    return np.where(m > 0.0, STOCK_PHI[alpha](c) if alpha in STOCK_PHI else np.power(c, alpha), 0.0)
 
 
 def dphi_ref(alpha, m):
+    c = np.maximum(m, 0.0)
     with np.errstate(divide="ignore"):
-        d = alpha * np.power(np.maximum(m, 0.0), alpha - 1.0)
+        d = STOCK_DPHI[alpha](c) if alpha in STOCK_DPHI else alpha * np.power(c, alpha - 1.0)
     return np.where(m >= 0.0, d, 0.0)
+
+
+def sum_sq_ref(v):
+    return float(np.add.reduce(v * v))
 
 
 def tie_share_ref(d, a, b):
@@ -373,15 +390,12 @@ def simulate_first_order_ref(graph, rule, kappa, rho0, spec, stop_on_convergence
     def converged(rho):
         return float(np.max(np.abs(field(rho)))) < 1e-13
 
-    observers = {"sum_sq": lambda rho: float(np.dot(rho, rho)), "max_gap": gap}
+    observers = {"sum_sq": sum_sq_ref, "max_gap": gap}
     traj = integrate(field, rho0, spec, observers, post_step=project_simplex_clip, n_density=graph.n,
                      stop_when=converged if stop_on_convergence else None)
     if traj.stop_reason == "stop_condition":
         traj.stop_reason = "converged"
     return traj
-
-
-FLOAT_ALPHAS = [0.5, 1.0, 2.0]
 
 
 @st.composite
@@ -427,7 +441,7 @@ def first_order_runs(draw):
 @given(case=first_order_runs(), stop=st.booleans())
 def test_first_order_run_on_floats_keeps_the_array_runs_bits(case, stop):
     graph, rule, kappa, rho0, spec = case
-    assert graph.on_floats(rule, "flux")
+    assert graph.on_floats(rule)
     with np.errstate(all="ignore"):
         want = _run_bits(simulate_first_order_ref, graph, rule, kappa, rho0, spec, stop)
     assert _run_bits(gs.simulate_first_order, graph, rule, kappa, rho0, spec,
@@ -503,30 +517,39 @@ class _OwnPhi(gs.MinPower):
     """A MinPower subclass, which may give phi a form of its own."""
 
 
-@pytest.mark.parametrize("graph, rule, first_on_floats", [
+@pytest.mark.parametrize("graph, rule, on_floats", [
     (gs.complete_graph(FLOAT_MAX_N + 1), gs.MinPower(2.0), False),
-    (gs.named_graph("cycle6"), gs.MinPower(3.0), False),
-    (gs.named_graph("cycle6"), gs.MinPower(1.5), False),
+    (gs.named_graph("cycle6"), gs.MinPower(2.5), False),
     (gs.named_graph("cycle6"), _OwnPhi(2.0), False),
     (gs.named_graph("cycle6"), gs.ArithmeticMean(), False),
     (gs.graphs.CompleteGraph(4), gs.MinPower(1.0), False),
-    # phi' = m ** -0.5 / 2 on floats is not np.power's: only the first-order run steps on floats.
+    # The stock alphas but 2, whose phi and phi' are products, square roots and a quotient.
     (gs.named_graph("cycle6"), gs.MinPower(0.5), True),
-    # No workload runs the second-order flows at alpha 1: only the first-order run does.
     (gs.named_graph("cycle6"), gs.MinPower(1.0), True),
-], ids=["n=8", "alpha=3", "alpha=1.5", "subclass", "arithmetic_mean", "sorted", "alpha=0.5",
-        "alpha=1"])
-def test_other_runs_stay_on_arrays(graph, rule, first_on_floats):
-    assert graph.on_floats(rule, "flux") is first_on_floats
-    assert flows.FLOWS["first"].on_floats(graph, rule) is first_on_floats
-    assert not graph.on_floats(rule, "second_order_terms")
-    assert not flows.FLOWS["second"].on_floats(graph, rule)
-    assert not flows.FLOWS["hopf_cole"].on_floats(graph, rule)
-    if type(graph) is gs.Graph:  # the edge list refuses lists where it does not compute on them
+    (gs.named_graph("cycle6"), gs.MinPower(1.5), True),
+    (gs.named_graph("cycle6"), gs.MinPower(3.0), True),
+], ids=["n=8", "alpha=2.5", "subclass", "arithmetic_mean", "sorted", "alpha=0.5", "alpha=1",
+        "alpha=1.5", "alpha=3"])
+def test_other_runs_stay_on_arrays(graph, rule, on_floats, monkeypatch):
+    held = []
+
+    def spy(*args, **kwargs):
+        held.append(kwargs["on_floats"])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "integrate", spy)
+    potential, spec = gs.KuramotoQuadratic(1.0), gs.IntegratorSpec(dt=0.01, t_final=0.02)
+    rho0 = np.linspace(1.0, 2.0, graph.n) / np.add.reduce(np.linspace(1.0, 2.0, graph.n))
+    phase = gs.gradient_flow_init(rho0, potential)
+    gs.simulate_first_order(graph, rule, 1.0, rho0, spec)
+    gs.simulate_second_order(graph, rule, potential, phase, spec)
+    gs.simulate_hopf_cole(graph, rule, potential, gs.to_hopf_cole(phase, potential), spec)
+    assert held == [on_floats] * 3
+    assert graph.on_floats(rule) is on_floats
+    if type(graph) is gs.Graph and not on_floats:  # the edge list refuses lists it does not take
         x = [1.0 / graph.n] * graph.n
-        if not first_on_floats:
-            with pytest.raises(DomainError, match="flux computes on lists of floats only"):
-                graph.flux(rule, x, x)
+        with pytest.raises(DomainError, match="flux computes on lists of floats only"):
+            graph.flux(rule, x, x)
         with pytest.raises(DomainError, match="second_order_terms computes on lists of floats"):
             graph.second_order_terms(rule, x, x, x)
 
@@ -547,6 +570,28 @@ def test_a_run_on_floats_calls_neither_the_array_clip_nor_theta(monkeypatch):
     traj = gs.simulate_first_order(gs.named_graph("ribbon6"), gs.MinPower(1.0), 1.0,
                                    [0.3, 0.25, 0.2, 0.1, 0.1, 0.05], spec)
     assert traj.final_time == 1.0
+
+
+def test_no_stock_alpha_calls_np_power(monkeypatch, tmp_path):
+    # np.power's bits follow numpy's CPU dispatch; at the stock alphas nothing may call it.
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.power called at a stock alpha")
+
+    monkeypatch.setattr(np, "power", refuse)
+    x, r = np.array(SPECIAL), [0.0, 1e-300, 0.25, 0.5, 0.75, 1.0]
+    for alpha in FLOAT_ALPHAS:
+        rule = gs.MinPower(alpha)
+        with np.errstate(all="ignore"):
+            rule.phi(x), rule.dphi(x), rule.theta(x, x[::-1]), rule.theta_and_slope(x, x[::-1])
+        [(rule.theta_r(v), rule.dtheta_r(v)) for v in r]
+    cfg = gs.experiments.REPRODUCE_TARGETS["fig3"]
+    assert gs.experiments.run_experiment(cfg, tmp_path, check=True)["check_failures"] == []
+    rule, potential, spec = gs.MinPower(3.0), gs.KuramotoQuadratic(1.0), gs.IntegratorSpec(t_final=0.5)
+    for graph in (gs.complete_graph(6), gs.complete_graph(48)):  # on floats, and sorted
+        rho0 = np.linspace(1.0, 2.0, graph.n) / np.add.reduce(np.linspace(1.0, 2.0, graph.n))
+        traj = gs.simulate_second_order(graph, rule, potential, gs.gradient_flow_init(rho0, potential),
+                                        spec)
+        assert traj.final_time == 0.5
 
 
 # -- the second-order and Hopf-Cole runs on floats -------------------------------
@@ -570,7 +615,7 @@ def simulate_second_order_ref(graph, rule, kappa, rho0, S0, spec):
     def energy(y):
         return 0.25 * float(graph.pair_energy(rule, y[:n], y[n:], -kappa * y[:n]))
 
-    observers = {"hamiltonian": energy, "sum_sq": lambda y: float(np.dot(y[:n], y[:n]))}
+    observers = {"hamiltonian": energy, "sum_sq": lambda y: sum_sq_ref(y[:n])}
     return integrate(lambda y: second_order_field_ref(graph, rule, kappa, y),
                      np.concatenate([rho0, S0]), spec, observers, post_step=inside_simplex,
                      n_density=n)
@@ -592,12 +637,13 @@ def simulate_hopf_cole_ref(graph, rule, kappa, rho0, xi0, xs0, spec):
                      np.concatenate([rho0, xi0, xs0]), spec, observers, n_density=n)
 
 
+@pytest.mark.parametrize("alpha", FLOAT_ALPHAS)
 @settings(max_examples=300, deadline=None)
 @given(graph=small_graphs(), data=st.data(), kappa=st.sampled_from([0.5, 1.0, 1e200]))
-def test_second_order_fields_on_floats_have_the_array_fields_bits(graph, data, kappa):
+def test_second_order_fields_on_floats_have_the_array_fields_bits(alpha, graph, data, kappa):
     # Entries whose squares overflow, beside the ties, zeros, NaN and infinities.
     entry = st.sampled_from(SPECIAL + [1e200, -1e160]) | st.floats(-1e-9, 1.0)
-    n, rule, potential = graph.n, gs.MinPower(2.0), gs.KuramotoQuadratic(kappa)
+    n, rule, potential = graph.n, gs.MinPower(alpha), gs.KuramotoQuadratic(kappa)
     x, S, g = [np.array(data.draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(3)]
     if data.draw(st.booleans()):  # ties between vertices
         x[data.draw(st.integers(0, n - 1))] = x[0]
@@ -619,9 +665,9 @@ def test_second_order_fields_on_floats_have_the_array_fields_bits(graph, data, k
 
 
 @st.composite
-def second_order_runs(draw):
-    """A second-order or Hopf-Cole run on floats: its graph, rule, kappa, rho0, a kick that
-    moves S0 off the gradient-flow branch and xi0 off 0, and its spec."""
+def second_order_runs(draw, alpha):
+    """A second-order or Hopf-Cole run on floats at ``alpha``: its graph, rule, kappa, rho0, a
+    kick that moves S0 off the gradient-flow branch and xi0 off 0, and its spec."""
     graph = draw(small_graphs())
     dt = draw(st.sampled_from([0.01, 0.05, 0.3]))
     # Some horizons end on a shortened step.
@@ -630,7 +676,7 @@ def second_order_runs(draw):
                              t_final=t_final, record_every=draw(st.sampled_from([1, 3])))
     # A large kappa or kick leaves the simplex or overflows: the run ends in an error.
     kappa = draw(st.sampled_from([0.5, 1.0, 4.0, 1e3, 1e200]))
-    rule = gs.MinPower(2.0)
+    rule = gs.MinPower(alpha)
     value = st.sampled_from([0.0, -0.0, 0.1, -0.3]) | st.floats(-1.0, 1.0)
     kick = np.array(draw(st.lists(value, min_size=graph.n, max_size=graph.n)))
     return graph, rule, kappa, draw(densities(graph.n)), kick, spec
@@ -651,12 +697,13 @@ def _second_order_outcomes(graph, rule, kappa, rho0, kick, spec):
     return got, want
 
 
+@pytest.mark.parametrize("alpha", FLOAT_ALPHAS)
 @settings(max_examples=200, deadline=None)
-@given(case=second_order_runs())
-def test_second_order_runs_on_floats_keep_the_array_runs_bits(case):
+@given(data=st.data())
+def test_second_order_runs_on_floats_keep_the_array_runs_bits(alpha, data):
+    case = data.draw(second_order_runs(alpha))
     graph, rule = case[:2]
-    assert flows.FLOWS["second"].on_floats(graph, rule)
-    assert flows.FLOWS["hopf_cole"].on_floats(graph, rule)
+    assert graph.on_floats(rule)
     got, want = _second_order_outcomes(*case)
     assert got == want
 
