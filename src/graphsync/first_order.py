@@ -29,19 +29,15 @@ from .potentials import KuramotoQuadratic
 CONVERGENCE_TOL = 1e-13
 
 
-def first_order_field(graph: Graph, rule, kappa: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Prebuilt vector field rho -> d rho/dt = kappa * Graph.flux(rule, rho, rho);
-    kappa is checked as the quadratic potential checks it.  Given rho as a list of floats,
-    where the graph's ``flux`` takes lists, it computes on floats, with the bits of arrays,
-    and returns a list; given an array, it returns an array."""
-    flux, kappa = graph.held(graph.flux), KuramotoQuadratic(kappa).kappa
-
-    def field(rho):
-        if type(rho) is list:
-            return [kappa * f for f in flux(rule, rho, rho)]
-        return kappa * flux(rule, rho, rho)
-
-    return field
+def first_order_field(graph: Graph, rule, kappa: float, floats: bool = False) -> Callable:
+    """Prebuilt vector field rho -> d rho/dt = kappa * Graph.flux(rule, rho, rho) for one run;
+    kappa is checked as the quadratic potential checks it.  With ``floats`` the field takes
+    and returns a list of floats, with the bits of arrays, where the graph's ``held`` binds
+    its float loop (and refuses otherwise); else it takes an array, a list as its array."""
+    flux, kappa = graph.held("flux", rule, floats), KuramotoQuadratic(kappa).kappa
+    if floats:
+        return lambda rho: [kappa * f for f in flux(rho)]
+    return lambda rho: kappa * flux(rho, rho)
 
 
 def rhs_first_order(graph: Graph, rule, kappa: float, rho) -> np.ndarray:

@@ -25,26 +25,28 @@ and F(g), and the Hopf-Cole field takes it at (S, g) = (xi - xi*, xi + xi*);
 ``pair_energy`` is E(S - g, S + g) = 4 H; ``slope_is_finite`` tells whether
 every omega theta'_ij is finite.  On ``Graph`` each is the per-edge
 expression of its flow, so each vector is gathered once and the bits are
-those of the edge formulas.  A graph of at most ``FLOAT_MAX_N`` vertices
-also computes on Python floats, where numpy's per-call dispatch would
-outweigh the arithmetic: where ``on_floats`` holds for a rule, ``flux`` (with
-u = x) and ``second_order_terms`` take lists of floats and return lists, as
-loops over the edges with the bits of the array formulas.  It holds under a
-rule that is a ``MinPower`` itself at one of ``FLOAT_ALPHAS``, the stock
-alphas, where phi and phi' are IEEE products, square roots and a quotient,
-the same bits on floats as under any numpy dispatch.  ``pair_energy`` and
-``slope_is_finite`` take no lists, and elsewhere every operator of either
-backend refuses a list x with a DomainError that names it.
+those of the edge formulas.  Either backend's operators take arrays, and a list
+as its ``np.asarray``.  A run binds each operator once, with ``held(operator,
+rule, floats)``, so that no call tests a type or the rule again.  A graph of at
+most ``FLOAT_MAX_N`` vertices also has loops on Python floats, where numpy's
+per-call dispatch would outweigh the arithmetic: where ``on_floats`` holds for
+a rule, ``held`` with ``floats`` binds ``flux`` (at u = x) or
+``second_order_terms`` as a loop over the edges on lists of floats, with the
+bits of the array formulas, and elsewhere refuses with a DomainError that
+names the backend and the rule.  It holds under a rule that is a ``MinPower``
+itself at one of ``FLOAT_ALPHAS``, the stock alphas, where phi and phi' are
+IEEE products, square roots and a quotient, the same bits on floats as under
+any numpy dispatch.
 
 ``CompleteGraph`` overrides them.  It holds every pair with one weight omega
 and builds its edge arrays only when something reads them.  Under a
 ``MinPower`` rule it evaluates the operators on x in rank order, with prefix
-sums, in O(n log n); other rules fall back to the edge list.  A ``frame``
-argument gives the order, sorted afresh when None; the graph keeps none, and a
-run holds its own through ``held``, so it sorts once per rank change.  With no
-ties, the slope sums take each rank as its own tie group without a search.
-Its ``slope_is_finite`` needs no order: a strict maximum has no slope, a tied
-top group only the half share of its ties, and a NaN entry, whose edges have
+sums, in O(n log n); other rules fall back to the edge list.  The graph keeps
+no order: a run holds its own through ``held``, so it sorts once per rank
+change, and a single operator call sorts afresh.  With no ties, the slope
+sums take each rank as its own tie group without a search.  Its
+``slope_is_finite`` needs no order: a strict maximum has no slope, a tied top
+group only the half share of its ties, and a NaN entry, whose edges have
 slope 0, ranks lowest.  It computes on no floats.  ``complete_graph`` and
 ``build_graph`` return one for a complete graph with one common weight from
 ``SORTED_MIN_N`` vertices up, the measured crossover below which the edge
@@ -57,6 +59,7 @@ import math
 import os
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Mapping
 
 import numpy as np
@@ -83,11 +86,11 @@ _COMPLETE_RE = re.compile(r"^complete\((\d+)\)$")
 #: ordered edges: the measured crossover of the two paths (see CHANGES.md).
 SORTED_MIN_N = 48
 
-#: The alphas at which ``flux`` and ``second_order_terms`` compute on lists of floats, with the
-#: bits of arrays: the stock alphas, where ``MinPower``'s phi and phi' are products, square
+#: The alphas at which ``flux`` and ``second_order_terms`` have loops on lists of floats, with
+#: the bits of arrays: the stock alphas, where ``MinPower``'s phi and phi' are products, square
 #: roots and one quotient (``weights._STOCK``), or at alpha 1 ``np.maximum``'s rule and
 #: ``m >= 0``.  IEEE arithmetic rounds each correctly, so floats and numpy, whichever kernels
-#: numpy dispatches, give the same bits; ``pair_energy`` and ``slope_is_finite`` take no lists.
+#: numpy dispatches, give the same bits.
 FLOAT_ALPHAS = (0.5, 1.0, 1.5, 2.0, 3.0)
 
 
@@ -211,63 +214,51 @@ class Graph:
     # Vertex level: the operators of the module docstring, on the edge list.
     # Each is its flow's per-edge formula, operation for operation, so it
     # gives that formula's bits; each vector is gathered once for all the sums.
-    def flux(self, rule, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """F(u)_i = sum_j omega_ij theta(x_i, x_j) (u_i - u_j).  Given x as a list of floats
-        and u as x itself, where ``on_floats`` holds, it returns a list."""
-        if type(x) is list:
-            if u is not x:
-                raise DomainError("flux takes a list of floats only as both x and u")
-            return _float_flux(self._float_edges(rule, "flux"), rule.alpha, self.n, x)
+    def flux(self, rule, x, u) -> np.ndarray:
+        """F(u)_i = sum_j omega_ij theta(x_i, x_j) (u_i - u_j)."""
+        x, u = np.asarray(x), np.asarray(u)
         xt, xh = x[self.tail], x[self.head]
         du = xt - xh if u is x else self.diff(u)
         return self.scatter(self._weighted(rule.theta(xt, xh)) * du)
 
     def second_order_terms(self, rule, x, S, g) -> tuple:
-        """F(S), K(g - S, g + S) and F(g); K's pair factor is (g_i - g_j)^2 - (S_i - S_j)^2.
-
-        Given x, S and g as lists of floats, where ``on_floats`` holds, it returns lists."""
-        if type(x) is list:
-            return _float_terms(self._float_edges(rule, "second_order_terms"), rule.alpha, self.n,
-                                x, S, g)
+        """F(S), K(g - S, g + S) and F(g); K's pair factor is (g_i - g_j)^2 - (S_i - S_j)^2."""
         diff, scatter = self.diff, self.scatter
-        wth, wdth = self.coupling_and_slope(rule, x)
-        dS, dg = diff(S), diff(g)
+        wth, wdth = self.coupling_and_slope(rule, np.asarray(x))
+        dS, dg = diff(np.asarray(S)), diff(np.asarray(g))
         return scatter(wth * dS), scatter((dg**2 - dS**2) * wdth), scatter(wth * dg)
 
     def pair_energy(self, rule, x, S, g) -> float:
         """E(S - g, S + g), whose pair factor is (S_i - S_j)^2 - (g_i - g_j)^2."""
-        if type(x) is list:
-            raise DomainError("pair_energy computes on no lists of floats; give arrays")
-        wth, dS, dg = self.coupling(rule, x), self.diff(S), self.diff(g)
+        wth = self.coupling(rule, np.asarray(x))
+        dS, dg = self.diff(np.asarray(S)), self.diff(np.asarray(g))
         return np.sum(wth * (dS**2 - dg**2))
 
     def slope_is_finite(self, rule, x) -> bool:
         """Whether omega * d theta/d x_tail is finite on every ordered edge."""
-        if type(x) is list:
-            raise DomainError("slope_is_finite computes on no lists of floats; give arrays")
-        return bool(np.isfinite(self.coupling_and_slope(rule, x)[1]).all())
+        return bool(np.isfinite(self.coupling_and_slope(rule, np.asarray(x))[1]).all())
 
-    def held(self, operator):
-        """One of this graph's operators as a run calls it: on an edge list, itself."""
-        return operator
+    def held(self, operator: str, rule, floats: bool = False):
+        """The operator named ``operator``, bound to ``rule``, as one run calls it: the edge
+        list's own; with ``floats``, its loop on lists of floats (``flux`` of x alone) bound to
+        the edge tuples, alpha and n, which a DomainError refuses where ``on_floats`` fails."""
+        if not floats:
+            return partial(getattr(Graph, operator), self, rule)
+        loops = {"flux": _float_flux, "second_order_terms": _float_terms}
+        if operator not in loops or not self.on_floats(rule):
+            raise DomainError(f"{operator} on lists of floats: not on a {type(self).__name__} of "
+                              f"{self.n} vertices under {rule!r}; only flux and "
+                              f"second_order_terms, on an edge list of at most {FLOAT_MAX_N} "
+                              f"vertices under a MinPower at alpha in {FLOAT_ALPHAS}")
+        return partial(loops[operator], self._edge_tuples, rule.alpha, self.n)
 
     def on_floats(self, rule) -> bool:
-        """Whether ``flux`` and ``second_order_terms`` compute on lists of floats under
+        """Whether ``flux`` and ``second_order_terms`` have loops on lists of floats under
         ``rule``, with the bits of arrays: on at most ``FLOAT_MAX_N`` vertices, under a rule
         that is a ``MinPower`` itself (a subclass may override phi) at one of
         ``FLOAT_ALPHAS``."""
         return (self._edge_tuples is not None and type(rule) is MinPower
                 and rule.alpha in FLOAT_ALPHAS)
-
-    def _float_edges(self, rule, operator: str) -> tuple:
-        """The edges of positive weight as (tail, head, weight) tuples, 0-based and each
-        once, for ``operator`` on lists of floats; a DomainError that names it where
-        ``on_floats`` fails."""
-        if not self.on_floats(rule):
-            raise DomainError(f"{operator} computes on lists of floats only on an edge list of "
-                              f"at most {FLOAT_MAX_N} vertices, under a MinPower at alpha in "
-                              f"{FLOAT_ALPHAS}; give arrays")
-        return self._edge_tuples
 
     def neighbors(self, j: int) -> tuple[int, ...]:
         """Sorted 1-based neighbour labels of vertex j."""
@@ -432,16 +423,21 @@ class CompleteGraph(Graph):
     def edge_count(self) -> int:
         return self.n * (self.n - 1) // 2
 
-    def held(self, operator):
-        """``flux``, ``second_order_terms`` or ``pair_energy`` as one run calls it: under
-        ``MinPower`` each call's frame is ``_rank_order`` of x and the last call's frame."""
+    def held(self, operator: str, rule, floats: bool = False):
+        """``flux``, ``second_order_terms`` or ``pair_energy``, bound to ``rule``, as one run
+        calls it: under a ``MinPower`` each call's frame is ``_rank_order`` of x and the last
+        call's frame; under another rule, or with ``floats``, as on the edge list."""
+        if floats or not isinstance(rule, MinPower):
+            return super().held(operator, rule, floats)
+        ranked = {"flux": self._flux, "second_order_terms": self._second_order_terms,
+                  "pair_energy": self._pair_energy}[operator]
         last = None
 
-        def in_held_frame(rule, x, *vectors):
+        def in_held_frame(x, *vectors):
             nonlocal last
-            if isinstance(rule, MinPower):
-                last = _rank_order(x, last)
-            return operator(rule, x, *vectors, frame=last)
+            x = np.asarray(x)
+            last = _rank_order(x, last)
+            return ranked(rule, x, *vectors, last)
 
         return in_held_frame
 
@@ -479,35 +475,36 @@ class CompleteGraph(Graph):
             lo, hi = np.searchsorted(xr, xr, "left"), np.searchsorted(xr, xr, "right")
         return self._dphi(rule, xr, -1 if xr[-1] > xr[-2] else None) * _pair_sums(a, b, lo, hi)
 
-    # A list x goes to the edge list's operator, which refuses it (see ``on_floats``).
-    def flux(self, rule, x, u, frame=None):
-        if not isinstance(rule, MinPower) or type(x) is list:
-            return super().flux(rule, x, u)
-        order = _rank_order(x) if frame is None else frame
+    # Each call of an operator is a run of one call, which sorts x afresh.
+    def flux(self, rule, x, u):
+        return self.held("flux", rule)(x, u)
+
+    def second_order_terms(self, rule, x, S, g):
+        return self.held("second_order_terms", rule)(x, S, g)
+
+    def pair_energy(self, rule, x, S, g):
+        return self.held("pair_energy", rule)(x, S, g)
+
+    # The operators under a MinPower with x in rank order ``order``, as ``held`` calls them.
+    def _flux(self, rule, x, u, order):
         return _unrank(order, self._fluxes(self._phi(rule, x[order]), _ranked(order, u))[0])
 
-    def second_order_terms(self, rule, x, S, g, frame=None):
-        if not isinstance(rule, MinPower) or type(x) is list:
-            return super().second_order_terms(rule, x, S, g)
-        order = _rank_order(x) if frame is None else frame
+    def _second_order_terms(self, rule, x, S, g, order):
         xr, rows = x[order], _ranked(order, S, g)
         f_S, f_g = self._fluxes(self._phi(rule, xr), rows)
         S, g = rows
         kinetic = self._slope_product(rule, xr, g - S, g + S)
         return tuple(_unrank(order, np.array([f_S, kinetic, f_g])))
 
-    def pair_energy(self, rule, x, S, g, frame=None):
-        if not isinstance(rule, MinPower) or type(x) is list:
-            return super().pair_energy(rule, x, S, g)
+    def _pair_energy(self, rule, x, S, g, order):
         # Twice the sum over rank pairs k < r, whose weight is phi_k.
-        order = _rank_order(x) if frame is None else frame
         S, g = _ranked(order, S, g)
         above = np.arange(1, self.n + 1)
         pairs = _pair_sums(S - g, S + g, above, above)
         return 2.0 * float(np.dot(self._phi(rule, x[order]), pairs))
 
     def slope_is_finite(self, rule, x):
-        if not isinstance(rule, MinPower) or type(x) is list:
+        if not isinstance(rule, MinPower):
             return super().slope_is_finite(rule, x)
         # Each vertex in its own place, no sort.  A vertex below the top reaches a higher one
         # through omega phi'; the top has no slope when strict, and omega (phi'/2) on each of

@@ -79,29 +79,32 @@ def from_hopf_cole(hc: HopfColeState, potential) -> PhaseState:
     return PhaseState(rho=-(hc.xi + hc.xi_star) / kappa, S=hc.xi - hc.xi_star)
 
 
-def hopf_cole_field(graph: Graph, rule, potential) -> Callable[[np.ndarray], np.ndarray]:
-    """Prebuilt packed field y = (rho, xi, xi_star) -> derivatives, from the sums
-    ``Graph.second_order_terms`` at S = xi - xi_star, g = xi + xi_star: K(g - S, g + S)
-    = 4 K(xi_star, xi) and F(xi), F(xi_star) = (F(g) +- F(S)) / 2.  At xi = 0, S = -g
-    exactly, so F(S) = -F(g), K = 0 and d xi = 0.  Given y as a list of floats, where that
-    operator takes lists, the field computes on floats, with the bits of arrays, and
-    returns a list."""
+def hopf_cole_field(graph: Graph, rule, potential, floats: bool = False) -> Callable:
+    """Prebuilt packed field y = (rho, xi, xi_star) -> derivatives for one run, from the sums
+    ``Graph.second_order_terms``, held for the run, at S = xi - xi_star, g = xi + xi_star:
+    K(g - S, g + S) = 4 K(xi_star, xi) and F(xi), F(xi_star) = (F(g) +- F(S)) / 2.  At
+    xi = 0, S = -g exactly, so F(S) = -F(g), K = 0 and d xi = 0.  With ``floats`` the field
+    takes and returns a list of floats, with the bits of arrays, where the graph's ``held``
+    binds its float loop (and refuses otherwise); else it takes an array, a list as its array."""
     half = 0.5 * quadratic_kappa(potential)
-    n, terms = graph.n, graph.held(graph.second_order_terms)
+    n, terms = graph.n, graph.held("second_order_terms", rule, floats)
+
+    def float_field(y):
+        rho, xi, xs = y[:n], y[n : 2 * n], y[2 * n :]
+        f_S, kinetic, f_g = terms(rho, [a - b for a, b in zip(xi, xs)],
+                                  [a + b for a, b in zip(xi, xs)])
+        cross = [0.25 * k for k in kinetic]
+        return (f_S + [c - half * (fg + fs) for c, fg, fs in zip(cross, f_g, f_S)]
+                + [half * (fg - fs) - c for c, fg, fs in zip(cross, f_g, f_S)])
 
     def field(y):
+        y = np.asarray(y)
         rho, xi, xs = y[:n], y[n : 2 * n], y[2 * n :]
-        if type(y) is list:
-            f_S, kinetic, f_g = terms(rule, rho, [a - b for a, b in zip(xi, xs)],
-                                      [a + b for a, b in zip(xi, xs)])
-            cross = [0.25 * k for k in kinetic]
-            return (f_S + [c - half * (fg + fs) for c, fg, fs in zip(cross, f_g, f_S)]
-                    + [half * (fg - fs) - c for c, fg, fs in zip(cross, f_g, f_S)])
-        f_S, kinetic, f_g = terms(rule, rho, xi - xs, xi + xs)
+        f_S, kinetic, f_g = terms(rho, xi - xs, xi + xs)
         cross = 0.25 * kinetic
         return np.concatenate([f_S, cross - half * (f_g + f_S), half * (f_g - f_S) - cross])
 
-    return field
+    return float_field if floats else field
 
 
 def rhs_hopf_cole(graph: Graph, rule, potential, hc: HopfColeState):

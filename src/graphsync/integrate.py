@@ -140,11 +140,6 @@ def _rk4_floats(rhs, y: list, dt: float) -> list:
 TUPLE_STEPPERS = {"euler": _euler_floats, "rk4": _rk4_floats}
 
 
-def _finite(y) -> bool:
-    """Whether every entry of a state, an array or a list of floats, is finite."""
-    return all(map(math.isfinite, y)) if type(y) is list else bool(np.isfinite(y).all())
-
-
 def integrate(
     rhs: Rhs,
     state0,
@@ -168,10 +163,12 @@ def integrate(
     NonFiniteStateError and the error's class name otherwise.  ``rhs``, ``post_step`` and
     ``stop_when`` take the state as the run holds it, which ``on_floats`` makes a list of
     floats from the start, stepped by ``TUPLE_STEPPERS``; only the records and the
-    observers see an array, a copy.
+    observers see an array, a copy.  The caller builds them for that representation, and
+    the stepper and the finiteness check are picked here, once per run.
     """
     observers = dict(observers or {})
-    step = (TUPLE_STEPPERS if on_floats else _STEPPERS)[spec.scheme]
+    step, finite = ((TUPLE_STEPPERS[spec.scheme], lambda y: all(map(math.isfinite, y))) if on_floats
+                    else (_STEPPERS[spec.scheme], lambda y: bool(np.isfinite(y).all())))
     y = vector(state0, "state0")
     dim = y.size
     y = y.tolist() if on_floats else y
@@ -212,7 +209,7 @@ def integrate(
             for k in range(1, n_steps + 1):
                 dt, t = (spec.dt, k * spec.dt) if k < n_steps else last
                 y = step(rhs, y, dt)
-                if not _finite(y):
+                if not finite(y):
                     raise NonFiniteStateError(f"non-finite state at t={t:.6g}")
                 if post_step is not None:
                     y = post_step(y)

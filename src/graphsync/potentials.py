@@ -64,7 +64,7 @@ class KuramotoQuadratic:
 
     def value(self, rho) -> float:
         rho = vector(rho, "density")
-        return -0.5 * self.kappa * float(np.dot(rho, rho))
+        return -0.5 * self.kappa * float(np.add.reduce(rho * rho))
 
     def grad(self, rho) -> np.ndarray:
         return -self.kappa * np.asarray(rho, dtype=float)

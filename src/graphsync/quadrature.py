@@ -112,12 +112,3 @@ def adaptive_simpson(
     if not shape:
         return QuadratureResult(float(value[0]), float(error[0]))
     return QuadratureResult(value.reshape(shape), error.reshape(shape))
-
-
-def composite_simpson(values, dx: float) -> float:
-    """Plain composite Simpson on equispaced samples (odd count required)."""
-    n = len(values)
-    if n < 3 or n % 2 == 0:
-        raise QuadratureError(f"composite Simpson needs an odd sample count >= 3, got {n}")
-    acc = values[0] + values[-1] + 4.0 * sum(values[1:-1:2]) + 2.0 * sum(values[2:-2:2])
-    return acc * dx / 3.0

@@ -86,22 +86,25 @@ class PhaseState(VertexBlocks):
     S: np.ndarray
 
 
-def second_order_field(graph: Graph, rule, potential) -> Callable[[np.ndarray], np.ndarray]:
-    """Prebuilt packed field y = (rho, S) -> (d rho, d S); the sums come from
-    ``Graph.second_order_terms``.  Given y as a list of floats, where that operator takes
-    lists, the field computes on floats, with the bits of arrays, and returns a list."""
+def second_order_field(graph: Graph, rule, potential, floats: bool = False) -> Callable:
+    """Prebuilt packed field y = (rho, S) -> (d rho, d S) for one run; the sums come from
+    ``Graph.second_order_terms``, held for the run.  With ``floats`` the field takes and
+    returns a list of floats, with the bits of arrays, where the graph's ``held`` binds its
+    float loop (and refuses otherwise); else it takes an array, a list as its array."""
     kappa = quadratic_kappa(potential)
-    n, terms = graph.n, graph.held(graph.second_order_terms)
+    n, terms = graph.n, graph.held("second_order_terms", rule, floats)
+
+    def float_field(y):
+        rho = y[:n]  # g = grad F(rho) = -kappa rho, as potential.grad gives it
+        drho, kinetic, g_flux = terms(rho, y[n:], [-kappa * v for v in rho])
+        return drho + [0.5 * k - kappa * f for k, f in zip(kinetic, g_flux)]
 
     def field(y):
-        rho, S = y[:n], y[n:]
-        if type(y) is list:  # g = grad F(rho) = -kappa rho, as potential.grad gives it
-            drho, kinetic, g_flux = terms(rule, rho, S, [-kappa * v for v in rho])
-            return drho + [0.5 * k - kappa * f for k, f in zip(kinetic, g_flux)]
-        drho, kinetic, g_flux = terms(rule, rho, S, potential.grad(rho))
+        rho = y[:n]
+        drho, kinetic, g_flux = terms(rho, y[n:], potential.grad(rho))
         return np.concatenate([drho, 0.5 * kinetic - kappa * g_flux])
 
-    return field
+    return float_field if floats else field
 
 
 def rhs_second_order(graph: Graph, rule, potential, state: PhaseState):

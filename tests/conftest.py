@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import graphsync as gs
+from graphsync.errors import QuadratureError
 
 ACCEPTANCE_RESULTS: list[tuple[str, bool, str]] = []
 
@@ -48,3 +49,12 @@ def random_interior_density(rng: np.random.Generator, n: int, floor: float = 0.0
     while rho.min() < floor:
         rho = rng.dirichlet(np.full(n, 5.0))
     return rho
+
+
+def composite_simpson(values, dx: float) -> float:
+    """Plain composite Simpson on equispaced samples (odd count required)."""
+    n = len(values)
+    if n < 3 or n % 2 == 0:
+        raise QuadratureError(f"composite Simpson needs an odd sample count >= 3, got {n}")
+    acc = values[0] + values[-1] + 4.0 * sum(values[1:-1:2]) + 2.0 * sum(values[2:-2:2])
+    return acc * dx / 3.0

@@ -13,9 +13,8 @@ import pytest
 import graphsync as gs
 from graphsync.analysis import fit_power, fit_rate
 from graphsync.errors import NonFiniteStateError
-from graphsync.quadrature import composite_simpson
 from graphsync.two_point import entropy_theta_fn
-from conftest import random_interior_density
+from conftest import composite_simpson, random_interior_density
 
 KAPPA = 1.0
 BENCH_RHO0_6 = [0.3, 0.2, 0.1, 0.1, 0.1, 0.2]

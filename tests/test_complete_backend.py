@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 import graphsync as gs
 from graphsync import graphs
 from graphsync.analysis import edge_dichotomy_report
-from graphsync.errors import (DegenerateDerivativeError, DomainError, GraphConstructionError,
+from graphsync.errors import (DegenerateDerivativeError, GraphConstructionError,
                               NegativeWeightError, NonFiniteStateError)
+from graphsync.first_order import first_order_field
 from graphsync.graphs import SORTED_MIN_N, CompleteGraph, Graph
 from graphsync.hopf_cole import hopf_cole_field
+from graphsync.second_order import second_order_field
 
 #: Agreement asked of the sorted operators, as a fraction of each evaluation's scale.
 REL_TOL = 1e-12
@@ -184,20 +186,37 @@ def test_slope_verdict_matches_the_edge_list_with_nan_entries(data, n, alpha, om
 #: How many vectors each graph operator takes after the rule, x first.
 OPERATOR_VECTORS = {"flux": 2, "second_order_terms": 3, "pair_energy": 3, "slope_is_finite": 1}
 
+#: x, then u or S, then g, as lists.
+LISTS = ([0.4, 0.3, 0.2, 0.1], [0.1, -0.2, 0.3, 0.05], [0.7, 0.1, -0.4, 0.2])
+
 
 @pytest.mark.parametrize("rule", [gs.MinPower(2.0), gs.MinPower(3.0), gs.ArithmeticMean()], ids=repr)
 @pytest.mark.parametrize("operator", list(OPERATOR_VECTORS))
 @pytest.mark.parametrize("make", [CompleteGraph, edge_list], ids=["sorted", "edge_list"])
-def test_every_operator_computes_on_a_list_where_it_may_and_else_refuses_it(make, operator, rule):
-    graph, x = make(4), [0.4, 0.3, 0.2, 0.1]
-    call = getattr(graph, operator)
-    vectors = (x,) * OPERATOR_VECTORS[operator]  # x, then x itself as u, S and g
-    if graph.on_floats(rule) and operator in ("flux", "second_order_terms"):
-        want = np.array(call(rule, *map(np.array, vectors)))
-        np.testing.assert_array_equal(np.array(call(rule, *vectors)), want)
+def test_every_operator_takes_a_list_as_its_array(make, operator, rule):
+    call, vectors = getattr(make(4), operator), LISTS[: OPERATOR_VECTORS[operator]]
+    want, got = call(rule, *map(np.array, vectors)), call(rule, *vectors)
+    assert type(got) is type(want)
+    if type(want) is tuple:
+        assert all(type(v) is np.ndarray for v in got) and all(map(same_bits, got, want))
     else:
-        with pytest.raises(DomainError, match=f"^{operator} computes on "):
-            call(rule, *vectors)
+        assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("rule", [gs.MinPower(2.0), gs.ArithmeticMean()], ids=repr)
+@pytest.mark.parametrize("make", [CompleteGraph, edge_list], ids=["sorted", "edge_list"])
+def test_every_field_and_rhs_takes_a_list_as_its_array(make, rule):
+    graph, (x, S, g) = make(4), LISTS
+    for factory, y in [(first_order_field, x), (second_order_field, x + S),
+                       (hopf_cole_field, x + S + g)]:
+        model = KAPPA if factory is first_order_field else POT
+        got = factory(graph, rule, model)(y)
+        assert type(got) is np.ndarray and same_bits(got, factory(graph, rule, model)(np.array(y)))
+    assert same_bits(gs.rhs_first_order(graph, rule, KAPPA, x),
+                     first_order_field(graph, rule, KAPPA)(np.array(x)))
+    for rhs, state in [(gs.rhs_second_order, gs.PhaseState(x, S)),
+                       (gs.rhs_hopf_cole, gs.HopfColeState(x, S, g))]:
+        assert all(type(v) is np.ndarray for v in rhs(graph, rule, POT, state))
 
 
 @pytest.mark.parametrize("helper", ["second", "hopf_cole"])
@@ -342,22 +361,25 @@ def test_reused_ranks_give_the_bits_of_a_fresh_sort(monkeypatch):
     other = rng.dirichlet(np.full(n, 2.0))
     states = [base, near, base, tied, tied, swapped, swapped, signed_zero, with_nan, base,
               other, base, other, other, base]  # the last five interleave two states
-    graph, kept, frames = CompleteGraph(n, 1.5), 0, [None]
+    graph, kept, frames, rank_order = CompleteGraph(n, 1.5), 0, [], graphs._rank_order
 
-    def in_frame(rule, x, S, g, frame):  # the framed operators, noting the frame held
-        frames.append(frame)
-        return (graph.flux(rule, x, S, frame=frame),
-                *graph.second_order_terms(rule, x, S, g, frame=frame),
-                graph.pair_energy(rule, x, S, g, frame=frame))
+    def noted(x, order=None):  # each frame a held operator takes, and whether it kept its last
+        frame = rank_order(x, order)
+        frames.append(frame is order)
+        return frame
 
-    held, hopf_cole = graph.held(in_frame), hopf_cole_field(graph, rule, POT)
+    monkeypatch.setattr(graphs, "_rank_order", noted)
+    flux, terms, energy = (graph.held(op, rule) for op in ("flux", "second_order_terms",
+                                                            "pair_energy"))
+    hopf_cole = hopf_cole_field(graph, rule, POT)
     with np.errstate(invalid="ignore"):
         for x in states:
             S, g, xi = rng.normal(size=(3, n))
-            flux, *terms, energy = held(rule, x, S, g)
-            got = (flux, *terms, hopf_cole(np.concatenate([x, xi, g])), energy,
-                   graph.slope_is_finite(rule, x))
-            kept += frames[-1] is frames[-2]
+            frames.clear()
+            got = (flux(x, S), *terms(x, S, g), hopf_cole(np.concatenate([x, xi, g])),
+                   energy(x, S, g), graph.slope_is_finite(rule, x))
+            assert frames == [frames[0]] * 4  # the four held operators see the same ranks
+            kept += frames[0]
             with monkeypatch.context() as fresh:  # no held order, and every tie group searched for
                 fresh.setattr(graphs, "_increasing", lambda xr: False)
                 want = sorted_operators(CompleteGraph(n, 1.5), rule, x, S, g, xi)
@@ -429,8 +451,8 @@ def test_a_frame_that_x_has_left_gives_the_frozen_side_formula():
     # The scale rule of test_sorted_operators_match_the_edge_list.
     scale = n * float(np.max(rule.phi(x)))
     big = lambda *v: max(float(np.max(np.abs(u))) for u in v)
-    assert_agree(graph.flux(rule, x, S, frame=frame), np.sum(theta * dS, axis=1), scale * big(S))
-    assert_agree(graph.pair_energy(rule, x, S, g, frame=frame), np.sum(theta * (dS**2 - dg**2)),
+    assert_agree(graph._flux(rule, x, S, frame), np.sum(theta * dS, axis=1), scale * big(S))
+    assert_agree(graph._pair_energy(rule, x, S, g, frame), np.sum(theta * (dS**2 - dg**2)),
                  n * scale * 4 * big(S, g) ** 2)
 
 

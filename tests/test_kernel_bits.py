@@ -13,6 +13,7 @@ subnormals, NaN and infinities.
 import functools
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -471,12 +472,11 @@ def test_float_field_has_the_array_fields_bits(graph, data, alpha, kappa):
     entry = st.sampled_from(SPECIAL + [1e200, -1e160]) | st.floats(-1e-9, 1.0)
     x = np.array(data.draw(st.lists(entry, min_size=graph.n, max_size=graph.n)))
     rule = gs.MinPower(alpha)
-    field = first_order_field(graph, rule, kappa)
+    field, float_field = (first_order_field(graph, rule, kappa, floats) for floats in (False, True))
     with np.errstate(all="ignore"):
         want = kappa * graph.flux(rule, x, x)
-        x_list = x.tolist()
-        assert_same_bits(graph.flux(rule, x_list, x_list), graph.flux(rule, x, x))
-        on_array, on_list = field(x), field(x.tolist())
+        assert_same_bits(graph.held("flux", rule, True)(x.tolist()), graph.flux(rule, x, x))
+        on_array, on_list = field(x), float_field(x.tolist())
     assert type(on_array) is np.ndarray and type(on_list) is list
     assert all(type(v) is float for v in on_list)
     assert_same_bits(on_array, want)
@@ -517,19 +517,24 @@ class _OwnPhi(gs.MinPower):
     """A MinPower subclass, which may give phi a form of its own."""
 
 
-@pytest.mark.parametrize("graph, rule, on_floats", [
-    (gs.complete_graph(FLOAT_MAX_N + 1), gs.MinPower(2.0), False),
-    (gs.named_graph("cycle6"), gs.MinPower(2.5), False),
-    (gs.named_graph("cycle6"), _OwnPhi(2.0), False),
-    (gs.named_graph("cycle6"), gs.ArithmeticMean(), False),
-    (gs.graphs.CompleteGraph(4), gs.MinPower(1.0), False),
+#: Graphs and rules whose runs step on arrays.
+ON_ARRAYS = [
+    (gs.complete_graph(FLOAT_MAX_N + 1), gs.MinPower(2.0)),
+    (gs.named_graph("cycle6"), gs.MinPower(2.5)),
+    (gs.named_graph("cycle6"), _OwnPhi(2.0)),
+    (gs.named_graph("cycle6"), gs.ArithmeticMean()),
+    (gs.graphs.CompleteGraph(4), gs.MinPower(1.0)),
+]
+ON_ARRAYS_IDS = ["n=8", "alpha=2.5", "subclass", "arithmetic_mean", "sorted"]
+
+
+@pytest.mark.parametrize("graph, rule, on_floats", [(*case, False) for case in ON_ARRAYS] + [
     # The stock alphas but 2, whose phi and phi' are products, square roots and a quotient.
     (gs.named_graph("cycle6"), gs.MinPower(0.5), True),
     (gs.named_graph("cycle6"), gs.MinPower(1.0), True),
     (gs.named_graph("cycle6"), gs.MinPower(1.5), True),
     (gs.named_graph("cycle6"), gs.MinPower(3.0), True),
-], ids=["n=8", "alpha=2.5", "subclass", "arithmetic_mean", "sorted", "alpha=0.5", "alpha=1",
-        "alpha=1.5", "alpha=3"])
+], ids=ON_ARRAYS_IDS + ["alpha=0.5", "alpha=1", "alpha=1.5", "alpha=3"])
 def test_other_runs_stay_on_arrays(graph, rule, on_floats, monkeypatch):
     held = []
 
@@ -546,18 +551,19 @@ def test_other_runs_stay_on_arrays(graph, rule, on_floats, monkeypatch):
     gs.simulate_hopf_cole(graph, rule, potential, gs.to_hopf_cole(phase, potential), spec)
     assert held == [on_floats] * 3
     assert graph.on_floats(rule) is on_floats
-    if type(graph) is gs.Graph and not on_floats:  # the edge list refuses lists it does not take
-        x = [1.0 / graph.n] * graph.n
-        with pytest.raises(DomainError, match="flux computes on lists of floats only"):
-            graph.flux(rule, x, x)
-        with pytest.raises(DomainError, match="second_order_terms computes on lists of floats"):
-            graph.second_order_terms(rule, x, x, x)
 
 
-def test_flux_on_a_list_takes_it_as_both_x_and_u():
-    graph, rule, x = gs.named_graph("cycle6"), gs.MinPower(2.0), [1.0 / 6.0] * 6
-    with pytest.raises(DomainError, match="only as both x and u"):
-        graph.flux(rule, x, list(x))
+@pytest.mark.parametrize("graph, rule", ON_ARRAYS, ids=ON_ARRAYS_IDS)
+def test_the_float_binding_is_refused_where_a_run_steps_on_arrays(graph, rule):
+    named = f"not on a {type(graph).__name__} of {graph.n} vertices under {re.escape(repr(rule))};"
+    for operator in ("flux", "second_order_terms"):
+        with pytest.raises(DomainError, match=f"^{operator} on lists of floats: {named}"):
+            graph.held(operator, rule, True)
+    potential = gs.KuramotoQuadratic(1.0)
+    for factory, model in [(first_order_field, 1.0), (second_order_field, potential),
+                           (hopf_cole_field, potential)]:
+        with pytest.raises(DomainError, match=named):
+            factory(graph, rule, model, True)
 
 
 def test_a_run_on_floats_calls_neither_the_array_clip_nor_theta(monkeypatch):
@@ -649,15 +655,15 @@ def test_second_order_fields_on_floats_have_the_array_fields_bits(alpha, graph, 
         x[data.draw(st.integers(0, n - 1))] = x[0]
     with np.errstate(all="ignore"):
         want = graph.second_order_terms(rule, x, S, g)
-        got = graph.second_order_terms(rule, x.tolist(), S.tolist(), g.tolist())
+        got = graph.held("second_order_terms", rule, True)(x.tolist(), S.tolist(), g.tolist())
         for on_list, on_array in zip(got, want):
             assert type(on_list) is list and all(type(v) is float for v in on_list)
             assert_same_bits(on_list, on_array)
         for factory, y, ref in [(second_order_field, np.concatenate([x, S]), second_order_field_ref),
                                 (hopf_cole_field, np.concatenate([x, S, g]), hopf_cole_field_ref)]:
-            field = factory(graph, rule, potential)
+            field, float_field = (factory(graph, rule, potential, f) for f in (False, True))
             want = ref(graph, rule, kappa, y)
-            on_array, on_list = field(y), field(y.tolist())
+            on_array, on_list = field(y), float_field(y.tolist())
             assert type(on_array) is np.ndarray and type(on_list) is list
             assert all(type(v) is float for v in on_list)
             assert_same_bits(on_array, want)

@@ -15,6 +15,7 @@ from graphsync.errors import (
     UnsupportedRegimeError,
 )
 from graphsync.two_point import _StretchMap, entropy_theta_fn, x_of_r_with_error
+from conftest import composite_simpson
 
 
 def test_rest_point():
@@ -450,8 +451,6 @@ def test_action_against_lagrangian_quadrature_single_pair():
     rdot = np.gradient(r, t[1] - t[0], edge_order=2)
     th = gs.entropy_induced_theta(pot, r)
     lagr = rdot**2 / (2 * th) + 0.5 * th * pot.grad_r(r) ** 2
-    from graphsync.quadrature import composite_simpson
-
     quad = composite_simpson(lagr, t[1] - t[0])
     assert gs.action(fn, 0.3, 0.8) == pytest.approx(quad, rel=1e-6)
 
