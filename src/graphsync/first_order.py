@@ -33,7 +33,7 @@ def first_order_field(graph: Graph, rule, kappa: float, floats: bool = False) ->
     """Prebuilt vector field rho -> d rho/dt = kappa * Graph.flux(rule, rho, rho) for one run;
     kappa is checked as the quadratic potential checks it.  With ``floats`` the field takes
     and returns a list of floats, with the bits of arrays, where the graph's ``held`` binds
-    its float loop (and refuses otherwise); else it takes an array, a list as its array."""
+    its float kernel (and refuses otherwise); else it takes an array, a list as its array."""
     flux, kappa = graph.held("flux", rule, floats), KuramotoQuadratic(kappa).kappa
     if floats:
         return lambda rho: [kappa * f for f in flux(rho)]

@@ -26,17 +26,22 @@ and F(g), and the Hopf-Cole field takes it at (S, g) = (xi - xi*, xi + xi*);
 every omega theta'_ij is finite.  On ``Graph`` each is the per-edge
 expression of its flow, so each vector is gathered once and the bits are
 those of the edge formulas.  Either backend's operators take arrays, and a list
-as its ``np.asarray``.  A run binds each operator once, with ``held(operator,
-rule, floats)``, so that no call tests a type or the rule again.  A graph of at
-most ``FLOAT_MAX_N`` vertices also has loops on Python floats, where numpy's
+as its ``np.asarray``, of n entries each, and raise DimensionError on another
+length.  A run binds each operator once, with ``held(operator, rule, floats)``,
+so that no call tests a type, a length or the rule again.  A graph of at most
+``FLOAT_MAX_N`` vertices also has kernels on Python floats, where numpy's
 per-call dispatch would outweigh the arithmetic: where ``on_floats`` holds for
 a rule, ``held`` with ``floats`` binds ``flux`` (at u = x) or
-``second_order_terms`` as a loop over the edges on lists of floats, with the
-bits of the array formulas, and elsewhere refuses with a DomainError that
-names the backend and the rule.  It holds under a rule that is a ``MinPower``
-itself at one of ``FLOAT_ALPHAS``, the stock alphas, where phi and phi' are
-IEEE products, square roots and a quotient, the same bits on floats as under
-any numpy dispatch.
+``second_order_terms`` on lists of floats, with the bits of the array
+formulas, and elsewhere refuses with a DomainError that names the backend and
+the rule.  It holds under a rule that is a ``MinPower`` itself at one of
+``FLOAT_ALPHAS``, the stock alphas, where phi and phi' are IEEE products,
+square roots and a quotient, the same bits on floats as under any numpy
+dispatch.  Each kernel is one straight-line function, written out edge by edge
+and compiled once per (operator, edges, alpha, n) by ``_float_kernel``, whose
+bounded cache lets equal graphs and repeated runs share it.  Only vertex
+indices, the ``repr`` of each finite weight, which round-trips, and the
+template of one of ``FLOAT_ALPHAS`` enter its source; no caller's string does.
 
 ``CompleteGraph`` overrides them.  It holds every pair with one weight omega
 and builds its edge arrays only when something reads them.  Under a
@@ -59,12 +64,13 @@ import math
 import os
 import re
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Mapping
 
 import numpy as np
 
 from .errors import (
+    DimensionError,
     DomainError,
     DuplicateEdgeError,
     GraphConstructionError,
@@ -86,7 +92,7 @@ _COMPLETE_RE = re.compile(r"^complete\((\d+)\)$")
 #: ordered edges: the measured crossover of the two paths (see CHANGES.md).
 SORTED_MIN_N = 48
 
-#: The alphas at which ``flux`` and ``second_order_terms`` have loops on lists of floats, with
+#: The alphas at which ``flux`` and ``second_order_terms`` have kernels on lists of floats, with
 #: the bits of arrays: the stock alphas, where ``MinPower``'s phi and phi' are products, square
 #: roots and one quotient (``weights._STOCK``), or at alpha 1 ``np.maximum``'s rule and
 #: ``m >= 0``.  IEEE arithmetic rounds each correctly, so floats and numpy, whichever kernels
@@ -211,49 +217,68 @@ class Graph:
         """Sum of the ordered-edge values v onto their tail vertices."""
         return np.bincount(self.tail, weights=v, minlength=self.n)
 
-    # Vertex level: the operators of the module docstring, on the edge list.
-    # Each is its flow's per-edge formula, operation for operation, so it
-    # gives that formula's bits; each vector is gathered once for all the sums.
+    # Vertex level: the operators of the module docstring.  A public operator is a run of
+    # one call, on vectors of n entries; ``held`` binds them for a run without the check.
+    def _admit(self, *vectors) -> list:
+        """The vectors as arrays, each of n entries, else DimensionError."""
+        arrays = [np.asarray(v) for v in vectors]
+        for a in arrays:
+            if a.shape != (self.n,):
+                raise DimensionError(f"a vector on a graph of {self.n} vertices must have "
+                                     f"{self.n} entries, got shape {a.shape}")
+        return arrays
+
     def flux(self, rule, x, u) -> np.ndarray:
         """F(u)_i = sum_j omega_ij theta(x_i, x_j) (u_i - u_j)."""
+        return self.held("flux", rule)(*self._admit(x, u))
+
+    def second_order_terms(self, rule, x, S, g) -> tuple:
+        """F(S), K(g - S, g + S) and F(g); K's pair factor is (g_i - g_j)^2 - (S_i - S_j)^2."""
+        return self.held("second_order_terms", rule)(*self._admit(x, S, g))
+
+    def pair_energy(self, rule, x, S, g) -> float:
+        """E(S - g, S + g), whose pair factor is (S_i - S_j)^2 - (g_i - g_j)^2."""
+        return self.held("pair_energy", rule)(*self._admit(x, S, g))
+
+    def slope_is_finite(self, rule, x) -> bool:
+        """Whether omega * d theta/d x_tail is finite on every ordered edge."""
+        return bool(np.isfinite(self.coupling_and_slope(rule, *self._admit(x))[1]).all())
+
+    # The operators on the edge list.  Each is its flow's per-edge formula, operation for
+    # operation, so it gives that formula's bits; each vector is gathered once for all the sums.
+    def _flux_on_edges(self, rule, x, u) -> np.ndarray:
         x, u = np.asarray(x), np.asarray(u)
         xt, xh = x[self.tail], x[self.head]
         du = xt - xh if u is x else self.diff(u)
         return self.scatter(self._weighted(rule.theta(xt, xh)) * du)
 
-    def second_order_terms(self, rule, x, S, g) -> tuple:
-        """F(S), K(g - S, g + S) and F(g); K's pair factor is (g_i - g_j)^2 - (S_i - S_j)^2."""
+    def _second_order_terms_on_edges(self, rule, x, S, g) -> tuple:
         diff, scatter = self.diff, self.scatter
         wth, wdth = self.coupling_and_slope(rule, np.asarray(x))
         dS, dg = diff(np.asarray(S)), diff(np.asarray(g))
         return scatter(wth * dS), scatter((dg**2 - dS**2) * wdth), scatter(wth * dg)
 
-    def pair_energy(self, rule, x, S, g) -> float:
-        """E(S - g, S + g), whose pair factor is (S_i - S_j)^2 - (g_i - g_j)^2."""
+    def _pair_energy_on_edges(self, rule, x, S, g) -> float:
         wth = self.coupling(rule, np.asarray(x))
         dS, dg = self.diff(np.asarray(S)), self.diff(np.asarray(g))
         return np.sum(wth * (dS**2 - dg**2))
 
-    def slope_is_finite(self, rule, x) -> bool:
-        """Whether omega * d theta/d x_tail is finite on every ordered edge."""
-        return bool(np.isfinite(self.coupling_and_slope(rule, np.asarray(x))[1]).all())
-
     def held(self, operator: str, rule, floats: bool = False):
-        """The operator named ``operator``, bound to ``rule``, as one run calls it: the edge
-        list's own; with ``floats``, its loop on lists of floats (``flux`` of x alone) bound to
-        the edge tuples, alpha and n, which a DomainError refuses where ``on_floats`` fails."""
+        """The operator named ``operator``, bound to ``rule``, as one run calls it, on vectors
+        of n entries that it does not check: the edge list's own; with ``floats``, its kernel
+        on lists of floats (``flux`` of x alone), which ``_float_kernel`` builds once per
+        edges and alpha, and which a DomainError refuses where ``on_floats`` fails."""
         if not floats:
-            return partial(getattr(Graph, operator), self, rule)
-        loops = {"flux": _float_flux, "second_order_terms": _float_terms}
-        if operator not in loops or not self.on_floats(rule):
+            return partial(getattr(Graph, f"_{operator}_on_edges"), self, rule)
+        if operator not in ("flux", "second_order_terms") or not self.on_floats(rule):
             raise DomainError(f"{operator} on lists of floats: not on a {type(self).__name__} of "
                               f"{self.n} vertices under {rule!r}; only flux and "
                               f"second_order_terms, on an edge list of at most {FLOAT_MAX_N} "
                               f"vertices under a MinPower at alpha in {FLOAT_ALPHAS}")
-        return partial(loops[operator], self._edge_tuples, rule.alpha, self.n)
+        return _float_kernel(operator, self._edge_tuples, rule.alpha, self.n)
 
     def on_floats(self, rule) -> bool:
-        """Whether ``flux`` and ``second_order_terms`` have loops on lists of floats under
+        """Whether ``flux`` and ``second_order_terms`` have kernels on lists of floats under
         ``rule``, with the bits of arrays: on at most ``FLOAT_MAX_N`` vertices, under a rule
         that is a ``MinPower`` itself (a subclass may override phi) at one of
         ``FLOAT_ALPHAS``."""
@@ -275,80 +300,75 @@ class Graph:
         return json.dumps({"n": self.n, "edges": rows.tolist()})
 
 
-# The float loops below take phi and phi' inline, as weights._STOCK gives them, with no
-# call per edge; m > 0 there, so c = max(m, 0) is m itself.
-def _float_flux(edges, alpha: float, n: int, x: list) -> list:
-    """``Graph.flux`` at u = x on a list of floats over the (tail, head, weight) tuples
-    ``edges``, at one of ``FLOAT_ALPHAS``, with the bits of its array formula.
+# The float kernels' templates: phi, and phi and phi' as ``th`` and ``d``, of m = min(a, b) at
+# each of FLOAT_ALPHAS, written as weights._STOCK gives them; m > 0 there, so c = max(m, 0) is m
+# itself.  phi and phi' are 0 where m < 0 or NaN, but phi passes a NaN on at alpha 1, and
+# phi'(0) is 1 at alpha 1 and +inf at alpha 1/2.
+_PHI = {0.5: "(sqrt(m) if m > 0.0 else 0.0)",
+        1.0: "(m if m > 0.0 or m != m else 0.0)",
+        1.5: "(m * sqrt(m) if m > 0.0 else 0.0)",
+        2.0: "(m * m if m > 0.0 else 0.0)",
+        3.0: "(m * m * m if m > 0.0 else 0.0)"}
+_PHI_AND_SLOPE = {
+    0.5: ("th = sqrt(m) if m > 0.0 else 0.0",
+          "d = 0.5 / th if m > 0.0 else inf if m == 0.0 else 0.0"),
+    1.0: ("th = m if m > 0.0 or m != m else 0.0", "d = 1.0 if m >= 0.0 else 0.0"),
+    1.5: ("th, d = (m * sqrt(m), 1.5 * sqrt(m)) if m > 0.0 else (0.0, 0.0)",),
+    2.0: ("th, d = (m * m, 2.0 * m) if m > 0.0 else (0.0, 0.0)",),
+    3.0: ("mm = m * m", "th, d = (mm * m, 3.0 * mm) if m > 0.0 else (0.0, 0.0)"),
+}
 
-    bincount's sums: a vertex adds its edges forward in edge order, then its edges back,
-    whose terms are exactly minus the forward ones.
+
+@lru_cache(maxsize=64)
+def _float_kernel(operator: str, edges: tuple, alpha: float, n: int):
+    """``Graph.flux`` at u = x, as ``flux(x)``, or ``Graph.second_order_terms``, as
+    ``second_order_terms(x, S, g)``, on lists of n floats over the (tail, head, weight) tuples
+    ``edges`` at one of ``FLOAT_ALPHAS``, with the bits of its array formulas: one
+    straight-line function, compiled once per key and cached.
+
+    Each edge is the array formula's arithmetic, operation for operation, on the state
+    unpacked into locals.  Each vertex sums its terms from 0.0 in bincount's order: its edges
+    forward in edge order, then its edges back, whose flux terms are exactly minus the forward
+    ones; the slope is each end's own share, by _tie_share's rule.  Only vertex indices, the
+    ``repr`` of each weight, which round-trips, and alpha's template enter the source.
     """
-    out, terms, sqrt = [0.0] * n, [], math.sqrt
-    for i, j, w in edges:
-        a, b = x[i], x[j]
-        m = a if a < b else b  # np.minimum's but at a NaN, where a - b is NaN anyway
-        if alpha == 1.0:
-            th = m if m > 0.0 or m != m else 0.0
-        elif alpha == 2.0:
-            th = m * m if m > 0.0 else 0.0
-        elif alpha == 3.0:
-            th = m * m * m if m > 0.0 else 0.0
-        elif alpha == 0.5:
-            th = sqrt(m) if m > 0.0 else 0.0
-        else:
-            th = m * sqrt(m) if m > 0.0 else 0.0
-        v = w * th * (a - b)
-        out[i] += v
-        terms.append(v)
-    for (_, j, _), v in zip(edges, terms):
-        out[j] -= v
-    return out
+    edges = [(int(i), int(j), repr(float(w))) for i, j, w in edges]
+    forward = [[k for k, (i, _, _) in enumerate(edges) if i == v] for v in range(n)]
+    back = [[k for k, (_, j, _) in enumerate(edges) if j == v] for v in range(n)]
 
+    def sums(ahead: str, behind: str, sign: str) -> str:
+        return "[" + ", ".join("".join(["0.0", *(f" + {ahead}{k}" for k in forward[v]),
+                                        *(f" {sign} {behind}{k}" for k in back[v])])
+                               for v in range(n)) + "]"
 
-def _float_terms(edges, alpha: float, n: int, x: list, S: list, g: list) -> tuple:
-    """``Graph.second_order_terms`` on lists of floats over the (tail, head, weight) tuples
-    ``edges``, at one of ``FLOAT_ALPHAS``, with the bits of its array formulas.
+    def unpack(name: str) -> str:
+        return ", ".join(f"{name}{v}" for v in range(n)) + f" = {name}"
 
-    Each edge's terms are added to its tail in edge order, then its back terms to its
-    head, which is ``bincount``'s order.  Back, the flux terms are exactly minus the
-    forward ones and the pair factor is the same; the slope is each tail's own share.
-    """
-    f_S, kinetic, f_g, back, sqrt = [0.0] * n, [0.0] * n, [0.0] * n, [], math.sqrt
-    for i, j, w in edges:
-        a, b = x[i], x[j]
-        m = a if a < b else b if b <= a else math.nan  # np.minimum's, NaN included
-        # phi and phi' are 0 where m < 0 or NaN, but phi passes a NaN on at alpha 1, and
-        # phi'(0) is 1 at alpha 1 and +inf at alpha 1/2.
-        if alpha == 2.0:
-            th, d = (m * m, 2.0 * m) if m > 0.0 else (0.0, 0.0)
-        elif alpha == 1.0:
-            th = m if m > 0.0 or m != m else 0.0
-            d = 1.0 if m >= 0.0 else 0.0
-        elif alpha == 3.0:
-            mm = m * m
-            th, d = (mm * m, 3.0 * mm) if m > 0.0 else (0.0, 0.0)
-        elif alpha == 0.5:
-            th = sqrt(m) if m > 0.0 else 0.0
-            d = 0.5 / th if m > 0.0 else math.inf if m == 0.0 else 0.0
-        else:
-            th, d = (m * sqrt(m), 1.5 * sqrt(m)) if m > 0.0 else (0.0, 0.0)
-        # _tie_share's rule: all of the slope to the smaller end, half each on a tie or a
-        # NaN (where d is 0).
-        da = d if a < b else 0.0 if b < a else 0.5 * d
-        db = d if b < a else 0.0 if a < b else 0.5 * d
-        wth, dS, dg = w * th, S[i] - S[j], g[i] - g[j]
-        q = dg * dg - dS * dS
-        vS, vg = wth * dS, wth * dg
-        f_S[i] += vS
-        kinetic[i] += q * (w * da)
-        f_g[i] += vg
-        back.append((j, vS, q * (w * db), vg))
-    for j, vS, k, vg in back:
-        f_S[j] -= vS
-        kinetic[j] += k
-        f_g[j] -= vg
-    return f_S, kinetic, f_g
+    if operator == "flux":
+        lines = ["def flux(x):", unpack("x")]
+        # m is np.minimum's but at a NaN, where a - b is NaN anyway.
+        for k, (i, j, w) in enumerate(edges):
+            lines += [f"m = x{i} if x{i} < x{j} else x{j}",
+                      f"v{k} = {w} * {_PHI[alpha]} * (x{i} - x{j})"]
+        lines.append(f"return {sums('v', 'v', '-')}")
+    else:
+        lines = ["def second_order_terms(x, S, g):", unpack("x"), unpack("S"), unpack("g")]
+        for k, (i, j, w) in enumerate(edges):
+            a, b = f"x{i}", f"x{j}"
+            lines += [f"m = {a} if {a} < {b} else {b} if {b} <= {a} else nan",
+                      *_PHI_AND_SLOPE[alpha],
+                      f"da = d if {a} < {b} else 0.0 if {b} < {a} else 0.5 * d",
+                      f"db = d if {b} < {a} else 0.0 if {a} < {b} else 0.5 * d",
+                      f"wth, dS, dg = {w} * th, S{i} - S{j}, g{i} - g{j}",
+                      "q = dg * dg - dS * dS",
+                      f"vS{k}, vg{k} = wth * dS, wth * dg",
+                      f"ka{k}, kb{k} = q * ({w} * da), q * ({w} * db)"]
+        lines.append(f"return {sums('vS', 'vS', '-')}, {sums('ka', 'kb', '+')}, "
+                     f"{sums('vg', 'vg', '-')}")
+    source = "\n    ".join(lines) + "\n"
+    namespace = {"__builtins__": {}, "sqrt": math.sqrt, "nan": math.nan, "inf": math.inf}
+    exec(compile(source, f"<{operator} on {n} vertices at alpha {alpha}>", "exec"), namespace)
+    return namespace[operator]
 
 
 def _increasing(xr: np.ndarray) -> bool:
@@ -475,16 +495,6 @@ class CompleteGraph(Graph):
             lo, hi = np.searchsorted(xr, xr, "left"), np.searchsorted(xr, xr, "right")
         return self._dphi(rule, xr, -1 if xr[-1] > xr[-2] else None) * _pair_sums(a, b, lo, hi)
 
-    # Each call of an operator is a run of one call, which sorts x afresh.
-    def flux(self, rule, x, u):
-        return self.held("flux", rule)(x, u)
-
-    def second_order_terms(self, rule, x, S, g):
-        return self.held("second_order_terms", rule)(x, S, g)
-
-    def pair_energy(self, rule, x, S, g):
-        return self.held("pair_energy", rule)(x, S, g)
-
     # The operators under a MinPower with x in rank order ``order``, as ``held`` calls them.
     def _flux(self, rule, x, u, order):
         return _unrank(order, self._fluxes(self._phi(rule, x[order]), _ranked(order, u))[0])
@@ -501,11 +511,12 @@ class CompleteGraph(Graph):
         S, g = _ranked(order, S, g)
         above = np.arange(1, self.n + 1)
         pairs = _pair_sums(S - g, S + g, above, above)
-        return 2.0 * float(np.dot(self._phi(rule, x[order]), pairs))
+        return 2.0 * float(np.add.reduce(self._phi(rule, x[order]) * pairs))
 
     def slope_is_finite(self, rule, x):
         if not isinstance(rule, MinPower):
             return super().slope_is_finite(rule, x)
+        x, = self._admit(x)
         # Each vertex in its own place, no sort.  A vertex below the top reaches a higher one
         # through omega phi'; the top has no slope when strict, and omega (phi'/2) on each of
         # its ties.  An edge with a NaN end has slope 0, so a NaN vertex ranks lowest, as -inf,

@@ -85,7 +85,7 @@ def hopf_cole_field(graph: Graph, rule, potential, floats: bool = False) -> Call
     K(g - S, g + S) = 4 K(xi_star, xi) and F(xi), F(xi_star) = (F(g) +- F(S)) / 2.  At
     xi = 0, S = -g exactly, so F(S) = -F(g), K = 0 and d xi = 0.  With ``floats`` the field
     takes and returns a list of floats, with the bits of arrays, where the graph's ``held``
-    binds its float loop (and refuses otherwise); else it takes an array, a list as its array."""
+    binds its float kernel (and refuses otherwise); else it takes an array, a list as its array."""
     half = 0.5 * quadratic_kappa(potential)
     n, terms = graph.n, graph.held("second_order_terms", rule, floats)
 

@@ -90,7 +90,7 @@ def second_order_field(graph: Graph, rule, potential, floats: bool = False) -> C
     """Prebuilt packed field y = (rho, S) -> (d rho, d S) for one run; the sums come from
     ``Graph.second_order_terms``, held for the run.  With ``floats`` the field takes and
     returns a list of floats, with the bits of arrays, where the graph's ``held`` binds its
-    float loop (and refuses otherwise); else it takes an array, a list as its array."""
+    float kernel (and refuses otherwise); else it takes an array, a list as its array."""
     kappa = quadratic_kappa(potential)
     n, terms = graph.n, graph.held("second_order_terms", rule, floats)
 

@@ -50,8 +50,8 @@ def _maybe_scalar(x, scalar: bool):
 #: float) and numpy's or math's ``sqrt``: products, square roots and one quotient, which IEEE
 #: arithmetic rounds correctly, so their bits are the same on any machine.  np.power's bits
 #: follow numpy's CPU dispatch, and libm's pow may be 1 ulp off.  phi' at alpha 1/2 is
-#: 0.5 / 0 at c = 0: +inf on arrays, a ZeroDivisionError on floats.  The edge loops of
-#: graphs.py spell the same formulas out inline.
+#: 0.5 / 0 at c = 0: +inf on arrays, a ZeroDivisionError on floats.  The float kernels of
+#: graphs.py spell the same formulas out in their templates.
 _STOCK = {0.5: (lambda c, sqrt: sqrt(c), lambda c, sqrt: 0.5 / sqrt(c)),
           1.5: (lambda c, sqrt: c * sqrt(c), lambda c, sqrt: 1.5 * sqrt(c)),
           2.0: (lambda c, sqrt: c * c, lambda c, sqrt: 2.0 * c),

@@ -204,6 +204,23 @@ def test_every_operator_takes_a_list_as_its_array(make, operator, rule):
 
 
 @pytest.mark.parametrize("rule", [gs.MinPower(2.0), gs.ArithmeticMean()], ids=repr)
+@pytest.mark.parametrize("operator", list(OPERATOR_VECTORS))
+@pytest.mark.parametrize("graph", [gs.named_graph("cycle6"), gs.complete_graph(60)],
+                         ids=["edge_list", "sorted"])
+def test_every_operator_refuses_a_vector_of_another_length(graph, operator, rule):
+    # Longer vectors were cut to n, shorter ones raised a bare IndexError or ValueError.
+    call, count, n = getattr(graph, operator), OPERATOR_VECTORS[operator], graph.n
+    right = np.linspace(0.1, 0.9, n)
+    call(rule, *[right] * count)
+    for wrong in (np.full(3, 0.1), np.full(n + 3, 0.1), [0.1] * (n + 3), np.full((1, n), 0.1), 0.1):
+        for k in range(count):
+            vectors = [right] * count
+            vectors[k] = wrong
+            with pytest.raises(gs.DimensionError, match=f"must have {n} entries, got shape"):
+                call(rule, *vectors)
+
+
+@pytest.mark.parametrize("rule", [gs.MinPower(2.0), gs.ArithmeticMean()], ids=repr)
 @pytest.mark.parametrize("make", [CompleteGraph, edge_list], ids=["sorted", "edge_list"])
 def test_every_field_and_rhs_takes_a_list_as_its_array(make, rule):
     graph, (x, S, g) = make(4), LISTS

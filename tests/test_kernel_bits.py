@@ -401,13 +401,16 @@ def simulate_first_order_ref(graph, rule, kappa, rho0, spec, stop_on_convergence
 
 @st.composite
 def small_graphs(draw):
-    """A graph on 2..FLOAT_MAX_N vertices with unit, other or zero weights."""
+    """A graph on 2..FLOAT_MAX_N vertices with unit, other or zero weights; the other weights
+    include 0.1, 1/3, a subnormal, a huge one and random ones, whose literals in a float
+    kernel's source must round-trip."""
     n = draw(st.integers(2, FLOAT_MAX_N))
     i, j = np.triu_indices(n, k=1)
     keep = draw(st.lists(st.booleans(), min_size=len(i), max_size=len(i)))
     keep[0] = True
     edges = [(a + 1, b + 1) for a, b, k in zip(i, j, keep) if k]
-    weight = st.just(1.0) if draw(st.booleans()) else st.sampled_from([0.0, 0.5, 2.0, 1.7])
+    weight = st.just(1.0) if draw(st.booleans()) else (
+        st.sampled_from([0.0, 0.5, 2.0, 1.7, 0.1, 1 / 3, 5e-324, 1e300]) | st.floats(0.0, 10.0))
     ws = draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
     return gs.build_graph(n, [(a, b, w) for (a, b), w in zip(edges, ws)])
 
@@ -564,6 +567,31 @@ def test_the_float_binding_is_refused_where_a_run_steps_on_arrays(graph, rule):
                            (hopf_cole_field, potential)]:
         with pytest.raises(DomainError, match=named):
             factory(graph, rule, model, True)
+
+
+def test_equal_edges_share_one_built_float_kernel():
+    kernel, rule = gs.graphs._float_kernel, gs.MinPower(2.0)
+    kernel.cache_clear()
+    flux = gs.named_graph("cycle6").held("flux", rule, True)
+    assert gs.named_graph("cycle6").held("flux", rule, True) is flux
+    assert (kernel.cache_info().misses, kernel.cache_info().hits) == (1, 1)
+    spec, rho0 = gs.IntegratorSpec(dt=0.01, t_final=0.05), [0.3, 0.25, 0.2, 0.1, 0.1, 0.05]
+    for _ in range(2):  # a first-order run, then a second run
+        gs.simulate_first_order(gs.named_graph("cycle6"), rule, 1.0, rho0, spec)
+    assert (kernel.cache_info().misses, kernel.cache_info().hits) == (1, 3)
+    # A new alpha, a changed weight or the other operator builds a kernel of its own.
+    heavier = gs.build_graph(6, [(1, 2, 1.0 + 2.0**-52)] + [(k, k % 6 + 1, 1.0) for k in range(2, 7)])
+    others = {gs.named_graph("cycle6").held("flux", gs.MinPower(3.0), True),
+              heavier.held("flux", rule, True),
+              gs.named_graph("cycle6").held("second_order_terms", rule, True)}
+    assert len(others | {flux}) == 4 and kernel.cache_info().misses == 4
+    # The kernel's namespace holds sqrt, nan and inf, and no builtins.
+    assert flux.__globals__ == {"__builtins__": {}, "sqrt": math.sqrt, "nan": math.nan,
+                                "inf": math.inf, "flux": flux}
+    # The cache has a bound: 70 weights later it holds 64 kernels.
+    for k in range(70):
+        gs.build_graph(3, [(1, 2, 1.0 + k), (2, 3, 1.0)]).held("flux", rule, True)
+    assert kernel.cache_info().maxsize == kernel.cache_info().currsize == 64
 
 
 def test_a_run_on_floats_calls_neither_the_array_clip_nor_theta(monkeypatch):
