@@ -1,4 +1,9 @@
-"""Exception types shared across the package, and the admission rules for its inputs."""
+"""Exception types shared across the package, and the admission rules for its inputs.
+
+One rule admits each kind of input, with a named ``GraphSyncError`` and never a bare error,
+and reads no bool or string as a number: ``real`` a scalar, ``reals`` a real number or an
+array of them, ``vector`` a vector, ``weight_rule`` a rule and ``document`` a document.
+"""
 import numbers
 from collections.abc import Mapping
 
@@ -91,6 +96,22 @@ def real(value, name: str, what: str, ok, error=DomainError):
     raise error(f"{name} must be {what}, got {value!r}")
 
 
+def reals(value, name: str, error=DomainError, what="a real number or an array of real numbers"):
+    """``value`` as a float array if it is of int or float dtype, or a real number or nested
+    sequences of them, none a bool (numpy would read ``True`` or ``"0.5"``), else
+    ``error("<name> must be <what>, got <value>")``.  NaN and inf are left to the caller, and a
+    float array is handed back as it is."""
+    if getattr(getattr(value, "dtype", None), "kind", "O") in "fiu":
+        return np.asarray(value, dtype=float)
+    try:
+        entries = np.array(value, dtype=object)
+        if all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in entries.flat):
+            return entries.astype(float)
+    except (TypeError, ValueError, OverflowError):  # e.g. an int beyond the floats
+        pass
+    raise error(f"{name} must be {what}, got {value!r}")
+
+
 def vector(value, name: str, size=None, error=DomainError) -> np.ndarray:
     """``value`` as a 1-D float array of ``size`` entries (any count when ``size`` is None),
     each a finite real number and not a bool, else ``error("<name> must ..., got <value>")``."""
@@ -101,26 +122,13 @@ def vector(value, name: str, size=None, error=DomainError) -> np.ndarray:
 
 
 def _float_vector(value, name: str, size=None, error=DomainError) -> np.ndarray:
-    """``vector`` less its finiteness check, for a caller whose arithmetic refuses NaN and inf."""
-    array = _reals(value)
-    if array is None or array.ndim != 1:
+    """``vector`` less its finiteness check, for a caller that deals with NaN and inf itself."""
+    array = reals(value, name, error, "a vector of real numbers")
+    if array.ndim != 1:
         raise error(f"{name} must be a vector of real numbers, got {value!r}")
     if size is not None and array.size != size:
         raise error(f"{name} must have {size} entries, got {value!r}")
     return array
-
-
-def _reals(value):
-    """``value`` as a float array if it is one of int or float dtype, or nested sequences whose
-    entries are real numbers and not bools, else None; numpy would convert ``True`` or ``"0.5"``."""
-    if getattr(getattr(value, "dtype", None), "kind", "O") in "fiu":
-        return np.asarray(value, dtype=float)
-    try:
-        entries = np.array(value, dtype=object)
-        ok = all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in entries.flat)
-        return entries.astype(float) if ok else None
-    except (TypeError, ValueError, OverflowError):  # e.g. an int beyond the floats
-        return None
 
 
 def weight_rule(value, methods, user: str):

@@ -25,10 +25,12 @@ and F(g), and the Hopf-Cole field takes it at (S, g) = (xi - xi*, xi + xi*);
 ``pair_energy`` is E(S - g, S + g) = 4 H; ``slope_is_finite`` tells whether
 every omega theta'_ij is finite.  On ``Graph`` each is the per-edge
 expression of its flow, so each vector is gathered once and the bits are
-those of the edge formulas.  Either backend's operators take arrays, and a list
-as its ``np.asarray``, of n entries each, and raise DimensionError on another
-length.  A run binds each operator once, with ``held(operator, rule, floats)``,
-so that no call tests a type, a length or the rule again.  A graph of at most
+those of the edge formulas.  Either backend's operators admit each vector by
+``errors``' vector rule: a list or array of n real numbers, none a bool, taken
+as a float array, with NaN and inf passed on; another length, a bool, None, a
+string or a nested list is a DimensionError.  A run binds each operator once,
+with ``held(operator, rule, floats)`` for one of ``OPERATORS``, so that no
+call tests a type, a length or the rule again.  A graph of at most
 ``FLOAT_MAX_N`` vertices also has kernels on Python floats, where numpy's
 per-call dispatch would outweigh the arithmetic: where ``on_floats`` holds for
 a rule, ``held`` with ``floats`` binds ``flux`` (at u = x) or
@@ -78,9 +80,10 @@ from .errors import (
     SelfLoopError,
     UnknownGraphNameError,
     VertexIndexError,
-    _reals,
+    _float_vector,
     document,
     real,
+    reals,
 )
 from .integrate import FLOAT_MAX_N
 from .weights import MinPower
@@ -92,21 +95,35 @@ _COMPLETE_RE = re.compile(r"^complete\((\d+)\)$")
 #: ordered edges: the measured crossover of the two paths (see CHANGES.md).
 SORTED_MIN_N = 48
 
-#: The alphas at which ``flux`` and ``second_order_terms`` have kernels on lists of floats, with
-#: the bits of arrays: the stock alphas, where ``MinPower``'s phi and phi' are products, square
-#: roots and one quotient (``weights._STOCK``), or at alpha 1 ``np.maximum``'s rule and
-#: ``m >= 0``.  IEEE arithmetic rounds each correctly, so floats and numpy, whichever kernels
-#: numpy dispatches, give the same bits.
-FLOAT_ALPHAS = (0.5, 1.0, 1.5, 2.0, 3.0)
+#: The float kernels' templates, phi and then phi and phi' as ``th`` and ``d`` of m = min(a, b),
+#: at the stock alphas, where ``MinPower``'s phi and phi' are products, square roots and one
+#: quotient (``weights._STOCK``; m > 0 there, so c = max(m, 0) is m), or at alpha 1
+#: ``np.maximum``'s rule and ``m >= 0``.  IEEE arithmetic rounds each correctly, so floats and
+#: numpy, whichever kernels numpy dispatches, give the same bits.  phi and phi' are 0 where m < 0
+#: or NaN, but phi passes a NaN on at alpha 1, and phi'(0) is 1 at alpha 1 and +inf at alpha 1/2.
+_TEMPLATES = {
+    0.5: ("(sqrt(m) if m > 0.0 else 0.0)",
+          ("th = sqrt(m) if m > 0.0 else 0.0",
+           "d = 0.5 / th if m > 0.0 else inf if m == 0.0 else 0.0")),
+    1.0: ("(m if m > 0.0 or m != m else 0.0)",
+          ("th = m if m > 0.0 or m != m else 0.0", "d = 1.0 if m >= 0.0 else 0.0")),
+    1.5: ("(m * sqrt(m) if m > 0.0 else 0.0)",
+          ("th, d = (m * sqrt(m), 1.5 * sqrt(m)) if m > 0.0 else (0.0, 0.0)",)),
+    2.0: ("(m * m if m > 0.0 else 0.0)", ("th, d = (m * m, 2.0 * m) if m > 0.0 else (0.0, 0.0)",)),
+    3.0: ("(m * m * m if m > 0.0 else 0.0)",
+          ("mm = m * m", "th, d = (mm * m, 3.0 * mm) if m > 0.0 else (0.0, 0.0)")),
+}
+FLOAT_ALPHAS = tuple(_TEMPLATES)
+
+#: The vertex-level operators that ``held`` binds, by name.
+OPERATORS = ("flux", "second_order_terms", "pair_energy")
 
 
 def _array(values, width=None) -> np.ndarray:
     """``values`` as a new (m, width) float array, or (m,) without a width; each entry must
     be a real number and not a bool."""
-    a = _reals(values)
-    if a is None:
-        raise GraphConstructionError(f"edge data must be real numbers, got {values!r}")
-    a = np.array(a)  # a copy, which Graph makes read-only; never the caller's array
+    # A copy, which Graph makes read-only; never the caller's array.
+    a = np.array(reals(values, "edge data", GraphConstructionError, "real numbers"))
     row = () if width is None else (width,)
     a = a.reshape((0, *row)) if a.size == 0 else a
     if a.ndim == 0 or a.shape[1:] != row:
@@ -220,13 +237,9 @@ class Graph:
     # Vertex level: the operators of the module docstring.  A public operator is a run of
     # one call, on vectors of n entries; ``held`` binds them for a run without the check.
     def _admit(self, *vectors) -> list:
-        """The vectors as arrays, each of n entries, else DimensionError."""
-        arrays = [np.asarray(v) for v in vectors]
-        for a in arrays:
-            if a.shape != (self.n,):
-                raise DimensionError(f"a vector on a graph of {self.n} vertices must have "
-                                     f"{self.n} entries, got shape {a.shape}")
-        return arrays
+        """Each vector as a float array of n real numbers, NaN and inf too, else DimensionError."""
+        name = f"a vector on a graph of {self.n} vertices"
+        return [_float_vector(v, name, self.n, DimensionError) for v in vectors]
 
     def flux(self, rule, x, u) -> np.ndarray:
         """F(u)_i = sum_j omega_ij theta(x_i, x_j) (u_i - u_j)."""
@@ -267,7 +280,10 @@ class Graph:
         """The operator named ``operator``, bound to ``rule``, as one run calls it, on vectors
         of n entries that it does not check: the edge list's own; with ``floats``, its kernel
         on lists of floats (``flux`` of x alone), which ``_float_kernel`` builds once per
-        edges and alpha, and which a DomainError refuses where ``on_floats`` fails."""
+        edges and alpha, and which a DomainError refuses where ``on_floats`` fails, as it does
+        a name outside ``OPERATORS``."""
+        if not (isinstance(operator, str) and operator in OPERATORS):
+            raise DomainError(f"held binds one of {', '.join(OPERATORS)}, got {operator!r}")
         if not floats:
             return partial(getattr(Graph, f"_{operator}_on_edges"), self, rule)
         if operator not in ("flux", "second_order_terms") or not self.on_floats(rule):
@@ -300,25 +316,6 @@ class Graph:
         return json.dumps({"n": self.n, "edges": rows.tolist()})
 
 
-# The float kernels' templates: phi, and phi and phi' as ``th`` and ``d``, of m = min(a, b) at
-# each of FLOAT_ALPHAS, written as weights._STOCK gives them; m > 0 there, so c = max(m, 0) is m
-# itself.  phi and phi' are 0 where m < 0 or NaN, but phi passes a NaN on at alpha 1, and
-# phi'(0) is 1 at alpha 1 and +inf at alpha 1/2.
-_PHI = {0.5: "(sqrt(m) if m > 0.0 else 0.0)",
-        1.0: "(m if m > 0.0 or m != m else 0.0)",
-        1.5: "(m * sqrt(m) if m > 0.0 else 0.0)",
-        2.0: "(m * m if m > 0.0 else 0.0)",
-        3.0: "(m * m * m if m > 0.0 else 0.0)"}
-_PHI_AND_SLOPE = {
-    0.5: ("th = sqrt(m) if m > 0.0 else 0.0",
-          "d = 0.5 / th if m > 0.0 else inf if m == 0.0 else 0.0"),
-    1.0: ("th = m if m > 0.0 or m != m else 0.0", "d = 1.0 if m >= 0.0 else 0.0"),
-    1.5: ("th, d = (m * sqrt(m), 1.5 * sqrt(m)) if m > 0.0 else (0.0, 0.0)",),
-    2.0: ("th, d = (m * m, 2.0 * m) if m > 0.0 else (0.0, 0.0)",),
-    3.0: ("mm = m * m", "th, d = (mm * m, 3.0 * mm) if m > 0.0 else (0.0, 0.0)"),
-}
-
-
 @lru_cache(maxsize=64)
 def _float_kernel(operator: str, edges: tuple, alpha: float, n: int):
     """``Graph.flux`` at u = x, as ``flux(x)``, or ``Graph.second_order_terms``, as
@@ -333,6 +330,7 @@ def _float_kernel(operator: str, edges: tuple, alpha: float, n: int):
     ``repr`` of each weight, which round-trips, and alpha's template enter the source.
     """
     edges = [(int(i), int(j), repr(float(w))) for i, j, w in edges]
+    phi, phi_and_slope = _TEMPLATES[alpha]
     forward = [[k for k, (i, _, _) in enumerate(edges) if i == v] for v in range(n)]
     back = [[k for k, (_, j, _) in enumerate(edges) if j == v] for v in range(n)]
 
@@ -349,14 +347,14 @@ def _float_kernel(operator: str, edges: tuple, alpha: float, n: int):
         # m is np.minimum's but at a NaN, where a - b is NaN anyway.
         for k, (i, j, w) in enumerate(edges):
             lines += [f"m = x{i} if x{i} < x{j} else x{j}",
-                      f"v{k} = {w} * {_PHI[alpha]} * (x{i} - x{j})"]
+                      f"v{k} = {w} * {phi} * (x{i} - x{j})"]
         lines.append(f"return {sums('v', 'v', '-')}")
     else:
         lines = ["def second_order_terms(x, S, g):", unpack("x"), unpack("S"), unpack("g")]
         for k, (i, j, w) in enumerate(edges):
             a, b = f"x{i}", f"x{j}"
             lines += [f"m = {a} if {a} < {b} else {b} if {b} <= {a} else nan",
-                      *_PHI_AND_SLOPE[alpha],
+                      *phi_and_slope,
                       f"da = d if {a} < {b} else 0.0 if {b} < {a} else 0.5 * d",
                       f"db = d if {b} < {a} else 0.0 if {a} < {b} else 0.5 * d",
                       f"wth, dS, dg = {w} * th, S{i} - S{j}, g{i} - g{j}",
@@ -447,10 +445,10 @@ class CompleteGraph(Graph):
         """``flux``, ``second_order_terms`` or ``pair_energy``, bound to ``rule``, as one run
         calls it: under a ``MinPower`` each call's frame is ``_rank_order`` of x and the last
         call's frame; under another rule, or with ``floats``, as on the edge list."""
-        if floats or not isinstance(rule, MinPower):
+        if floats or not (isinstance(rule, MinPower) and isinstance(operator, str)
+                          and operator in OPERATORS):  # the edge list's refuses another name
             return super().held(operator, rule, floats)
-        ranked = {"flux": self._flux, "second_order_terms": self._second_order_terms,
-                  "pair_energy": self._pair_energy}[operator]
+        ranked = getattr(self, f"_{operator}")
         last = None
 
         def in_held_frame(x, *vectors):

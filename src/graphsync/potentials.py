@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BoundarySingularityError, DimensionError, DomainError, _float_vector, _reals,
-                     document, real, vector)
+from .errors import (BoundarySingularityError, DimensionError, DomainError, _float_vector,
+                     document, real, reals, vector)
 from .integrate import SIMPLEX_TOL
 
 
@@ -39,7 +39,7 @@ def _reduced(singular: str = ""):
     def guard(method):
         @functools.wraps(method)
         def guarded(self, r):
-            r = _two_node_reals(r)
+            r = reals(r, "r")
             if not np.all((r >= -SIMPLEX_TOL) & (r <= 1.0 + SIMPLEX_TOL)):
                 raise DomainError(f"r must lie in [0, 1], got {r!r}")
             r = np.clip(r, 0.0, 1.0)
@@ -97,14 +97,6 @@ class _TwoNodeEntropy:
 
     def hess(self, rho):
         return self.hess_r(_two_node_r(rho))
-
-
-def _two_node_reals(r) -> np.ndarray:
-    """r as a float array, if it is a real number or an array of them; a NaN is left to
-    the range check."""
-    if (array := _reals(r)) is None:
-        raise DomainError(f"r must be a real number or an array of real numbers, got {r!r}")
-    return array
 
 
 def _two_node_r(rho):

@@ -18,6 +18,11 @@ the smaller argument reaches zero; ``partials`` reports that case with an
 ``theta_and_slope(a, b)`` is the coupling kernel of the graph flows: one pass
 giving theta and d theta/da under the same conventions as ``theta`` and
 ``partials``.
+
+``theta``, ``partials``, ``theta_and_slope`` and the induced weight's r admit each
+density by ``errors.reals``, and ``validate_rule`` its rule by ``errors.weight_rule``.
+``phi``, ``dphi``, ``theta_r`` and ``dtheta_r`` of ``MinPower``, the per-step kernels
+of a run's own state, admit nothing.
 """
 from __future__ import annotations
 
@@ -26,10 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, real
+from .errors import DomainError, real, reals, weight_rule
 from .integrate import SIMPLEX_TOL
-from .potentials import (_number, _two_node_reals, _TwoNodeEntropy, from_config,
-                         potential_from_config)
+from .potentials import _number, _TwoNodeEntropy, from_config, potential_from_config
 
 #: Half-width of the window about r = 1/2 where the induced weight's quotients of F
 #: lose their digits to the removable singularity, and its Taylor series stands in.
@@ -37,13 +41,7 @@ _SERIES_WINDOW = 1e-4
 
 
 def _pair(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return a, b
-
-
-def _maybe_scalar(x, scalar: bool):
-    return float(x) if scalar else x
+    return reals(a, "a"), reals(b, "b")
 
 
 #: phi and phi' at the stock alphas but 1, as functions of c = max(m, 0) >= 0 (an array or a
@@ -111,7 +109,7 @@ class MinPower:
         return np.where(m >= 0.0, d, 0.0)
 
     def theta(self, a, b):
-        out = self.phi(np.minimum(a, b))  # phi's ufuncs turn ints and bools into floats
+        out = self.phi(np.minimum(*_pair(a, b)))
         return float(out) if out.ndim == 0 else out
 
     def partials(self, a, b):
@@ -165,7 +163,7 @@ class ArithmeticMean:
     def theta(self, a, b):
         a, b = _pair(a, b)
         out = 0.5 * (a + b)
-        return _maybe_scalar(out, out.ndim == 0)
+        return float(out) if out.ndim == 0 else out
 
     def partials(self, a, b):
         th, d = self.theta_and_slope(a, b)
@@ -222,7 +220,7 @@ class EntropyInduced:
     def _induced(self, r, derivative: bool):
         """theta (or d theta/dr, with ``derivative``) on (0, 1)."""
         pot = self.potential
-        r_arr = np.atleast_1d(_two_node_reals(r))
+        r_arr = np.atleast_1d(reals(r, "r"))
         if np.any(r_arr <= 0.0) or np.any(r_arr >= 1.0):
             raise DomainError("entropy-induced weights are defined on open (0, 1)")
         out = np.empty_like(r_arr)
@@ -275,9 +273,10 @@ def validate_rule(rule, grid_resolution: int = 100) -> RuleValidationReport:
     """Check symmetry, nonnegativity, boundary vanishing, and min-monotonicity.
 
     All four properties are evaluated on a uniform grid over [0, 1]^2 and
-    reported with the worst observed violation; nothing raises, the report
-    is the product.
+    reported with the worst observed violation; a failed property raises
+    nothing, the report is the product.
     """
+    weight_rule(rule, ("theta",), "validate_rule")
     grid_resolution = int(real(grid_resolution, "grid_resolution", "an integer >= 10",
                                lambda g: g >= 10 and g % 1 == 0))
     pts = np.linspace(0.0, 1.0, grid_resolution + 1)

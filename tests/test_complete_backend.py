@@ -216,7 +216,8 @@ def test_every_operator_refuses_a_vector_of_another_length(graph, operator, rule
         for k in range(count):
             vectors = [right] * count
             vectors[k] = wrong
-            with pytest.raises(gs.DimensionError, match=f"must have {n} entries, got shape"):
+            with pytest.raises(gs.DimensionError, match=f"on a graph of {n} vertices must "
+                               f"(have {n} entries|be a vector of real numbers), got"):
                 call(rule, *vectors)
 
 

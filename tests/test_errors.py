@@ -13,6 +13,7 @@ from graphsync.errors import (
     SimplexViolationError, document, real, vector,
 )
 from graphsync.experiments import REPRODUCE_TARGETS, ExperimentConfig
+from graphsync.quadrature import adaptive_simpson
 
 
 def in_unit(v) -> bool:
@@ -136,6 +137,53 @@ def test_a_bad_vector_raises_its_owners_error_naming_the_input(entry, case):
         call(VECTOR_CASES[case](n if case == "wrong-length" else n or 4))
     assert type(info.value) is by_case.get(case, error)
     assert name in str(info.value)
+
+
+_SIX, _SIXTY, _SQUARE = gs.named_graph("cycle6"), gs.complete_graph(60), gs.MinPower(2.0)
+_OPERATOR_VECTORS = {"flux": 2, "second_order_terms": 3, "pair_energy": 3, "slope_is_finite": 1}
+_RULES = (_SQUARE, gs.ArithmeticMean(), gs.EntropyInduced(gs.ShannonPotential()))
+
+
+def _in_place(owner, method, good, k, *first):
+    """``method`` of ``owner`` on ``first`` and then ``good``, with the input as ``good[k]``."""
+    def call(bad):
+        args = list(good)
+        args[k] = bad
+        return getattr(owner, method)(*first, *args)
+    return call
+
+
+#: Each entry point of real numbers, an operator's name or a weight rule: the call on the input
+#: and the error it must raise.
+REAL_ENTRIES = {
+    **{f"{label}.{operator}[{k}]": (
+        _in_place(graph, operator, [np.linspace(0.1, 0.9, graph.n)] * count, k, _SQUARE),
+        DimensionError)
+       for label, graph in (("cycle6", _SIX), ("complete(60)", _SIXTY))
+       for operator, count in _OPERATOR_VECTORS.items() for k in range(count)},
+    **{f"{type(rule).__name__}.{method}[{k}]": (_in_place(rule, method, [0.5, 0.5], k), DomainError)
+       for rule in _RULES for method in ("theta", "partials", "theta_and_slope") for k in (0, 1)},
+    "adaptive_simpson a": (lambda bad: adaptive_simpson(np.exp, bad, 2.0), DomainError),
+    "adaptive_simpson b": (lambda bad: adaptive_simpson(np.exp, 0.0, bad), DomainError),
+    "adaptive_simpson max_depth": (lambda bad: adaptive_simpson(np.exp, 0.0, 1.0, max_depth=bad),
+                                   DomainError),
+    "cycle6.held": (lambda bad: _SIX.held(bad, _SQUARE), DomainError),
+    "complete(60).held": (lambda bad: _SIXTY.held(bad, _SQUARE), DomainError),
+    "validate_rule": (gs.validate_rule, DomainError),
+}
+
+#: What numpy or Python would read as a number or fail on with a bare error.
+NOT_REALS = {"none": None, "bool": True, "string": "a", "ragged": [[0.25], [0.25, 0.25]]}
+
+
+@pytest.mark.parametrize("case", NOT_REALS)
+@pytest.mark.parametrize("entry", REAL_ENTRIES)
+def test_an_input_that_is_no_real_number_raises_its_entrys_error(entry, case):
+    # Never a value computed from it, and never a bare numpy or Python error.
+    call, error = REAL_ENTRIES[entry]
+    with pytest.raises(GraphSyncError) as info:
+        call(NOT_REALS[case])
+    assert type(info.value) is error
 
 
 def test_vector_hands_back_a_float_vector():
