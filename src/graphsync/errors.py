@@ -2,7 +2,8 @@
 
 One rule admits each kind of input, with a named ``GraphSyncError`` and never a bare error,
 and reads no bool or string as a number: ``real`` a scalar, ``reals`` a real number or an
-array of them, ``vector`` a vector, ``weight_rule`` a rule and ``document`` a document.
+array of them, ``broadcastable`` the shapes of two such arrays together, ``vector`` a vector,
+``weight_rule`` a rule and ``document`` a document.
 """
 import numbers
 from collections.abc import Mapping
@@ -110,6 +111,18 @@ def reals(value, name: str, error=DomainError, what="a real number or an array o
     except (TypeError, ValueError, OverflowError):  # e.g. an int beyond the floats
         pass
     raise error(f"{name} must be {what}, got {value!r}")
+
+
+def broadcastable(a: np.ndarray, b: np.ndarray, name_a: str, name_b: str) -> tuple:
+    """Arrays ``a`` and ``b`` as they are if their shapes broadcast together, else a
+    DimensionError that names both shapes."""
+    if a.shape != b.shape:
+        try:
+            np.broadcast_shapes(a.shape, b.shape)
+        except ValueError:
+            raise DimensionError(f"{name_a} and {name_b} must have shapes that broadcast "
+                                 f"together, got {a.shape} and {b.shape}") from None
+    return a, b
 
 
 def vector(value, name: str, size=None, error=DomainError) -> np.ndarray:

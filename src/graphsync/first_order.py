@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionError, real, vector
-from .graphs import Graph
+from .graphs import FieldTemplate, Graph
 from .integrate import IntegratorSpec, Trajectory
 from .potentials import KuramotoQuadratic
 
@@ -29,14 +29,20 @@ from .potentials import KuramotoQuadratic
 CONVERGENCE_TOL = 1e-13
 
 
+#: The field on lists of floats, as the graph writes it out around the flux F(x) at vertex v.
+FIELD_ON_FLOATS = FieldTemplate("flux", ("x",), derivatives=("{kappa} * {F}",))
+
+
 def first_order_field(graph: Graph, rule, kappa: float, floats: bool = False) -> Callable:
     """Prebuilt vector field rho -> d rho/dt = kappa * Graph.flux(rule, rho, rho) for one run;
     kappa is checked as the quadratic potential checks it.  With ``floats`` the field takes
-    and returns a list of floats, with the bits of arrays, where the graph's ``held`` binds
-    its float kernel (and refuses otherwise); else it takes an array, a list as its array."""
-    flux, kappa = graph.held("flux", rule, floats), KuramotoQuadratic(kappa).kappa
+    and returns a list of floats, with the bits of arrays: ``FIELD_ON_FLOATS`` at kappa,
+    which the graph's ``held`` writes out (and refuses where it has no float kernel); else
+    it takes an array, a list as its array."""
+    kappa = KuramotoQuadratic(kappa).kappa
     if floats:
-        return lambda rho: [kappa * f for f in flux(rho)]
+        return graph.held(FIELD_ON_FLOATS.at(kappa), rule, True)
+    flux = graph.held("flux", rule)
     return lambda rho: kappa * flux(rho, rho)
 
 

@@ -30,20 +30,24 @@ those of the edge formulas.  Either backend's operators admit each vector by
 as a float array, with NaN and inf passed on; another length, a bool, None, a
 string or a nested list is a DimensionError.  A run binds each operator once,
 with ``held(operator, rule, floats)`` for one of ``OPERATORS``, so that no
-call tests a type, a length or the rule again.  A graph of at most
-``FLOAT_MAX_N`` vertices also has kernels on Python floats, where numpy's
-per-call dispatch would outweigh the arithmetic: where ``on_floats`` holds for
-a rule, ``held`` with ``floats`` binds ``flux`` (at u = x) or
-``second_order_terms`` on lists of floats, with the bits of the array
-formulas, and elsewhere refuses with a DomainError that names the backend and
-the rule.  It holds under a rule that is a ``MinPower`` itself at one of
-``FLOAT_ALPHAS``, the stock alphas, where phi and phi' are IEEE products,
-square roots and a quotient, the same bits on floats as under any numpy
-dispatch.  Each kernel is one straight-line function, written out edge by edge
-and compiled once per (operator, edges, alpha, n) by ``_float_kernel``, whose
-bounded cache lets equal graphs and repeated runs share it.  Only vertex
-indices, the ``repr`` of each finite weight, which round-trips, and the
-template of one of ``FLOAT_ALPHAS`` enter its source; no caller's string does.
+call tests a type, a length or the rule again; on the edge list it binds the
+rule's theta or theta_and_slope once too, in the private form that admits
+nothing (``weights.unadmitted``).  A graph of at most ``FLOAT_MAX_N`` vertices
+also has kernels on Python floats, where numpy's per-call dispatch would
+outweigh the arithmetic: where ``on_floats`` holds for a rule, ``held`` with
+``floats`` binds ``flux`` (at u = x) or ``second_order_terms`` on lists of
+floats, or a flow's whole field on them, given as its ``FieldTemplate`` at its
+kappa, with the bits of the array formulas, and elsewhere refuses with a
+DomainError that names the backend and the rule.  It holds under a rule that
+is a ``MinPower`` itself at one of ``FLOAT_ALPHAS``, the stock alphas, where
+phi and phi' are IEEE products, square roots and a quotient, the same bits on
+floats as under any numpy dispatch.  Each kernel or field is one straight-line
+function, written out edge by edge and vertex by vertex and compiled once per
+(template, edges, alpha, n) by ``_float_kernel``, whose bounded cache lets
+equal graphs and repeated runs share it; a flow's template holds its kappa.
+Only vertex indices, the literal of each weight and of kappa, finite floats
+that round-trip, the template of one of ``FLOAT_ALPHAS`` and the flow's
+template enter its source; no caller's string does.
 
 ``CompleteGraph`` overrides them.  It holds every pair with one weight omega
 and builds its edge arrays only when something reads them.  Under a
@@ -65,9 +69,9 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
-from typing import Mapping
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -85,8 +89,9 @@ from .errors import (
     real,
     reals,
 )
+from .codegen import compiled, literal
 from .integrate import FLOAT_MAX_N
-from .weights import MinPower
+from .weights import MinPower, unadmitted
 
 _COMPLETE_RE = re.compile(r"^complete\((\d+)\)$")
 
@@ -219,11 +224,11 @@ class Graph:
 
     def coupling(self, rule, x: np.ndarray) -> np.ndarray:
         """omega * theta(x[tail], x[head]) along every ordered edge."""
-        return self._weighted(rule.theta(x[self.tail], x[self.head]))
+        return self._weighted(unadmitted(rule, "theta")(x[self.tail], x[self.head]))
 
     def coupling_and_slope(self, rule, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """omega * theta and omega * d theta/d x_tail along every ordered edge."""
-        th, slope = rule.theta_and_slope(x[self.tail], x[self.head])
+        th, slope = unadmitted(rule, "theta_and_slope")(x[self.tail], x[self.head])
         return self._weighted(th), self._weighted(slope)
 
     def diff(self, x: np.ndarray) -> np.ndarray:
@@ -257,41 +262,52 @@ class Graph:
         """Whether omega * d theta/d x_tail is finite on every ordered edge."""
         return bool(np.isfinite(self.coupling_and_slope(rule, *self._admit(x))[1]).all())
 
-    # The operators on the edge list.  Each is its flow's per-edge formula, operation for
-    # operation, so it gives that formula's bits; each vector is gathered once for all the sums.
-    def _flux_on_edges(self, rule, x, u) -> np.ndarray:
+    # The operators on the edge list, given the rule's theta or theta_and_slope as
+    # ``unadmitted`` binds it.  Each is its flow's per-edge formula, operation for operation, so
+    # it gives that formula's bits; each vector is gathered once for all the sums.
+    def _flux_on_edges(self, theta, x, u) -> np.ndarray:
         x, u = np.asarray(x), np.asarray(u)
         xt, xh = x[self.tail], x[self.head]
         du = xt - xh if u is x else self.diff(u)
-        return self.scatter(self._weighted(rule.theta(xt, xh)) * du)
+        return self.scatter(self._weighted(theta(xt, xh)) * du)
 
-    def _second_order_terms_on_edges(self, rule, x, S, g) -> tuple:
+    def _second_order_terms_on_edges(self, theta_and_slope, x, S, g) -> tuple:
         diff, scatter = self.diff, self.scatter
-        wth, wdth = self.coupling_and_slope(rule, np.asarray(x))
+        x = np.asarray(x)
+        th, slope = theta_and_slope(x[self.tail], x[self.head])
+        wth, wdth = self._weighted(th), self._weighted(slope)
         dS, dg = diff(np.asarray(S)), diff(np.asarray(g))
         return scatter(wth * dS), scatter((dg**2 - dS**2) * wdth), scatter(wth * dg)
 
-    def _pair_energy_on_edges(self, rule, x, S, g) -> float:
-        wth = self.coupling(rule, np.asarray(x))
+    def _pair_energy_on_edges(self, theta, x, S, g) -> float:
+        x = np.asarray(x)
+        wth = self._weighted(theta(x[self.tail], x[self.head]))
         dS, dg = self.diff(np.asarray(S)), self.diff(np.asarray(g))
         return np.sum(wth * (dS**2 - dg**2))
 
-    def held(self, operator: str, rule, floats: bool = False):
+    def held(self, operator, rule, floats: bool = False):
         """The operator named ``operator``, bound to ``rule``, as one run calls it, on vectors
-        of n entries that it does not check: the edge list's own; with ``floats``, its kernel
-        on lists of floats (``flux`` of x alone), which ``_float_kernel`` builds once per
-        edges and alpha, and which a DomainError refuses where ``on_floats`` fails, as it does
-        a name outside ``OPERATORS``."""
-        if not (isinstance(operator, str) and operator in OPERATORS):
-            raise DomainError(f"held binds one of {', '.join(OPERATORS)}, got {operator!r}")
+        of n entries that it does not check: the edge list's own, with the rule's kernel
+        bound once; with ``floats``, its kernel on lists of floats (``flux`` of x alone), or
+        a flow's field on them where ``operator`` is that flow's ``FieldTemplate`` at its
+        kappa, which ``_float_kernel`` builds once per template, edges and alpha, and which a
+        DomainError refuses where ``on_floats`` fails, as it does a name outside
+        ``OPERATORS``."""
+        named = isinstance(operator, str) and operator in OPERATORS
+        if not (named or floats and isinstance(operator, FieldTemplate)):
+            raise DomainError(f"held binds one of {', '.join(OPERATORS)}, or on floats a flow's "
+                              f"FieldTemplate, got {operator!r}")
         if not floats:
-            return partial(getattr(Graph, f"_{operator}_on_edges"), self, rule)
-        if operator not in ("flux", "second_order_terms") or not self.on_floats(rule):
-            raise DomainError(f"{operator} on lists of floats: not on a {type(self).__name__} of "
-                              f"{self.n} vertices under {rule!r}; only flux and "
-                              f"second_order_terms, on an edge list of at most {FLOAT_MAX_N} "
-                              f"vertices under a MinPower at alpha in {FLOAT_ALPHAS}")
-        return _float_kernel(operator, self._edge_tuples, rule.alpha, self.n)
+            kernel = "theta_and_slope" if operator == "second_order_terms" else "theta"
+            return partial(getattr(Graph, f"_{operator}_on_edges"), self, unadmitted(rule, kernel))
+        template = _BARE.get(operator) if named else operator
+        if template is None or not self.on_floats(rule):
+            raise DomainError(f"{operator if named else template.operator} on lists of floats: "
+                              f"not on a {type(self).__name__} of {self.n} vertices under "
+                              f"{rule!r}; only flux and second_order_terms, on an edge list of "
+                              f"at most {FLOAT_MAX_N} vertices under a MinPower at alpha in "
+                              f"{FLOAT_ALPHAS}")
+        return _float_kernel(template, self._edge_tuples, rule.alpha, self.n)
 
     def on_floats(self, rule) -> bool:
         """Whether ``flux`` and ``second_order_terms`` have kernels on lists of floats under
@@ -316,41 +332,93 @@ class Graph:
         return json.dumps({"n": self.n, "edges": rows.tolist()})
 
 
-@lru_cache(maxsize=64)
-def _float_kernel(operator: str, edges: tuple, alpha: float, n: int):
-    """``Graph.flux`` at u = x, as ``flux(x)``, or ``Graph.second_order_terms``, as
-    ``second_order_terms(x, S, g)``, on lists of n floats over the (tail, head, weight) tuples
-    ``edges`` at one of ``FLOAT_ALPHAS``, with the bits of its array formulas: one
-    straight-line function, compiled once per key and cached.
+@dataclass(frozen=True)
+class FieldTemplate:
+    """A flow's field on lists of floats, as ``_float_kernel`` writes it out around the
+    per-edge lines of ``operator``, ``flux`` or ``second_order_terms``.
 
-    Each edge is the array formula's arithmetic, operation for operation, on the state
-    unpacked into locals.  Each vertex sums its terms from 0.0 in bincount's order: its edges
-    forward in edge order, then its edges back, whose flux terms are exactly minus the forward
-    ones; the slope is each end's own share, by _tie_share's rule.  Only vertex indices, the
-    ``repr`` of each weight, which round-trips, and alpha's template enter the source.
+    ``blocks`` names the locals of y's blocks of n entries, the density ``x`` first;
+    ``inputs`` are lines that set the operator's other inputs ``S`` and ``g`` at vertex
+    ``{v}``, ``sums`` lines at ``{v}`` after the edges, and ``derivatives`` each block's
+    derivative at ``{v}``.  They name the operator's sums at ``{v}`` ``{F}`` (flux) or
+    ``{FS}``, ``{K}`` and ``{Fg}`` (F(S), K and F(g)), and kappa and kappa / 2 ``{kappa}``
+    and ``{half}``.  With ``kappa`` the field is ``field(y)``, which returns its derivatives
+    block after block in one list; without, it is the bare operator, which takes one
+    argument per block and returns one list per derivative.
     """
-    edges = [(int(i), int(j), repr(float(w))) for i, j, w in edges]
+
+    operator: str
+    blocks: tuple
+    derivatives: tuple
+    inputs: tuple = ()
+    sums: tuple = ()
+    kappa: Optional[float] = None
+
+    def at(self, kappa) -> "FieldTemplate":
+        """This field at coupling ``kappa``."""
+        return replace(self, kappa=float(kappa))
+
+
+#: Each operator's sums at a vertex, as a template names them: the forward terms' name, the
+#: backward terms' name and the sign they enter with (see ``_float_kernel``).
+_SUMS = {"flux": {"F": ("v", "v", "-")},
+         "second_order_terms": {"FS": ("vS", "vS", "-"), "K": ("ka", "kb", "+"),
+                                "Fg": ("vg", "vg", "-")}}
+
+#: The operators on lists of floats that ``held`` binds, as the generator's bare form.
+_BARE = {"flux": FieldTemplate("flux", ("x",), ("{F}",)),
+         "second_order_terms": FieldTemplate("second_order_terms", ("x", "S", "g"),
+                                             ("{FS}", "{K}", "{Fg}"))}
+
+
+@lru_cache(maxsize=64)
+def _float_kernel(template: FieldTemplate, edges: tuple, alpha: float, n: int):
+    """``template``'s field, or its bare operator, on lists of floats over the (tail, head,
+    weight) tuples ``edges`` of a graph of n vertices at one of ``FLOAT_ALPHAS``, with the
+    bits of its array formulas: one straight-line function, compiled once per key and cached.
+
+    The state is unpacked into locals.  Each edge is the array formula's arithmetic,
+    operation for operation: ``Graph.flux`` at u = x, or ``Graph.second_order_terms``.  Each
+    vertex sums its terms from 0.0 in bincount's order: its edges forward in edge order, then
+    its edges back, whose flux terms are exactly minus the forward ones; the slope is each
+    end's own share, by _tie_share's rule.  The template's lines follow, vertex by vertex,
+    and its derivatives are the returned lists.  Only vertex indices, the literal of each
+    weight and of kappa and kappa / 2, alpha's template and the flow's enter the source.
+    """
+    edges = [(int(i), int(j), literal(w)) for i, j, w in edges]
     phi, phi_and_slope = _TEMPLATES[alpha]
     forward = [[k for k, (i, _, _) in enumerate(edges) if i == v] for v in range(n)]
     back = [[k for k, (_, j, _) in enumerate(edges) if j == v] for v in range(n)]
 
-    def sums(ahead: str, behind: str, sign: str) -> str:
-        return "[" + ", ".join("".join(["0.0", *(f" + {ahead}{k}" for k in forward[v]),
-                                        *(f" {sign} {behind}{k}" for k in back[v])])
-                               for v in range(n)) + "]"
+    def sums(ahead: str, behind: str, sign: str, v: int) -> str:
+        return "".join(["(0.0", *(f" + {ahead}{k}" for k in forward[v]),
+                        *(f" {sign} {behind}{k}" for k in back[v]), ")"])
 
-    def unpack(name: str) -> str:
-        return ", ".join(f"{name}{v}" for v in range(n)) + f" = {name}"
+    constants = {} if template.kappa is None else {
+        "kappa": literal(template.kappa), "half": literal(0.5 * template.kappa)}
+    named = [{key: sums(*terms, v) for key, terms in _SUMS[template.operator].items()}
+             for v in range(n)]
 
-    if operator == "flux":
-        lines = ["def flux(x):", unpack("x")]
+    def written(line: str, v: int) -> str:
+        return line.format(v=v, **named[v], **constants)
+
+    def unpack(*blocks: str) -> str:
+        return ", ".join(f"{name}{v}" for name in blocks for v in range(n))
+
+    packed = template.kappa is not None
+    name = "field" if packed else template.operator
+    if packed:
+        lines = ["def field(y):", f"[{unpack(*template.blocks)}] = y"]
+    else:
+        lines = [f"def {name}({', '.join(template.blocks)}):",
+                 *(f"[{unpack(block)}] = {block}" for block in template.blocks)]
+    lines += [written(line, v) for line in template.inputs for v in range(n)]
+    if template.operator == "flux":
         # m is np.minimum's but at a NaN, where a - b is NaN anyway.
         for k, (i, j, w) in enumerate(edges):
             lines += [f"m = x{i} if x{i} < x{j} else x{j}",
                       f"v{k} = {w} * {phi} * (x{i} - x{j})"]
-        lines.append(f"return {sums('v', 'v', '-')}")
     else:
-        lines = ["def second_order_terms(x, S, g):", unpack("x"), unpack("S"), unpack("g")]
         for k, (i, j, w) in enumerate(edges):
             a, b = f"x{i}", f"x{j}"
             lines += [f"m = {a} if {a} < {b} else {b} if {b} <= {a} else nan",
@@ -361,12 +429,14 @@ def _float_kernel(operator: str, edges: tuple, alpha: float, n: int):
                       "q = dg * dg - dS * dS",
                       f"vS{k}, vg{k} = wth * dS, wth * dg",
                       f"ka{k}, kb{k} = q * ({w} * da), q * ({w} * db)"]
-        lines.append(f"return {sums('vS', 'vS', '-')}, {sums('ka', 'kb', '+')}, "
-                     f"{sums('vg', 'vg', '-')}")
-    source = "\n    ".join(lines) + "\n"
-    namespace = {"__builtins__": {}, "sqrt": math.sqrt, "nan": math.nan, "inf": math.inf}
-    exec(compile(source, f"<{operator} on {n} vertices at alpha {alpha}>", "exec"), namespace)
-    return namespace[operator]
+    lines += [written(line, v) for v in range(n) for line in template.sums]
+    blocks = [[written(d, v) for v in range(n)] for d in template.derivatives]
+    if packed:  # one list, block after block
+        blocks = [[entry for block in blocks for entry in block]]
+    lines.append("return " + ", ".join("[" + ", ".join(block) + "]" for block in blocks))
+    label = f"{template.operator} field" if packed else name
+    return compiled(name, lines, f"<{label} on {n} vertices at alpha {alpha}>",
+                    sqrt=math.sqrt, nan=math.nan, inf=math.inf)
 
 
 def _increasing(xr: np.ndarray) -> bool:

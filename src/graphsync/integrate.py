@@ -10,22 +10,26 @@ randomness.
 
 A small state can step on Python floats, where numpy's per-call dispatch
 would outweigh the arithmetic: with ``on_floats`` the run holds it as a list
-from the start, stepped by the tuple steppers, the same formulas operation
-for operation and so the same bits; only a record builds an array.  The
-two-node flow and the graph flows on at most ``FLOAT_MAX_N`` vertices step
-so; ``clip_floats`` is the first-order flow's simplex clip on such a list,
-and ``density_floats`` the second-order flow's simplex check.
+from the start, stepped by a generated step, the same formulas operation
+for operation and so the same bits; only a record builds an array.  That
+step is one straight-line function per (scheme, state length), written out
+stage by stage and entry by entry and compiled once by ``codegen.compiled``
+into a bounded cache.  The two-node flow and the graph flows on at most
+``FLOAT_MAX_N`` vertices step so; ``clip_floats`` is the first-order flow's
+simplex clip on such a list, and ``density_floats`` the second-order flow's
+simplex check.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add
 from typing import Callable, Mapping, Optional
 
 import numpy as np
 
+from .codegen import compiled
 from .errors import (DimensionError, DomainError, GraphSyncError, NonFiniteStateError,
                      SimplexViolationError, _float_vector, real, vector)
 
@@ -120,24 +124,30 @@ def _rk4_step(rhs: Rhs, y: np.ndarray, dt: float) -> np.ndarray:
 _STEPPERS = {"euler": _euler_step, "rk4": _rk4_step}
 
 
-# The same steps on a state held as a list of floats, operation for operation, so the
-# same bits: ``rhs`` maps such a list to a sequence of as many floats.
-def _euler_floats(rhs, y: list, dt: float) -> list:
-    return [v + dt * d for v, d in zip(y, rhs(y))]
+@lru_cache(maxsize=64)
+def _float_stepper(scheme: str, size: int):
+    """The RK4 or Euler step of a state of ``size`` floats held as a list, as
+    ``step(rhs, y, dt)``, where ``rhs`` maps such a list to a sequence of as many floats:
+    the array step's formulas, operation for operation, so the same bits.  One straight-line
+    function, compiled once per (scheme, size) and cached: it unpacks y and each stage into
+    locals and writes every stage's list out entry by entry."""
+    def names(prefix: str) -> str:  # a list target, which unpacks any length, 0 too
+        return "[" + ", ".join(f"{prefix}{v}" for v in range(size)) + "]"
 
+    def stage(step: str, slope: str) -> str:
+        return "[" + ", ".join(f"y{v} + {step} * {slope}{v}" for v in range(size)) + "]"
 
-def _rk4_floats(rhs, y: list, dt: float) -> list:
-    h = 0.5 * dt
-    k1 = rhs(y)
-    k2 = rhs([v + h * d for v, d in zip(y, k1)])
-    k3 = rhs([v + h * d for v, d in zip(y, k2)])
-    k4 = rhs([v + dt * d for v, d in zip(y, k3)])
-    w = dt / 6.0
-    return [v + w * (a + (b + b) + (c + c) + d) for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
-
-
-#: The steppers of a state of any length held as a list of floats, an n-tuple.
-TUPLE_STEPPERS = {"euler": _euler_floats, "rk4": _rk4_floats}
+    euler = scheme == "euler"
+    lines = ["def step(rhs, y, dt):", f"{names('y')} = y"]
+    if euler:
+        lines += [f"{names('d')} = rhs(y)", f"return {stage('dt', 'd')}"]
+    else:
+        lines += ["h = 0.5 * dt", f"{names('a')} = rhs(y)", f"{names('b')} = rhs({stage('h', 'a')})",
+                  f"{names('c')} = rhs({stage('h', 'b')})", f"{names('d')} = rhs({stage('dt', 'c')})",
+                  "w = dt / 6.0",
+                  "return [" + ", ".join(f"y{v} + w * (a{v} + (b{v} + b{v}) + (c{v} + c{v}) + d{v})"
+                                        for v in range(size)) + "]"]
+    return compiled("step", lines, f"<{'Euler' if euler else 'RK4'} step of {size} floats>")
 
 
 def integrate(
@@ -162,15 +172,15 @@ def integrate(
     carries the trajectory so far; its stop_reason is ``'nonfinite'`` for a
     NonFiniteStateError and the error's class name otherwise.  ``rhs``, ``post_step`` and
     ``stop_when`` take the state as the run holds it, which ``on_floats`` makes a list of
-    floats from the start, stepped by ``TUPLE_STEPPERS``; only the records and the
-    observers see an array, a copy.  The caller builds them for that representation, and
-    the stepper and the finiteness check are picked here, once per run.
+    floats from the start, stepped by the generated step of its scheme and length; only the
+    records and the observers see an array, a copy.  The caller builds them for that
+    representation, and the stepper and the finiteness check are picked here, once per run.
     """
     observers = dict(observers or {})
-    step, finite = ((TUPLE_STEPPERS[spec.scheme], lambda y: all(map(math.isfinite, y))) if on_floats
-                    else (_STEPPERS[spec.scheme], lambda y: bool(np.isfinite(y).all())))
     y = vector(state0, "state0")
     dim = y.size
+    step, finite = ((_float_stepper(spec.scheme, dim), lambda y: all(map(math.isfinite, y)))
+                    if on_floats else (_STEPPERS[spec.scheme], lambda y: bool(np.isfinite(y).all())))
     y = y.tolist() if on_floats else y
     if n_density is None:
         n_density = dim

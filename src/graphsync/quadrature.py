@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureError, real, reals
+from .errors import QuadratureError, broadcastable, real, reals
 
 #: Most intervals one bisection level may refine (two-node calls peak near 1k).
 MAX_LIVE = 1 << 16
@@ -64,11 +64,12 @@ def adaptive_simpson(
     which is how a divergent integrand announces itself, or when more than
     ``MAX_LIVE`` intervals need refining at once.  Ends that are not real numbers, a ``tol``
     that is not positive and finite and a ``max_depth`` that is not an integer >= 0 are a
-    DomainError, raised before any sample.
+    DomainError, and ends whose shapes do not broadcast together a DimensionError, raised
+    before any sample.
     """
     real(tol, "tol", "positive and finite", lambda v: 0 < v < math.inf)
     real(max_depth, "max_depth", "an integer >= 0", lambda d: d >= 0 and d % 1 == 0)
-    a, b = np.broadcast_arrays(reals(a, "a"), reals(b, "b"))
+    a, b = np.broadcast_arrays(*broadcastable(reals(a, "a"), reals(b, "b"), "a", "b"))
     shape, a, b = a.shape, a.ravel(), b.ravel()
     value, error = np.zeros(a.size), np.zeros(a.size)
     panel = np.flatnonzero(a != b)  # a == b integrates to (0, 0) without samples

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateDerivativeError, DimensionError, real, vector
-from .graphs import Graph
+from .graphs import FieldTemplate, Graph
 from .integrate import IntegratorSpec, Trajectory, density_state, integrate  # noqa: F401
 from .potentials import quadratic_kappa
 
@@ -86,25 +86,30 @@ class PhaseState(VertexBlocks):
     S: np.ndarray
 
 
+#: The field on lists of floats, as the graph writes it out around F(S), K and F(g) at vertex v:
+#: g = grad F(rho) = -kappa rho, as potential.grad gives it, and d S = K / 2 - kappa F(g).
+FIELD_ON_FLOATS = FieldTemplate("second_order_terms", ("x", "S"),
+                                derivatives=("{FS}", "0.5 * {K} - {kappa} * {Fg}"),
+                                inputs=("g{v} = -{kappa} * x{v}",))
+
+
 def second_order_field(graph: Graph, rule, potential, floats: bool = False) -> Callable:
     """Prebuilt packed field y = (rho, S) -> (d rho, d S) for one run; the sums come from
     ``Graph.second_order_terms``, held for the run.  With ``floats`` the field takes and
-    returns a list of floats, with the bits of arrays, where the graph's ``held`` binds its
-    float kernel (and refuses otherwise); else it takes an array, a list as its array."""
+    returns a list of floats, with the bits of arrays: ``FIELD_ON_FLOATS`` at kappa, which
+    the graph's ``held`` writes out (and refuses where it has no float kernel); else it takes
+    an array, a list as its array."""
     kappa = quadratic_kappa(potential)
-    n, terms = graph.n, graph.held("second_order_terms", rule, floats)
-
-    def float_field(y):
-        rho = y[:n]  # g = grad F(rho) = -kappa rho, as potential.grad gives it
-        drho, kinetic, g_flux = terms(rho, y[n:], [-kappa * v for v in rho])
-        return drho + [0.5 * k - kappa * f for k, f in zip(kinetic, g_flux)]
+    if floats:
+        return graph.held(FIELD_ON_FLOATS.at(kappa), rule, True)
+    n, terms = graph.n, graph.held("second_order_terms", rule)
 
     def field(y):
         rho = y[:n]
         drho, kinetic, g_flux = terms(rho, y[n:], potential.grad(rho))
         return np.concatenate([drho, 0.5 * kinetic - kappa * g_flux])
 
-    return float_field if floats else field
+    return field
 
 
 def rhs_second_order(graph: Graph, rule, potential, state: PhaseState):

@@ -20,9 +20,12 @@ giving theta and d theta/da under the same conventions as ``theta`` and
 ``partials``.
 
 ``theta``, ``partials``, ``theta_and_slope`` and the induced weight's r admit each
-density by ``errors.reals``, and ``validate_rule`` its rule by ``errors.weight_rule``.
-``phi``, ``dphi``, ``theta_r`` and ``dtheta_r`` of ``MinPower``, the per-step kernels
-of a run's own state, admit nothing.
+density by ``errors.reals``, a pair of them whose shapes do not broadcast together being a
+DimensionError, and ``validate_rule`` its rule by ``errors.weight_rule``.  ``phi``,
+``dphi``, ``theta_r`` and ``dtheta_r`` of ``MinPower``, the per-step kernels of a run's
+own state, admit nothing, nor do the private ``_theta`` and ``_theta_and_slope`` of
+``MinPower`` and ``ArithmeticMean``, which the public methods call on the admitted pair,
+and which the graph operators bind once per run through ``unadmitted``.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, real, reals, weight_rule
+from .errors import DomainError, broadcastable, real, reals, weight_rule
 from .integrate import SIMPLEX_TOL
 from .potentials import _number, _TwoNodeEntropy, from_config, potential_from_config
 
@@ -41,7 +44,18 @@ _SERIES_WINDOW = 1e-4
 
 
 def _pair(a, b):
-    return reals(a, "a"), reals(b, "b")
+    return broadcastable(reals(a, "a"), reals(b, "b"), "a", "b")
+
+
+def unadmitted(rule, method: str):
+    """``rule``'s ``method``, ``theta`` or ``theta_and_slope``, for float arrays of one shape
+    that the caller has admitted: its private form ``_<method>``, which admits nothing, where
+    the class that defines the method defines that beside it, as the library's rules do; else
+    the public method, so that a rule that defines its own keeps it."""
+    for cls in type(rule).__mro__:
+        if method in vars(cls):
+            return getattr(rule, f"_{method}" if f"_{method}" in vars(cls) else method)
+    return getattr(rule, method)
 
 
 #: phi and phi' at the stock alphas but 1, as functions of c = max(m, 0) >= 0 (an array or a
@@ -109,20 +123,25 @@ class MinPower:
         return np.where(m >= 0.0, d, 0.0)
 
     def theta(self, a, b):
-        out = self.phi(np.minimum(*_pair(a, b)))
+        out = self._theta(*_pair(a, b))
         return float(out) if out.ndim == 0 else out
+
+    def _theta(self, a, b):
+        return self.phi(np.minimum(a, b))
 
     def partials(self, a, b):
         return self.theta_and_slope(a, b)[1], self.theta_and_slope(b, a)[1]
 
     def theta_and_slope(self, a, b):
         """(theta(a, b), d theta/da) from a single min pass."""
-        a, b = _pair(a, b)
-        m = np.minimum(a, b)
-        th, da = self.phi(m), _tie_share(self.dphi(m), a, b)
+        th, da = self._theta_and_slope(*_pair(a, b))
         if th.ndim == 0:
             return float(th), float(da)
         return th, da
+
+    def _theta_and_slope(self, a, b):
+        m = np.minimum(a, b)
+        return self.phi(m), _tie_share(self.dphi(m), a, b)
 
     # Two-node reduction, b = 1 - r, on Python floats: the scalar flow calls
     # these once per stage, where numpy's per-call overhead would dominate.  At a
@@ -161,9 +180,11 @@ class ArithmeticMean:
     """theta(a, b) = (a + b) / 2; positive at the boundary, kept for contrast."""
 
     def theta(self, a, b):
-        a, b = _pair(a, b)
-        out = 0.5 * (a + b)
+        out = self._theta(*_pair(a, b))
         return float(out) if out.ndim == 0 else out
+
+    def _theta(self, a, b):
+        return 0.5 * (a + b)
 
     def partials(self, a, b):
         th, d = self.theta_and_slope(a, b)
@@ -172,6 +193,10 @@ class ArithmeticMean:
     def theta_and_slope(self, a, b):
         th = self.theta(a, b)
         return th, (0.5 if np.ndim(th) == 0 else np.full(th.shape, 0.5))
+
+    def _theta_and_slope(self, a, b):
+        th = self._theta(a, b)
+        return th, np.full(th.shape, 0.5)
 
     def theta_r(self, r: float) -> float:
         return 0.5

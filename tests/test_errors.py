@@ -2,6 +2,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import graphsync as gs
 from graphsync.analysis import edge_dichotomy_report
 from graphsync.errors import (
     DimensionError, DomainError, GraphConstructionError, GraphSyncError, NegativeWeightError,
-    SimplexViolationError, document, real, vector,
+    SimplexViolationError, document, real, reals, vector,
 )
 from graphsync.experiments import REPRODUCE_TARGETS, ExperimentConfig
 from graphsync.quadrature import adaptive_simpson
@@ -226,6 +227,69 @@ def test_a_run_admits_its_inputs_a_fixed_number_of_times(run, monkeypatch):
         assert len(traj.times) == steps + 1
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+#: Runs on arrays: an edge list of more than FLOAT_MAX_N vertices, a non-stock alpha and a rule
+#: that is no MinPower.
+_ARRAY_RUNS = {"n=8": (gs.complete_graph(8), _SQUARE),
+               "alpha=2.5": (_SIX, gs.MinPower(2.5)),
+               "arithmetic_mean": (_SIX, gs.ArithmeticMean())}
+
+
+@pytest.mark.parametrize("flow", ["first", "second", "hopf_cole"])
+@pytest.mark.parametrize("case", _ARRAY_RUNS)
+def test_an_array_runs_rule_and_operator_calls_admit_nothing_per_step(case, flow, monkeypatch):
+    # The run admitted its state at entry; its held operators call the rules' private forms.
+    # The per-step simplex check is errors' vector rule on the density, left aside here.
+    graph, rule = _ARRAY_RUNS[case]
+    assert not graph.on_floats(rule)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return reals(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("graphsync.") and name != "graphsync.errors"
+                and getattr(module, "reals", None) is reals):
+            monkeypatch.setattr(module, "reals", counted)
+    rho0 = np.linspace(1.0, 2.0, graph.n) / np.add.reduce(np.linspace(1.0, 2.0, graph.n))
+    phase = gs.gradient_flow_init(rho0, _KAPPA)
+    run = {"first": lambda spec: gs.simulate_first_order(graph, rule, 1.0, rho0, spec),
+           "second": lambda spec: gs.simulate_second_order(graph, rule, _KAPPA, phase, spec),
+           "hopf_cole": lambda spec: gs.simulate_hopf_cole(
+               graph, rule, _KAPPA, gs.to_hopf_cole(phase, _KAPPA), spec)}[flow]
+    counts = []
+    for steps in (10, 100):
+        calls.clear()
+        traj = run(gs.IntegratorSpec(dt=0.01, t_final=steps * 0.01))
+        assert len(traj.times) == steps + 1
+        counts.append(len(calls))
+    assert counts == [0, 0]
+
+
+#: Each rule method and the quadrature on two inputs whose shapes, (2,) and (3,), do not
+#: broadcast together.
+_UNBROADCASTABLE = {
+    **{f"{type(rule).__name__}.{method}": partial(getattr(rule, method), [0.1, 0.2], [0.1, 0.2, 0.3])
+       for rule in _RULES[:2] for method in ("theta", "partials", "theta_and_slope")},
+    "EntropyInduced.theta": partial(_RULES[2].theta, [0.4, 0.5], [0.6, 0.5, 0.4]),
+    "adaptive_simpson": partial(adaptive_simpson, np.exp, [0.0, 1.0], [0.0, 1.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("entry", _UNBROADCASTABLE)
+def test_two_inputs_whose_shapes_do_not_broadcast_together_are_a_dimension_error(entry):
+    with pytest.raises(DimensionError, match=r"^a and b must have shapes that broadcast "
+                                             r"together, got \(2,\) and \(3,\)$"):
+        _UNBROADCASTABLE[entry]()
+
+
+def test_two_inputs_whose_shapes_broadcast_together_are_admitted():
+    assert _SQUARE.theta(0.5, [0.25, 0.5]).tolist() == [0.0625, 0.25]
+    assert _SQUARE.theta([[0.25], [0.5]], [0.5, 1.0]).shape == (2, 2)
+    assert adaptive_simpson(lambda x: x, [[0.0], [1.0]], [1.0, 2.0]).value.tolist() == [
+        [0.5, 2.0], [0.0, 1.5]]
 
 
 class _ThetaOnlyRule:

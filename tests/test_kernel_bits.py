@@ -1,5 +1,5 @@
-"""The trimmed weight kernels, edge-list operators, RK4 step, pair steppers, two-node
-run and simplex clip, and the graph flows on floats, bit for bit.
+"""The trimmed weight kernels, edge-list operators, RK4 step, generated float steps, two-node
+run and simplex clip, and the graph flows' generated fields on floats, bit for bit.
 
 Each reference below is the earlier, longer formula of the kernel, kept
 verbatim but for phi and phi' at the stock alphas, which are products, square
@@ -27,7 +27,7 @@ from graphsync.errors import (ConsistencyError, DomainError, GraphSyncError,
 from graphsync.first_order import first_order_field
 from graphsync.graphs import FLOAT_ALPHAS
 from graphsync.hopf_cole import hopf_cole_field
-from graphsync.integrate import (_STEPPERS, FLOAT_MAX_N, TUPLE_STEPPERS, _rk4_step, clip_floats,
+from graphsync.integrate import (_STEPPERS, FLOAT_MAX_N, _float_stepper, _rk4_step, clip_floats,
                                  density_floats, density_state, integrate, project_simplex_clip)
 from graphsync.second_order import second_order_field
 from graphsync.two_point import _quadratic_rhs
@@ -284,15 +284,16 @@ def test_rk4_step_keeps_its_bits(y, stages, dt):
 
 @st.composite
 def step_cases(draw):
-    """A state of 2..FLOAT_MAX_N entries and the four stage values an rhs returns for it."""
-    n = draw(st.integers(2, FLOAT_MAX_N))
+    """A state of 2..3 FLOAT_MAX_N entries, the lengths of the float runs' states, and the
+    four stage values an rhs returns for it."""
+    n = draw(st.integers(2, 3 * FLOAT_MAX_N))
     return draw(vectors(n)), draw(st.lists(vectors(n), min_size=4, max_size=4))
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=step_cases(), dt=st.sampled_from([0.01, 1e-3, 0.3, 1e300]),
        scheme=st.sampled_from(["euler", "rk4"]))
-def test_tuple_steppers_take_the_array_steps_bits(case, dt, scheme):
+def test_generated_steppers_take_the_array_steps_bits(case, dt, scheme):
     # The same stage values, as a function of the stage state, on arrays and on float lists.
     y, stages = case
     array_stages, float_stages, calls = iter(stages), iter(stages), []
@@ -303,7 +304,7 @@ def test_tuple_steppers_take_the_array_steps_bits(case, dt, scheme):
 
     with np.errstate(all="ignore"):
         want = _STEPPERS[scheme](lambda state: next(array_stages) * (1.0 + state), y, dt)
-        got = TUPLE_STEPPERS[scheme](float_rhs, y.tolist(), dt)
+        got = _float_stepper(scheme, y.size)(float_rhs, y.tolist(), dt)
     assert type(got) is list and all(type(v) is float for v in got)
     assert len(calls) == {"euler": 1, "rk4": 4}[scheme]
     assert all(type(state) is list and all(type(v) is float for v in state) for state in calls)
@@ -467,19 +468,33 @@ def test_first_order_run_on_floats_keeps_the_partial_trajectory_of_an_error(
         assert got == _run_bits(simulate_first_order_ref, graph, rule, kappa, rho0, spec)
 
 
-@settings(max_examples=300, deadline=None)
+#: The blocks of each graph flow's state, and its array field's reference on (graph, rule,
+#: kappa, y).
+FLOW_BLOCKS = {"first": 1, "second": 2, "hopf_cole": 3}
+FIELD_REFS = {"first": lambda graph, rule, kappa, y: kappa * graph.flux(rule, y, y),
+              "second": lambda *args: second_order_field_ref(*args),
+              "hopf_cole": lambda *args: hopf_cole_field_ref(*args)}
+
+
+@settings(max_examples=500, deadline=None)
 @given(graph=small_graphs(), data=st.data(), alpha=st.sampled_from(FLOAT_ALPHAS),
-       kappa=st.sampled_from([0.5, 1.0, 1e200]))
-def test_float_field_has_the_array_fields_bits(graph, data, alpha, kappa):
-    # Entries whose squares overflow, beside the ties, zeros, NaN and infinities.
+       kappa=st.sampled_from([1e-300, 1e200, 1e300]) | st.floats(1e-3, 1e3),
+       flow=st.sampled_from(sorted(FLOW_BLOCKS)))
+def test_generated_fields_have_the_array_fields_bits(graph, data, alpha, kappa, flow):
+    # Entries whose squares overflow, beside the ties, zeros, NaN and infinities; a huge kappa
+    # overflows to inf and NaN as the array field does.
     entry = st.sampled_from(SPECIAL + [1e200, -1e160]) | st.floats(-1e-9, 1.0)
-    x = np.array(data.draw(st.lists(entry, min_size=graph.n, max_size=graph.n)))
-    rule = gs.MinPower(alpha)
-    field, float_field = (first_order_field(graph, rule, kappa, floats) for floats in (False, True))
+    size = FLOW_BLOCKS[flow] * graph.n
+    y = np.array(data.draw(st.lists(entry, min_size=size, max_size=size)))
+    if data.draw(st.booleans()):  # ties between vertices
+        y[data.draw(st.integers(0, graph.n - 1))] = y[0]
+    rule, model = gs.MinPower(alpha), kappa if flow == "first" else gs.KuramotoQuadratic(kappa)
+    field, generated = (flows.FLOWS[flow].field(graph, rule, model, f) for f in (False, True))
     with np.errstate(all="ignore"):
-        want = kappa * graph.flux(rule, x, x)
-        assert_same_bits(graph.held("flux", rule, True)(x.tolist()), graph.flux(rule, x, x))
-        on_array, on_list = field(x), float_field(x.tolist())
+        want = FIELD_REFS[flow](graph, rule, kappa, y)
+        on_array, on_list = field(y), generated(y.tolist())
+        if flow == "first":  # and the bare kernel that the template is written around
+            assert_same_bits(graph.held("flux", rule, True)(y.tolist()), graph.flux(rule, y, y))
     assert type(on_array) is np.ndarray and type(on_list) is list
     assert all(type(v) is float for v in on_list)
     assert_same_bits(on_array, want)
@@ -576,15 +591,15 @@ def test_equal_edges_share_one_built_float_kernel():
     assert gs.named_graph("cycle6").held("flux", rule, True) is flux
     assert (kernel.cache_info().misses, kernel.cache_info().hits) == (1, 1)
     spec, rho0 = gs.IntegratorSpec(dt=0.01, t_final=0.05), [0.3, 0.25, 0.2, 0.1, 0.1, 0.05]
-    for _ in range(2):  # a first-order run, then a second run
+    for _ in range(2):  # a first-order run builds its field, and a second run shares it
         gs.simulate_first_order(gs.named_graph("cycle6"), rule, 1.0, rho0, spec)
-    assert (kernel.cache_info().misses, kernel.cache_info().hits) == (1, 3)
+    assert (kernel.cache_info().misses, kernel.cache_info().hits) == (2, 2)
     # A new alpha, a changed weight or the other operator builds a kernel of its own.
     heavier = gs.build_graph(6, [(1, 2, 1.0 + 2.0**-52)] + [(k, k % 6 + 1, 1.0) for k in range(2, 7)])
     others = {gs.named_graph("cycle6").held("flux", gs.MinPower(3.0), True),
               heavier.held("flux", rule, True),
               gs.named_graph("cycle6").held("second_order_terms", rule, True)}
-    assert len(others | {flux}) == 4 and kernel.cache_info().misses == 4
+    assert len(others | {flux}) == 4 and kernel.cache_info().misses == 5
     # The kernel's namespace holds sqrt, nan and inf, and no builtins.
     assert flux.__globals__ == {"__builtins__": {}, "sqrt": math.sqrt, "nan": math.nan,
                                 "inf": math.inf, "flux": flux}
@@ -592,6 +607,35 @@ def test_equal_edges_share_one_built_float_kernel():
     for k in range(70):
         gs.build_graph(3, [(1, 2, 1.0 + k), (2, 3, 1.0)]).held("flux", rule, True)
     assert kernel.cache_info().maxsize == kernel.cache_info().currsize == 64
+
+
+@pytest.mark.parametrize("flow", sorted(FLOW_BLOCKS))
+def test_equal_flow_edges_alpha_and_kappa_share_one_generated_field(flow):
+    kernel, factory = gs.graphs._float_kernel, flows.FLOWS[flow].field
+    model = (lambda kappa: kappa) if flow == "first" else gs.KuramotoQuadratic
+    kernel.cache_clear()
+    field = factory(gs.named_graph("ribbon6"), gs.MinPower(2.0), model(2.0), True)
+    # Another graph of equal edges, and kappa as an int, share it.
+    assert factory(gs.named_graph("ribbon6"), gs.MinPower(2.0), model(2), True) is field
+    others = [factory(gs.named_graph("ribbon6"), gs.MinPower(2.0), model(2.0 + 2.0**-51), True),
+              factory(gs.named_graph("ribbon6"), gs.MinPower(3.0), model(2.0), True),
+              factory(gs.named_graph("cycle6"), gs.MinPower(2.0), model(2.0), True)]
+    assert len({field, *others}) == 4
+    assert (kernel.cache_info().misses, kernel.cache_info().hits) == (4, 1)
+    # The other flows' fields on the same graph, alpha and kappa are functions of their own.
+    for other in sorted(set(FLOW_BLOCKS) - {flow}):
+        other_model = 2.0 if other == "first" else gs.KuramotoQuadratic(2.0)
+        assert flows.FLOWS[other].field(gs.named_graph("ribbon6"), gs.MinPower(2.0), other_model,
+                                        True) is not field
+
+
+def test_a_generated_step_is_built_once_per_scheme_and_length():
+    _float_stepper.cache_clear()
+    step = _float_stepper("rk4", 12)
+    assert _float_stepper("rk4", 12) is step
+    assert len({step, _float_stepper("euler", 12), _float_stepper("rk4", 13)}) == 3
+    assert (_float_stepper.cache_info().misses, _float_stepper.cache_info().hits) == (3, 1)
+    assert step.__globals__ == {"__builtins__": {}, "step": step}
 
 
 def test_a_run_on_floats_calls_neither_the_array_clip_nor_theta(monkeypatch):
