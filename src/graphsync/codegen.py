@@ -1,11 +1,12 @@
 """Straight-line functions compiled from generated source.
 
-A small graph's float kernels and flow fields (``graphs._float_kernel``) and the float
-RK4 and Euler steps (``integrate._float_stepper``) are written out as Python source, one
-line per edge, vertex or entry, and ``compiled`` turns that source into a function.  Only
-vertex and entry indices, the ``literal`` of a finite float, which round-trips, and the
-library's own templates enter such source; no caller's string does.  The function runs
-in a namespace of the names it is given, with no builtins.
+The flows' fields on arrays (``graphs._array_field``) and on a small graph's floats
+(``graphs._float_kernel``) and the float RK4 and Euler steps (``integrate._float_stepper``)
+are written out as Python source, one line per template line, edge, vertex or entry, and
+``compiled`` turns that source into a function.  Only indices, slice bounds, the ``literal``
+of a finite float, which round-trips, and the library's own templates enter such source; no
+caller's string does.  The function runs in a namespace of the names it is given, with no
+builtins.
 """
 import math
 

@@ -90,10 +90,14 @@ class UnsupportedRegimeError(GraphSyncError, ValueError):
 
 
 def real(value, name: str, what: str, ok, error=DomainError):
-    """``value`` if it is a real number, not a bool, that ``ok`` accepts, else
-    ``error("<name> must be <what>, got <value>")``; a NaN fails ``ok``'s comparisons."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and ok(value):
-        return value
+    """``value`` if it is a real number, not a bool, whose float ``ok`` accepts, else
+    ``error("<name> must be <what>, got <value>")``; a NaN fails ``ok``'s comparisons, and an
+    int beyond the floats, which has no float, is refused too."""
+    try:
+        if isinstance(value, numbers.Real) and not isinstance(value, bool) and ok(float(value)):
+            return value
+    except OverflowError:
+        pass
     raise error(f"{name} must be {what}, got {value!r}")
 
 

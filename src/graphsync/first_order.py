@@ -29,21 +29,17 @@ from .potentials import KuramotoQuadratic
 CONVERGENCE_TOL = 1e-13
 
 
-#: The field on lists of floats, as the graph writes it out around the flux F(x) at vertex v.
-FIELD_ON_FLOATS = FieldTemplate("flux", ("x",), derivatives=("{kappa} * {F}",))
+#: The field, as the graph writes it out around the flux F(x): kappa F.
+FIELD = FieldTemplate("flux", ("x",), derivatives=("{kappa} * {F}",))
 
 
 def first_order_field(graph: Graph, rule, kappa: float, floats: bool = False) -> Callable:
     """Prebuilt vector field rho -> d rho/dt = kappa * Graph.flux(rule, rho, rho) for one run;
-    kappa is checked as the quadratic potential checks it.  With ``floats`` the field takes
-    and returns a list of floats, with the bits of arrays: ``FIELD_ON_FLOATS`` at kappa,
-    which the graph's ``held`` writes out (and refuses where it has no float kernel); else
-    it takes an array, a list as its array."""
-    kappa = KuramotoQuadratic(kappa).kappa
-    if floats:
-        return graph.held(FIELD_ON_FLOATS.at(kappa), rule, True)
-    flux = graph.held("flux", rule)
-    return lambda rho: kappa * flux(rho, rho)
+    kappa is checked as the quadratic potential checks it.  It is ``FIELD`` at kappa, which
+    the graph's ``held`` writes out: with ``floats`` on a list of floats, with the bits of
+    arrays (and refused where the graph has no float kernel), else on an array, a list as
+    its array."""
+    return graph.held(FIELD.at(KuramotoQuadratic(kappa).kappa), rule, floats)
 
 
 def rhs_first_order(graph: Graph, rule, kappa: float, rho) -> np.ndarray:

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import first_order as fo, hopf_cole as hc, second_order as so
 from .errors import ConsistencyError, DimensionError, vector, weight_rule
-from .integrate import (IntegratorSpec, Trajectory, clip_floats, density_floats, density_state,
-                        integrate, project_simplex_clip)
+from .integrate import (IntegratorSpec, Trajectory, clip_array, clip_floats, density_array,
+                        density_floats, density_state, integrate)
 from .potentials import quadratic_kappa
 
 #: Thresholds defining "synchronised": one dominant density, rest negligible.
@@ -103,7 +103,7 @@ FLOWS = {
                    ("max_gap", "max_gap", lambda run, y: fo._gap(y))),
         simulate=lambda graph, rule, potential, blocks, spec, sync: fo.simulate_first_order(
             graph, rule, quadratic_kappa(potential), *blocks, spec),
-        post_step=(lambda run, y: project_simplex_clip(y), lambda run, y: clip_floats(y)),
+        post_step=(lambda run, y: clip_array(y), lambda run, y: clip_floats(y)),
         stop=lambda run, y: float(np.max(np.abs(run.field(y)))) < fo.CONVERGENCE_TOL,
         stop_reason="converged",
         rule_methods=("theta",),
@@ -120,7 +120,7 @@ FLOWS = {
         simulate=lambda graph, rule, potential, blocks, spec, sync: so.simulate_second_order(
             graph, rule, potential, so.PhaseState(*blocks), spec,
             stop_when=(lambda st: is_synchronised(st.rho)) if sync else None),
-        post_step=(lambda run, y: _inside_simplex(density_state, run, y),
+        post_step=(lambda run, y: _inside_simplex(density_array, run, y),
                    lambda run, y: _inside_simplex(density_floats, run, y)),
         stop=lambda run, y: bool(run.stop(so.PhaseState._from_admitted(y))),
         stop_on_sync=True,

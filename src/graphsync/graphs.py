@@ -29,24 +29,23 @@ those of the edge formulas.  Either backend's operators admit each vector by
 ``errors``' vector rule: a list or array of n real numbers, none a bool, taken
 as a float array, with NaN and inf passed on; another length, a bool, None, a
 string or a nested list is a DimensionError.  A run binds each operator once,
-with ``held(operator, rule, floats)`` for one of ``OPERATORS``, so that no
-call tests a type, a length or the rule again; on the edge list it binds the
-rule's theta or theta_and_slope once too, in the private form that admits
-nothing (``weights.unadmitted``).  A graph of at most ``FLOAT_MAX_N`` vertices
-also has kernels on Python floats, where numpy's per-call dispatch would
-outweigh the arithmetic: where ``on_floats`` holds for a rule, ``held`` with
-``floats`` binds ``flux`` (at u = x) or ``second_order_terms`` on lists of
-floats, or a flow's whole field on them, given as its ``FieldTemplate`` at its
-kappa, with the bits of the array formulas, and elsewhere refuses with a
-DomainError that names the backend and the rule.  It holds under a rule that
-is a ``MinPower`` itself at one of ``FLOAT_ALPHAS``, the stock alphas, where
-phi and phi' are IEEE products, square roots and a quotient, the same bits on
-floats as under any numpy dispatch.  Each kernel or field is one straight-line
-function, written out edge by edge and vertex by vertex and compiled once per
-(template, edges, alpha, n) by ``_float_kernel``, whose bounded cache lets
-equal graphs and repeated runs share it; a flow's template holds its kappa.
-Only vertex indices, the literal of each weight and of kappa, finite floats
-that round-trip, the template of one of ``FLOAT_ALPHAS`` and the flow's
+with ``held(operator, rule)`` for one of ``OPERATORS``, so that no call tests a
+type, a length or the rule again; on the edge list it binds the rule's theta
+or theta_and_slope once too, in the private form that admits nothing
+(``weights.unadmitted``).  Each flow states its field once, as a
+``FieldTemplate`` around ``flux`` or ``second_order_terms``, and ``held`` of
+that template at kappa gives the field on arrays, around the held operator
+(``_array_field``), or with ``floats`` on lists of Python floats, where numpy's
+per-call dispatch would outweigh the arithmetic.  The latter holds where
+``on_floats`` does, on an edge list of at most ``FLOAT_MAX_N`` vertices under a
+rule that is a ``MinPower`` itself at one of ``FLOAT_ALPHAS``, the stock alphas,
+where phi and phi' are IEEE products, square roots and a quotient, the same bits
+on floats as under any numpy dispatch; elsewhere a DomainError names the backend
+and the rule.  The field on floats is one straight-line function, written out
+edge by edge and vertex by vertex and compiled once per (template, edges, alpha,
+n) by ``_float_kernel``, whose bounded cache lets equal graphs and repeated runs
+share it.  Only vertex indices, the literal of each weight and of kappa, finite
+floats that round-trip, the template of one of ``FLOAT_ALPHAS`` and the flow's
 template enter its source; no caller's string does.
 
 ``CompleteGraph`` overrides them.  It holds every pair with one weight omega
@@ -286,34 +285,32 @@ class Graph:
         return np.sum(wth * (dS**2 - dg**2))
 
     def held(self, operator, rule, floats: bool = False):
-        """The operator named ``operator``, bound to ``rule``, as one run calls it, on vectors
-        of n entries that it does not check: the edge list's own, with the rule's kernel
-        bound once; with ``floats``, its kernel on lists of floats (``flux`` of x alone), or
-        a flow's field on them where ``operator`` is that flow's ``FieldTemplate`` at its
-        kappa, which ``_float_kernel`` builds once per template, edges and alpha, and which a
-        DomainError refuses where ``on_floats`` fails, as it does a name outside
-        ``OPERATORS``."""
-        named = isinstance(operator, str) and operator in OPERATORS
-        if not (named or floats and isinstance(operator, FieldTemplate)):
-            raise DomainError(f"held binds one of {', '.join(OPERATORS)}, or on floats a flow's "
-                              f"FieldTemplate, got {operator!r}")
-        if not floats:
+        """``operator`` bound to ``rule`` as one run calls it, on vectors of n entries that it
+        does not check.  One of ``OPERATORS`` is the edge list's own, with the rule's kernel
+        bound once.  A flow's ``FieldTemplate`` at its kappa is that field: on arrays around the
+        operator it names, held so, or with ``floats`` on lists of floats, built by
+        ``_float_kernel`` where ``on_floats`` holds and else refused with a DomainError.
+        Anything else, a name with ``floats`` too, is a DomainError."""
+        field = isinstance(operator, FieldTemplate) and operator.kappa is not None
+        if not (field or not floats and isinstance(operator, str) and operator in OPERATORS):
+            raise DomainError(f"held binds one of {', '.join(OPERATORS)} on arrays, or a flow's "
+                              f"FieldTemplate at its kappa, got {operator!r}")
+        if not field:
             kernel = "theta_and_slope" if operator == "second_order_terms" else "theta"
             return partial(getattr(Graph, f"_{operator}_on_edges"), self, unadmitted(rule, kernel))
-        template = _BARE.get(operator) if named else operator
-        if template is None or not self.on_floats(rule):
-            raise DomainError(f"{operator if named else template.operator} on lists of floats: "
-                              f"not on a {type(self).__name__} of {self.n} vertices under "
-                              f"{rule!r}; only flux and second_order_terms, on an edge list of "
-                              f"at most {FLOAT_MAX_N} vertices under a MinPower at alpha in "
-                              f"{FLOAT_ALPHAS}")
-        return _float_kernel(template, self._edge_tuples, rule.alpha, self.n)
+        if not floats:
+            return _array_field(operator, self.n)(self.held(operator.operator, rule))
+        if not self.on_floats(rule):
+            raise DomainError(f"a {operator.operator} field on lists of floats: not on a "
+                              f"{type(self).__name__} of {self.n} vertices under {rule!r}; only on "
+                              f"an edge list of at most {FLOAT_MAX_N} vertices under a MinPower "
+                              f"at alpha in {FLOAT_ALPHAS}")
+        return _float_kernel(operator, self._edge_tuples, rule.alpha, self.n)
 
     def on_floats(self, rule) -> bool:
-        """Whether ``flux`` and ``second_order_terms`` have kernels on lists of floats under
-        ``rule``, with the bits of arrays: on at most ``FLOAT_MAX_N`` vertices, under a rule
-        that is a ``MinPower`` itself (a subclass may override phi) at one of
-        ``FLOAT_ALPHAS``."""
+        """Whether a flow's field has a kernel on lists of floats under ``rule``, with the
+        bits of arrays: on at most ``FLOAT_MAX_N`` vertices, under a rule that is a ``MinPower``
+        itself (a subclass may override phi) at one of ``FLOAT_ALPHAS``."""
         return (self._edge_tuples is not None and type(rule) is MinPower
                 and rule.alpha in FLOAT_ALPHAS)
 
@@ -334,17 +331,16 @@ class Graph:
 
 @dataclass(frozen=True)
 class FieldTemplate:
-    """A flow's field on lists of floats, as ``_float_kernel`` writes it out around the
-    per-edge lines of ``operator``, ``flux`` or ``second_order_terms``.
+    """A flow's field, the one statement of it, as lines around the sums of ``operator``,
+    ``flux`` or ``second_order_terms``, which ``Graph.held`` writes out on arrays
+    (``_array_field``) or on lists of floats (``_float_kernel``).
 
-    ``blocks`` names the locals of y's blocks of n entries, the density ``x`` first;
-    ``inputs`` are lines that set the operator's other inputs ``S`` and ``g`` at vertex
-    ``{v}``, ``sums`` lines at ``{v}`` after the edges, and ``derivatives`` each block's
-    derivative at ``{v}``.  They name the operator's sums at ``{v}`` ``{F}`` (flux) or
-    ``{FS}``, ``{K}`` and ``{Fg}`` (F(S), K and F(g)), and kappa and kappa / 2 ``{kappa}``
-    and ``{half}``.  With ``kappa`` the field is ``field(y)``, which returns its derivatives
-    block after block in one list; without, it is the bare operator, which takes one
-    argument per block and returns one list per derivative.
+    ``blocks`` names y's blocks of n entries, the density ``x`` first; ``inputs`` are lines
+    that set the operator's other inputs ``S`` and ``g`` at vertex ``{v}``, ``sums`` lines at
+    ``{v}`` after the operator, and ``derivatives`` each block's derivative at ``{v}``.  They
+    name the operator's sums at ``{v}`` ``{F}`` (flux at u = x) or ``{FS}``, ``{K}`` and
+    ``{Fg}`` (F(S), K and F(g)), and kappa and kappa / 2 ``{kappa}`` and ``{half}``.  On
+    arrays ``{v}`` is empty, so each line takes whole blocks; on floats it is each vertex.
     """
 
     operator: str
@@ -358,32 +354,53 @@ class FieldTemplate:
         """This field at coupling ``kappa``."""
         return replace(self, kappa=float(kappa))
 
+    def written(self, line: str, v="", **sums) -> str:
+        """``line`` at vertex ``v``, with its sums as ``sums`` gives them and kappa and
+        kappa / 2 as literals."""
+        return line.format(v=v, kappa=literal(self.kappa), half=literal(0.5 * self.kappa), **sums)
 
-#: Each operator's sums at a vertex, as a template names them: the forward terms' name, the
-#: backward terms' name and the sign they enter with (see ``_float_kernel``).
-_SUMS = {"flux": {"F": ("v", "v", "-")},
-         "second_order_terms": {"FS": ("vS", "vS", "-"), "K": ("ka", "kb", "+"),
-                                "Fg": ("vg", "vg", "-")}}
 
-#: The operators on lists of floats that ``held`` binds, as the generator's bare form.
-_BARE = {"flux": FieldTemplate("flux", ("x",), ("{F}",)),
-         "second_order_terms": FieldTemplate("second_order_terms", ("x", "S", "g"),
-                                             ("{FS}", "{K}", "{Fg}"))}
+#: Each operator's call in an array field, on the inputs as a template names them, and its sums
+#: at a vertex: the forward terms' name, the backward terms' name and the sign they enter with
+#: (see ``_float_kernel``).
+_SUMS = {"flux": ("op(x, x)", {"F": ("v", "v", "-")}),
+         "second_order_terms": ("op(x, S, g)", {"FS": ("vS", "vS", "-"), "K": ("ka", "kb", "+"),
+                                                "Fg": ("vg", "vg", "-")})}
+
+
+@lru_cache(maxsize=64)
+def _array_field(template: FieldTemplate, n: int):
+    """``template``'s field on arrays of n-entry blocks as ``build(op)``, which closes it over a
+    run's held operator: y's blocks are slices, each template line one line on whole blocks,
+    and the sums are named as the operator returns them; the flux takes x as both arguments,
+    so the edge list gathers it once.  One block's derivative is returned as it is, more
+    blocks' concatenated.  Compiled once per (template, n) and cached."""
+    call, sums = _SUMS[template.operator]
+    at = partial(template.written, **{key: key for key in sums})
+    blocks = ", ".join(f"y[{k * n}:{(k + 1) * n}]" for k in range(len(template.blocks)))
+    derivatives = ", ".join(map(at, template.derivatives))
+    body = ["y = asarray(y)", f"{', '.join(template.blocks)} = {blocks}", *map(at, template.inputs),
+            f"{', '.join(sums)} = {call}", *map(at, template.sums),
+            f"return {derivatives}" if len(template.derivatives) == 1
+            else f"return concatenate([{derivatives}])"]
+    lines = ["def build(op):", "def field(y):", *(f"    {line}" for line in body), "return field"]
+    return compiled("build", lines, f"<{template.operator} field on arrays over {n} vertices>",
+                    asarray=np.asarray, concatenate=np.concatenate)
 
 
 @lru_cache(maxsize=64)
 def _float_kernel(template: FieldTemplate, edges: tuple, alpha: float, n: int):
-    """``template``'s field, or its bare operator, on lists of floats over the (tail, head,
-    weight) tuples ``edges`` of a graph of n vertices at one of ``FLOAT_ALPHAS``, with the
-    bits of its array formulas: one straight-line function, compiled once per key and cached.
+    """``template``'s field on lists of floats over the (tail, head, weight) tuples ``edges``
+    of a graph of n vertices at one of ``FLOAT_ALPHAS``, with the bits of its array formulas:
+    ``field(y)``, one straight-line function, compiled once per key and cached.
 
-    The state is unpacked into locals.  Each edge is the array formula's arithmetic,
-    operation for operation: ``Graph.flux`` at u = x, or ``Graph.second_order_terms``.  Each
-    vertex sums its terms from 0.0 in bincount's order: its edges forward in edge order, then
-    its edges back, whose flux terms are exactly minus the forward ones; the slope is each
-    end's own share, by _tie_share's rule.  The template's lines follow, vertex by vertex,
-    and its derivatives are the returned lists.  Only vertex indices, the literal of each
-    weight and of kappa and kappa / 2, alpha's template and the flow's enter the source.
+    y is unpacked into locals.  Each edge is the array formula's arithmetic, operation for
+    operation: ``Graph.flux`` at u = x, or ``Graph.second_order_terms``.  Each vertex sums its
+    terms from 0.0 in bincount's order: its edges forward in edge order, then its edges back,
+    whose flux terms are exactly minus the forward ones; the slope is each end's own share, by
+    _tie_share's rule.  The template's lines follow, vertex by vertex, and its derivatives are
+    returned block after block in one list.  Only vertex indices, the literal of each weight
+    and of kappa and kappa / 2, alpha's template and the flow's enter the source.
     """
     edges = [(int(i), int(j), literal(w)) for i, j, w in edges]
     phi, phi_and_slope = _TEMPLATES[alpha]
@@ -394,24 +411,14 @@ def _float_kernel(template: FieldTemplate, edges: tuple, alpha: float, n: int):
         return "".join(["(0.0", *(f" + {ahead}{k}" for k in forward[v]),
                         *(f" {sign} {behind}{k}" for k in back[v]), ")"])
 
-    constants = {} if template.kappa is None else {
-        "kappa": literal(template.kappa), "half": literal(0.5 * template.kappa)}
-    named = [{key: sums(*terms, v) for key, terms in _SUMS[template.operator].items()}
+    named = [{key: sums(*terms, v) for key, terms in _SUMS[template.operator][1].items()}
              for v in range(n)]
 
     def written(line: str, v: int) -> str:
-        return line.format(v=v, **named[v], **constants)
+        return template.written(line, v, **named[v])
 
-    def unpack(*blocks: str) -> str:
-        return ", ".join(f"{name}{v}" for name in blocks for v in range(n))
-
-    packed = template.kappa is not None
-    name = "field" if packed else template.operator
-    if packed:
-        lines = ["def field(y):", f"[{unpack(*template.blocks)}] = y"]
-    else:
-        lines = [f"def {name}({', '.join(template.blocks)}):",
-                 *(f"[{unpack(block)}] = {block}" for block in template.blocks)]
+    unpacked = ", ".join(f"{name}{v}" for name in template.blocks for v in range(n))
+    lines = ["def field(y):", f"[{unpacked}] = y"]
     lines += [written(line, v) for line in template.inputs for v in range(n)]
     if template.operator == "flux":
         # m is np.minimum's but at a NaN, where a - b is NaN anyway.
@@ -430,12 +437,9 @@ def _float_kernel(template: FieldTemplate, edges: tuple, alpha: float, n: int):
                       f"vS{k}, vg{k} = wth * dS, wth * dg",
                       f"ka{k}, kb{k} = q * ({w} * da), q * ({w} * db)"]
     lines += [written(line, v) for v in range(n) for line in template.sums]
-    blocks = [[written(d, v) for v in range(n)] for d in template.derivatives]
-    if packed:  # one list, block after block
-        blocks = [[entry for block in blocks for entry in block]]
-    lines.append("return " + ", ".join("[" + ", ".join(block) + "]" for block in blocks))
-    label = f"{template.operator} field" if packed else name
-    return compiled(name, lines, f"<{label} on {n} vertices at alpha {alpha}>",
+    lines.append("return [" + ", ".join(written(d, v) for d in template.derivatives
+                                        for v in range(n)) + "]")
+    return compiled("field", lines, f"<{template.operator} field on {n} vertices at alpha {alpha}>",
                     sqrt=math.sqrt, nan=math.nan, inf=math.inf)
 
 
@@ -511,10 +515,11 @@ class CompleteGraph(Graph):
     def edge_count(self) -> int:
         return self.n * (self.n - 1) // 2
 
-    def held(self, operator: str, rule, floats: bool = False):
+    def held(self, operator, rule, floats: bool = False):
         """``flux``, ``second_order_terms`` or ``pair_energy``, bound to ``rule``, as one run
         calls it: under a ``MinPower`` each call's frame is ``_rank_order`` of x and the last
-        call's frame; under another rule, or with ``floats``, as on the edge list."""
+        call's frame; under another rule, or with ``floats``, as on the edge list, and a
+        flow's field as there, around its operator held here."""
         if floats or not (isinstance(rule, MinPower) and isinstance(operator, str)
                           and operator in OPERATORS):  # the edge list's refuses another name
             return super().held(operator, rule, floats)

@@ -79,9 +79,9 @@ def from_hopf_cole(hc: HopfColeState, potential) -> PhaseState:
     return PhaseState(rho=-(hc.xi + hc.xi_star) / kappa, S=hc.xi - hc.xi_star)
 
 
-#: The field on lists of floats, as the graph writes it out around F(S), K and F(g) at vertex v,
-#: at S = xi - xi*, g = xi + xi*: the three blocks of ``hopf_cole_field``'s array body.
-FIELD_ON_FLOATS = FieldTemplate(
+#: The field, as the graph writes it out around F(S), K and F(g) at S = xi - xi*, g = xi + xi*:
+#: F(S), K / 4 - (kappa / 2) (F(g) + F(S)) and (kappa / 2) (F(g) - F(S)) - K / 4.
+FIELD = FieldTemplate(
     "second_order_terms", ("x", "xi", "xs"),
     derivatives=("fS{v}", "c{v} - {half} * (fg{v} + fS{v})", "{half} * (fg{v} - fS{v}) - c{v}"),
     inputs=("S{v} = xi{v} - xs{v}", "g{v} = xi{v} + xs{v}"),
@@ -92,23 +92,11 @@ def hopf_cole_field(graph: Graph, rule, potential, floats: bool = False) -> Call
     """Prebuilt packed field y = (rho, xi, xi_star) -> derivatives for one run, from the sums
     ``Graph.second_order_terms``, held for the run, at S = xi - xi_star, g = xi + xi_star:
     K(g - S, g + S) = 4 K(xi_star, xi) and F(xi), F(xi_star) = (F(g) +- F(S)) / 2.  At
-    xi = 0, S = -g exactly, so F(S) = -F(g), K = 0 and d xi = 0.  With ``floats`` the field
-    takes and returns a list of floats, with the bits of arrays: ``FIELD_ON_FLOATS`` at
-    kappa, which the graph's ``held`` writes out (and refuses where it has no float kernel);
-    else it takes an array, a list as its array."""
-    kappa = quadratic_kappa(potential)
-    if floats:
-        return graph.held(FIELD_ON_FLOATS.at(kappa), rule, True)
-    half, n, terms = 0.5 * kappa, graph.n, graph.held("second_order_terms", rule)
-
-    def field(y):
-        y = np.asarray(y)
-        rho, xi, xs = y[:n], y[n : 2 * n], y[2 * n :]
-        f_S, kinetic, f_g = terms(rho, xi - xs, xi + xs)
-        cross = 0.25 * kinetic
-        return np.concatenate([f_S, cross - half * (f_g + f_S), half * (f_g - f_S) - cross])
-
-    return field
+    xi = 0, S = -g exactly, so F(S) = -F(g), K = 0 and d xi = 0.  It is ``FIELD`` at kappa,
+    which the graph's ``held`` writes out: with ``floats`` on a list of floats, with the bits
+    of arrays (and refused where the graph has no float kernel), else on an array, a list as
+    its array."""
+    return graph.held(FIELD.at(quadratic_kappa(potential)), rule, floats)
 
 
 def rhs_hopf_cole(graph: Graph, rule, potential, hc: HopfColeState):

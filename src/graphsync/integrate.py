@@ -17,7 +17,8 @@ stage by stage and entry by entry and compiled once by ``codegen.compiled``
 into a bounded cache.  The two-node flow and the graph flows on at most
 ``FLOAT_MAX_N`` vertices step so; ``clip_floats`` is the first-order flow's
 simplex clip on such a list, and ``density_floats`` the second-order flow's
-simplex check.
+simplex check.  ``clip_array`` and ``density_array`` are the two on an array run's
+density, which the run admitted at entry, so that no step admits it again.
 """
 from __future__ import annotations
 
@@ -254,20 +255,17 @@ def _check_simplex(s: float, low: float, tol: float) -> None:
         raise SimplexViolationError(f"density component {low!r} below -tol={-tol}")
 
 
-def _on_simplex(rho, tol: float) -> tuple[np.ndarray, float, float]:
-    """rho as a float vector of length >= 2 on the simplex within tol, with its mass
-    and least entry; a mass or an entry (or a NaN or inf among them) beyond tol raises."""
+def _density(rho) -> np.ndarray:
+    """rho as a float vector of length >= 2, NaN and inf passed on, else DimensionError."""
     rho = _float_vector(rho, "density", None, DimensionError)
     if rho.size < 2:
         raise DimensionError(f"density must have 2 or more entries, got {rho!r}")
-    s, low = float(np.add.reduce(rho)), float(np.fmin.reduce(rho))
-    _check_simplex(s, low, tol)
-    return rho, s, low
+    return rho
 
 
 def density_state(rho, tol: float = SIMPLEX_TOL) -> np.ndarray:
     """Validate a density vector: nonnegative entries summing to one."""
-    return _on_simplex(rho, tol)[0]
+    return density_array(_density(rho), tol)
 
 
 def project_simplex_clip(rho, tol: float = SIMPLEX_TOL) -> np.ndarray:
@@ -276,7 +274,21 @@ def project_simplex_clip(rho, tol: float = SIMPLEX_TOL) -> np.ndarray:
     Components below -tol, or a total mass off by more than tol (or not
     finite), indicate a real violation and raise rather than being repaired.
     """
-    rho, s, low = _on_simplex(rho, tol)
+    return clip_array(_density(rho), tol)
+
+
+def density_array(rho: np.ndarray, tol: float = SIMPLEX_TOL) -> np.ndarray:
+    """density_state of a float array of 2 or more entries that the caller admitted, such as
+    an array run's density, with no admission of its own."""
+    _check_simplex(float(np.add.reduce(rho)), float(np.fmin.reduce(rho)), tol)
+    return rho
+
+
+def clip_array(rho: np.ndarray, tol: float = SIMPLEX_TOL) -> np.ndarray:
+    """project_simplex_clip of a float array of 2 or more entries that the caller admitted,
+    such as an array run's density, with no admission of its own."""
+    s, low = float(np.add.reduce(rho)), float(np.fmin.reduce(rho))
+    _check_simplex(s, low, tol)
     if low < 0.0:
         rho = np.where(rho < 0.0, 0.0, rho)
         s = float(np.add.reduce(rho))

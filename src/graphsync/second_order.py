@@ -61,7 +61,7 @@ class VertexBlocks:
         return self.rho.size
 
     def as_vector(self) -> np.ndarray:
-        return np.concatenate([getattr(self, name) for name in self.__dataclass_fields__])
+        return np.hstack([getattr(self, name) for name in self.__dataclass_fields__])
 
     @classmethod
     def from_vector(cls, y: np.ndarray):
@@ -86,30 +86,20 @@ class PhaseState(VertexBlocks):
     S: np.ndarray
 
 
-#: The field on lists of floats, as the graph writes it out around F(S), K and F(g) at vertex v:
-#: g = grad F(rho) = -kappa rho, as potential.grad gives it, and d S = K / 2 - kappa F(g).
-FIELD_ON_FLOATS = FieldTemplate("second_order_terms", ("x", "S"),
-                                derivatives=("{FS}", "0.5 * {K} - {kappa} * {Fg}"),
-                                inputs=("g{v} = -{kappa} * x{v}",))
+#: The field, as the graph writes it out around F(S), K and F(g): g = grad F(rho) = -kappa rho,
+#: as potential.grad gives it, d rho = F(S) and d S = K / 2 - kappa F(g).
+FIELD = FieldTemplate("second_order_terms", ("x", "S"),
+                      derivatives=("{FS}", "0.5 * {K} - {kappa} * {Fg}"),
+                      inputs=("g{v} = -{kappa} * x{v}",))
 
 
 def second_order_field(graph: Graph, rule, potential, floats: bool = False) -> Callable:
-    """Prebuilt packed field y = (rho, S) -> (d rho, d S) for one run; the sums come from
-    ``Graph.second_order_terms``, held for the run.  With ``floats`` the field takes and
-    returns a list of floats, with the bits of arrays: ``FIELD_ON_FLOATS`` at kappa, which
-    the graph's ``held`` writes out (and refuses where it has no float kernel); else it takes
-    an array, a list as its array."""
-    kappa = quadratic_kappa(potential)
-    if floats:
-        return graph.held(FIELD_ON_FLOATS.at(kappa), rule, True)
-    n, terms = graph.n, graph.held("second_order_terms", rule)
-
-    def field(y):
-        rho = y[:n]
-        drho, kinetic, g_flux = terms(rho, y[n:], potential.grad(rho))
-        return np.concatenate([drho, 0.5 * kinetic - kappa * g_flux])
-
-    return field
+    """Prebuilt packed field y = (rho, S) -> (d rho, d S) for one run, from the sums
+    ``Graph.second_order_terms``, held for the run.  It is ``FIELD`` at kappa, which the
+    graph's ``held`` writes out: with ``floats`` on a list of floats, with the bits of arrays
+    (and refused where the graph has no float kernel), else on an array, a list as its
+    array."""
+    return graph.held(FIELD.at(quadratic_kappa(potential)), rule, floats)
 
 
 def rhs_second_order(graph: Graph, rule, potential, state: PhaseState):

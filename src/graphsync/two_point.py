@@ -24,8 +24,8 @@ induced squared-distance divergence is (x(r1) - x(r0))^2 / (2 sinh 1).
 Numerics: the reduced flow runs on Python floats.  Each run builds one
 kernel (r, S) -> (dr, dS) from the rule's float reduction theta_r, dtheta_r
 and a coupling kappa checked once, and integrate holds (r, S) as a list of
-floats throughout and steps it with its tuple steppers, whole Euler or RK4
-steps with the bits of its array steps; only a record builds an array.
+floats throughout and steps it with its generated float step, whole Euler or
+RK4 steps with the bits of its array steps; only a record builds an array.
 Neither the kernel nor the H observer re-checks its inputs.  Squares
 are products (S * S), which overflow to inf where S ** 2 would raise, so
 blow-ups surface as NonFiniteStateError; an RK4 stage whose r is NaN gets a

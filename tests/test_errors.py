@@ -171,10 +171,18 @@ REAL_ENTRIES = {
     "cycle6.held": (lambda bad: _SIX.held(bad, _SQUARE), DomainError),
     "complete(60).held": (lambda bad: _SIXTY.held(bad, _SQUARE), DomainError),
     "validate_rule": (gs.validate_rule, DomainError),
+    "validate_rule grid_resolution": (partial(gs.validate_rule, _SQUARE), DomainError),
+    "MinPower alpha": (lambda bad: gs.MinPower(bad).theta(0.5, 0.3), DomainError),
+    "TwoPointState S": (partial(gs.TwoPointState, 0.5), DomainError),
+    "simulate_first_order kappa": (
+        lambda bad: gs.simulate_first_order(_K4, _RULE, bad, [0.4, 0.3, 0.2, 0.1], _SPEC),
+        DomainError),
 }
 
-#: What numpy or Python would read as a number or fail on with a bare error.
-NOT_REALS = {"none": None, "bool": True, "string": "a", "ragged": [[0.25], [0.25, 0.25]]}
+#: What numpy or Python would read as a number or fail on with a bare error: an int beyond
+#: the floats overflows where it is made one.
+NOT_REALS = {"none": None, "bool": True, "string": "a", "ragged": [[0.25], [0.25, 0.25]],
+             "huge": 10**400}
 
 
 @pytest.mark.parametrize("case", NOT_REALS)
@@ -239,20 +247,19 @@ _ARRAY_RUNS = {"n=8": (gs.complete_graph(8), _SQUARE),
 @pytest.mark.parametrize("flow", ["first", "second", "hopf_cole"])
 @pytest.mark.parametrize("case", _ARRAY_RUNS)
 def test_an_array_runs_rule_and_operator_calls_admit_nothing_per_step(case, flow, monkeypatch):
-    # The run admitted its state at entry; its held operators call the rules' private forms.
-    # The per-step simplex check is errors' vector rule on the density, left aside here.
+    # The run admitted its state at entry; its held operators call the rules' private forms,
+    # and its simplex check takes the density it admitted.  Only errors admits, at entry.
     graph, rule = _ARRAY_RUNS[case]
     assert not graph.on_floats(rule)
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
+    def counted(caller, *args, **kwargs):
+        calls.append(caller)
         return reals(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if (name.startswith("graphsync.") and name != "graphsync.errors"
-                and getattr(module, "reals", None) is reals):
-            monkeypatch.setattr(module, "reals", counted)
+        if name.startswith("graphsync.") and getattr(module, "reals", None) is reals:
+            monkeypatch.setattr(module, "reals", partial(counted, name))
     rho0 = np.linspace(1.0, 2.0, graph.n) / np.add.reduce(np.linspace(1.0, 2.0, graph.n))
     phase = gs.gradient_flow_init(rho0, _KAPPA)
     run = {"first": lambda spec: gs.simulate_first_order(graph, rule, 1.0, rho0, spec),
@@ -265,7 +272,8 @@ def test_an_array_runs_rule_and_operator_calls_admit_nothing_per_step(case, flow
         traj = run(gs.IntegratorSpec(dt=0.01, t_final=steps * 0.01))
         assert len(traj.times) == steps + 1
         counts.append(len(calls))
-    assert counts == [0, 0]
+        assert set(calls) == {"graphsync.errors"}
+    assert counts[0] == counts[1]
 
 
 #: Each rule method and the quadrature on two inputs whose shapes, (2,) and (3,), do not

@@ -25,7 +25,7 @@ from graphsync import flows
 from graphsync.errors import (ConsistencyError, DomainError, GraphSyncError,
                               NonFiniteStateError, SimplexViolationError)
 from graphsync.first_order import first_order_field
-from graphsync.graphs import FLOAT_ALPHAS
+from graphsync.graphs import FLOAT_ALPHAS, OPERATORS, FieldTemplate
 from graphsync.hopf_cole import hopf_cole_field
 from graphsync.integrate import (_STEPPERS, FLOAT_MAX_N, _float_stepper, _rk4_step, clip_floats,
                                  density_floats, density_state, integrate, project_simplex_clip)
@@ -175,6 +175,11 @@ def clip_ref(rho, tol=1e-9):
     if abs(s - 1.0) > 1e-15:
         rho = rho / s
     return rho
+
+
+#: Test-only fields whose derivatives are the operators' bare sums: F(x), and F(S), K and F(g).
+BARE_FLUX = FieldTemplate("flux", ("x",), ("{F}",)).at(1.0)
+BARE_TERMS = FieldTemplate("second_order_terms", ("x", "S", "g"), ("{FS}", "{K}", "{Fg}")).at(1.0)
 
 
 # -- helpers ------------------------------------------------------------------
@@ -493,8 +498,9 @@ def test_generated_fields_have_the_array_fields_bits(graph, data, alpha, kappa, 
     with np.errstate(all="ignore"):
         want = FIELD_REFS[flow](graph, rule, kappa, y)
         on_array, on_list = field(y), generated(y.tolist())
-        if flow == "first":  # and the bare kernel that the template is written around
-            assert_same_bits(graph.held("flux", rule, True)(y.tolist()), graph.flux(rule, y, y))
+        if flow == "first":  # and the bare sum that the template is written around
+            for floats, bare in [(True, y.tolist()), (False, y)]:
+                assert_same_bits(graph.held(BARE_FLUX, rule, floats)(bare), graph.flux(rule, y, y))
     assert type(on_array) is np.ndarray and type(on_list) is list
     assert all(type(v) is float for v in on_list)
     assert_same_bits(on_array, want)
@@ -574,9 +580,10 @@ def test_other_runs_stay_on_arrays(graph, rule, on_floats, monkeypatch):
 @pytest.mark.parametrize("graph, rule", ON_ARRAYS, ids=ON_ARRAYS_IDS)
 def test_the_float_binding_is_refused_where_a_run_steps_on_arrays(graph, rule):
     named = f"not on a {type(graph).__name__} of {graph.n} vertices under {re.escape(repr(rule))};"
-    for operator in ("flux", "second_order_terms"):
-        with pytest.raises(DomainError, match=f"^{operator} on lists of floats: {named}"):
-            graph.held(operator, rule, True)
+    for template in (BARE_FLUX, BARE_TERMS):
+        with pytest.raises(DomainError, match=f"^a {template.operator} field on lists of floats: "
+                                              f"{named}"):
+            graph.held(template, rule, True)
     potential = gs.KuramotoQuadratic(1.0)
     for factory, model in [(first_order_field, 1.0), (second_order_field, potential),
                            (hopf_cole_field, potential)]:
@@ -584,29 +591,67 @@ def test_the_float_binding_is_refused_where_a_run_steps_on_arrays(graph, rule):
             factory(graph, rule, model, True)
 
 
-def test_equal_edges_share_one_built_float_kernel():
+@pytest.mark.parametrize("operator", OPERATORS)
+def test_a_named_operator_is_held_on_arrays_only(operator):
+    # A name binds the operator on arrays; on floats only a flow's field at its kappa is bound.
+    graph, rule = gs.named_graph("cycle6"), gs.MinPower(2.0)
+    assert graph.on_floats(rule)
+    held = "^held binds one of flux, second_order_terms, pair_energy on arrays, or a flow's " \
+           "FieldTemplate at its kappa, got "
+    with pytest.raises(DomainError, match=f"{held}'{operator}'$"):
+        graph.held(operator, rule, True)
+    with pytest.raises(DomainError, match=held + re.escape(repr(gs.first_order.FIELD))):
+        graph.held(gs.first_order.FIELD, rule)  # a template without its kappa
+    assert callable(graph.held(operator, rule))
+
+
+def test_equal_edges_share_one_built_float_field():
     kernel, rule = gs.graphs._float_kernel, gs.MinPower(2.0)
     kernel.cache_clear()
-    flux = gs.named_graph("cycle6").held("flux", rule, True)
-    assert gs.named_graph("cycle6").held("flux", rule, True) is flux
+    flux = gs.named_graph("cycle6").held(BARE_FLUX, rule, True)
+    assert gs.named_graph("cycle6").held(BARE_FLUX, rule, True) is flux
     assert (kernel.cache_info().misses, kernel.cache_info().hits) == (1, 1)
     spec, rho0 = gs.IntegratorSpec(dt=0.01, t_final=0.05), [0.3, 0.25, 0.2, 0.1, 0.1, 0.05]
     for _ in range(2):  # a first-order run builds its field, and a second run shares it
         gs.simulate_first_order(gs.named_graph("cycle6"), rule, 1.0, rho0, spec)
     assert (kernel.cache_info().misses, kernel.cache_info().hits) == (2, 2)
-    # A new alpha, a changed weight or the other operator builds a kernel of its own.
+    # A new alpha, a changed weight or the other operator builds a field of its own.
     heavier = gs.build_graph(6, [(1, 2, 1.0 + 2.0**-52)] + [(k, k % 6 + 1, 1.0) for k in range(2, 7)])
-    others = {gs.named_graph("cycle6").held("flux", gs.MinPower(3.0), True),
-              heavier.held("flux", rule, True),
-              gs.named_graph("cycle6").held("second_order_terms", rule, True)}
+    others = {gs.named_graph("cycle6").held(BARE_FLUX, gs.MinPower(3.0), True),
+              heavier.held(BARE_FLUX, rule, True),
+              gs.named_graph("cycle6").held(BARE_TERMS, rule, True)}
     assert len(others | {flux}) == 4 and kernel.cache_info().misses == 5
-    # The kernel's namespace holds sqrt, nan and inf, and no builtins.
+    # The field's namespace holds sqrt, nan and inf, and no builtins.
     assert flux.__globals__ == {"__builtins__": {}, "sqrt": math.sqrt, "nan": math.nan,
-                                "inf": math.inf, "flux": flux}
-    # The cache has a bound: 70 weights later it holds 64 kernels.
+                                "inf": math.inf, "field": flux}
+    # The cache has a bound: 70 weights later it holds 64 fields.
     for k in range(70):
-        gs.build_graph(3, [(1, 2, 1.0 + k), (2, 3, 1.0)]).held("flux", rule, True)
+        gs.build_graph(3, [(1, 2, 1.0 + k), (2, 3, 1.0)]).held(BARE_FLUX, rule, True)
     assert kernel.cache_info().maxsize == kernel.cache_info().currsize == 64
+
+
+def test_an_array_field_is_built_once_per_template_and_size_and_shared_across_runs():
+    build, rule = gs.graphs._array_field, gs.MinPower(2.5)  # cycle6 at alpha 2.5 steps on arrays
+    build.cache_clear()
+    spec, rho0 = gs.IntegratorSpec(dt=0.01, t_final=0.05), [0.3, 0.25, 0.2, 0.1, 0.1, 0.05]
+    for _ in range(2):  # a first-order run builds its field, and a second run shares the builder
+        gs.simulate_first_order(gs.named_graph("cycle6"), rule, 1.0, rho0, spec)
+    assert (build.cache_info().misses, build.cache_info().hits) == (1, 1)
+    # Another graph of as many vertices shares it, each field over its own held operator.
+    fields = [first_order_field(gs.named_graph(name), rule, 1.0) for name in ("cycle6", "lattice6")]
+    assert fields[0] is not fields[1] and fields[0].__code__ is fields[1].__code__
+    assert (build.cache_info().misses, build.cache_info().hits) == (1, 3)
+    # Another kappa, vertex count or flow builds one of its own.
+    potential = gs.KuramotoQuadratic(1.0)
+    first_order_field(gs.named_graph("cycle6"), rule, 2.0)
+    first_order_field(gs.named_graph("square4"), rule, 1.0)
+    second_order_field(gs.named_graph("cycle6"), rule, potential)
+    hopf_cole_field(gs.named_graph("cycle6"), rule, potential)
+    assert (build.cache_info().misses, build.cache_info().hits) == (5, 3)
+    # The builder's namespace holds asarray and concatenate, and no builtins.
+    builder = build(gs.first_order.FIELD.at(1.0), 6)
+    assert builder.__globals__ == {"__builtins__": {}, "asarray": np.asarray,
+                                   "concatenate": np.concatenate, "build": builder}
 
 
 @pytest.mark.parametrize("flow", sorted(FLOW_BLOCKS))
@@ -642,7 +687,7 @@ def test_a_run_on_floats_calls_neither_the_array_clip_nor_theta(monkeypatch):
     def refuse(*args):
         raise AssertionError("an array kernel called on the float path")
 
-    monkeypatch.setattr(flows, "project_simplex_clip", refuse)
+    monkeypatch.setattr(flows, "clip_array", refuse)
     monkeypatch.setattr(gs.MinPower, "theta", refuse)
     spec = gs.IntegratorSpec(dt=0.05, t_final=1.0, record_every=4)
     traj = gs.simulate_first_order(gs.named_graph("ribbon6"), gs.MinPower(1.0), 1.0,
@@ -727,10 +772,12 @@ def test_second_order_fields_on_floats_have_the_array_fields_bits(alpha, graph, 
         x[data.draw(st.integers(0, n - 1))] = x[0]
     with np.errstate(all="ignore"):
         want = graph.second_order_terms(rule, x, S, g)
-        got = graph.held("second_order_terms", rule, True)(x.tolist(), S.tolist(), g.tolist())
-        for on_list, on_array in zip(got, want):
-            assert type(on_list) is list and all(type(v) is float for v in on_list)
-            assert_same_bits(on_list, on_array)
+        y = np.concatenate([x, S, g])
+        on_list, on_array = (graph.held(BARE_TERMS, rule, True)(y.tolist()),
+                             graph.held(BARE_TERMS, rule)(y))
+        assert type(on_list) is list and all(type(v) is float for v in on_list)
+        assert_same_bits(on_list, np.concatenate(want))
+        assert_same_bits(on_array, np.concatenate(want))
         for factory, y, ref in [(second_order_field, np.concatenate([x, S]), second_order_field_ref),
                                 (hopf_cole_field, np.concatenate([x, S, g]), hopf_cole_field_ref)]:
             field, float_field = (factory(graph, rule, potential, f) for f in (False, True))
@@ -816,6 +863,7 @@ def test_a_second_order_run_on_floats_calls_neither_the_slope_kernel_nor_density
 
     monkeypatch.setattr(gs.MinPower, "theta_and_slope", refuse)
     monkeypatch.setattr(flows, "density_state", counted)
+    monkeypatch.setattr(flows, "density_array", refuse)
     graph, rule, potential = gs.named_graph("ribbon6"), gs.MinPower(2.0), gs.KuramotoQuadratic(1.0)
     rho0 = np.array([0.3, 0.25, 0.2, 0.1, 0.1, 0.05])
     spec = gs.IntegratorSpec(dt=0.05, t_final=1.0, record_every=4)
