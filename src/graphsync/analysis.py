@@ -104,7 +104,7 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 def fit_rate(traj: Trajectory, transform: str, window=None) -> RateFit:
     """Fit a line through transform(gap) vs t; default window is the
     trailing half of the records where the gap is above GAP_FLOOR."""
-    if transform not in _TRANSFORMS:
+    if not isinstance(transform, str) or transform not in _TRANSFORMS:  # a list is unhashable
         raise DomainError(f"transform must be one of {sorted(_TRANSFORMS)}, got {transform!r}")
     times, gap = trajectory_gap(traj)
     valid = gap > GAP_FLOOR

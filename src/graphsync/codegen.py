@@ -4,9 +4,9 @@ The flows' fields on arrays (``graphs._array_field``) and on a small graph's flo
 (``graphs._float_kernel``) and the float RK4 and Euler steps (``integrate._float_stepper``)
 are written out as Python source, one line per template line, edge, vertex or entry, and
 ``compiled`` turns that source into a function.  Only indices, slice bounds, the ``literal``
-of a finite float, which round-trips, and the library's own templates enter such source; no
-caller's string does.  The function runs in a namespace of the names it is given, with no
-builtins.
+of a finite float, which round-trips, and the library's own templates enter such source; the
+flows' ``graphs._FieldTemplate`` is private, so no caller's string does.  The function runs
+in a namespace of the names it is given, with no builtins.
 """
 import math
 

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionError, real, vector
-from .graphs import FieldTemplate, Graph
+from .graphs import _FieldTemplate, Graph
 from .integrate import IntegratorSpec, Trajectory
 from .potentials import KuramotoQuadratic
 
@@ -30,7 +30,7 @@ CONVERGENCE_TOL = 1e-13
 
 
 #: The field, as the graph writes it out around the flux F(x): kappa F.
-FIELD = FieldTemplate("flux", ("x",), derivatives=("{kappa} * {F}",))
+FIELD = _FieldTemplate("flux", ("x",), derivatives=("{kappa} * {F}",))
 
 
 def first_order_field(graph: Graph, rule, kappa: float, floats: bool = False) -> Callable:

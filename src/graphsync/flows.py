@@ -7,10 +7,10 @@ its initial data (``S`` -> ``s0``).  The records call the flow modules'
 functions through module attributes at call time, so that replacing such an
 attribute reaches every run.  ``simulate`` alone decides, once per run with
 ``Graph.on_floats``, whether the run holds its state as a list of Python floats,
-and builds the field (its graph kernel held by ``Graph.held``) and picks the
-post-step hook for that, with the array path's bits.  The observers take a record's array;
-a sum of squares is ``np.add.reduce``'s, whose order numpy fixes, and not a
-BLAS dot, whose bits follow the kernel OpenBLAS picks.
+and builds the field (its graph kernel held, and the rule admitted, by ``Graph.held``)
+and picks the post-step hook for that, with the array path's bits.  The observers take a
+record's array; a sum of squares is ``np.add.reduce``'s, whose order numpy fixes, and not
+a BLAS dot, whose bits follow the kernel OpenBLAS picks.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import first_order as fo, hopf_cole as hc, second_order as so
-from .errors import ConsistencyError, DimensionError, vector, weight_rule
+from .errors import ConsistencyError, DimensionError, vector
 from .integrate import (IntegratorSpec, Trajectory, clip_array, clip_floats, density_array,
                         density_floats, density_state, integrate)
 from .potentials import quadratic_kappa
@@ -63,7 +63,6 @@ class Flow:
     stop_reason: str = "stop_condition"     # ... with this reason
     stop_on_sync: bool = False              # whether a config's stop_on_sync applies
     summary: Callable = lambda traj: {}     # the entries it adds to a run's summary
-    rule_methods: tuple = ("theta", "theta_and_slope")  # what the field calls on a rule
 
     @property
     def initial(self) -> dict:
@@ -106,7 +105,6 @@ FLOWS = {
         post_step=(lambda run, y: clip_array(y), lambda run, y: clip_floats(y)),
         stop=lambda run, y: float(np.max(np.abs(run.field(y)))) < fo.CONVERGENCE_TOL,
         stop_reason="converged",
-        rule_methods=("theta",),
     ),
     "second": Flow(
         help="second-order Hamiltonian flow",
@@ -147,7 +145,6 @@ def simulate(dynamics: str, graph, rule, model, blocks, spec: IntegratorSpec, *,
     """The run of every simulate function, from initial ``blocks`` whose density has one entry
     per vertex and lies on the simplex; ``stop`` is None for no stop."""
     flow, n, floats = FLOWS[dynamics], graph.n, graph.on_floats(rule)
-    weight_rule(rule, flow.rule_methods, f"the {flow.help}")
     field = flow.field(graph, rule, model, floats)
     run = Run(graph.held("pair_energy", rule), model, n, field, stop)
     y0 = np.concatenate([density_state(vector(blocks[0], "rho0", n, DimensionError)), *blocks[1:]])

@@ -31,9 +31,9 @@ as a float array, with NaN and inf passed on; another length, a bool, None, a
 string or a nested list is a DimensionError.  A run binds each operator once,
 with ``held(operator, rule)`` for one of ``OPERATORS``, so that no call tests a
 type, a length or the rule again; on the edge list it binds the rule's theta
-or theta_and_slope once too, in the private form that admits nothing
-(``weights.unadmitted``).  Each flow states its field once, as a
-``FieldTemplate`` around ``flux`` or ``second_order_terms``, and ``held`` of
+or theta_and_slope once too, in the private form that admits nothing, through
+``weights.unadmitted``, which refuses a rule without it.  Each flow states its field once,
+as a ``_FieldTemplate`` around ``flux`` or ``second_order_terms``, and ``held`` of
 that template at kappa gives the field on arrays, around the held operator
 (``_array_field``), or with ``floats`` on lists of Python floats, where numpy's
 per-call dispatch would outweigh the arithmetic.  The latter holds where
@@ -46,7 +46,7 @@ edge by edge and vertex by vertex and compiled once per (template, edges, alpha,
 n) by ``_float_kernel``, whose bounded cache lets equal graphs and repeated runs
 share it.  Only vertex indices, the literal of each weight and of kappa, finite
 floats that round-trip, the template of one of ``FLOAT_ALPHAS`` and the flow's
-template enter its source; no caller's string does.
+template enter its source; only the flow modules build a template.
 
 ``CompleteGraph`` overrides them.  It holds every pair with one weight omega
 and builds its edge arrays only when something reads them.  Under a
@@ -70,7 +70,7 @@ import os
 import re
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -287,14 +287,15 @@ class Graph:
     def held(self, operator, rule, floats: bool = False):
         """``operator`` bound to ``rule`` as one run calls it, on vectors of n entries that it
         does not check.  One of ``OPERATORS`` is the edge list's own, with the rule's kernel
-        bound once.  A flow's ``FieldTemplate`` at its kappa is that field: on arrays around the
-        operator it names, held so, or with ``floats`` on lists of floats, built by
-        ``_float_kernel`` where ``on_floats`` holds and else refused with a DomainError.
-        Anything else, a name with ``floats`` too, is a DomainError."""
-        field = isinstance(operator, FieldTemplate) and operator.kappa is not None
+        bound once by ``weights.unadmitted``, which refuses a rule without it.  A flow's
+        ``FIELD`` at its kappa is that field: on arrays around the operator it names, held so,
+        or with ``floats`` on lists of floats, built by ``_float_kernel`` where ``on_floats``
+        holds and else refused with a DomainError.  Anything else, a name with ``floats`` too,
+        is a DomainError."""
+        field = isinstance(operator, _FieldTemplate) and operator.kappa is not None
         if not (field or not floats and isinstance(operator, str) and operator in OPERATORS):
             raise DomainError(f"held binds one of {', '.join(OPERATORS)} on arrays, or a flow's "
-                              f"FieldTemplate at its kappa, got {operator!r}")
+                              f"FIELD at its kappa, got {operator!r}")
         if not field:
             kernel = "theta_and_slope" if operator == "second_order_terms" else "theta"
             return partial(getattr(Graph, f"_{operator}_on_edges"), self, unadmitted(rule, kernel))
@@ -330,10 +331,11 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class FieldTemplate:
+class _FieldTemplate:
     """A flow's field, the one statement of it, as lines around the sums of ``operator``,
     ``flux`` or ``second_order_terms``, which ``Graph.held`` writes out on arrays
-    (``_array_field``) or on lists of floats (``_float_kernel``).
+    (``_array_field``) or on lists of floats (``_float_kernel``): private, as its lines
+    become generated source.
 
     ``blocks`` names y's blocks of n entries, the density ``x`` first; ``inputs`` are lines
     that set the operator's other inputs ``S`` and ``g`` at vertex ``{v}``, ``sums`` lines at
@@ -350,7 +352,7 @@ class FieldTemplate:
     sums: tuple = ()
     kappa: Optional[float] = None
 
-    def at(self, kappa) -> "FieldTemplate":
+    def at(self, kappa) -> "_FieldTemplate":
         """This field at coupling ``kappa``."""
         return replace(self, kappa=float(kappa))
 
@@ -369,7 +371,7 @@ _SUMS = {"flux": ("op(x, x)", {"F": ("v", "v", "-")}),
 
 
 @lru_cache(maxsize=64)
-def _array_field(template: FieldTemplate, n: int):
+def _array_field(template: _FieldTemplate, n: int):
     """``template``'s field on arrays of n-entry blocks as ``build(op)``, which closes it over a
     run's held operator: y's blocks are slices, each template line one line on whole blocks,
     and the sums are named as the operator returns them; the flux takes x as both arguments,
@@ -389,7 +391,7 @@ def _array_field(template: FieldTemplate, n: int):
 
 
 @lru_cache(maxsize=64)
-def _float_kernel(template: FieldTemplate, edges: tuple, alpha: float, n: int):
+def _float_kernel(template: _FieldTemplate, edges: tuple, alpha: float, n: int):
     """``template``'s field on lists of floats over the (tail, head, weight) tuples ``edges``
     of a graph of n vertices at one of ``FLOAT_ALPHAS``, with the bits of its array formulas:
     ``field(y)``, one straight-line function, compiled once per key and cached.
@@ -614,8 +616,9 @@ def build_graph(n: int, weighted_edges) -> Graph:
     """
     if isinstance(weighted_edges, Mapping):
         pairs, weights = _array(list(weighted_edges), 2), _array(list(weighted_edges.values()))
-    else:
-        table = _array(list(weighted_edges), 3)
+    else:  # _array refuses edges that are no iterable, such as None
+        table = _array(list(weighted_edges) if isinstance(weighted_edges, Iterable) else
+                       weighted_edges, 3)
         pairs, weights = table[:, :2], table[:, 2]
     pairs = np.sort(pairs, axis=1)
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .graphs import FieldTemplate, Graph
+from .graphs import _FieldTemplate, Graph
 from .integrate import IntegratorSpec, Trajectory
 from .potentials import quadratic_kappa
 from .second_order import PhaseState, VertexBlocks, block_rhs
@@ -81,7 +81,7 @@ def from_hopf_cole(hc: HopfColeState, potential) -> PhaseState:
 
 #: The field, as the graph writes it out around F(S), K and F(g) at S = xi - xi*, g = xi + xi*:
 #: F(S), K / 4 - (kappa / 2) (F(g) + F(S)) and (kappa / 2) (F(g) - F(S)) - K / 4.
-FIELD = FieldTemplate(
+FIELD = _FieldTemplate(
     "second_order_terms", ("x", "xi", "xs"),
     derivatives=("fS{v}", "c{v} - {half} * (fg{v} + fS{v})", "{half} * (fg{v} - fS{v}) - c{v}"),
     inputs=("S{v} = xi{v} - xs{v}", "g{v} = xi{v} + xs{v}"),

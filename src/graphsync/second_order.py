@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateDerivativeError, DimensionError, real, vector
-from .graphs import FieldTemplate, Graph
+from .graphs import _FieldTemplate, Graph
 from .integrate import IntegratorSpec, Trajectory, density_state, integrate  # noqa: F401
 from .potentials import quadratic_kappa
 
@@ -88,7 +88,7 @@ class PhaseState(VertexBlocks):
 
 #: The field, as the graph writes it out around F(S), K and F(g): g = grad F(rho) = -kappa rho,
 #: as potential.grad gives it, d rho = F(S) and d S = K / 2 - kappa F(g).
-FIELD = FieldTemplate("second_order_terms", ("x", "S"),
+FIELD = _FieldTemplate("second_order_terms", ("x", "S"),
                       derivatives=("{FS}", "0.5 * {K} - {kappa} * {Fg}"),
                       inputs=("g{v} = -{kappa} * x{v}",))
 

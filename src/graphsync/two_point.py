@@ -106,6 +106,7 @@ def _quadratic_rhs(rule, kappa: float) -> Callable[[float, float], tuple[float, 
     potential has checked; F'(r) is then -kappa (2r - 1) and F'' is -2 kappa.
     """
     fpp = -2.0 * kappa
+    weight_rule(rule, ("theta_r", "dtheta_r"), "the two-node flow")
     theta_r, dtheta_r = rule.theta_r, rule.dtheta_r
 
     def rhs(r: float, S: float) -> tuple[float, float]:
@@ -129,6 +130,7 @@ def rhs_two_point(rule, kappa: float, state: TwoPointState) -> tuple[float, floa
 
 def hamiltonian_two_point(rule, kappa_or_potential, state: TwoPointState) -> float:
     """H = (theta/2) (S^2 - F'(r)^2); anything but a potential is read as the coupling kappa."""
+    weight_rule(rule, ("theta_r",), "the two-node H")
     if hasattr(kappa_or_potential, "grad_r"):
         fp = kappa_or_potential.grad_r(state.r)
     else:
@@ -154,7 +156,6 @@ def simulate_two_point(
     infinity in finite time surface as NonFiniteStateError.  The step and the
     boundary stop take the run's list (r, S); the H observer, a record's array.
     """
-    weight_rule(rule, ("theta_r", "dtheta_r"), "the two-node flow")
     kappa = KuramotoQuadratic(kappa).kappa  # read once, here
     kernel = _quadratic_rhs(rule, kappa)
 

@@ -24,8 +24,9 @@ density by ``errors.reals``, a pair of them whose shapes do not broadcast togeth
 DimensionError, and ``validate_rule`` its rule by ``errors.weight_rule``.  ``phi``,
 ``dphi``, ``theta_r`` and ``dtheta_r`` of ``MinPower``, the per-step kernels of a run's
 own state, admit nothing, nor do the private ``_theta`` and ``_theta_and_slope`` of
-``MinPower`` and ``ArithmeticMean``, which the public methods call on the admitted pair,
-and which the graph operators bind once per run through ``unadmitted``.
+``MinPower`` and ``ArithmeticMean``, which their public pair API, written once and bound
+in each class body, calls on the admitted pair.  The graph operators bind a rule's kernel
+once per run, and admit the rule, through ``unadmitted``.
 """
 from __future__ import annotations
 
@@ -47,15 +48,34 @@ def _pair(a, b):
     return broadcastable(reals(a, "a"), reals(b, "b"), "a", "b")
 
 
+# The public pair API of MinPower and ArithmeticMean, each a float for two numbers, else arrays.
+def _theta_of_pair(rule, a, b):
+    """theta(a, b)."""
+    out = rule._theta(*_pair(a, b))
+    return float(out) if out.ndim == 0 else out
+
+
+def _theta_and_slope_of_pair(rule, a, b):
+    """(theta(a, b), d theta/da) from a single pass."""
+    th, da = rule._theta_and_slope(*_pair(a, b))
+    return (float(th), float(da)) if th.ndim == 0 else (th, da)
+
+
+def _partials_of_pair(rule, a, b):
+    """(d theta/da, d theta/db)."""
+    return rule.theta_and_slope(a, b)[1], rule.theta_and_slope(b, a)[1]
+
+
 def unadmitted(rule, method: str):
     """``rule``'s ``method``, ``theta`` or ``theta_and_slope``, for float arrays of one shape
-    that the caller has admitted: its private form ``_<method>``, which admits nothing, where
-    the class that defines the method defines that beside it, as the library's rules do; else
-    the public method, so that a rule that defines its own keeps it."""
-    for cls in type(rule).__mro__:
-        if method in vars(cls):
-            return getattr(rule, f"_{method}" if f"_{method}" in vars(cls) else method)
-    return getattr(rule, method)
+    that the caller has admitted, and the one place a graph admits its rule: a rule without
+    ``method`` is a DomainError.  Where the rule's class binds the library's public method, as
+    ``MinPower`` and ``ArithmeticMean`` do, it is the private form ``_<method>``, which admits
+    nothing; else the public method, so that a rule that defines its own keeps it."""
+    weight_rule(rule, (method,), "the graph's coupling kernel")
+    shared = {"theta": _theta_of_pair, "theta_and_slope": _theta_and_slope_of_pair}[method]
+    private = getattr(type(rule), method, None) is shared
+    return getattr(rule, f"_{method}" if private else method)
 
 
 #: phi and phi' at the stock alphas but 1, as functions of c = max(m, 0) >= 0 (an array or a
@@ -122,22 +142,10 @@ class MinPower:
             d = _STOCK[a][1](c, np.sqrt) if a in _STOCK else a * np.power(c, a - 1.0)
         return np.where(m >= 0.0, d, 0.0)
 
-    def theta(self, a, b):
-        out = self._theta(*_pair(a, b))
-        return float(out) if out.ndim == 0 else out
+    theta, theta_and_slope, partials = _theta_of_pair, _theta_and_slope_of_pair, _partials_of_pair
 
     def _theta(self, a, b):
         return self.phi(np.minimum(a, b))
-
-    def partials(self, a, b):
-        return self.theta_and_slope(a, b)[1], self.theta_and_slope(b, a)[1]
-
-    def theta_and_slope(self, a, b):
-        """(theta(a, b), d theta/da) from a single min pass."""
-        th, da = self._theta_and_slope(*_pair(a, b))
-        if th.ndim == 0:
-            return float(th), float(da)
-        return th, da
 
     def _theta_and_slope(self, a, b):
         m = np.minimum(a, b)
@@ -179,20 +187,10 @@ class MinPower:
 class ArithmeticMean:
     """theta(a, b) = (a + b) / 2; positive at the boundary, kept for contrast."""
 
-    def theta(self, a, b):
-        out = self._theta(*_pair(a, b))
-        return float(out) if out.ndim == 0 else out
+    theta, theta_and_slope, partials = _theta_of_pair, _theta_and_slope_of_pair, _partials_of_pair
 
     def _theta(self, a, b):
         return 0.5 * (a + b)
-
-    def partials(self, a, b):
-        th, d = self.theta_and_slope(a, b)
-        return d, (d if np.ndim(th) == 0 else d.copy())
-
-    def theta_and_slope(self, a, b):
-        th = self.theta(a, b)
-        return th, (0.5 if np.ndim(th) == 0 else np.full(th.shape, 0.5))
 
     def _theta_and_slope(self, a, b):
         th = self._theta(a, b)

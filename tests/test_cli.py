@@ -49,6 +49,17 @@ def test_simulate_refuses_initial_data_of_the_wrong_length(tmp_path, capsys):
     assert captured.err == "error: xi0 must have 3 entries, got ['0', '0']\n"
 
 
+@pytest.mark.parametrize("edges", ["null", "7"])
+def test_simulate_refuses_a_graph_file_whose_edges_are_no_list(edges, tmp_path, capsys):
+    graph = tmp_path / "graph.json"
+    graph.write_text(f'{{"n": 3, "edges": {edges}}}')
+    out = tmp_path / "x.csv"
+    rc = main(["simulate-first", "--graph", str(graph), "--rho0", "0.5,0.3,0.2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: edge data must ") and captured.err.count("\n") == 1
+
+
 def test_simulate_second_gradflow(tmp_path):
     out = tmp_path / "second.csv"
     rc = main([

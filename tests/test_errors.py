@@ -177,6 +177,10 @@ REAL_ENTRIES = {
     "simulate_first_order kappa": (
         lambda bad: gs.simulate_first_order(_K4, _RULE, bad, [0.4, 0.3, 0.2, 0.1], _SPEC),
         DomainError),
+    "graph document edges": (lambda bad: gs.graph_from_json({"n": 3, "edges": bad}),
+                             GraphConstructionError),
+    "build_graph edges": (partial(gs.build_graph, 3), GraphConstructionError),
+    "fit_rate transform": (lambda bad: gs.fit_rate(RUNS["first"](_SPEC), bad), DomainError),
 }
 
 #: What numpy or Python would read as a number or fail on with a bare error: an int beyond
@@ -308,7 +312,7 @@ class _ThetaOnlyRule:
 
 @pytest.mark.parametrize("flow, rule, missing", [
     ("first", "x", "theta"),
-    ("second", "x", "theta, theta_and_slope"),
+    ("second", "x", "theta_and_slope"),
     ("second", _ThetaOnlyRule(), "theta_and_slope"),
     ("hopf_cole", _ThetaOnlyRule(), "theta_and_slope"),
     ("two_point", "x", "theta_r, dtheta_r"),
@@ -334,3 +338,48 @@ def test_a_rule_with_theta_only_runs_the_first_order_flow():
     traj = gs.simulate_first_order(_K4, _ThetaOnlyRule(), 1.0, [0.4, 0.3, 0.2, 0.1],
                                    gs.IntegratorSpec(dt=0.01, t_final=0.1))
     assert traj.stop_reason == "t_final"
+
+
+#: Each public entry that reaches a rule through a graph's kernel, on a graph: the call on a
+#: rule, and whether it binds theta_and_slope, which a rule with theta only lacks.
+_KERNEL_ENTRIES = {
+    "flux": (lambda g, rule, x: g.flux(rule, x, x), False),
+    "second_order_terms": (lambda g, rule, x: g.second_order_terms(rule, x, x, -x), True),
+    "pair_energy": (lambda g, rule, x: g.pair_energy(rule, x, x, -x), False),
+    "slope_is_finite": (lambda g, rule, x: g.slope_is_finite(rule, x), True),
+    "held pair_energy": (lambda g, rule, x: g.held("pair_energy", rule), False),
+    "held second_order_terms": (lambda g, rule, x: g.held("second_order_terms", rule), True),
+    "rhs_first_order": (lambda g, rule, x: gs.rhs_first_order(g, rule, 1.0, x), False),
+    "rhs_second_order": (lambda g, rule, x: gs.rhs_second_order(
+        g, rule, _KAPPA, gs.PhaseState(x, 0.0 * x)), True),
+    "rhs_hopf_cole": (lambda g, rule, x: gs.rhs_hopf_cole(
+        g, rule, _KAPPA, gs.to_hopf_cole(gs.PhaseState(x, 0.0 * x), _KAPPA)), True),
+    "hamiltonian": (lambda g, rule, x: gs.hamiltonian(
+        g, rule, _KAPPA, gs.PhaseState(x, 0.0 * x)), False),
+}
+
+
+@pytest.mark.parametrize("rule", [None, _ThetaOnlyRule()], ids=["none", "theta-only"])
+@pytest.mark.parametrize("graph", [_SIX, gs.complete_graph(50)], ids=["cycle6", "complete(50)"])
+@pytest.mark.parametrize("entry", _KERNEL_ENTRIES)
+def test_every_entry_refuses_a_non_rule_where_it_binds_the_rules_kernel(entry, graph, rule):
+    # On either backend, a DomainError naming the method, never a bare AttributeError.
+    call, binds_slope = _KERNEL_ENTRIES[entry]
+    x = np.linspace(1.0, 2.0, graph.n)
+    x /= np.add.reduce(x)
+    if rule is not None and not binds_slope:
+        call(graph, rule, x)  # theta is all it calls
+        return
+    missing = "theta_and_slope" if binds_slope else "theta"
+    with pytest.raises(DomainError, match=f"needs a weight rule with {missing}, got"):
+        call(graph, rule, x)
+
+
+@pytest.mark.parametrize("rule", [None, _ThetaOnlyRule()], ids=["none", "theta-only"])
+@pytest.mark.parametrize("entry, missing", [
+    (lambda rule: gs.rhs_two_point(rule, 1.0, gs.TwoPointState(0.3, 0.1)), "theta_r, dtheta_r"),
+    (lambda rule: gs.hamiltonian_two_point(rule, 1.0, gs.TwoPointState(0.3, 0.1)), "theta_r"),
+], ids=["rhs_two_point", "hamiltonian_two_point"])
+def test_the_two_node_entries_refuse_a_non_rule(entry, missing, rule):
+    with pytest.raises(DomainError, match=f"needs a weight rule with {missing}, got"):
+        entry(rule)

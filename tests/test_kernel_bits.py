@@ -25,7 +25,7 @@ from graphsync import flows
 from graphsync.errors import (ConsistencyError, DomainError, GraphSyncError,
                               NonFiniteStateError, SimplexViolationError)
 from graphsync.first_order import first_order_field
-from graphsync.graphs import FLOAT_ALPHAS, OPERATORS, FieldTemplate
+from graphsync.graphs import FLOAT_ALPHAS, OPERATORS, _FieldTemplate
 from graphsync.hopf_cole import hopf_cole_field
 from graphsync.integrate import (_STEPPERS, FLOAT_MAX_N, _float_stepper, _rk4_step, clip_floats,
                                  density_floats, density_state, integrate, project_simplex_clip)
@@ -178,8 +178,9 @@ def clip_ref(rho, tol=1e-9):
 
 
 #: Test-only fields whose derivatives are the operators' bare sums: F(x), and F(S), K and F(g).
-BARE_FLUX = FieldTemplate("flux", ("x",), ("{F}",)).at(1.0)
-BARE_TERMS = FieldTemplate("second_order_terms", ("x", "S", "g"), ("{FS}", "{K}", "{Fg}")).at(1.0)
+BARE_FLUX = _FieldTemplate("flux", ("x",), ("{F}",)).at(1.0)
+BARE_TERMS = _FieldTemplate("second_order_terms", ("x", "S", "g"),
+                            ("{FS}", "{K}", "{Fg}")).at(1.0)
 
 
 # -- helpers ------------------------------------------------------------------
@@ -597,7 +598,7 @@ def test_a_named_operator_is_held_on_arrays_only(operator):
     graph, rule = gs.named_graph("cycle6"), gs.MinPower(2.0)
     assert graph.on_floats(rule)
     held = "^held binds one of flux, second_order_terms, pair_energy on arrays, or a flow's " \
-           "FieldTemplate at its kappa, got "
+           "FIELD at its kappa, got "
     with pytest.raises(DomainError, match=f"{held}'{operator}'$"):
         graph.held(operator, rule, True)
     with pytest.raises(DomainError, match=held + re.escape(repr(gs.first_order.FIELD))):

@@ -279,3 +279,28 @@ def test_entropy_induced_refuses_a_potential_that_is_no_two_node_entropy(potenti
     with pytest.raises(DomainError):
         gs.EntropyInduced(potential)
 
+
+
+class _DoubledMinPower(gs.MinPower):
+    """A MinPower whose theta is twice min**alpha: an override of the public method only."""
+
+    def theta(self, a, b):
+        return 2.0 * super().theta(a, b)
+
+
+def test_a_min_power_subclass_that_overrides_theta_keeps_it_on_an_array_run():
+    # The subclass is no MinPower itself, so the run is on arrays, where the graph binds the
+    # override and not MinPower's private _theta.  Doubling theta or kappa doubles the field
+    # exactly, so the run under the override at kappa is the MinPower run at 2 kappa, bit for
+    # bit.
+    graph, spec = gs.named_graph("cycle6"), gs.IntegratorSpec(dt=0.05, t_final=1.0)
+    rule, rho0 = _DoubledMinPower(2.0), [0.3, 0.25, 0.2, 0.12, 0.08, 0.05]
+    assert not graph.on_floats(rule)
+    got = gs.simulate_first_order(graph, rule, 1.0, rho0, spec, stop_on_convergence=False)
+    want = gs.simulate_first_order(graph, gs.MinPower(2.0), 2.0, rho0, spec,
+                                   stop_on_convergence=False)
+    plain = gs.simulate_first_order(graph, gs.MinPower(2.0), 1.0, rho0, spec,
+                                    stop_on_convergence=False)
+    assert np.array_equal(got.densities, want.densities)
+    assert not np.array_equal(got.densities, plain.densities)
+
